@@ -12,7 +12,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mqce_bench::datasets::{collab, email, SuiteScale};
 use mqce_core::kernel::{expand_kernels, KernelConfig};
 use mqce_core::query::find_mqcs_containing;
-use mqce_core::{find_largest_mqcs, MqceConfig, Session};
+use mqce_core::{find_largest_mqcs, MqceConfig, PreparedGraph, Session};
 
 fn bench_query_vs_full(c: &mut Criterion) {
     let mut group = c.benchmark_group("ext_query_vs_full");
@@ -58,7 +58,15 @@ fn bench_topk_and_kernels(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::new("topk-exact", dataset.name),
             &dataset.graph,
-            |b, g| b.iter(|| find_largest_mqcs(g, gamma, 5, None).unwrap().mqcs.len()),
+            |b, g| {
+                b.iter(|| {
+                    let prepared = PreparedGraph::new(g.clone());
+                    find_largest_mqcs(&prepared, gamma, 5, None)
+                        .unwrap()
+                        .mqcs
+                        .len()
+                })
+            },
         );
         let kernel_config = KernelConfig::new(gamma, (gamma + 0.05).min(1.0), 4, 5).unwrap();
         group.bench_with_input(

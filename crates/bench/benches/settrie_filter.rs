@@ -6,7 +6,7 @@ use std::time::Duration;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mqce_bench::datasets::{email, web, SuiteScale};
 use mqce_core::{solve_s1, Algorithm, MqceConfig};
-use mqce_settrie::{filter_maximal, filter_maximal_naive, SetTrie};
+use mqce_settrie::{filter_maximal, filter_maximal_naive};
 
 fn bench_settrie(c: &mut Criterion) {
     let mut group = c.benchmark_group("settrie_filter");
@@ -32,21 +32,6 @@ fn bench_settrie(c: &mut Criterion) {
             BenchmarkId::new("quadratic_reference", dataset.name),
             &s1,
             |b, sets| b.iter(|| filter_maximal_naive(sets)),
-        );
-        group.bench_with_input(
-            BenchmarkId::new("trie_build_and_query", dataset.name),
-            &s1,
-            |b, sets| {
-                b.iter(|| {
-                    let mut trie = SetTrie::new();
-                    for s in sets {
-                        trie.insert(s);
-                    }
-                    sets.iter()
-                        .filter(|s| !trie.exists_proper_superset_of(s))
-                        .count()
-                })
-            },
         );
     }
     group.finish();

@@ -6,7 +6,7 @@
 //! *differentially*:
 //!
 //! * every production configuration (algorithm × adjacency backend × S2
-//!   engine, sequential and both parallel schedulers) against the
+//!   engine, sequential and the work-stealing scheduler) against the
 //!   exhaustive [`mqce_core::naive`] oracle;
 //! * the incremental session against a full recompute after every batch;
 //! * the update WAL against direct application (append → reopen → replay
@@ -23,10 +23,7 @@
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
-use mqce_core::{
-    AdjacencyBackend, Algorithm, IncrementalSession, MqceConfig, ParallelScheduler, S2Backend,
-    Session,
-};
+use mqce_core::{AdjacencyBackend, Algorithm, IncrementalSession, MqceConfig, S2Backend, Session};
 use mqce_graph::{Graph, GraphDelta, WriteAheadLog};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -237,33 +234,21 @@ fn run_case(case: &FuzzCase, checks: &mut u64, contained: &mut u64) -> Vec<(Stri
         }
     }
 
-    // --- parallel schedulers vs the oracle --------------------------------
-    for (si, scheduler) in [
-        ParallelScheduler::WorkStealing,
-        ParallelScheduler::SharedIndex,
-    ]
-    .into_iter()
-    .enumerate()
-    {
-        let config = base
-            .with_backend(backends[(case.index + si) % backends.len()])
-            .with_s2_backend(s2s[(case.index + si) % s2s.len()]);
-        let result = Session::open(g.clone())
-            .config(config)
-            .threads(3)
-            .scheduler(scheduler)
-            .run();
-        *checks += 1;
-        if result.mqcs != oracle.mqcs {
-            failures.push((
-                "parallel-divergence".to_string(),
-                format!(
-                    "{scheduler:?}x3: got {} expected {}",
-                    family_digest(&result.mqcs),
-                    family_digest(&oracle.mqcs)
-                ),
-            ));
-        }
+    // --- work-stealing scheduler vs the oracle ----------------------------
+    let config = base
+        .with_backend(backends[case.index % backends.len()])
+        .with_s2_backend(s2s[case.index % s2s.len()]);
+    let result = Session::open(g.clone()).config(config).threads(3).run();
+    *checks += 1;
+    if result.mqcs != oracle.mqcs {
+        failures.push((
+            "parallel-divergence".to_string(),
+            format!(
+                "work-stealing x3: got {} expected {}",
+                family_digest(&result.mqcs),
+                family_digest(&oracle.mqcs)
+            ),
+        ));
     }
 
     // --- injected panic containment ---------------------------------------

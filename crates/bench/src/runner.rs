@@ -4,8 +4,7 @@
 use std::time::Duration;
 
 use mqce_core::{
-    AdjacencyBackend, Algorithm, BranchingStrategy, MqceConfig, ParallelScheduler, SearchStats,
-    Session, ThreadStats,
+    AdjacencyBackend, Algorithm, BranchingStrategy, MqceConfig, SearchStats, Session, ThreadStats,
 };
 use mqce_graph::Graph;
 use serde::{Deserialize, Serialize};
@@ -310,32 +309,6 @@ pub fn measure_threads(
     time_limit: Duration,
     threads: usize,
 ) -> RunRecord {
-    measure_threads_with(
-        dataset,
-        g,
-        spec,
-        gamma,
-        theta,
-        time_limit,
-        threads,
-        ParallelScheduler::WorkStealing,
-    )
-}
-
-/// [`measure_threads`] with an explicit parallel-scheduler choice, used by
-/// the `threads` profile to compare the work-stealing driver against the
-/// shared-atomic-index baseline.
-#[allow(clippy::too_many_arguments)]
-pub fn measure_threads_with(
-    dataset: &str,
-    g: &Graph,
-    spec: AlgoSpec,
-    gamma: f64,
-    theta: usize,
-    time_limit: Duration,
-    threads: usize,
-    scheduler: ParallelScheduler,
-) -> RunRecord {
     let config = MqceConfig::new(gamma, theta)
         .expect("benchmark parameters are valid")
         .with_algorithm(spec.algorithm)
@@ -349,7 +322,6 @@ pub fn measure_threads_with(
     let result = Session::open(g.clone())
         .config(config)
         .threads(threads)
-        .scheduler(scheduler)
         .run();
     let alloc_after = crate::alloc_stats::snapshot();
     let (mqc_min, mqc_max, mqc_avg) = result.mqc_size_stats().unwrap_or((0, 0, 0.0));
@@ -686,34 +658,6 @@ mod tests {
             rec.thread_stats.iter().map(|t| t.subproblems).sum::<u64>()
         );
         std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn shared_index_scheduler_measures_identically() {
-        use mqce_core::ParallelScheduler;
-        let g = Graph::complete(8);
-        let ws = measure_threads(
-            "k8",
-            &g,
-            AlgoSpec::dcfastqc(),
-            0.9,
-            3,
-            Duration::from_secs(5),
-            2,
-        );
-        let si = measure_threads_with(
-            "k8",
-            &g,
-            AlgoSpec::dcfastqc(),
-            0.9,
-            3,
-            Duration::from_secs(5),
-            2,
-            ParallelScheduler::SharedIndex,
-        );
-        assert_eq!(ws.mqcs, si.mqcs);
-        // The shared-index baseline records no per-thread counters.
-        assert!(si.thread_stats.is_empty());
     }
 
     #[test]

@@ -36,7 +36,9 @@ use std::time::Duration;
 use mqce_core::prelude::*;
 use mqce_core::query::find_mqcs_containing;
 use mqce_core::verify::verify_mqc_set;
-use mqce_core::{find_largest_mqcs, AdjacencyBackend, Algorithm, BranchingStrategy, S2Backend};
+use mqce_core::{
+    find_largest_mqcs, AdjacencyBackend, Algorithm, BranchingStrategy, PreparedGraph, S2Backend,
+};
 use mqce_graph::{formats, generators, Graph, GraphStats};
 
 use args::{parse, ArgError, ParsedArgs};
@@ -410,19 +412,8 @@ fn cmd_enumerate<W: Write>(parsed: &ParsedArgs, out: &mut W) -> Result<(), CliEr
         )
         .map_err(io_err)?;
     }
-    if result.timed_out() {
-        writeln!(
-            out,
-            "WARNING          time limit hit; output may be incomplete"
-        )
-        .map_err(io_err)?;
-    }
-    if result.s2_timed_out() {
-        writeln!(
-            out,
-            "WARNING          S2 deadline hit; MQC list is a sound partial antichain"
-        )
-        .map_err(io_err)?;
+    for line in run_warnings(&result) {
+        writeln!(out, "{line}").map_err(io_err)?;
     }
     if parsed.switch("verify") {
         let report = verify_mqc_set(&g, &result.mqcs, config.params);
@@ -438,6 +429,27 @@ fn cmd_enumerate<W: Write>(parsed: &ParsedArgs, out: &mut W) -> Result<(), CliEr
         }
     }
     Ok(())
+}
+
+/// The `WARNING` lines of an unsharded `enumerate` run, one per reason the
+/// maximal family may be incomplete; a complete run gets none.
+fn run_warnings(result: &MqceResult) -> Vec<String> {
+    let mut lines = Vec::new();
+    if result.timed_out() {
+        lines.push("WARNING          time limit hit; output may be incomplete".to_string());
+    }
+    if result.s2_timed_out() {
+        lines.push(
+            "WARNING          S2 deadline hit; MQC list is a sound partial antichain".to_string(),
+        );
+    }
+    let panics = result.stats.subproblem_panics;
+    if panics > 0 {
+        lines.push(format!(
+            "WARNING          {panics} subproblem panic(s) contained; output may be incomplete"
+        ));
+    }
+    lines
 }
 
 /// The `enumerate --shards N` path: builds the worker request template from
@@ -496,7 +508,9 @@ fn cmd_topk<W: Write>(parsed: &ParsedArgs, out: &mut W) -> Result<(), CliError> 
     let g = load_graph(path)?;
     let gamma = parsed.get_f64("gamma", 0.9)?;
     let k = parsed.get_usize("k", 10)?;
-    let top = find_largest_mqcs(&g, gamma, k, None).map_err(|e| CliError::Params(e.to_string()))?;
+    let prepared = PreparedGraph::new(g);
+    let top = find_largest_mqcs(&prepared, gamma, k, None)
+        .map_err(|e| CliError::Params(e.to_string()))?;
     writeln!(out, "requested k      {k}").map_err(io_err)?;
     writeln!(out, "found            {}", top.mqcs.len()).map_err(io_err)?;
     writeln!(out, "final theta      {}", top.final_theta).map_err(io_err)?;
@@ -1008,5 +1022,20 @@ mod tests {
         assert_eq!(outputs[0], outputs[1], "auto vs slice outputs differ");
         assert_eq!(outputs[1], outputs[2], "slice vs bitset outputs differ");
         assert!(run_capture(&["enumerate", &path, "--backend", "alien"]).is_err());
+    }
+
+    #[test]
+    fn contained_panics_are_warned_about_and_clean_runs_are_not() {
+        let clean = MqceResult::default();
+        assert!(run_warnings(&clean).is_empty());
+        let mut panicked = MqceResult::default();
+        panicked.stats.subproblem_panics = 1;
+        assert_eq!(
+            run_warnings(&panicked),
+            vec![
+                "WARNING          1 subproblem panic(s) contained; output may be incomplete"
+                    .to_string()
+            ]
+        );
     }
 }

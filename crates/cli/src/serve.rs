@@ -850,10 +850,6 @@ fn ping_response(state: &ServerState, req: &Request) -> Response {
             Value::Num(stats.cache_evictions as f64),
         ),
         ("cache_len".to_string(), Value::Num(stats.cache_len as f64)),
-        (
-            "cache_entries".to_string(),
-            Value::Num(stats.cache_len as f64),
-        ),
     ];
     Response {
         id: req.id.clone(),
@@ -1128,15 +1124,11 @@ fn compute_response(state: &ServerState, req: Request, arrival: Instant) -> Resp
             (outcome, s2_timed_out || contained > 0, s2_timed_out)
         }
         "topk" => {
-            let result = match mqce_core::find_largest_mqcs(
-                prepared.graph(),
-                req.gamma,
-                req.k,
-                Some(config),
-            ) {
-                Ok(result) => result,
-                Err(e) => return Response::failure(req.id, e.to_string()),
-            };
+            let result =
+                match mqce_core::find_largest_mqcs(&prepared, req.gamma, req.k, Some(config)) {
+                    Ok(result) => result,
+                    Err(e) => return Response::failure(req.id, e.to_string()),
+                };
             let outcome = CachedOutcome {
                 cmd: req.cmd.clone(),
                 vertices: Vec::new(),

@@ -16,7 +16,6 @@
 use std::time::Instant;
 
 use mqce_graph::bitset::{AdjacencyMatrix, BitSet};
-use mqce_graph::core_decomp::{core_decomposition, k_core_vertices};
 use mqce_graph::subgraph::InducedSubgraph;
 use mqce_graph::{Graph, SubproblemScratch, VertexId};
 use mqce_settrie::{MaximalityEngine, SetArena};
@@ -24,6 +23,7 @@ use mqce_settrie::{MaximalityEngine, SetArena};
 use crate::branch::{SearchOutcome, SearchScratch};
 use crate::config::{AdjacencyBackend, BranchingStrategy, MqceParams};
 use crate::fastqc::run_fastqc_in;
+use crate::prepared::PreparedGraph;
 use crate::quasiclique::{required_degree, tau};
 use crate::quickplus::run_quickplus_in;
 use crate::stats::SearchStats;
@@ -79,81 +79,64 @@ impl DcConfig {
     }
 }
 
-/// The prepared decomposition: core-reduced graph, vertex ordering and ranks.
+/// The prepared decomposition: core-reduced graph, vertex ordering and ranks,
+/// plus the parameters and DC configuration it was built for (the same ones
+/// every subproblem of the plan is pruned and searched with).
 pub(crate) struct DcPlan {
     /// The ⌈γ(θ−1)⌉-core of the input (or the whole graph), with id mapping.
     pub(crate) reduced: InducedSubgraph,
     /// Vertices of the reduced graph in processing order.
     pub(crate) ordering: Vec<VertexId>,
-    /// `rank[v]` = position of `v` in `ordering`.
+    /// `rank[v]` = position of `v` in `ordering` (any monotone values work:
+    /// ranks are only ever compared).
     pub(crate) rank: Vec<usize>,
+    /// Enumeration parameters.
+    pub(crate) params: MqceParams,
+    /// Pruning configuration.
+    pub(crate) dc: DcConfig,
 }
 
-/// Lines 1-2 of Algorithm 3: core reduction and vertex ordering.
-pub(crate) fn prepare_plan(g: &Graph, params: MqceParams, dc: DcConfig) -> DcPlan {
-    let core_k = required_degree(params.gamma, params.theta);
-    let reduced: InducedSubgraph = if dc.core_reduction {
-        let keep = k_core_vertices(g, core_k);
-        InducedSubgraph::new(g, &keep)
-    } else {
-        let all: Vec<VertexId> = g.vertices().collect();
-        InducedSubgraph::new(g, &all)
-    };
-    let ordering: Vec<VertexId> = if dc.degeneracy_order {
-        core_decomposition(&reduced.graph).ordering
-    } else {
-        reduced.graph.vertices().collect()
-    };
-    let mut rank = vec![0usize; reduced.graph.num_vertices()];
-    for (i, &v) in ordering.iter().enumerate() {
-        rank[v as usize] = i;
-    }
-    DcPlan {
-        reduced,
-        ordering,
-        rank,
-    }
-}
-
-/// [`prepare_plan`] against cached shared state: the core reduction is a
-/// filter over the prepared core numbers and the processing order is the
-/// cached global degeneracy ordering restricted to the surviving vertices —
-/// no per-request core decomposition. Any total order is sound for the DC
-/// drivers (Property 2 assigns each maximal QC to its lowest-ranked member
-/// under whatever order is in force), and the restriction of a degeneracy
-/// ordering keeps the forward-degree bound, so the plan quality matches the
-/// owning path.
-pub(crate) fn prepare_plan_shared(
-    prepared: &crate::prepared::PreparedGraph,
-    params: MqceParams,
-    dc: DcConfig,
-) -> DcPlan {
-    let g = prepared.graph();
-    let core_k = required_degree(params.gamma, params.theta);
-    let reduced: InducedSubgraph = if dc.core_reduction {
-        InducedSubgraph::new(g, &prepared.k_core_vertices(core_k))
-    } else {
-        let all: Vec<VertexId> = g.vertices().collect();
-        InducedSubgraph::new(g, &all)
-    };
-    let ordering: Vec<VertexId> = if dc.degeneracy_order {
-        prepared
-            .cores()
-            .ordering
-            .iter()
-            .filter_map(|&v| reduced.local(v))
-            .collect()
-    } else {
-        reduced.graph.vertices().collect()
-    };
-    let mut rank = vec![0usize; reduced.graph.num_vertices()];
-    for (i, &v) in ordering.iter().enumerate() {
-        rank[v as usize] = i;
-    }
-    DcPlan {
-        reduced,
-        ordering,
-        rank,
+impl DcPlan {
+    /// Lines 1-2 of Algorithm 3 against the cached state of a
+    /// [`PreparedGraph`]: the core reduction is a filter over the prepared
+    /// core numbers, and the processing order is `order` (the incremental
+    /// session's stable order), else the cached global degeneracy ordering
+    /// (or the input order for the basic DC), restricted to the surviving
+    /// vertices — no per-run core decomposition. Any total order is sound
+    /// for the DC drivers (Property 2 assigns each maximal QC to its
+    /// lowest-ranked member under whatever order is in force), and the
+    /// restriction of a degeneracy ordering keeps the forward-degree bound.
+    pub(crate) fn from_prepared(
+        prepared: &PreparedGraph,
+        params: MqceParams,
+        dc: DcConfig,
+        order: Option<&[VertexId]>,
+    ) -> DcPlan {
+        let g = prepared.graph();
+        let reduced: InducedSubgraph = if dc.core_reduction {
+            let core_k = required_degree(params.gamma, params.theta);
+            InducedSubgraph::new(g, &prepared.k_core_vertices(core_k))
+        } else {
+            let all: Vec<VertexId> = g.vertices().collect();
+            InducedSubgraph::new(g, &all)
+        };
+        let order = match order {
+            Some(order) => order,
+            None if dc.degeneracy_order => &prepared.cores().ordering,
+            None => &reduced.to_global,
+        };
+        let ordering: Vec<VertexId> = order.iter().filter_map(|&v| reduced.local(v)).collect();
+        let mut rank = vec![0usize; reduced.graph.num_vertices()];
+        for (i, &v) in ordering.iter().enumerate() {
+            rank[v as usize] = i;
+        }
+        DcPlan {
+            reduced,
+            ordering,
+            rank,
+            params,
+            dc,
+        }
     }
 }
 
@@ -208,12 +191,10 @@ impl Default for PruneScratch {
 pub(crate) fn build_subproblem_in(
     plan: &DcPlan,
     vi: VertexId,
-    params: MqceParams,
-    dc: DcConfig,
     stats: &mut SearchStats,
     scratch: &mut DcScratch,
 ) -> Option<(InducedSubgraph, VertexId)> {
-    let rg = &plan.reduced.graph;
+    let (params, rg) = (plan.params, &plan.reduced.graph);
     // V_i = Γ²(v_i) − {v_1..v_{i−1}} (closed 2-hop ball, later-ranked only).
     let my_rank = plan.rank[vi as usize];
     scratch.sub.two_hop_into(rg, vi, &mut scratch.ball);
@@ -244,7 +225,7 @@ pub(crate) fn build_subproblem_in(
         sub.adjacency.as_ref(),
         local_vi,
         params,
-        dc,
+        plan.dc,
         &mut scratch.prune,
     );
     let alive = &scratch.prune.alive;
@@ -269,18 +250,17 @@ pub(crate) fn build_subproblem_in(
 pub(crate) fn solve_subproblem_streaming<'e>(
     plan: &DcPlan,
     vi: VertexId,
-    params: MqceParams,
     inner: InnerAlgorithm,
-    dc: DcConfig,
     deadline: Option<Instant>,
     scratch: &mut DcScratch,
     stats: &mut SearchStats,
     raw: &mut SetArena,
-    s2: &mut Option<&mut (dyn MaximalityEngine + 'e)>,
+    mut s2: Option<&mut (dyn MaximalityEngine + 'e)>,
 ) {
-    let Some((sub, local_vi)) = build_subproblem_in(plan, vi, params, dc, stats, scratch) else {
+    let Some((sub, local_vi)) = build_subproblem_in(plan, vi, stats, scratch) else {
         return;
     };
+    let params = plan.params;
 
     // ---- lines 7-8: run the searcher with S = {v_i} ----
     //
@@ -358,279 +338,69 @@ pub(crate) fn solve_subproblem_streaming<'e>(
     scratch.sub.recycle(sub);
 }
 
-/// Runs the divide-and-conquer enumeration and returns the MQCE-S1 output
-/// (global vertex ids) plus aggregated statistics.
-pub fn run_dc(
-    g: &Graph,
-    params: MqceParams,
-    inner: InnerAlgorithm,
-    dc: DcConfig,
-    deadline: Option<Instant>,
-) -> SearchOutcome {
-    run_dc_streaming(g, params, inner, dc, deadline, None)
-}
+/// A closure producing fresh per-thread maximality engines.
+pub(crate) type EngineFactory<'a> = &'a (dyn Fn() -> Box<dyn MaximalityEngine> + Sync);
 
-/// [`run_dc`] with streaming MQCE-S2: each subproblem's outputs are fed into
-/// the maximality engine as the subproblem completes, so duplicate and
-/// dominated quasi-cliques are dropped on arrival and the filtering cost is
-/// amortised across the whole run instead of paid in one post-hoc pass.
-pub fn run_dc_streaming(
-    g: &Graph,
-    params: MqceParams,
-    inner: InnerAlgorithm,
-    dc: DcConfig,
-    deadline: Option<Instant>,
-    s2: Option<&mut dyn MaximalityEngine>,
-) -> SearchOutcome {
-    let plan = prepare_plan(g, params, dc);
-    run_dc_streaming_plan(&plan, params, inner, dc, deadline, s2)
-}
-
-/// [`run_dc_streaming`] over an already-prepared [`DcPlan`] — the re-entrant
-/// body the shared-state pipeline entry points call with plans derived from
-/// cached decompositions.
-pub(crate) fn run_dc_streaming_plan(
+/// Runs the subproblems of `anchors` (reduced-graph ids, in processing
+/// order) — every full run, incremental dirty-anchor re-run and shard
+/// worker goes through here. At two or more threads the work-stealing
+/// scheduler distributes them (with cooperative intra-subproblem
+/// splitting); at one thread they run in a plain in-place loop, with no
+/// estimate pass and no thread spawn. With an engine factory, every worker
+/// streams its outputs into its own engine, and the engines are returned for
+/// the caller to merge; the maximal family is the same at every thread
+/// count (the raw S1 stream may carry a few extra dominated sets from split
+/// points, which MQCE-S2 removes).
+pub(crate) fn run_anchors(
     plan: &DcPlan,
-    params: MqceParams,
+    anchors: &[VertexId],
     inner: InnerAlgorithm,
-    dc: DcConfig,
+    threads: usize,
     deadline: Option<Instant>,
-    mut s2: Option<&mut dyn MaximalityEngine>,
-) -> SearchOutcome {
-    let mut stats = SearchStats::default();
-    if plan.reduced.graph.num_vertices() == 0 {
-        return SearchOutcome {
-            outputs: Vec::new(),
-            stats,
-            thread_stats: Vec::new(),
-        };
+    engine_factory: Option<EngineFactory<'_>>,
+) -> (SearchOutcome, Vec<Box<dyn MaximalityEngine>>) {
+    if anchors.is_empty() {
+        return (SearchOutcome::default(), Vec::new());
     }
+    if threads >= 2 {
+        return crate::scheduler::run_dc_work_stealing(
+            plan,
+            anchors,
+            inner,
+            threads,
+            deadline,
+            engine_factory,
+        );
+    }
+    let mut engine = engine_factory.map(|f| f());
+    let mut stats = SearchStats::default();
     let mut scratch = DcScratch::default();
     let mut raw = SetArena::new();
-    for &vi in &plan.ordering {
-        if let Some(deadline) = deadline {
-            if Instant::now() >= deadline {
-                stats.timed_out = true;
-                break;
-            }
+    for &vi in anchors {
+        if deadline.is_some_and(|d| Instant::now() >= d) {
+            stats.timed_out = true;
+            break;
         }
         solve_subproblem_streaming(
             plan,
             vi,
-            params,
             inner,
-            dc,
             deadline,
             &mut scratch,
             &mut stats,
             &mut raw,
-            &mut s2,
+            engine.as_deref_mut(),
         );
         if stats.timed_out {
             break;
         }
     }
-    SearchOutcome {
+    let outcome = SearchOutcome {
         outputs: raw.into_vecs(),
         stats,
         thread_stats: Vec::new(),
-    }
-}
-
-/// Multi-threaded variant of [`run_dc`]: the per-vertex subproblems are
-/// distributed over `num_threads` OS threads by a work-stealing scheduler
-/// (per-worker deques seeded in descending estimated cost), and busy
-/// searchers cooperatively split untaken branches of their own search trees
-/// off to hungry workers, so even one giant subproblem parallelises. This is
-/// the "efficient parallel implementation" the paper lists as future work;
-/// the maximal-QC family is identical to the sequential driver's (the raw S1
-/// stream may contain a few extra dominated quasi-cliques from split points,
-/// which MQCE-S2 removes).
-pub fn run_dc_parallel(
-    g: &Graph,
-    params: MqceParams,
-    inner: InnerAlgorithm,
-    dc: DcConfig,
-    num_threads: usize,
-    deadline: Option<Instant>,
-) -> SearchOutcome {
-    run_dc_parallel_streaming(g, params, inner, dc, num_threads, deadline, None).0
-}
-
-/// A closure producing fresh per-thread maximality engines.
-pub type EngineFactory<'a> = &'a (dyn Fn() -> Box<dyn MaximalityEngine> + Sync);
-
-/// [`run_dc_parallel`] with streaming MQCE-S2: when an engine factory is
-/// supplied, every worker thread streams the outputs of everything it runs —
-/// whole subproblems and stolen split tasks alike — into its own engine, and
-/// the per-thread engines are returned for the caller to merge (drain each
-/// into one and [`MaximalityEngine::add`] the sets back).
-pub fn run_dc_parallel_streaming(
-    g: &Graph,
-    params: MqceParams,
-    inner: InnerAlgorithm,
-    dc: DcConfig,
-    num_threads: usize,
-    deadline: Option<Instant>,
-    engine_factory: Option<EngineFactory<'_>>,
-) -> (SearchOutcome, Vec<Box<dyn MaximalityEngine>>) {
-    let num_threads = num_threads.max(1);
-    if num_threads == 1 {
-        return match engine_factory {
-            None => (
-                run_dc_streaming(g, params, inner, dc, deadline, None),
-                Vec::new(),
-            ),
-            Some(factory) => {
-                let mut engine = factory();
-                let outcome =
-                    run_dc_streaming(g, params, inner, dc, deadline, Some(engine.as_mut()));
-                (outcome, vec![engine])
-            }
-        };
-    }
-    let plan = prepare_plan(g, params, dc);
-    run_dc_parallel_streaming_plan(
-        &plan,
-        params,
-        inner,
-        dc,
-        num_threads,
-        deadline,
-        engine_factory,
-    )
-}
-
-/// [`run_dc_parallel_streaming`] over an already-prepared [`DcPlan`]; used
-/// by the shared-state pipeline entry points. Falls back to the sequential
-/// plan driver for one thread.
-pub(crate) fn run_dc_parallel_streaming_plan(
-    plan: &DcPlan,
-    params: MqceParams,
-    inner: InnerAlgorithm,
-    dc: DcConfig,
-    num_threads: usize,
-    deadline: Option<Instant>,
-    engine_factory: Option<EngineFactory<'_>>,
-) -> (SearchOutcome, Vec<Box<dyn MaximalityEngine>>) {
-    let num_threads = num_threads.max(1);
-    if num_threads == 1 {
-        return match engine_factory {
-            None => (
-                run_dc_streaming_plan(plan, params, inner, dc, deadline, None),
-                Vec::new(),
-            ),
-            Some(factory) => {
-                let mut engine = factory();
-                let outcome =
-                    run_dc_streaming_plan(plan, params, inner, dc, deadline, Some(engine.as_mut()));
-                (outcome, vec![engine])
-            }
-        };
-    }
-    if plan.reduced.graph.num_vertices() == 0 {
-        return (SearchOutcome::default(), Vec::new());
-    }
-    crate::scheduler::run_dc_work_stealing(
-        plan,
-        params,
-        inner,
-        dc,
-        num_threads,
-        deadline,
-        engine_factory,
-    )
-}
-
-/// The PR-3 parallel driver: whole subproblems handed out through one shared
-/// atomic index, no stealing and no splitting. Kept as the baseline the
-/// `threads` bench profile compares the work-stealing scheduler against — on
-/// skewed subproblem families this driver idles every worker but the one
-/// holding the heavy subproblem.
-pub fn run_dc_parallel_streaming_shared_index(
-    g: &Graph,
-    params: MqceParams,
-    inner: InnerAlgorithm,
-    dc: DcConfig,
-    num_threads: usize,
-    deadline: Option<Instant>,
-    engine_factory: Option<EngineFactory<'_>>,
-) -> (SearchOutcome, Vec<Box<dyn MaximalityEngine>>) {
-    let num_threads = num_threads.max(1);
-    if num_threads == 1 {
-        return run_dc_parallel_streaming(g, params, inner, dc, 1, deadline, engine_factory);
-    }
-    let plan = prepare_plan(g, params, dc);
-    if plan.reduced.graph.num_vertices() == 0 {
-        return (SearchOutcome::default(), Vec::new());
-    }
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let plan_ref = &plan;
-    let next_ref = &next;
-    type WorkerResult = (
-        Vec<Vec<VertexId>>,
-        SearchStats,
-        Option<Box<dyn MaximalityEngine>>,
-    );
-    let results: Vec<WorkerResult> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..num_threads)
-            .map(|_| {
-                scope.spawn(move || {
-                    let mut stats = SearchStats::default();
-                    let mut engine = engine_factory.map(|f| f());
-                    let mut scratch = DcScratch::default();
-                    let mut raw = SetArena::new();
-                    let mut engine_ref: Option<&mut dyn MaximalityEngine> = engine.as_deref_mut();
-                    loop {
-                        let i = next_ref.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                        if i >= plan_ref.ordering.len() {
-                            break;
-                        }
-                        if let Some(deadline) = deadline {
-                            if Instant::now() >= deadline {
-                                stats.timed_out = true;
-                                break;
-                            }
-                        }
-                        let vi = plan_ref.ordering[i];
-                        solve_subproblem_streaming(
-                            plan_ref,
-                            vi,
-                            params,
-                            inner,
-                            dc,
-                            deadline,
-                            &mut scratch,
-                            &mut stats,
-                            &mut raw,
-                            &mut engine_ref,
-                        );
-                    }
-                    (raw.into_vecs(), stats, engine)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("worker thread panicked"))
-            .collect()
-    });
-    let mut stats = SearchStats::default();
-    let mut outputs = Vec::new();
-    let mut engines = Vec::new();
-    for (sub_outputs, sub_stats, engine) in results {
-        stats.merge(&sub_stats);
-        outputs.extend(sub_outputs);
-        engines.extend(engine);
-    }
-    (
-        SearchOutcome {
-            outputs,
-            stats,
-            thread_stats: Vec::new(),
-        },
-        engines,
-    )
+    };
+    (outcome, engine.into_iter().collect())
 }
 
 /// Applies `MAX_ROUND` rounds of one-hop and (optionally) two-hop pruning on
@@ -737,6 +507,14 @@ fn prune_subgraph_in(
 }
 
 #[cfg(test)]
+impl DcPlan {
+    /// Test shorthand: the plan of a whole graph, prepared on the spot.
+    pub(crate) fn for_graph(g: &Graph, params: MqceParams, dc: DcConfig) -> DcPlan {
+        DcPlan::from_prepared(&PreparedGraph::new(g.clone()), params, dc, None)
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::naive;
@@ -744,6 +522,30 @@ mod tests {
 
     fn params(gamma: f64, theta: usize) -> MqceParams {
         MqceParams::new(gamma, theta).unwrap()
+    }
+
+    /// S1 over the whole graph on one thread, without S2.
+    fn run_dc(
+        g: &Graph,
+        params: MqceParams,
+        inner: InnerAlgorithm,
+        dc: DcConfig,
+        deadline: Option<Instant>,
+    ) -> SearchOutcome {
+        run_dc_parallel(g, params, inner, dc, 1, deadline)
+    }
+
+    /// S1 over the whole graph on `threads` workers, without S2.
+    fn run_dc_parallel(
+        g: &Graph,
+        params: MqceParams,
+        inner: InnerAlgorithm,
+        dc: DcConfig,
+        threads: usize,
+        deadline: Option<Instant>,
+    ) -> SearchOutcome {
+        let plan = DcPlan::for_graph(g, params, dc);
+        run_anchors(&plan, &plan.ordering, inner, threads, deadline, None).0
     }
 
     fn check_dc_against_oracle(g: &Graph, gamma: f64, theta: usize, dc: DcConfig) {
@@ -965,24 +767,21 @@ mod tests {
             for theta in [3usize, 4, 6] {
                 let p = params(gamma, theta);
                 let fresh = run_dc(&g, p, inner, dc, None);
-                let plan = prepare_plan(&g, p, dc);
+                let plan = DcPlan::for_graph(&g, p, dc);
 
                 // (a) one scratch reused across the whole grid;
                 raw.clear();
                 let mut stats = SearchStats::default();
-                let mut no_s2: Option<&mut dyn MaximalityEngine> = None;
                 for &vi in &plan.ordering {
                     solve_subproblem_streaming(
                         &plan,
                         vi,
-                        p,
                         inner,
-                        dc,
                         None,
                         &mut reused,
                         &mut stats,
                         &mut raw,
-                        &mut no_s2,
+                        None,
                     );
                 }
                 assert_eq!(raw.to_vecs(), fresh.outputs, "gamma={gamma} theta={theta}");
@@ -997,14 +796,12 @@ mod tests {
                     solve_subproblem_streaming(
                         &plan,
                         vi,
-                        p,
                         inner,
-                        dc,
                         None,
                         &mut per_sub,
                         &mut stats,
                         &mut raw,
-                        &mut no_s2,
+                        None,
                     );
                 }
                 assert_eq!(raw.to_vecs(), fresh.outputs, "gamma={gamma} theta={theta}");
@@ -1097,12 +894,11 @@ mod tests {
     /// the searcher, so an injected fault at that anchor is guaranteed to
     /// exercise the containment boundary.
     fn first_executing_anchor(g: &Graph, p: MqceParams, dc: DcConfig) -> VertexId {
-        let plan = prepare_plan(g, p, dc);
+        let plan = DcPlan::for_graph(g, p, dc);
         let mut stats = SearchStats::default();
         let mut scratch = DcScratch::default();
         for &vi in &plan.ordering {
-            if let Some((sub, _)) = build_subproblem_in(&plan, vi, p, dc, &mut stats, &mut scratch)
-            {
+            if let Some((sub, _)) = build_subproblem_in(&plan, vi, &mut stats, &mut scratch) {
                 scratch.sub.recycle(sub);
                 return plan.reduced.to_global[vi as usize];
             }

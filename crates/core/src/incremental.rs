@@ -21,13 +21,14 @@
 //!    order is in force), and a stable order means a retained set's anchor
 //!    never silently moves between updates;
 //! 4. retires the sets whose anchor is dirty and re-runs exactly the dirty
-//!    anchors through the existing streaming DC subproblem solver (shared
-//!    atomic index over the dirty list for multi-threaded sessions);
+//!    anchors through the shared anchor driver (work stealing and
+//!    intra-subproblem splitting for multi-threaded sessions);
 //! 5. merges the fresh streams with only the **frontier** of the retained
 //!    family — retained sets that contain at least one dirty vertex —
-//!    through one fresh [`MaximalityEngine`], restoring exact global
-//!    maximality. Every fresh set contains its dirty anchor, so a retained
-//!    set that could dominate one must contain that dirty vertex too;
+//!    through one fresh
+//!    [`MaximalityEngine`](mqce_settrie::MaximalityEngine), restoring exact
+//!    global maximality. Every fresh set contains its dirty anchor, so a
+//!    retained set that could dominate one must contain that dirty vertex too;
 //!    retained sets disjoint from the closure can never interact with the
 //!    fresh stream and bypass the engine entirely, which keeps the
 //!    per-update merge cost proportional to the *local* family, not the
@@ -47,19 +48,15 @@
 //! maximal. The differential harness checks this equivalence against full
 //! recompute on random schedules across the γ×θ grid at 1/2/4 threads.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use mqce_graph::delta::{dirty_two_hop_closure, update_core_decomposition, GraphDelta};
-use mqce_graph::subgraph::InducedSubgraph;
 use mqce_graph::{Graph, SubproblemScratch, VertexId};
-use mqce_settrie::{MaximalityEngine, SetArena};
 
 use crate::config::MqceConfig;
-use crate::dc::{solve_subproblem_streaming, DcPlan, DcScratch};
+use crate::dc::{run_anchors, DcPlan, EngineFactory};
 use crate::pipeline::{dc_setup, feed_sets};
 use crate::prepared::PreparedGraph;
-use crate::quasiclique::required_degree;
 use crate::session::Session;
 use crate::stats::SearchStats;
 
@@ -244,22 +241,7 @@ impl IncrementalSession {
         // The dirty plan: core reduction over the updated graph, processing
         // order = the session ordering restricted to the survivors (sound
         // like any total order; stable so provenance is meaningful).
-        let core_k = required_degree(self.config.params.gamma, self.config.params.theta);
-        let reduced = InducedSubgraph::new(prepared.graph(), &prepared.k_core_vertices(core_k));
-        let plan_ordering: Vec<VertexId> = self
-            .ordering
-            .iter()
-            .filter_map(|&v| reduced.local(v))
-            .collect();
-        let mut plan_rank = vec![0usize; reduced.graph.num_vertices()];
-        for (i, &v) in plan_ordering.iter().enumerate() {
-            plan_rank[v as usize] = i;
-        }
-        let plan = DcPlan {
-            reduced,
-            ordering: plan_ordering,
-            rank: plan_rank,
-        };
+        let plan = DcPlan::from_prepared(&prepared, self.config.params, dc, Some(&self.ordering));
 
         // Partition the family by anchor provenance and collect the dirty
         // anchors that survived the core reduction, in plan order. One
@@ -299,81 +281,25 @@ impl IncrementalSession {
             .collect();
         let retained_count = (untouched.len() + frontier.len()) as u64;
 
-        // Re-run the dirty subproblems, streaming into fresh engines, then
-        // merge the frontier sets through the same engine: the drain/add
-        // merge is exact over frontier ∪ fresh, and the untouched sets are
-        // spliced back in afterwards.
-        let params = self.config.params;
-        let s2_backend = self.config.s2_backend;
-        let s2_model = self.config.s2_model;
-        let mut engine = s2_backend.new_engine_with_model(s2_model);
+        // Re-run the dirty subproblems, streaming into per-thread engines,
+        // then merge those and the frontier sets through one engine: the
+        // drain/add merge is exact over frontier ∪ fresh, and the untouched
+        // sets are spliced back in afterwards.
+        let config = self.config;
+        let factory = || config.s2_backend.new_engine_with_model(config.s2_model);
+        let factory_ref: EngineFactory<'_> = &factory;
+        let (rerun, engines) = run_anchors(
+            &plan,
+            &dirty_locals,
+            inner,
+            self.threads,
+            None,
+            Some(factory_ref),
+        );
+        let mut engine = factory();
         feed_sets(engine.as_mut(), &frontier, None);
-        let mut stats = SearchStats::default();
-        if self.threads == 1 || dirty_locals.len() <= 1 {
-            let mut scratch = DcScratch::default();
-            let mut raw = SetArena::new();
-            let mut engine_ref: Option<&mut dyn MaximalityEngine> = Some(engine.as_mut());
-            for &vi in &dirty_locals {
-                solve_subproblem_streaming(
-                    &plan,
-                    vi,
-                    params,
-                    inner,
-                    dc,
-                    None,
-                    &mut scratch,
-                    &mut stats,
-                    &mut raw,
-                    &mut engine_ref,
-                );
-            }
-        } else {
-            let next = AtomicUsize::new(0);
-            let plan_ref = &plan;
-            let locals_ref = &dirty_locals;
-            let next_ref = &next;
-            let results: Vec<(SearchStats, Box<dyn MaximalityEngine>)> =
-                std::thread::scope(|scope| {
-                    let handles: Vec<_> = (0..self.threads)
-                        .map(|_| {
-                            scope.spawn(move || {
-                                let mut stats = SearchStats::default();
-                                let mut worker_engine = s2_backend.new_engine_with_model(s2_model);
-                                let mut scratch = DcScratch::default();
-                                let mut raw = SetArena::new();
-                                let mut engine_ref: Option<&mut dyn MaximalityEngine> =
-                                    Some(worker_engine.as_mut());
-                                loop {
-                                    let i = next_ref.fetch_add(1, Ordering::Relaxed);
-                                    if i >= locals_ref.len() {
-                                        break;
-                                    }
-                                    solve_subproblem_streaming(
-                                        plan_ref,
-                                        locals_ref[i],
-                                        params,
-                                        inner,
-                                        dc,
-                                        None,
-                                        &mut scratch,
-                                        &mut stats,
-                                        &mut raw,
-                                        &mut engine_ref,
-                                    );
-                                }
-                                (stats, worker_engine)
-                            })
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|h| h.join().expect("incremental worker panicked"))
-                        .collect()
-                });
-            for (sub_stats, mut worker_engine) in results {
-                stats.merge(&sub_stats);
-                feed_sets(engine.as_mut(), &worker_engine.drain(), None);
-            }
+        for mut worker_engine in engines {
+            feed_sets(engine.as_mut(), &worker_engine.drain(), None);
         }
         let outcome = engine.finish();
         // Both halves are in canonical order: `untouched` is a subsequence
@@ -387,7 +313,7 @@ impl IncrementalSession {
             retained: retained_count,
             core_changed: core_update.changed.len() as u64,
             dirty,
-            stats,
+            stats: rerun.stats,
             full_recompute: false,
         }
     }
@@ -396,8 +322,12 @@ impl IncrementalSession {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::enumerate_mqcs_inner as enumerate_mqcs;
     use mqce_graph::generators::{community_graph, CommunityGraphParams};
+
+    /// The maximal family of a fresh full run.
+    fn full_family(g: &Graph, config: MqceConfig) -> Vec<Vec<VertexId>> {
+        Session::open(g.clone()).config(config).run().mqcs
+    }
 
     /// Incremental family after each batch must equal a fresh full run on
     /// the mutated graph.
@@ -412,10 +342,10 @@ mod tests {
                 current.fingerprint(),
                 "step {step}: graph drifted"
             );
-            let fresh = enumerate_mqcs(&current, &config);
+            let fresh = full_family(&current, config);
             assert_eq!(
                 session.family(),
-                &fresh.mqcs[..],
+                &fresh[..],
                 "step {step} (threads={threads}): incremental family != full recompute \
                  (dirty={}, retired={}, retained={})",
                 outcome.dirty_subproblems,
@@ -494,7 +424,7 @@ mod tests {
         // Grow the graph: attach a triangle on two new vertices.
         let delta = GraphDelta::new(vec![(8, 9), (8, 10), (9, 10)], vec![]);
         session.update(&delta);
-        let fresh = enumerate_mqcs(&delta.apply(&g), &config);
-        assert_eq!(session.family(), &fresh.mqcs[..]);
+        let fresh = full_family(&delta.apply(&g), config);
+        assert_eq!(session.family(), &fresh[..]);
     }
 }

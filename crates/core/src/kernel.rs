@@ -19,8 +19,8 @@ use std::collections::HashSet;
 use mqce_graph::{Graph, VertexId};
 
 use crate::config::{Algorithm, MqceConfig, ParamError};
-use crate::pipeline::enumerate_mqcs_inner as enumerate_mqcs;
 use crate::quasiclique::is_quasi_clique;
+use crate::session::Session;
 use crate::verify::find_single_vertex_extension;
 
 /// Configuration of the kernel-expansion heuristic.
@@ -89,7 +89,7 @@ pub fn expand_kernels(
     // Step 1: exact enumeration of the kernels at the stricter threshold.
     let kernel_config = MqceConfig::new(config.gamma_prime, config.min_kernel_size)?
         .with_algorithm(Algorithm::DcFastQc);
-    let kernels = enumerate_mqcs(g, &kernel_config).mqcs;
+    let kernels = Session::open(g.clone()).config(kernel_config).run().mqcs;
     let largest_kernel = kernels.iter().map(Vec::len).max().unwrap_or(0);
 
     // Step 2: expand every kernel at the relaxed threshold.
@@ -226,7 +226,8 @@ mod tests {
             23,
         );
         let gamma = 0.8;
-        let exact = find_largest_mqcs(&g, gamma, 1, None).unwrap();
+        let prepared = crate::prepared::PreparedGraph::new(g.clone());
+        let exact = find_largest_mqcs(&prepared, gamma, 1, None).unwrap();
         let heuristic = expand_kernels(&g, KernelConfig::new(gamma, 0.9, 3, 1).unwrap()).unwrap();
         let exact_best = exact.mqcs.first().map(Vec::len).unwrap_or(0);
         let heuristic_best = heuristic.qcs.first().map(Vec::len).unwrap_or(0);

@@ -64,11 +64,7 @@ pub use config::{
 };
 pub use incremental::{IncrementalSession, UpdateOutcome};
 pub use mqce_settrie::S2Decision;
-#[allow(deprecated)] // the wrappers stay re-exported for downstream code
-pub use pipeline::{
-    enumerate_mqcs, enumerate_mqcs_default, enumerate_mqcs_parallel, enumerate_mqcs_parallel_with,
-    enumerate_mqcs_shared, enumerate_mqcs_shared_parallel, solve_s1, MqceResult, ParallelScheduler,
-};
+pub use pipeline::{enumerate_mqcs_default, solve_s1, MqceResult};
 pub use prepared::PreparedGraph;
 pub use query::{find_mqcs_containing, find_mqcs_containing_default, QueryError, QueryResult};
 pub use session::Session;
@@ -88,10 +84,7 @@ pub mod prelude {
         AdjacencyBackend, Algorithm, BranchingStrategy, MqceConfig, MqceParams, S2Backend,
         S2CostModel,
     };
-    #[allow(deprecated)]
-    pub use crate::pipeline::{
-        enumerate_mqcs, enumerate_mqcs_default, enumerate_mqcs_parallel, solve_s1, MqceResult,
-    };
+    pub use crate::pipeline::{enumerate_mqcs_default, solve_s1, MqceResult};
     pub use crate::quasiclique::is_quasi_clique;
     pub use crate::session::Session;
     pub use crate::stats::{S2Stats, SearchStats, ThreadStats};

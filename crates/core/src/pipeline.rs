@@ -19,16 +19,13 @@ use mqce_graph::{Graph, VertexId};
 use mqce_settrie::MaximalityEngine;
 
 use crate::branch::SearchOutcome;
-use crate::config::{Algorithm, MqceConfig, MqceParams};
-use crate::dc::{
-    prepare_plan_shared, run_dc_parallel_streaming, run_dc_parallel_streaming_plan,
-    run_dc_parallel_streaming_shared_index, run_dc_streaming, run_dc_streaming_plan, DcConfig,
-    EngineFactory, InnerAlgorithm,
-};
+use crate::config::{Algorithm, MqceConfig};
+use crate::dc::{run_anchors, DcConfig, DcPlan, EngineFactory, InnerAlgorithm};
 use crate::fastqc::fastqc_whole_graph;
 use crate::naive;
 use crate::prepared::PreparedGraph;
 use crate::quickplus::quickplus_whole_graph;
+use crate::session::Session;
 use crate::stats::{S2Stats, SearchStats, ThreadStats};
 
 /// Minimum wall-clock slice MQCE-S2 is granted even when S1 consumed the
@@ -110,24 +107,11 @@ pub(crate) fn dc_setup(config: &MqceConfig) -> Option<(InnerAlgorithm, DcConfig)
     }
 }
 
-/// Runs MQCE-S1, streaming outputs into `s2` when an engine is supplied and
-/// the algorithm has a DC decomposition (the drivers feed it per
-/// subproblem). Returns the outcome plus whether the engine was fed inline —
-/// whole-graph algorithms produce their outputs in one batch, which the
-/// caller feeds afterwards under the S2 deadline.
-fn solve_s1_streaming(
-    g: &Graph,
-    config: &MqceConfig,
-    deadline: Option<Instant>,
-    mut s2: Option<&mut dyn MaximalityEngine>,
-) -> (SearchOutcome, bool) {
+/// MQCE-S1 of the algorithms without a DC decomposition: one whole-graph
+/// search whose outputs arrive in a single batch.
+fn solve_whole_graph(g: &Graph, config: &MqceConfig, deadline: Option<Instant>) -> SearchOutcome {
     let params = config.params;
-    if let Some((inner, dc)) = dc_setup(config) {
-        let fed_inline = s2.is_some();
-        let outcome = run_dc_streaming(g, params, inner, dc, deadline, s2.take());
-        return (outcome, fed_inline);
-    }
-    let outcome = match config.algorithm {
+    match config.algorithm {
         Algorithm::FastQc => fastqc_whole_graph(g, params, config.branching, deadline),
         Algorithm::QuickPlusRaw => quickplus_whole_graph(g, params, deadline),
         Algorithm::Naive => {
@@ -142,8 +126,7 @@ fn solve_s1_streaming(
             }
         }
         _ => unreachable!("DC algorithms are handled by dc_setup"),
-    };
-    (outcome, false)
+    }
 }
 
 /// Streams `sets` into `engine`, polling the deadline every few hundred
@@ -170,7 +153,12 @@ pub(crate) fn feed_sets(
 /// quasi-cliques (global vertex ids) and the search statistics.
 pub fn solve_s1(g: &Graph, config: &MqceConfig) -> SearchOutcome {
     let deadline = config.time_limit.map(|limit| Instant::now() + limit);
-    solve_s1_streaming(g, config, deadline, None).0
+    let Some((inner, dc)) = dc_setup(config) else {
+        return solve_whole_graph(g, config, deadline);
+    };
+    let prepared = PreparedGraph::new(g.clone());
+    let plan = DcPlan::from_prepared(&prepared, config.params, dc, None);
+    run_anchors(&plan, &plan.ordering, inner, 1, deadline, None).0
 }
 
 /// The deadline MQCE-S2 compacts under: the pipeline deadline, but never
@@ -195,26 +183,84 @@ pub(crate) fn s2_deadline(deadline: Option<Instant>, limit: Option<Duration>) ->
     })
 }
 
-/// Assembles the final [`MqceResult`]: compacts the engine under the
-/// (already graced) S2 deadline and fills in the S2 statistics. `s2_start`
-/// is when post-S1 S2 work began (feeding or merging included), so the
-/// reported `s2_time` covers everything not overlapped with the search.
+/// The end-to-end pipeline over a prepared graph: MQCE-S1 on `threads`
+/// workers (see [`run_anchors`]) streaming into per-thread engines, then
+/// [`finish_run`].
+pub(crate) fn run_pipeline(
+    prepared: &PreparedGraph,
+    config: &MqceConfig,
+    threads: usize,
+) -> MqceResult {
+    let deadline = config.time_limit.map(|limit| Instant::now() + limit);
+    let factory = || config.s2_backend.new_engine_with_model(config.s2_model);
+    let factory: EngineFactory<'_> = &factory;
+    let s1_start = Instant::now();
+    let (outcome, engines, merge_phase) = match dc_setup(config) {
+        Some((inner, dc)) => {
+            let plan = DcPlan::from_prepared(prepared, config.params, dc, None);
+            let (outcome, engines) = run_anchors(
+                &plan,
+                &plan.ordering,
+                inner,
+                threads,
+                deadline,
+                Some(factory),
+            );
+            (outcome, engines, threads >= 2)
+        }
+        None => {
+            let outcome = solve_whole_graph(prepared.graph(), config, deadline);
+            (outcome, Vec::new(), false)
+        }
+    };
+    finish_run(
+        outcome,
+        engines,
+        factory,
+        config,
+        deadline,
+        s1_start,
+        merge_phase,
+    )
+}
+
+/// The pipeline tail shared by full runs and shard workers: merges the
+/// per-thread engines, compacts, and assembles the [`MqceResult`].
 ///
-/// `merge_phase` says whether `engine` performed a cross-engine merge (the
-/// parallel per-thread merge, the incremental frontier merge, the shard
-/// coordinator merge) rather than the plain per-subproblem streaming pass:
-/// its dispatch audit then lands in [`S2Stats::merge_decision`] instead of
+/// The merge drains each engine into the first; re-adding re-probes, so
+/// sets retained by one worker but dominated by another worker's results are
+/// dropped. With no engines (a whole-graph algorithm, or an empty anchor
+/// list) a fresh engine is fed the batch of S1 outputs instead. Merging,
+/// feeding and compaction all run under one graced S2 deadline, granted
+/// once, when post-S1 work starts; `s2_time` covers all of it.
+///
+/// `merge_phase` says whether the engine performed a cross-engine merge
+/// rather than the plain per-subproblem streaming pass: its dispatch audit
+/// then lands in [`S2Stats::merge_decision`] instead of
 /// [`S2Stats::decision`], so a merge-phase backend choice never overwrites
 /// (or masquerades as) a per-subproblem one.
-pub(crate) fn finalize(
+pub(crate) fn finish_run(
     outcome: SearchOutcome,
-    engine: Box<dyn MaximalityEngine>,
-    feed_truncated: bool,
-    s2_deadline: Option<Instant>,
-    s1_time: Duration,
-    s2_start: Instant,
+    engines: Vec<Box<dyn MaximalityEngine>>,
+    factory: EngineFactory<'_>,
+    config: &MqceConfig,
+    deadline: Option<Instant>,
+    s1_start: Instant,
     merge_phase: bool,
 ) -> MqceResult {
+    let s1_time = s1_start.elapsed();
+    let s2_start = Instant::now();
+    let s2_dl = s2_deadline(deadline, config.time_limit);
+    let fed_inline = !engines.is_empty();
+    let mut engines = engines.into_iter();
+    let mut engine = engines.next().unwrap_or_else(factory);
+    let mut feed_truncated = false;
+    for mut other in engines {
+        feed_truncated |= !feed_sets(engine.as_mut(), &other.drain(), s2_dl);
+    }
+    if !fed_inline {
+        feed_truncated = !feed_sets(engine.as_mut(), &outcome.outputs, s2_dl);
+    }
     let sets_streamed = outcome.outputs.len() as u64;
     let sets_retained = engine.live_len() as u64;
     // A zero-budget run reaches this point with its S2 deadline already in
@@ -222,8 +268,8 @@ pub(crate) fn finalize(
     // may complete before polling the deadline, so the expiry itself marks
     // the result as partial. Runs with a real budget start compaction with
     // (most of) the grace slice still ahead and do not trip this.
-    let deadline_expired = s2_deadline.is_some_and(|d| Instant::now() >= d);
-    let s2_out = engine.finish_with_deadline(s2_deadline);
+    let deadline_expired = s2_dl.is_some_and(|d| Instant::now() >= d);
+    let s2_out = engine.finish_with_deadline(s2_dl);
     let s2_time = s2_start.elapsed();
     let mut qcs = outcome.outputs;
     qcs.sort();
@@ -251,242 +297,6 @@ pub(crate) fn finalize(
     }
 }
 
-/// Runs the full MQCE pipeline (S1 + streaming S2) with the given
-/// configuration.
-#[deprecated(note = "use `mqce_core::Session`: `Session::open(g.clone()).config(*config).run()`")]
-pub fn enumerate_mqcs(g: &Graph, config: &MqceConfig) -> MqceResult {
-    enumerate_mqcs_inner(g, config)
-}
-
-/// Owning-path pipeline body shared by [`Session`](crate::session::Session)
-/// and the deprecated free-function wrappers.
-pub(crate) fn enumerate_mqcs_inner(g: &Graph, config: &MqceConfig) -> MqceResult {
-    let deadline = config.time_limit.map(|limit| Instant::now() + limit);
-    let mut engine = config.s2_backend.new_engine_with_model(config.s2_model);
-    let s1_start = Instant::now();
-    let (outcome, fed_inline) = solve_s1_streaming(g, config, deadline, Some(engine.as_mut()));
-    let s1_time = s1_start.elapsed();
-    // The grace slice is granted exactly once, when post-S1 S2 work starts:
-    // the feed (whole-graph algorithms), then the compaction share it.
-    let s2_start = Instant::now();
-    let s2_dl = s2_deadline(deadline, config.time_limit);
-    let mut feed_truncated = false;
-    if !fed_inline {
-        feed_truncated = !feed_sets(engine.as_mut(), &outcome.outputs, s2_dl);
-    }
-    finalize(
-        outcome,
-        engine,
-        feed_truncated,
-        s2_dl,
-        s1_time,
-        s2_start,
-        false,
-    )
-}
-
-/// Which parallel DC driver [`enumerate_mqcs_parallel_with`] dispatches to.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum ParallelScheduler {
-    /// The work-stealing scheduler with cooperative intra-subproblem
-    /// splitting (the default).
-    #[default]
-    WorkStealing,
-    /// The PR-3 shared-atomic-index loop, kept as the baseline the `threads`
-    /// bench profile measures the scheduler against.
-    SharedIndex,
-}
-
-/// Multi-threaded variant of [`enumerate_mqcs`]: the divide-and-conquer
-/// subproblems are distributed over `num_threads` OS threads by a
-/// work-stealing scheduler (the parallel implementation the paper lists as
-/// future work), each worker streaming everything it runs — whole
-/// subproblems and stolen split tasks alike — into its own maximality
-/// engine; the per-thread engines are merged before the final compaction.
-/// For algorithms without a DC decomposition this falls back to the
-/// sequential solver.
-#[deprecated(
-    note = "use `mqce_core::Session`: `Session::open(g.clone()).config(*config).threads(n).run()`"
-)]
-pub fn enumerate_mqcs_parallel(g: &Graph, config: &MqceConfig, num_threads: usize) -> MqceResult {
-    enumerate_mqcs_parallel_with_inner(g, config, num_threads, ParallelScheduler::WorkStealing)
-}
-
-/// [`enumerate_mqcs_parallel`] with an explicit scheduler choice; only the
-/// bench harness should need anything but the default.
-#[deprecated(note = "use `mqce_core::Session` with `.threads(n).scheduler(s)`")]
-pub fn enumerate_mqcs_parallel_with(
-    g: &Graph,
-    config: &MqceConfig,
-    num_threads: usize,
-    scheduler: ParallelScheduler,
-) -> MqceResult {
-    enumerate_mqcs_parallel_with_inner(g, config, num_threads, scheduler)
-}
-
-/// Parallel owning-path pipeline body shared by
-/// [`Session`](crate::session::Session) and the deprecated wrappers.
-pub(crate) fn enumerate_mqcs_parallel_with_inner(
-    g: &Graph,
-    config: &MqceConfig,
-    num_threads: usize,
-    scheduler: ParallelScheduler,
-) -> MqceResult {
-    let Some((inner, dc)) = dc_setup(config) else {
-        return enumerate_mqcs_inner(g, config);
-    };
-    let deadline = config.time_limit.map(|limit| Instant::now() + limit);
-    let s1_start = Instant::now();
-    let factory = || config.s2_backend.new_engine_with_model(config.s2_model);
-    let driver = match scheduler {
-        ParallelScheduler::WorkStealing => run_dc_parallel_streaming,
-        ParallelScheduler::SharedIndex => run_dc_parallel_streaming_shared_index,
-    };
-    let factory_ref: EngineFactory<'_> = &factory;
-    let (outcome, mut engines) = driver(
-        g,
-        config.params,
-        inner,
-        dc,
-        num_threads,
-        deadline,
-        Some(factory_ref),
-    );
-    let s1_time = s1_start.elapsed();
-    // Merge the per-thread engines: drain each into the first. Re-adding
-    // re-probes, so sets retained by one worker but dominated by another
-    // worker's results are dropped here. The merge is S2 work: it runs
-    // under the same single graced deadline as the final compaction.
-    let s2_start = Instant::now();
-    let s2_dl = s2_deadline(deadline, config.time_limit);
-    let mut engine = if engines.is_empty() {
-        config.s2_backend.new_engine_with_model(config.s2_model)
-    } else {
-        engines.remove(0)
-    };
-    let mut feed_truncated = false;
-    for mut other in engines {
-        if !feed_sets(engine.as_mut(), &other.drain(), s2_dl) {
-            feed_truncated = true;
-        }
-    }
-    finalize(
-        outcome,
-        engine,
-        feed_truncated,
-        s2_dl,
-        s1_time,
-        s2_start,
-        true,
-    )
-}
-
-/// Re-entrant variant of [`enumerate_mqcs`] over shared read-only state: the
-/// core reduction and vertex ordering come from the decomposition cached in
-/// the [`PreparedGraph`], so a long-lived process (the `mqce serve` daemon)
-/// answers each request without re-deriving per-graph state. The maximal
-/// family returned is identical to [`enumerate_mqcs`] on the same graph and
-/// configuration. Algorithms without a DC decomposition fall through to the
-/// whole-graph solver (which takes no per-run derived state anyway).
-#[deprecated(
-    note = "use `mqce_core::Session`: `Session::open_prepared(prepared).config(*config).run()`"
-)]
-pub fn enumerate_mqcs_shared(prepared: &PreparedGraph, config: &MqceConfig) -> MqceResult {
-    enumerate_mqcs_shared_inner(prepared, config)
-}
-
-/// Shared-path pipeline body used by [`Session`](crate::session::Session),
-/// the incremental seed, and the deprecated wrapper.
-pub(crate) fn enumerate_mqcs_shared_inner(
-    prepared: &PreparedGraph,
-    config: &MqceConfig,
-) -> MqceResult {
-    let Some((inner, dc)) = dc_setup(config) else {
-        return enumerate_mqcs_inner(prepared.graph(), config);
-    };
-    let deadline = config.time_limit.map(|limit| Instant::now() + limit);
-    let mut engine = config.s2_backend.new_engine_with_model(config.s2_model);
-    let s1_start = Instant::now();
-    let plan = prepare_plan_shared(prepared, config.params, dc);
-    let outcome = run_dc_streaming_plan(
-        &plan,
-        config.params,
-        inner,
-        dc,
-        deadline,
-        Some(engine.as_mut()),
-    );
-    let s1_time = s1_start.elapsed();
-    let s2_start = Instant::now();
-    let s2_dl = s2_deadline(deadline, config.time_limit);
-    finalize(outcome, engine, false, s2_dl, s1_time, s2_start, false)
-}
-
-/// Multi-threaded variant of [`enumerate_mqcs_shared`]: the work-stealing
-/// scheduler runs over a plan derived from the cached decomposition, and the
-/// per-thread engines are merged exactly as in [`enumerate_mqcs_parallel`].
-#[deprecated(note = "use `mqce_core::Session` with `.threads(n)`")]
-pub fn enumerate_mqcs_shared_parallel(
-    prepared: &PreparedGraph,
-    config: &MqceConfig,
-    num_threads: usize,
-) -> MqceResult {
-    enumerate_mqcs_shared_parallel_inner(prepared, config, num_threads)
-}
-
-/// Parallel shared-path pipeline body used by
-/// [`Session`](crate::session::Session), the incremental seed, and the
-/// deprecated wrapper.
-pub(crate) fn enumerate_mqcs_shared_parallel_inner(
-    prepared: &PreparedGraph,
-    config: &MqceConfig,
-    num_threads: usize,
-) -> MqceResult {
-    if num_threads <= 1 {
-        return enumerate_mqcs_shared_inner(prepared, config);
-    }
-    let Some((inner, dc)) = dc_setup(config) else {
-        return enumerate_mqcs_inner(prepared.graph(), config);
-    };
-    let deadline = config.time_limit.map(|limit| Instant::now() + limit);
-    let s1_start = Instant::now();
-    let factory = || config.s2_backend.new_engine_with_model(config.s2_model);
-    let factory_ref: EngineFactory<'_> = &factory;
-    let plan = prepare_plan_shared(prepared, config.params, dc);
-    let (outcome, mut engines) = run_dc_parallel_streaming_plan(
-        &plan,
-        config.params,
-        inner,
-        dc,
-        num_threads,
-        deadline,
-        Some(factory_ref),
-    );
-    let s1_time = s1_start.elapsed();
-    let s2_start = Instant::now();
-    let s2_dl = s2_deadline(deadline, config.time_limit);
-    let mut engine = if engines.is_empty() {
-        config.s2_backend.new_engine_with_model(config.s2_model)
-    } else {
-        engines.remove(0)
-    };
-    let mut feed_truncated = false;
-    for mut other in engines {
-        if !feed_sets(engine.as_mut(), &other.drain(), s2_dl) {
-            feed_truncated = true;
-        }
-    }
-    finalize(
-        outcome,
-        engine,
-        feed_truncated,
-        s2_dl,
-        s1_time,
-        s2_start,
-        true,
-    )
-}
-
 /// Convenience wrapper: enumerate the maximal γ-quasi-cliques of size ≥ θ
 /// using the paper's default algorithm (DCFastQC with Hybrid-SE branching).
 pub fn enumerate_mqcs_default(
@@ -495,27 +305,29 @@ pub fn enumerate_mqcs_default(
     theta: usize,
 ) -> Result<MqceResult, crate::config::ParamError> {
     let config = MqceConfig::new(gamma, theta)?;
-    Ok(enumerate_mqcs_inner(g, &config))
-}
-
-/// Parameters bundle re-exported for callers that only run S1.
-pub fn params(gamma: f64, theta: usize) -> Result<MqceParams, crate::config::ParamError> {
-    MqceParams::new(gamma, theta)
+    Ok(Session::open(g.clone()).config(config).run())
 }
 
 #[cfg(test)]
-#[allow(deprecated)] // the tests double as coverage for the deprecated wrappers
 mod tests {
     use super::*;
     use crate::config::BranchingStrategy;
     use mqce_graph::generators::{planted_quasi_cliques, PlantedGroup};
+
+    fn run(g: &Graph, config: &MqceConfig) -> MqceResult {
+        run_threads(g, config, 1)
+    }
+
+    fn run_threads(g: &Graph, config: &MqceConfig, threads: usize) -> MqceResult {
+        run_pipeline(&PreparedGraph::new(g.clone()), config, threads)
+    }
 
     #[test]
     fn all_algorithms_agree_on_paper_graph() {
         let g = Graph::paper_figure1();
         for &gamma in &[0.5, 0.6, 0.9, 1.0] {
             for theta in 2..=3 {
-                let reference = enumerate_mqcs(
+                let reference = run(
                     &g,
                     &MqceConfig::new(gamma, theta)
                         .unwrap()
@@ -529,7 +341,7 @@ mod tests {
                     Algorithm::QuickPlus,
                     Algorithm::QuickPlusRaw,
                 ] {
-                    let result = enumerate_mqcs(
+                    let result = run(
                         &g,
                         &MqceConfig::new(gamma, theta).unwrap().with_algorithm(algo),
                     );
@@ -616,8 +428,8 @@ mod tests {
         );
         for algo in [Algorithm::DcFastQc, Algorithm::QuickPlus, Algorithm::FastQc] {
             let config = MqceConfig::new(0.9, 6).unwrap().with_algorithm(algo);
-            let sequential = enumerate_mqcs(&g, &config);
-            let parallel = enumerate_mqcs_parallel(&g, &config, 4);
+            let sequential = run(&g, &config);
+            let parallel = run_threads(&g, &config, 4);
             assert_eq!(parallel.mqcs, sequential.mqcs, "{algo:?}");
         }
     }
@@ -631,7 +443,7 @@ mod tests {
             .with_algorithm(Algorithm::QuickPlusRaw)
             .with_time_limit(Duration::from_millis(50));
         let start = Instant::now();
-        let result = enumerate_mqcs(&g, &config);
+        let result = run(&g, &config);
         // Either the search finished quickly or it was cut off close to the
         // limit; in no case may it run for many seconds.
         assert!(start.elapsed() < Duration::from_secs(20));
@@ -649,7 +461,7 @@ mod tests {
             S2Backend::Bitset,
             S2Backend::Extremal,
         ] {
-            let result = enumerate_mqcs(
+            let result = run(
                 &g,
                 &MqceConfig::new(0.6, 3).unwrap().with_s2_backend(backend),
             );
@@ -680,10 +492,10 @@ mod tests {
             },
             909,
         );
-        let reference = enumerate_mqcs(&g, &MqceConfig::new(0.85, 5).unwrap()).mqcs;
+        let reference = run(&g, &MqceConfig::new(0.85, 5).unwrap()).mqcs;
         for backend in [S2Backend::Inverted, S2Backend::Bitset, S2Backend::Extremal] {
             let config = MqceConfig::new(0.85, 5).unwrap().with_s2_backend(backend);
-            let parallel = enumerate_mqcs_parallel(&g, &config, 4);
+            let parallel = run_threads(&g, &config, 4);
             assert_eq!(parallel.mqcs, reference, "{backend:?}");
             assert!(!parallel.s2.timed_out);
         }
@@ -712,7 +524,7 @@ mod tests {
                 .with_algorithm(algo)
                 .with_time_limit(Duration::ZERO);
             let start = Instant::now();
-            let result = enumerate_mqcs(&g, &config);
+            let result = run(&g, &config);
             let elapsed = start.elapsed();
             assert!(result.s2_timed_out(), "{algo:?}: zero budget not flagged");
             assert!(result.timed_out(), "{algo:?}");
@@ -728,6 +540,8 @@ mod tests {
 
     #[test]
     fn shared_pipeline_matches_owning_pipeline() {
+        // One PreparedGraph reused across algorithms and thread counts must
+        // give the same family as a freshly prepared graph per run.
         use mqce_graph::generators::{community_graph, CommunityGraphParams};
         let g = community_graph(
             CommunityGraphParams {
@@ -746,10 +560,10 @@ mod tests {
             Algorithm::FastQc,
         ] {
             let config = MqceConfig::new(0.85, 5).unwrap().with_algorithm(algo);
-            let owning = enumerate_mqcs(&g, &config);
-            let shared = enumerate_mqcs_shared(&prepared, &config);
+            let owning = run(&g, &config);
+            let shared = run_pipeline(&prepared, &config, 1);
             assert_eq!(shared.mqcs, owning.mqcs, "{algo:?} shared != owning");
-            let shared_par = enumerate_mqcs_shared_parallel(&prepared, &config, 4);
+            let shared_par = run_pipeline(&prepared, &config, 4);
             assert_eq!(shared_par.mqcs, owning.mqcs, "{algo:?} shared parallel");
         }
     }
@@ -759,7 +573,7 @@ mod tests {
         // theta high enough that the core reduction empties the graph.
         let prepared = PreparedGraph::new(Graph::path(10));
         let config = MqceConfig::new(0.9, 5).unwrap();
-        let result = enumerate_mqcs_shared(&prepared, &config);
+        let result = run_pipeline(&prepared, &config, 1);
         assert!(result.mqcs.is_empty());
         assert!(!result.timed_out());
     }
@@ -776,7 +590,7 @@ mod tests {
             },
             2024,
         );
-        let reference = enumerate_mqcs(
+        let reference = run(
             &g,
             &MqceConfig::new(0.8, 5)
                 .unwrap()
@@ -784,7 +598,7 @@ mod tests {
         )
         .mqcs;
         for branching in [BranchingStrategy::SymSe, BranchingStrategy::Se] {
-            let result = enumerate_mqcs(
+            let result = run(
                 &g,
                 &MqceConfig::new(0.8, 5)
                     .unwrap()

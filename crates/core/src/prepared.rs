@@ -7,15 +7,14 @@
 //! enough, a packed adjacency matrix — all immutable, so one instance behind
 //! an `Arc` can serve any number of concurrent requests.
 //!
-//! The re-entrant pipeline entry points
-//! ([`crate::pipeline::enumerate_mqcs_shared`] and friends) borrow this
-//! state instead of owning it: per-request core reduction becomes a filter
-//! over the cached core numbers, and the per-request vertex ordering is the
-//! cached global degeneracy ordering restricted to the surviving vertices.
-//! Both are sound for the divide-and-conquer drivers — Property 2 assigns
-//! every maximal quasi-clique to its lowest-ranked member under *any* total
-//! order, and the final maximal family is canonical — so the shared path
-//! returns exactly the family the owning path returns.
+//! Every pipeline run ([`Session::run`](crate::Session::run), top-k rounds,
+//! incremental updates, shard planning) borrows this state instead of
+//! re-deriving it: per-request core reduction becomes a filter over the
+//! cached core numbers, and the per-request vertex ordering is the cached
+//! global degeneracy ordering restricted to the surviving vertices. Both are
+//! sound for the divide-and-conquer drivers — Property 2 assigns every
+//! maximal quasi-clique to its lowest-ranked member under *any* total order,
+//! and the final maximal family is canonical.
 
 use mqce_graph::bitset::AdjacencyMatrix;
 use mqce_graph::core_decomp::{core_decomposition, CoreDecomposition};

@@ -1,14 +1,14 @@
 //! Work-stealing scheduler for the parallel divide-and-conquer driver.
 //!
-//! The PR-3 parallel driver handed out whole per-vertex subproblems through
-//! a shared atomic index, which wastes cores on skewed subproblem families:
-//! one heavy subproblem (the planted-community shape) pins a worker for the
-//! whole run while the others drain the cheap tail and go idle. This module
-//! replaces it with a classic work-stealing design à la Chase–Lev, adapted
-//! to the vendored-only constraints (no `crossbeam`): per-worker deques with
-//! a `Mutex`-backed queue behind a lock-free atomic-length fast path, plus
-//! **cooperative intra-subproblem splitting** so even a single giant
-//! subproblem parallelises:
+//! Handing out whole per-vertex subproblems through a shared atomic index
+//! wastes cores on skewed subproblem families: one heavy subproblem (the
+//! planted-community shape) pins a worker for the whole run while the others
+//! drain the cheap tail and go idle. This module is instead a classic
+//! work-stealing design à la Chase–Lev, adapted to the vendored-only
+//! constraints (no `crossbeam`): per-worker deques with a `Mutex`-backed
+//! queue behind a lock-free atomic-length fast path, plus **cooperative
+//! intra-subproblem splitting** so even a single giant subproblem
+//! parallelises:
 //!
 //! * **Seeding** — subproblems enter the deques in descending estimated
 //!   cost, using the two-hop-pruned candidate-set size `|Γ²(v_i) ∩
@@ -47,7 +47,7 @@ use mqce_settrie::{MaximalityEngine, SetArena};
 
 use crate::branch::{SearchOutcome, SearchScratch};
 use crate::config::MqceParams;
-use crate::dc::{build_subproblem_in, DcConfig, DcPlan, DcScratch, EngineFactory, InnerAlgorithm};
+use crate::dc::{build_subproblem_in, DcPlan, DcScratch, EngineFactory, InnerAlgorithm};
 use crate::fastqc::run_fastqc_in;
 use crate::quickplus::run_quickplus_in;
 use crate::stats::{SearchStats, ThreadStats};
@@ -110,7 +110,7 @@ pub(crate) struct SplitTask {
 
 /// A unit of schedulable work.
 enum Task {
-    /// A whole per-vertex subproblem (index into the plan's ordering).
+    /// A whole per-vertex subproblem (index into the run's anchor list).
     Root(usize),
     /// A donated slice of a running subproblem's search tree.
     Split(SplitTask),
@@ -288,12 +288,13 @@ fn two_hop_estimate(plan: &DcPlan, stamp: &mut [u32], tag: u32, vi: mqce_graph::
     count
 }
 
-/// Per-subproblem cost estimates used to seed the deques (the sequential
-/// pass, kept as the `num_threads == 1` case and the differential reference).
-/// The shard planner reuses it to cost-balance its contiguous rank ranges.
-pub(crate) fn subproblem_estimates(plan: &DcPlan) -> Vec<usize> {
+/// Per-subproblem cost estimates of `anchors`, used to seed the deques (the
+/// sequential pass, kept as the single-chunk case and the differential
+/// reference). The shard planner reuses it to cost-balance its contiguous
+/// rank ranges.
+pub(crate) fn subproblem_estimates(plan: &DcPlan, anchors: &[VertexId]) -> Vec<usize> {
     let mut stamp: Vec<u32> = vec![u32::MAX; plan.reduced.graph.num_vertices()];
-    plan.ordering
+    anchors
         .iter()
         .enumerate()
         .map(|(i, &vi)| two_hop_estimate(plan, &mut stamp, i as u32, vi))
@@ -312,20 +313,20 @@ pub(crate) fn subproblem_estimates(plan: &DcPlan) -> Vec<usize> {
 /// the per-thread accounting covers the whole parallel region.
 fn subproblem_estimates_parallel(
     plan: &DcPlan,
+    anchors: &[VertexId],
     num_threads: usize,
     scratches: &mut [DcScratch],
 ) -> (Vec<usize>, Vec<f64>) {
-    let n = plan.ordering.len();
+    let n = anchors.len();
     if num_threads <= 1 || n < 2 {
         let start = Instant::now();
-        let estimates = subproblem_estimates(plan);
+        let estimates = subproblem_estimates(plan, anchors);
         return (estimates, vec![start.elapsed().as_secs_f64() * 1e3]);
     }
     let chunk_len = n.div_ceil(num_threads);
     let num_vertices = plan.reduced.graph.num_vertices();
     let results: Vec<(usize, Vec<usize>, f64)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = plan
-            .ordering
+        let handles: Vec<_> = anchors
             .chunks(chunk_len)
             .enumerate()
             .zip(scratches.iter_mut())
@@ -367,19 +368,18 @@ struct WorkerResult {
     thread_stats: ThreadStats,
 }
 
-/// Runs the prepared DC plan on `num_threads` workers with work stealing and
-/// cooperative intra-subproblem splitting. Returns the merged outcome (with
-/// per-thread counters) and the per-worker maximality engines.
+/// Runs the subproblems of `anchors` on `num_threads` workers with work
+/// stealing and cooperative intra-subproblem splitting. Returns the merged
+/// outcome (with per-thread counters) and the per-worker maximality engines.
 pub(crate) fn run_dc_work_stealing(
     plan: &DcPlan,
-    params: MqceParams,
+    anchors: &[VertexId],
     inner: InnerAlgorithm,
-    dc: DcConfig,
     num_threads: usize,
     deadline: Option<Instant>,
     engine_factory: Option<EngineFactory<'_>>,
 ) -> (SearchOutcome, Vec<Box<dyn MaximalityEngine>>) {
-    let sched = Scheduler::new(num_threads, params.steal_granularity);
+    let sched = Scheduler::new(num_threads, plan.params.steal_granularity);
     // One reusable scratch per worker, threaded through the whole run: the
     // estimate pass below shares its stamp array, then each worker owns one
     // scratch for every subproblem and stolen split task it executes.
@@ -388,8 +388,8 @@ pub(crate) fn run_dc_work_stealing(
     // per-chunk wall-clock is folded into the matching worker's busy time
     // below so ThreadStats covers the whole parallel region.
     let (estimates, estimate_millis) =
-        subproblem_estimates_parallel(plan, num_threads, &mut scratches);
-    let mut seeds: Vec<usize> = (0..plan.ordering.len()).collect();
+        subproblem_estimates_parallel(plan, anchors, num_threads, &mut scratches);
+    let mut seeds: Vec<usize> = (0..anchors.len()).collect();
     // Descending estimated cost; ties broken by ordering position so the
     // seeding is deterministic.
     seeds.sort_by(|&a, &b| estimates[b].cmp(&estimates[a]).then(a.cmp(&b)));
@@ -412,9 +412,8 @@ pub(crate) fn run_dc_work_stealing(
                         sched_ref,
                         id,
                         plan,
-                        params,
+                        anchors,
                         inner,
-                        dc,
                         deadline,
                         engine_factory,
                         scratch,
@@ -454,9 +453,8 @@ fn worker_loop(
     sched: &Scheduler,
     id: usize,
     plan: &DcPlan,
-    params: MqceParams,
+    anchors: &[VertexId],
     inner: InnerAlgorithm,
-    dc: DcConfig,
     deadline: Option<Instant>,
     engine_factory: Option<EngineFactory<'_>>,
     mut scratch: DcScratch,
@@ -489,9 +487,8 @@ fn worker_loop(
                     id,
                     task,
                     plan,
-                    params,
+                    anchors,
                     inner,
-                    dc,
                     deadline,
                     &mut scratch,
                     &mut result,
@@ -539,19 +536,18 @@ fn run_task(
     id: usize,
     task: Task,
     plan: &DcPlan,
-    params: MqceParams,
+    anchors: &[VertexId],
     inner: InnerAlgorithm,
-    dc: DcConfig,
     deadline: Option<Instant>,
     scratch: &mut DcScratch,
     result: &mut WorkerResult,
 ) {
+    let params = plan.params;
     match task {
         Task::Root(idx) => {
-            let vi = plan.ordering[idx];
+            let vi = anchors[idx];
             result.thread_stats.subproblems += 1;
-            let Some((sub, local_vi)) =
-                build_subproblem_in(plan, vi, params, dc, &mut result.stats, scratch)
+            let Some((sub, local_vi)) = build_subproblem_in(plan, vi, &mut result.stats, scratch)
             else {
                 return;
             };
@@ -881,13 +877,13 @@ mod tests {
         for (n, m, seed) in [(40usize, 160usize, 3u64), (120, 900, 8), (7, 10, 1)] {
             let g = mqce_graph::generators::erdos_renyi_gnm(n, m, seed);
             let params = MqceParams::new(0.9, 3).unwrap();
-            let plan = crate::dc::prepare_plan(&g, params, DcConfig::paper_default());
-            let sequential = subproblem_estimates(&plan);
+            let plan = DcPlan::for_graph(&g, params, DcConfig::paper_default());
+            let sequential = subproblem_estimates(&plan, &plan.ordering);
             for threads in [1usize, 2, 3, 8, 64] {
                 let mut scratches: Vec<DcScratch> =
                     (0..threads).map(|_| DcScratch::default()).collect();
                 let (parallel, millis) =
-                    subproblem_estimates_parallel(&plan, threads, &mut scratches);
+                    subproblem_estimates_parallel(&plan, &plan.ordering, threads, &mut scratches);
                 assert_eq!(parallel, sequential, "threads={threads} n={n}");
                 // One timing slot per worker (a single slot when the
                 // sequential path was taken), all finite and non-negative.
@@ -903,13 +899,13 @@ mod tests {
         let g = mqce_graph::generators::erdos_renyi_gnm(40, 160, 3);
         let params = MqceParams::new(0.9, 3).unwrap();
         let dc = DcConfig::paper_default();
-        let plan = crate::dc::prepare_plan(&g, params, dc);
-        let estimates = subproblem_estimates(&plan);
+        let plan = DcPlan::for_graph(&g, params, dc);
+        let estimates = subproblem_estimates(&plan, &plan.ordering);
         let mut scratch = DcScratch::default();
         for (i, &vi) in plan.ordering.iter().enumerate() {
             let mut stats = SearchStats::default();
             let before = stats.dc_vertices_before_pruning;
-            let _ = crate::dc::build_subproblem_in(&plan, vi, params, dc, &mut stats, &mut scratch);
+            let _ = build_subproblem_in(&plan, vi, &mut stats, &mut scratch);
             assert_eq!(
                 estimates[i] as u64,
                 stats.dc_vertices_before_pruning - before,
@@ -924,7 +920,7 @@ mod tests {
         let g = mqce_graph::generators::erdos_renyi_gnm(20, 95, 11);
         let dc = DcConfig::paper_default();
         let mut params = MqceParams::new(0.85, 3).unwrap();
-        let plan = crate::dc::prepare_plan(&g, params, dc);
+        let plan = DcPlan::for_graph(&g, params, dc);
 
         // Find an anchor whose subproblem actually reaches the searcher.
         let mut scratch = DcScratch::default();
@@ -933,28 +929,27 @@ mod tests {
             .ordering
             .iter()
             .find_map(|&vi| {
-                crate::dc::build_subproblem_in(
-                    &plan,
-                    vi,
-                    params,
-                    dc,
-                    &mut probe_stats,
-                    &mut scratch,
-                )
-                .map(|(sub, _)| {
+                build_subproblem_in(&plan, vi, &mut probe_stats, &mut scratch).map(|(sub, _)| {
                     scratch.sub.recycle(sub);
                     plan.reduced.to_global[vi as usize]
                 })
             })
             .expect("no executing subproblem");
         params.fail_anchor = Some(anchor);
+        let plan = DcPlan::for_graph(&g, params, dc);
 
         // The run must complete (no hung barrier), contain the panic(s) —
         // donated splits of the poisoned subproblem share its anchor and may
         // re-panic on other workers — and keep every other subproblem's
         // outputs intact.
-        let (outcome, _) =
-            run_dc_work_stealing(&plan, params, InnerAlgorithm::QuickPlus, dc, 3, None, None);
+        let (outcome, _) = run_dc_work_stealing(
+            &plan,
+            &plan.ordering,
+            InnerAlgorithm::QuickPlus,
+            3,
+            None,
+            None,
+        );
         assert!(outcome.stats.subproblem_panics >= 1);
         assert_eq!(outcome.stats.last_panicked_anchor, Some(anchor));
         assert!(!outcome.stats.timed_out);

@@ -1,13 +1,9 @@
 //! The unified, builder-style entry point to the MQCE pipeline.
 //!
-//! Historically the crate grew five overlapping enumeration entry points
-//! (`enumerate_mqcs`, `enumerate_mqcs_parallel[_with]`,
-//! `enumerate_mqcs_shared[_parallel]`) plus a separate
-//! [`IncrementalSession`] and a standalone query function. [`Session`]
-//! collapses them: open a graph once (the decomposition — degeneracy
-//! ordering, core numbers, fingerprint — is derived once and shared), then
-//! run batch enumerations, per-vertex queries, and edge-update batches
-//! against the same state.
+//! [`Session`] is the one way to enumerate, query and update: open a graph
+//! once (the decomposition — degeneracy ordering, core numbers, fingerprint
+//! — is derived once and shared), then run batch enumerations, per-vertex
+//! queries, and edge-update batches against the same state.
 //!
 //! ```
 //! use mqce_core::{MqceParams, Session};
@@ -22,10 +18,11 @@
 //! assert!(q.mqcs.iter().all(|m| m.contains(&0)));
 //! ```
 //!
-//! The old free functions survive as thin `#[deprecated]` wrappers so
-//! downstream code keeps compiling; everything in-tree (the CLI, the serve
-//! daemon, the shard worker, the fuzzer, the bench harness) goes through
-//! `Session`.
+//! Batch enumeration in the CLI, the serve daemon, the fuzzer and the bench
+//! harness goes through `Session`; the only free enumeration functions left
+//! are the [`enumerate_mqcs_default`](crate::enumerate_mqcs_default)
+//! one-liner and the S1-only [`solve_s1`](crate::solve_s1). Edge-update
+//! batches are delegated to an [`IncrementalSession`].
 
 use std::sync::Arc;
 
@@ -34,10 +31,7 @@ use mqce_graph::{Graph, VertexId};
 
 use crate::config::{MqceConfig, MqceParams};
 use crate::incremental::{IncrementalSession, UpdateOutcome};
-use crate::pipeline::{
-    enumerate_mqcs_parallel_with_inner, enumerate_mqcs_shared_inner,
-    enumerate_mqcs_shared_parallel_inner, MqceResult, ParallelScheduler,
-};
+use crate::pipeline::{run_pipeline, MqceResult};
 use crate::prepared::PreparedGraph;
 use crate::query::{find_mqcs_containing, QueryError, QueryResult};
 
@@ -45,8 +39,8 @@ use crate::query::{find_mqcs_containing, QueryError, QueryResult};
 ///
 /// Construction is cheap apart from the one-time decomposition performed by
 /// [`Session::open`]; the builder methods ([`params`](Session::params),
-/// [`config`](Session::config), [`threads`](Session::threads),
-/// [`scheduler`](Session::scheduler)) move `self` and can be chained.
+/// [`config`](Session::config), [`threads`](Session::threads)) move `self`
+/// and can be chained.
 /// [`run`](Session::run), [`query`](Session::query) and
 /// [`update`](Session::update) then execute against the shared state;
 /// `run` and `query` take `&self`, so one session can serve many requests
@@ -55,7 +49,6 @@ pub struct Session {
     prepared: Arc<PreparedGraph>,
     config: MqceConfig,
     threads: usize,
-    scheduler: ParallelScheduler,
     /// Lazily created by [`Session::update`]: the dirty-set re-run machinery
     /// plus the maintained maximal family.
     incremental: Option<IncrementalSession>,
@@ -82,7 +75,6 @@ impl Session {
             prepared,
             config: Self::default_config(),
             threads: 1,
-            scheduler: ParallelScheduler::default(),
             incremental: None,
         }
     }
@@ -108,13 +100,6 @@ impl Session {
         self
     }
 
-    /// Selects the parallel scheduler; only the bench harness should need
-    /// anything but the default work-stealing one.
-    pub fn scheduler(mut self, scheduler: ParallelScheduler) -> Self {
-        self.scheduler = scheduler;
-        self
-    }
-
     /// The prepared graph the session currently enumerates (reflecting any
     /// updates applied through [`update`](Session::update)).
     pub fn prepared(&self) -> &PreparedGraph {
@@ -137,32 +122,10 @@ impl Session {
     }
 
     /// Runs the full pipeline (S1 + streaming S2) and returns the maximal
-    /// family plus statistics. Identical output to the deprecated free
-    /// functions for the same graph and configuration.
+    /// family plus statistics. The family is the same at every thread
+    /// count.
     pub fn run(&self) -> MqceResult {
-        match self.scheduler {
-            ParallelScheduler::WorkStealing => {
-                if self.threads <= 1 {
-                    enumerate_mqcs_shared_inner(&self.prepared, &self.config)
-                } else {
-                    enumerate_mqcs_shared_parallel_inner(&self.prepared, &self.config, self.threads)
-                }
-            }
-            // The shared-index baseline has no plan-based driver; run it on
-            // the owning path (same family, it is a bench baseline only).
-            ParallelScheduler::SharedIndex => {
-                if self.threads <= 1 {
-                    enumerate_mqcs_shared_inner(&self.prepared, &self.config)
-                } else {
-                    enumerate_mqcs_parallel_with_inner(
-                        self.prepared.graph(),
-                        &self.config,
-                        self.threads,
-                        ParallelScheduler::SharedIndex,
-                    )
-                }
-            }
-        }
+        run_pipeline(&self.prepared, &self.config, self.threads)
     }
 
     /// Enumerates only the maximal quasi-cliques containing all of `query`
@@ -201,11 +164,15 @@ impl Session {
 mod tests {
     use super::*;
     use crate::config::Algorithm;
-    use crate::pipeline::enumerate_mqcs_inner;
+    use crate::pipeline::{enumerate_mqcs_default, solve_s1};
     use mqce_graph::generators::{community_graph, CommunityGraphParams};
+    use mqce_settrie::filter_maximal;
 
     #[test]
     fn session_matches_free_functions() {
+        // Every algorithm, sequential and parallel, over one shared prepared
+        // graph, must return the maximal family of its own S1 stream
+        // filtered in one batch, and DCFastQC must match the one-liner.
         let g = community_graph(
             CommunityGraphParams {
                 n: 100,
@@ -215,19 +182,21 @@ mod tests {
             },
             31,
         );
-        for algo in [Algorithm::DcFastQc, Algorithm::QuickPlus, Algorithm::FastQc] {
+        let prepared = Arc::new(PreparedGraph::new(g.clone()));
+        let default = enumerate_mqcs_default(&g, 0.85, 5).unwrap();
+        for algo in [
+            Algorithm::DcFastQc,
+            Algorithm::BasicDcFastQc,
+            Algorithm::QuickPlus,
+            Algorithm::FastQc,
+        ] {
             let config = MqceConfig::new(0.85, 5).unwrap().with_algorithm(algo);
-            let reference = enumerate_mqcs_inner(&g, &config);
-            let session = Session::open(g.clone()).config(config);
-            assert_eq!(session.run().mqcs, reference.mqcs, "{algo:?} sequential");
+            let reference = filter_maximal(&solve_s1(&g, &config).outputs);
+            assert_eq!(reference, default.mqcs, "{algo:?} S1 + batch filter");
+            let session = Session::open_prepared(prepared.clone()).config(config);
+            assert_eq!(session.run().mqcs, reference, "{algo:?} sequential");
             let parallel = session.threads(4);
-            assert_eq!(parallel.run().mqcs, reference.mqcs, "{algo:?} parallel");
-            let shared_index = parallel.scheduler(ParallelScheduler::SharedIndex);
-            assert_eq!(
-                shared_index.run().mqcs,
-                reference.mqcs,
-                "{algo:?} shared-index"
-            );
+            assert_eq!(parallel.run().mqcs, reference, "{algo:?} parallel");
         }
     }
 
@@ -243,7 +212,7 @@ mod tests {
         let delta = GraphDelta::new(vec![(0, 6)], vec![]);
         let outcome = session.update(&delta);
         assert_eq!(outcome.updates_applied, 1);
-        let fresh = enumerate_mqcs_inner(&delta.apply(&g), &config);
+        let fresh = Session::open(delta.apply(&g)).config(config).run();
         assert_eq!(session.family().unwrap(), &fresh.mqcs[..]);
         // A post-update batch run sees the mutated graph.
         assert_eq!(session.run().mqcs, fresh.mqcs);

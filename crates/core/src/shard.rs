@@ -16,11 +16,11 @@
 //!    byte-for-byte, because all intermediate vertices of any 2-path from
 //!    an anchor lie inside that anchor's ball.
 //! 2. [`run_shard`] (also the body of the `mqce shard-worker` process) runs
-//!    the existing streaming DC drivers over a plan whose ordering is just
-//!    the shard's anchors and whose rank array carries the *global* session
-//!    ranks (ranks are only ever compared, never indexed, so any monotone
-//!    values are sound). The shard's engine output is the maximal family of
-//!    the shard's own emissions.
+//!    the shared anchor driver and pipeline tail over a plan whose ordering
+//!    is just the shard's anchors and whose rank array carries the *global*
+//!    session ranks (ranks are only ever compared, never indexed, so any
+//!    monotone values are sound). The shard's engine output is the maximal
+//!    family of the shard's own emissions.
 //! 3. [`merge_shard_families`] restores exact global maximality through a
 //!    single [`MaximalityEngine`](mqce_settrie::MaximalityEngine) restricted
 //!    to the **cross-shard frontier** — the same argument as the incremental
@@ -42,9 +42,9 @@ use mqce_graph::{SubproblemScratch, VertexId};
 use mqce_settrie::S2Decision;
 
 use crate::config::MqceConfig;
-use crate::dc::{prepare_plan_shared, run_dc_parallel_streaming_plan, DcPlan, EngineFactory};
+use crate::dc::{run_anchors, DcPlan, EngineFactory};
 use crate::incremental::merge_canonical;
-use crate::pipeline::{dc_setup, feed_sets};
+use crate::pipeline::{dc_setup, finish_run};
 use crate::prepared::PreparedGraph;
 use crate::scheduler::subproblem_estimates;
 use crate::stats::SearchStats;
@@ -149,7 +149,7 @@ pub fn plan_shards(
     num_shards: usize,
 ) -> Option<ShardPlan> {
     let (_inner, dc) = dc_setup(config)?;
-    let plan = prepare_plan_shared(prepared, config.params, dc);
+    let plan = DcPlan::from_prepared(prepared, config.params, dc, None);
     let n_orig = prepared.graph().num_vertices();
     let mut rank_of = vec![usize::MAX; n_orig];
     for (local, &orig) in plan.reduced.to_global.iter().enumerate() {
@@ -168,7 +168,7 @@ pub fn plan_shards(
     // Cost-balanced contiguous cuts over the estimate prefix: each shard
     // takes anchors until it reaches its share of the remaining cost,
     // always leaving at least one anchor per remaining shard.
-    let estimates = subproblem_estimates(&plan);
+    let estimates = subproblem_estimates(&plan, &plan.ordering);
     let num_shards = num_shards.max(1).min(total_anchors);
     let mut remaining_cost: usize = estimates.iter().sum();
     let mut scratch = SubproblemScratch::new();
@@ -243,11 +243,11 @@ pub fn plan_shards(
     Some(shard_plan)
 }
 
-/// Executes one shard: runs the existing streaming DC drivers over the
-/// slice with the shard's anchors as the plan ordering, merges the
-/// per-thread engines, and returns the shard-local maximal family over
-/// original-graph ids. This is exactly what a `mqce shard-worker` process
-/// does with a decoded [`GraphSlice`].
+/// Executes one shard: runs the shard's anchors over the slice through the
+/// shared anchor driver, then merges and compacts the per-thread engines
+/// under the pipeline's graced S2 deadline, and returns the shard-local
+/// maximal family over original-graph ids. This is exactly what a
+/// `mqce shard-worker` process does with a decoded [`GraphSlice`].
 pub fn run_shard(
     slice: &GraphSlice,
     anchors: &[VertexId],
@@ -259,6 +259,7 @@ pub fn run_shard(
         return ShardFamily::default();
     };
     let deadline = config.time_limit.map(|limit| Instant::now() + limit);
+    let s1_start = Instant::now();
     let plan = DcPlan {
         reduced: InducedSubgraph {
             graph: slice.graph.clone(),
@@ -267,34 +268,26 @@ pub fn run_shard(
         },
         ordering: anchors.to_vec(),
         rank: rank.to_vec(),
+        params: config.params,
+        dc,
     };
     let factory = || config.s2_backend.new_engine_with_model(config.s2_model);
     let factory_ref: EngineFactory<'_> = &factory;
-    let (outcome, mut engines) = run_dc_parallel_streaming_plan(
-        &plan,
-        config.params,
-        inner,
-        dc,
-        threads.max(1),
+    let (outcome, engines) =
+        run_anchors(&plan, anchors, inner, threads, deadline, Some(factory_ref));
+    let result = finish_run(
+        outcome,
+        engines,
+        factory_ref,
+        config,
         deadline,
-        Some(factory_ref),
+        s1_start,
+        threads >= 2,
     );
-    let mut engine = if engines.is_empty() {
-        config.s2_backend.new_engine_with_model(config.s2_model)
-    } else {
-        engines.remove(0)
-    };
-    let mut feed_truncated = false;
-    for mut other in engines {
-        if !feed_sets(engine.as_mut(), &other.drain(), deadline) {
-            feed_truncated = true;
-        }
-    }
-    let s2_out = engine.finish();
     ShardFamily {
-        mqcs: s2_out.mqcs,
-        timed_out: outcome.stats.timed_out || s2_out.timed_out || feed_truncated,
-        stats: outcome.stats,
+        timed_out: result.timed_out(),
+        mqcs: result.mqcs,
+        stats: result.stats,
     }
 }
 

@@ -8,10 +8,11 @@
 //! maximal QCs have been found — every probe reuses the full DCFastQC
 //! machinery, so each round is cheap when the threshold is high.
 
-use mqce_graph::{Graph, VertexId};
+use mqce_graph::VertexId;
 
 use crate::config::{MqceConfig, ParamError};
-use crate::pipeline::enumerate_mqcs_inner as enumerate_mqcs;
+use crate::pipeline::run_pipeline;
+use crate::prepared::PreparedGraph;
 
 /// Result of a top-k search.
 #[derive(Clone, Debug, Default)]
@@ -28,16 +29,17 @@ pub struct TopKResult {
 
 /// Upper bound on the size of any γ-quasi-clique for γ ≥ 0.5: `2ω + 1`, where
 /// `ω` is the graph degeneracy (the bound the paper uses in Section 2.2).
-pub fn max_qc_size_bound(g: &Graph) -> usize {
-    2 * mqce_graph::core_decomp::degeneracy(g) + 1
+pub fn max_qc_size_bound(prepared: &PreparedGraph) -> usize {
+    2 * prepared.degeneracy() + 1
 }
 
 /// Finds the `k` largest maximal γ-quasi-cliques (of size ≥ 2).
 ///
 /// `base` supplies the algorithm/branching/time-limit configuration; its
-/// `theta` is ignored (the search manages the threshold itself).
+/// `theta` is ignored (the search manages the threshold itself). Every
+/// round runs on the cached decomposition of `prepared`.
 pub fn find_largest_mqcs(
-    g: &Graph,
+    prepared: &PreparedGraph,
     gamma: f64,
     k: usize,
     base: Option<MqceConfig>,
@@ -48,11 +50,11 @@ pub fn find_largest_mqcs(
         None => MqceConfig::new(gamma, 2)?,
     };
     let _ = MqceConfig::new(gamma, 2)?;
-    if k == 0 || g.num_vertices() == 0 {
+    if k == 0 || prepared.graph().num_vertices() == 0 {
         return Ok(TopKResult::default());
     }
 
-    let mut theta = max_qc_size_bound(g).max(2);
+    let mut theta = max_qc_size_bound(prepared).max(2);
     let mut rounds = 0usize;
     loop {
         rounds += 1;
@@ -60,7 +62,7 @@ pub fn find_largest_mqcs(
             params: crate::config::MqceParams::new(gamma, theta)?,
             ..template
         };
-        let result = enumerate_mqcs(g, &config);
+        let result = run_pipeline(prepared, &config, 1);
         let enough = result.mqcs.len() >= k;
         if enough || theta == 2 {
             let mut mqcs = result.mqcs;
@@ -81,13 +83,18 @@ pub fn find_largest_mqcs(
 mod tests {
     use super::*;
     use mqce_graph::generators::{planted_quasi_cliques, PlantedGroup};
+    use mqce_graph::Graph;
+
+    fn prep(g: &Graph) -> PreparedGraph {
+        PreparedGraph::new(g.clone())
+    }
 
     #[test]
     fn size_bound_holds_on_examples() {
         let g = Graph::complete(6);
-        assert!(max_qc_size_bound(&g) >= 6);
+        assert!(max_qc_size_bound(&prep(&g)) >= 6);
         let p = Graph::path(10);
-        assert_eq!(max_qc_size_bound(&p), 3);
+        assert_eq!(max_qc_size_bound(&prep(&p)), 3);
     }
 
     #[test]
@@ -111,7 +118,7 @@ mod tests {
             ],
             19,
         );
-        let top = find_largest_mqcs(&g, 0.9, 2, None).unwrap();
+        let top = find_largest_mqcs(&prep(&g), 0.9, 2, None).unwrap();
         assert_eq!(top.mqcs.len(), 2);
         assert!(top.mqcs[0].len() >= top.mqcs[1].len());
         assert_eq!(top.mqcs[0], (0..12).collect::<Vec<_>>());
@@ -121,7 +128,7 @@ mod tests {
     #[test]
     fn k_larger_than_available() {
         let g = Graph::complete(5);
-        let top = find_largest_mqcs(&g, 0.9, 10, None).unwrap();
+        let top = find_largest_mqcs(&prep(&g), 0.9, 10, None).unwrap();
         assert_eq!(top.mqcs.len(), 1);
         assert_eq!(top.mqcs[0], vec![0, 1, 2, 3, 4]);
     }
@@ -129,9 +136,12 @@ mod tests {
     #[test]
     fn zero_k_and_empty_graph() {
         let g = Graph::complete(4);
-        assert!(find_largest_mqcs(&g, 0.9, 0, None).unwrap().mqcs.is_empty());
+        assert!(find_largest_mqcs(&prep(&g), 0.9, 0, None)
+            .unwrap()
+            .mqcs
+            .is_empty());
         let empty = Graph::empty(0);
-        assert!(find_largest_mqcs(&empty, 0.9, 3, None)
+        assert!(find_largest_mqcs(&prep(&empty), 0.9, 3, None)
             .unwrap()
             .mqcs
             .is_empty());
@@ -140,13 +150,13 @@ mod tests {
     #[test]
     fn invalid_gamma_is_rejected() {
         let g = Graph::complete(4);
-        assert!(find_largest_mqcs(&g, 0.2, 1, None).is_err());
+        assert!(find_largest_mqcs(&prep(&g), 0.2, 1, None).is_err());
     }
 
     #[test]
     fn results_match_full_enumeration() {
         let g = Graph::paper_figure1();
-        let top = find_largest_mqcs(&g, 0.6, 3, None).unwrap();
+        let top = find_largest_mqcs(&prep(&g), 0.6, 3, None).unwrap();
         let full = crate::pipeline::enumerate_mqcs_default(&g, 0.6, 2).unwrap();
         let mut by_size = full.mqcs.clone();
         by_size.sort_by(|a, b| b.len().cmp(&a.len()).then_with(|| a.cmp(b)));

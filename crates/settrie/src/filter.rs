@@ -12,8 +12,7 @@
 /// through an inverted index (element → accepted sets containing it) probed
 /// at the query's least-frequent element; on the heavily overlapping set
 /// families S1 emits for dense community graphs this is output-sensitive and
-/// far faster than backtracking superset search in a
-/// [`SetTrie`](crate::SetTrie) (which
+/// far faster than backtracking superset search in a set-trie (which
 /// degenerates on wide tries with long shared paths).
 pub fn filter_maximal(sets: &[Vec<u32>]) -> Vec<Vec<u32>> {
     let mut normalised: Vec<Vec<u32>> = sets

@@ -1,25 +1,24 @@
-//! Set-trie index for subset / superset containment queries.
+//! Maximality filtering for MQCE-S2.
 //!
-//! This is the substrate the paper relies on for the second step of maximal
-//! quasi-clique enumeration (**MQCE-S2**): given the set `S` of quasi-cliques
-//! produced by the branch-and-bound search (which contains every maximal QC
-//! plus possibly some non-maximal ones), remove the sets that are contained in
-//! another set of `S`. The paper uses the set-trie of Savnik et al. \[37\],
-//! which answers `GetAllSubsets` / `ExistsSuperset` queries over a collection
-//! of sets of symbols from an ordered alphabet.
-//!
-//! The trie stores each set as a path of *sorted* elements; a node is flagged
-//! when a stored set ends there.
+//! The second step of maximal quasi-clique enumeration (**MQCE-S2**) takes
+//! the set `S` of quasi-cliques produced by the branch-and-bound search
+//! (every maximal QC plus possibly some non-maximal ones) and removes the
+//! sets contained in another set of `S`. The paper does this with the
+//! set-trie of Savnik et al. \[37\]; this crate does it with a streaming
+//! [`MaximalityEngine`]: sets are fed in as the search produces them, so
+//! duplicates and dominated sets are dropped on arrival, and
+//! [`finish`](MaximalityEngine::finish) compacts what is left to exactly
+//! the maximal sets. [`filter_maximal`] is the one-shot batch form.
 //!
 //! ```
-//! use mqce_settrie::SetTrie;
+//! use mqce_settrie::{MaximalityEngine, S2Backend};
 //!
-//! let mut trie = SetTrie::new();
-//! trie.insert(&[1, 2, 3]);
-//! trie.insert(&[2, 4]);
-//! assert!(trie.contains_subset_of(&[1, 2, 3, 4]));
-//! assert!(trie.exists_superset_of(&[1, 3]));
-//! assert!(!trie.exists_superset_of(&[4, 5]));
+//! let mut engine = S2Backend::Inverted.new_engine();
+//! engine.add(&[1, 2, 3]);
+//! engine.add(&[2, 4]);
+//! assert!(!engine.add(&[1, 3])); // dominated on arrival
+//! engine.add(&[1, 2, 3, 4]); // dominates every retained set
+//! assert_eq!(engine.finish().mqcs, vec![vec![1, 2, 3, 4]]);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -29,10 +28,8 @@ pub mod arena;
 pub mod cost_model;
 pub mod engine;
 mod filter;
-mod trie;
 
 pub use arena::SetArena;
 pub use cost_model::{fit_log_linear, S2CostModel, S2Decision};
 pub use engine::{choose_backend, filter_maximal_with, MaximalityEngine, S2Backend, S2Outcome};
 pub use filter::{filter_maximal, filter_maximal_naive};
-pub use trie::SetTrie;

@@ -27,7 +27,8 @@ fn main() {
     println!("graph: {}", GraphStats::compute(&g));
 
     // (a) The five largest maximal 0.8-quasi-cliques, found exactly.
-    let top = find_largest_mqcs(&g, gamma, 5, None).expect("valid parameters");
+    let prepared = PreparedGraph::new(g.clone());
+    let top = find_largest_mqcs(&prepared, gamma, 5, None).expect("valid parameters");
     println!("\ntop-5 largest maximal {gamma}-quasi-cliques (exact):");
     for (rank, mqc) in top.mqcs.iter().enumerate() {
         println!(

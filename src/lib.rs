@@ -6,8 +6,8 @@
 //!
 //! * [`graph`] — the graph substrate ([`mqce_graph`]): CSR graphs, builders,
 //!   generators, k-core / degeneracy, induced subgraphs, edge-list IO;
-//! * [`settrie`] — the set-trie index ([`mqce_settrie`]) used for maximality
-//!   filtering (MQCE-S2);
+//! * [`settrie`] — the streaming maximality engines ([`mqce_settrie`]) used
+//!   for maximality filtering (MQCE-S2);
 //! * [`core`] — the enumeration algorithms ([`mqce_core`]): FastQC, DCFastQC,
 //!   the Quick+ baseline, and the end-to-end pipeline behind the
 //!   [`Session`] builder (plus the in-process sharded driver in
@@ -46,10 +46,8 @@ pub mod prelude {
     pub use mqce_core::verify::{verify_mqc_set, verify_s1_output};
     pub use mqce_core::{
         find_largest_mqcs, AdjacencyBackend, Algorithm, BranchingStrategy, MqceConfig, MqceParams,
-        MqceResult, Session,
+        MqceResult, PreparedGraph, Session,
     };
     pub use mqce_graph::{Graph, GraphBuilder, GraphStats, VertexId};
-    pub use mqce_settrie::{
-        filter_maximal, filter_maximal_with, MaximalityEngine, S2Backend, SetTrie,
-    };
+    pub use mqce_settrie::{filter_maximal, filter_maximal_with, MaximalityEngine, S2Backend};
 }

@@ -3,11 +3,6 @@
 //! result verifier, the edge-based quasi-clique comparison and the graph
 //! interchange formats.
 
-// These suites deliberately keep exercising the deprecated free-function
-// entry points: until they are removed they must return exactly what the
-// `Session` builder returns, and this is where that contract is enforced.
-#![allow(deprecated)]
-
 use mqce::core::edge_qc;
 use mqce::core::kernel::{expand_kernels, KernelConfig};
 use mqce::core::quasiclique::is_quasi_clique;
@@ -96,8 +91,9 @@ fn topk_returns_the_largest_mqcs() {
         let full = enumerate_mqcs_default(&g, gamma, 2).unwrap().mqcs;
         let mut by_size = full.clone();
         by_size.sort_by(|a, b| b.len().cmp(&a.len()).then_with(|| a.cmp(b)));
+        let prepared = PreparedGraph::new(g.clone());
         for k in [1usize, 3, 10] {
-            let top = find_largest_mqcs(&g, gamma, k, None).unwrap();
+            let top = find_largest_mqcs(&prepared, gamma, k, None).unwrap();
             let expected: Vec<Vec<u32>> = by_size.iter().take(k).cloned().collect();
             assert_eq!(top.mqcs, expected, "{label}: k={k}");
         }
@@ -116,7 +112,7 @@ fn kernel_expansion_is_sound_and_bounded_by_exact_topk() {
                 "{label}: expansion is not a QC"
             );
         }
-        let exact = find_largest_mqcs(&g, gamma, 1, None).unwrap();
+        let exact = find_largest_mqcs(&PreparedGraph::new(g.clone()), gamma, 1, None).unwrap();
         let exact_best = exact.mqcs.first().map(Vec::len).unwrap_or(0);
         let heuristic_best = result.qcs.first().map(Vec::len).unwrap_or(0);
         assert!(

@@ -5,16 +5,16 @@
 //! schedules whose later batches delete edges the earlier batches inserted
 //! (the round-trip shape that catches stale retained sets).
 
-// These suites deliberately keep exercising the deprecated free-function
-// entry points: until they are removed they must return exactly what the
-// `Session` builder returns, and this is where that contract is enforced.
-#![allow(deprecated)]
-
-use mqce::core::{enumerate_mqcs, IncrementalSession, MqceConfig};
+use mqce::core::{IncrementalSession, MqceConfig, MqceResult, Session};
 use mqce::graph::generators::{community_graph, CommunityGraphParams};
 use mqce::graph::{Graph, GraphDelta};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+/// The full pipeline through the `Session` builder.
+fn enumerate(g: &Graph, config: &MqceConfig) -> MqceResult {
+    Session::open(g.clone()).config(*config).run()
+}
 
 const GAMMAS: [f64; 3] = [0.8, 0.9, 0.95];
 const THETAS: [usize; 2] = [3, 5];
@@ -89,7 +89,7 @@ fn run_grid(g: &Graph, label: &str, threads: usize, seed: u64) {
                     "{label}: graph drifted at step {step} \
                      (gamma={gamma}, theta={theta}, threads={threads})"
                 );
-                let fresh = enumerate_mqcs(&current, &config);
+                let fresh = enumerate(&current, &config);
                 assert_eq!(
                     session.family(),
                     &fresh.mqcs[..],
@@ -143,5 +143,49 @@ fn incremental_equals_full_recompute_two_threads() {
 fn incremental_equals_full_recompute_four_threads() {
     for (label, g) in &graphs() {
         run_grid(g, label, 4, 0xBEEF);
+    }
+}
+
+/// An injected searcher panic at a dirty anchor is contained by the anchor
+/// driver at every thread count: the update returns and reports the panic.
+/// (Whether the maintained family stays exact after a panic is not
+/// asserted here.)
+#[test]
+fn injected_panic_in_a_dirty_subproblem_is_contained() {
+    let g = community_graph(
+        CommunityGraphParams {
+            n: 60,
+            num_communities: 4,
+            p_intra: 0.9,
+            inter_degree: 1.5,
+        },
+        13,
+    );
+    let base = MqceConfig::new(0.9, 5).unwrap();
+    let with_fault = |anchor: u32| {
+        let mut config = base;
+        config.params.fail_anchor = Some(anchor);
+        config
+    };
+    // An anchor whose subproblem reaches the searcher (pruned anchors never
+    // do): a full run with the fault there contains exactly one panic.
+    let anchor = (0..g.num_vertices() as u32)
+        .find(|&v| enumerate(&g, &with_fault(v)).stats.subproblem_panics == 1)
+        .expect("some anchor reaches the searcher");
+    // Inserting an edge at the anchor puts it in the dirty closure and only
+    // grows its subproblem, so the re-run reaches the searcher again.
+    let other = (0..g.num_vertices() as u32)
+        .find(|&w| w != anchor && !g.has_edge(anchor, w))
+        .expect("the anchor is not adjacent to everything");
+    let delta = GraphDelta::new(vec![(anchor, other)], Vec::new());
+    for threads in [1, 4] {
+        let mut session = IncrementalSession::new(g.clone(), with_fault(anchor), threads);
+        let outcome = session.update(&delta);
+        assert!(!outcome.full_recompute);
+        assert!(outcome.dirty.contains(&anchor));
+        assert_eq!(
+            outcome.stats.subproblem_panics, 1,
+            "threads={threads}: the dirty re-run did not contain the injected panic"
+        );
     }
 }

@@ -1,16 +1,16 @@
 //! Integration tests spanning the whole workspace through the `mqce` facade:
 //! graph generation → MQCE-S1 enumeration → set-trie filtering.
 
-// These suites deliberately keep exercising the deprecated free-function
-// entry points: until they are removed they must return exactly what the
-// `Session` builder returns, and this is where that contract is enforced.
-#![allow(deprecated)]
-
 use mqce::core::naive;
 use mqce::graph::generators::{
     community_graph, erdos_renyi_gnm, planted_quasi_cliques, CommunityGraphParams, PlantedGroup,
 };
 use mqce::prelude::*;
+
+/// The full pipeline through the `Session` builder.
+fn enumerate(g: &Graph, config: &MqceConfig) -> MqceResult {
+    Session::open(g.clone()).config(*config).run()
+}
 
 /// Every algorithm must agree with the exhaustive oracle on random small
 /// graphs across the parameter grid.
@@ -42,7 +42,7 @@ fn all_algorithms_match_oracle_on_random_graphs() {
         let theta = 2 + case % 3;
         let expected = naive::all_maximal_quasi_cliques(&g, MqceParams::new(gamma, theta).unwrap());
         for algo in algorithms {
-            let result = enumerate_mqcs(
+            let result = enumerate(
                 &g,
                 &MqceConfig::new(gamma, theta).unwrap().with_algorithm(algo),
             );
@@ -100,7 +100,7 @@ fn algorithms_agree_on_medium_graphs() {
         ),
     ];
     for (name, g, gamma, theta) in graphs {
-        let reference = enumerate_mqcs(
+        let reference = enumerate(
             &g,
             &MqceConfig::new(gamma, theta)
                 .unwrap()
@@ -112,7 +112,7 @@ fn algorithms_agree_on_medium_graphs() {
             Algorithm::BasicDcFastQc,
             Algorithm::QuickPlus,
         ] {
-            let result = enumerate_mqcs(
+            let result = enumerate(
                 &g,
                 &MqceConfig::new(gamma, theta).unwrap().with_algorithm(algo),
             );
@@ -183,7 +183,7 @@ fn s1_plus_settrie_equals_pipeline() {
     let config = MqceConfig::new(0.9, 5).unwrap();
     let s1 = mqce::core::solve_s1(&g, &config);
     let filtered = filter_maximal(&s1.outputs);
-    let pipeline = enumerate_mqcs(&g, &config);
+    let pipeline = enumerate(&g, &config);
     assert_eq!(filtered, pipeline.mqcs);
     for mqc in &pipeline.mqcs {
         assert!(s1.outputs.contains(mqc), "S1 output must contain each MQC");
@@ -220,14 +220,14 @@ fn table1_style_report_fields() {
 fn degenerate_inputs() {
     for algo in [Algorithm::DcFastQc, Algorithm::QuickPlus, Algorithm::FastQc] {
         let empty = Graph::empty(0);
-        let r = enumerate_mqcs(
+        let r = enumerate(
             &empty,
             &MqceConfig::new(0.9, 2).unwrap().with_algorithm(algo),
         );
         assert!(r.mqcs.is_empty());
 
         let isolated = Graph::empty(5);
-        let r = enumerate_mqcs(
+        let r = enumerate(
             &isolated,
             &MqceConfig::new(0.9, 1).unwrap().with_algorithm(algo),
         );
@@ -235,7 +235,7 @@ fn degenerate_inputs() {
         assert_eq!(r.mqcs.len(), 5);
 
         let single_edge = Graph::from_edges(2, &[(0, 1)]);
-        let r = enumerate_mqcs(
+        let r = enumerate(
             &single_edge,
             &MqceConfig::new(1.0, 2).unwrap().with_algorithm(algo),
         );

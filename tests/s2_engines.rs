@@ -2,16 +2,24 @@
 //! equivalence against the quadratic reference, incremental-vs-batch
 //! equivalence, engine merging, and deadline-aware compaction soundness.
 
-// These suites deliberately keep exercising the deprecated free-function
-// entry points: until they are removed they must return exactly what the
-// `Session` builder returns, and this is where that contract is enforced.
-#![allow(deprecated)]
-
 use std::time::{Duration, Instant};
 
 use mqce::prelude::*;
 use mqce::settrie::{filter_maximal, filter_maximal_naive, filter_maximal_with, S2Backend};
 use proptest::prelude::*;
+
+/// The full pipeline through the `Session` builder.
+fn enumerate(g: &Graph, config: &MqceConfig) -> MqceResult {
+    enumerate_threads(g, config, 1)
+}
+
+/// The full pipeline through the `Session` builder on `threads` workers.
+fn enumerate_threads(g: &Graph, config: &MqceConfig, threads: usize) -> MqceResult {
+    Session::open(g.clone())
+        .config(*config)
+        .threads(threads)
+        .run()
+}
 
 /// `a ⊆ b` for sorted slices (local reference helper).
 fn is_subset(a: &[u32], b: &[u32]) -> bool {
@@ -177,7 +185,7 @@ fn pipeline_budget_is_not_blown_by_s2() {
             .with_s2_backend(backend)
             .with_time_limit(limit);
         let start = Instant::now();
-        let result = enumerate_mqcs(&g, &config);
+        let result = enumerate(&g, &config);
         // The bound is deliberately loose (S1's per-branch deadline polling
         // has its own granularity) but far below an unbounded S2 pass.
         assert!(
@@ -209,7 +217,7 @@ fn pipeline_backends_agree_sequential_and_parallel() {
         },
         77,
     );
-    let reference = enumerate_mqcs(&g, &MqceConfig::new(0.85, 5).unwrap());
+    let reference = enumerate(&g, &MqceConfig::new(0.85, 5).unwrap());
     assert!(!reference.mqcs.is_empty());
     for backend in [
         S2Backend::Auto,
@@ -218,13 +226,13 @@ fn pipeline_backends_agree_sequential_and_parallel() {
         S2Backend::Extremal,
     ] {
         let config = MqceConfig::new(0.85, 5).unwrap().with_s2_backend(backend);
-        let sequential = enumerate_mqcs(&g, &config);
+        let sequential = enumerate(&g, &config);
         assert_eq!(sequential.mqcs, reference.mqcs, "{backend:?} sequential");
         assert_eq!(
             sequential.s2.sets_streamed, reference.s2.sets_streamed,
             "{backend:?}: streamed-set accounting changed"
         );
-        let parallel = enumerate_mqcs_parallel(&g, &config, 3);
+        let parallel = enumerate_threads(&g, &config, 3);
         assert_eq!(parallel.mqcs, reference.mqcs, "{backend:?} parallel");
     }
 }

@@ -6,8 +6,10 @@
 //! at 1, 2 and 4 shards — and a shard whose anchor panics must surface as a
 //! contained best-effort result, never as a hang or an escaped panic.
 
+use std::time::{Duration, Instant};
+
 use mqce::core::shard::{merge_shard_families, plan_shards, run_shard, run_sharded};
-use mqce::core::{MqceConfig, PreparedGraph, Session};
+use mqce::core::{MqceConfig, PreparedGraph, S2Backend, Session};
 use mqce::graph::generators::{
     community_graph, planted_quasi_cliques, CommunityGraphParams, PlantedGroup,
 };
@@ -145,5 +147,56 @@ fn panicking_anchor_yields_contained_best_effort_not_a_hang() {
                 .any(|m| set.iter().all(|v| m.contains(v))),
             "best-effort family emitted a set outside the true family"
         );
+    }
+}
+
+/// A shard worker honours its time budget end to end: S1 stops at the
+/// deadline, and the engine merge and compaction run under the pipeline's
+/// graced S2 deadline instead of an unbounded final pass. The run returns
+/// within the limit plus the grace slice and reports that it was cut short.
+#[test]
+fn shard_run_returns_within_its_time_limit_and_reports_timed_out() {
+    let g = planted_quasi_cliques(
+        220,
+        0.03,
+        &[
+            PlantedGroup {
+                size: 30,
+                density: 0.95,
+            },
+            PlantedGroup {
+                size: 24,
+                density: 0.95,
+            },
+        ],
+        99,
+    );
+    let prepared = PreparedGraph::new(g);
+    // The extremal engine defers all domination work to the final
+    // compaction, which only the graced S2 deadline bounds.
+    let base = MqceConfig::new(0.6, 5)
+        .unwrap()
+        .with_s2_backend(S2Backend::Extremal);
+    let plan = plan_shards(&prepared, &base, 1).expect("DCFastQC is shardable");
+    let spec = &plan.shards[0];
+    // The pipeline's S2 grace is 10% of the limit, at least 100 ms. A zero
+    // budget gets no grace; the same 100 ms then bounds its
+    // budget-independent set-up.
+    let grace = Duration::from_millis(100);
+    for limit in [Duration::ZERO, Duration::from_millis(50)] {
+        let config = base.with_time_limit(limit);
+        for threads in [1, 2] {
+            let start = Instant::now();
+            let family = run_shard(&spec.slice, &spec.anchors, &spec.rank, &config, threads);
+            let elapsed = start.elapsed();
+            assert!(
+                family.timed_out,
+                "{limit:?} budget at {threads} threads not reported as timed out"
+            );
+            assert!(
+                elapsed <= limit + grace,
+                "{limit:?} budget at {threads} threads took {elapsed:?}"
+            );
+        }
     }
 }

@@ -4,20 +4,25 @@
 //! count, intra-subproblem splitting must actually fire on the skewed
 //! shape, and deadlines must stay sound while branches are being stolen.
 
-// These suites deliberately keep exercising the deprecated free-function
-// entry points: until they are removed they must return exactly what the
-// `Session` builder returns, and this is where that contract is enforced.
-#![allow(deprecated)]
-
 use std::time::{Duration, Instant};
 
-use mqce::core::dc::{run_dc_parallel, DcConfig, InnerAlgorithm};
 use mqce::core::prelude::*;
 use mqce::core::quasiclique::is_quasi_clique;
-use mqce::core::{enumerate_mqcs_parallel_with, ParallelScheduler};
 use mqce_graph::generators::{planted_quasi_cliques, PlantedGroup};
 use mqce_graph::Graph;
-use mqce_settrie::filter_maximal;
+
+/// The full pipeline through the `Session` builder.
+fn enumerate(g: &Graph, config: &MqceConfig) -> MqceResult {
+    enumerate_threads(g, config, 1)
+}
+
+/// The full pipeline through the `Session` builder on `threads` workers.
+fn enumerate_threads(g: &Graph, config: &MqceConfig, threads: usize) -> MqceResult {
+    Session::open(g.clone())
+        .config(*config)
+        .threads(threads)
+        .run()
+}
 
 /// Whether sorted set `a` is a subset of sorted set `b`.
 fn is_sorted_subset(a: &[u32], b: &[u32]) -> bool {
@@ -25,8 +30,8 @@ fn is_sorted_subset(a: &[u32], b: &[u32]) -> bool {
     a.iter().all(|x| it.any(|y| y == x))
 }
 
-/// One heavy planted community and a tail of tiny ones: the shape where the
-/// shared-atomic-index driver pins a single worker on the giant subproblem
+/// One heavy planted community and a tail of tiny ones: the shape where
+/// whole-subproblem handout pins a single worker on the giant subproblem
 /// while the rest go idle.
 fn skewed_graph() -> Graph {
     let mut groups = vec![PlantedGroup {
@@ -46,11 +51,11 @@ fn skewed_graph() -> Graph {
 fn skewed_family_parallel_matches_sequential_at_every_thread_count() {
     let g = skewed_graph();
     let config = MqceConfig::new(0.85, 6).unwrap().with_steal_granularity(1);
-    let sequential = enumerate_mqcs(&g, &config);
+    let sequential = enumerate(&g, &config);
     assert!(!sequential.timed_out());
     assert!(!sequential.mqcs.is_empty());
     for threads in [1, 2, 4] {
-        let parallel = enumerate_mqcs_parallel(&g, &config, threads);
+        let parallel = enumerate_threads(&g, &config, threads);
         assert_eq!(
             parallel.mqcs, sequential.mqcs,
             "work-stealing driver differs from sequential at {threads} threads"
@@ -71,15 +76,6 @@ fn skewed_family_parallel_matches_sequential_at_every_thread_count() {
 }
 
 #[test]
-fn shared_index_baseline_still_matches_sequential() {
-    let g = skewed_graph();
-    let config = MqceConfig::new(0.85, 6).unwrap();
-    let sequential = enumerate_mqcs(&g, &config);
-    let baseline = enumerate_mqcs_parallel_with(&g, &config, 4, ParallelScheduler::SharedIndex);
-    assert_eq!(baseline.mqcs, sequential.mqcs);
-}
-
-#[test]
 fn intra_subproblem_splitting_fires_on_a_single_giant_community() {
     // One dense community dominates the run: with 4 workers, three drain the
     // cheap tail quickly and go hungry, so the workers holding the heavy
@@ -97,32 +93,16 @@ fn intra_subproblem_splitting_fires_on_a_single_giant_community() {
         }],
         7,
     );
-    let p = MqceParams::new(0.85, 6).unwrap().with_steal_granularity(1);
-    let sequential = run_dc_parallel(
-        &g,
-        p,
-        InnerAlgorithm::FastQc(BranchingStrategy::HybridSe),
-        DcConfig::paper_default(),
-        1,
-        None,
-    );
-    let expected = filter_maximal(&sequential.outputs);
-    let mut seq_sorted = sequential.outputs.clone();
-    seq_sorted.sort();
-    seq_sorted.dedup();
+    let config = MqceConfig::new(0.85, 6).unwrap().with_steal_granularity(1);
+    let sequential = enumerate(&g, &config);
+    let expected = sequential.mqcs;
+    // `qcs` is the raw S1 stream, sorted and deduplicated.
+    let seq_sorted = sequential.qcs;
     let mut donated_somewhere = false;
     for _attempt in 0..8 {
-        let parallel = run_dc_parallel(
-            &g,
-            p,
-            InnerAlgorithm::FastQc(BranchingStrategy::HybridSe),
-            DcConfig::paper_default(),
-            4,
-            None,
-        );
+        let parallel = enumerate_threads(&g, &config, 4);
         assert_eq!(
-            filter_maximal(&parallel.outputs),
-            expected,
+            parallel.mqcs, expected,
             "stolen split tasks changed the maximal family"
         );
         assert_eq!(
@@ -131,9 +111,7 @@ fn intra_subproblem_splitting_fires_on_a_single_giant_community() {
         );
         // Raw S1 outputs may contain extra dominated sets from split points,
         // but never fewer than the sequential stream's distinct sets.
-        let mut par_sorted = parallel.outputs;
-        par_sorted.sort();
-        par_sorted.dedup();
+        let par_sorted = parallel.qcs;
         assert!(seq_sorted
             .iter()
             .all(|s| par_sorted.binary_search(s).is_ok()));
@@ -151,29 +129,12 @@ fn intra_subproblem_splitting_fires_on_a_single_giant_community() {
 #[test]
 fn granularity_zero_disables_splitting_but_not_stealing() {
     let g = skewed_graph();
-    let p = MqceParams::new(0.85, 6).unwrap().with_steal_granularity(0);
-    let outcome = run_dc_parallel(
-        &g,
-        p,
-        InnerAlgorithm::FastQc(BranchingStrategy::HybridSe),
-        DcConfig::paper_default(),
-        4,
-        None,
-    );
+    let config = MqceConfig::new(0.85, 6).unwrap().with_steal_granularity(0);
+    let outcome = enumerate_threads(&g, &config, 4);
     assert_eq!(outcome.stats.split_donated, 0);
     assert_eq!(outcome.stats.split_executed, 0);
-    let sequential = run_dc_parallel(
-        &g,
-        p,
-        InnerAlgorithm::FastQc(BranchingStrategy::HybridSe),
-        DcConfig::paper_default(),
-        1,
-        None,
-    );
-    assert_eq!(
-        filter_maximal(&outcome.outputs),
-        filter_maximal(&sequential.outputs)
-    );
+    let sequential = enumerate(&g, &config);
+    assert_eq!(outcome.mqcs, sequential.mqcs);
 }
 
 #[test]
@@ -195,8 +156,8 @@ fn quickplus_inner_survives_stealing() {
         .unwrap()
         .with_algorithm(Algorithm::QuickPlus)
         .with_steal_granularity(1);
-    let sequential = enumerate_mqcs(&g, &config);
-    let parallel = enumerate_mqcs_parallel(&g, &config, 4);
+    let sequential = enumerate(&g, &config);
+    let parallel = enumerate_threads(&g, &config, 4);
     assert_eq!(parallel.mqcs, sequential.mqcs);
 }
 
@@ -234,8 +195,8 @@ fn parallel_matches_sequential_across_full_differential_grid() {
                 let config = MqceConfig::new(gamma, theta)
                     .unwrap()
                     .with_steal_granularity(1);
-                let sequential = enumerate_mqcs(g, &config);
-                let parallel = enumerate_mqcs_parallel(g, &config, 4);
+                let sequential = enumerate(g, &config);
+                let parallel = enumerate_threads(g, &config, 4);
                 assert_eq!(
                     parallel.mqcs, sequential.mqcs,
                     "graph {i}: parallel differs at gamma={gamma} theta={theta}"
@@ -270,7 +231,7 @@ fn deadline_under_stealing_returns_sound_partial_result_quickly() {
         .with_steal_granularity(1)
         .with_time_limit(Duration::from_millis(40));
     let start = Instant::now();
-    let result = enumerate_mqcs_parallel(&g, &config, 4);
+    let result = enumerate_threads(&g, &config, 4);
     assert!(
         start.elapsed() < Duration::from_secs(30),
         "deadline was not honoured under stealing"

@@ -39,7 +39,7 @@ use mqce_core::verify::verify_mqc_set;
 use mqce_core::{
     find_largest_mqcs, AdjacencyBackend, Algorithm, BranchingStrategy, PreparedGraph, S2Backend,
 };
-use mqce_graph::{formats, generators, Graph, GraphStats};
+use mqce_graph::{formats, generators, Graph, GraphStats, VertexId};
 
 use args::{parse, ArgError, ParsedArgs};
 
@@ -423,10 +423,7 @@ fn cmd_enumerate<W: Write>(parsed: &ParsedArgs, out: &mut W) -> Result<(), CliEr
         }
     }
     if parsed.switch("print-sets") {
-        for mqc in &result.mqcs {
-            let formatted: Vec<String> = mqc.iter().map(|v| v.to_string()).collect();
-            writeln!(out, "{}", formatted.join(" ")).map_err(io_err)?;
-        }
+        print_sets(out, &result.mqcs, false)?;
     }
     Ok(())
 }
@@ -515,22 +512,36 @@ fn cmd_topk<W: Write>(parsed: &ParsedArgs, out: &mut W) -> Result<(), CliError> 
     writeln!(out, "found            {}", top.mqcs.len()).map_err(io_err)?;
     writeln!(out, "final theta      {}", top.final_theta).map_err(io_err)?;
     writeln!(out, "rounds           {}", top.rounds).map_err(io_err)?;
+    if parsed.switch("print-sets") {
+        return print_sets(out, &top.mqcs, true);
+    }
     for (i, mqc) in top.mqcs.iter().enumerate() {
-        if parsed.switch("print-sets") {
-            let formatted: Vec<String> = mqc.iter().map(|v| v.to_string()).collect();
-            writeln!(
-                out,
-                "#{:<3} size={:<4} {}",
-                i + 1,
-                mqc.len(),
-                formatted.join(" ")
-            )
-            .map_err(io_err)?;
-        } else {
-            writeln!(out, "#{:<3} size={}", i + 1, mqc.len()).map_err(io_err)?;
-        }
+        writeln!(out, "#{:<3} size={}", i + 1, mqc.len()).map_err(io_err)?;
     }
     Ok(())
+}
+
+/// Writes `sets` one per line, vertices separated by spaces, through a
+/// buffer flushed before returning: a large family then costs a few large
+/// writes instead of one per set. `ranked` prefixes each line with its
+/// 1-based position and the set size, as `topk` prints them.
+pub(crate) fn print_sets<W: Write>(
+    out: &mut W,
+    sets: &[Vec<VertexId>],
+    ranked: bool,
+) -> Result<(), CliError> {
+    let mut buf = std::io::BufWriter::new(out);
+    for (i, set) in sets.iter().enumerate() {
+        if ranked {
+            write!(buf, "#{:<3} size={:<4} ", i + 1, set.len()).map_err(io_err)?;
+        }
+        for (j, v) in set.iter().enumerate() {
+            let sep = if j == 0 { "" } else { " " };
+            write!(buf, "{sep}{v}").map_err(io_err)?;
+        }
+        buf.write_all(b"\n").map_err(io_err)?;
+    }
+    buf.flush().map_err(io_err)
 }
 
 fn cmd_query<W: Write>(parsed: &ParsedArgs, out: &mut W) -> Result<(), CliError> {
@@ -569,10 +580,7 @@ fn cmd_query<W: Write>(parsed: &ParsedArgs, out: &mut W) -> Result<(), CliError>
         .map_err(io_err)?;
     }
     if parsed.switch("print-sets") {
-        for mqc in &result.mqcs {
-            let formatted: Vec<String> = mqc.iter().map(|v| v.to_string()).collect();
-            writeln!(out, "{}", formatted.join(" ")).map_err(io_err)?;
-        }
+        print_sets(out, &result.mqcs, false)?;
     }
     Ok(())
 }

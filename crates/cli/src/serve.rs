@@ -1141,10 +1141,7 @@ fn compute_response(state: &ServerState, req: Request, arrival: Instant) -> Resp
                     ("rounds".to_string(), Value::Num(result.rounds as f64)),
                 ],
             };
-            // Top-k does not surface its inner S2 flags; a spent deadline is
-            // still detectable from the clock.
-            let expired = deadline.is_some_and(|d| Instant::now() >= d);
-            (outcome, expired, false)
+            (outcome, result.timed_out, false)
         }
         "shard_run" => {
             return Response::failure(

@@ -537,10 +537,7 @@ pub(crate) fn run_coordinator<W: Write>(
         }
     }
     if print_sets {
-        for mqc in &merged.mqcs {
-            let formatted: Vec<String> = mqc.iter().map(|v| v.to_string()).collect();
-            writeln!(out, "{}", formatted.join(" ")).map_err(io_err)?;
-        }
+        crate::print_sets(out, &merged.mqcs, false)?;
     }
     Ok(())
 }

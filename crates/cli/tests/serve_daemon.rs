@@ -229,6 +229,36 @@ fn spent_deadlines_return_promptly_and_are_flagged_best_effort() {
 }
 
 #[test]
+fn spent_topk_deadlines_are_flagged_best_effort_and_not_cached() {
+    let graph = test_graph(800, 11);
+    let (addr, handle) = start_daemon(graph, ServeSettings::default());
+    let request = Request {
+        cmd: "topk".to_string(),
+        gamma: 0.9,
+        k: 5,
+        deadline_ms: Some(1),
+        ..Request::default()
+    };
+    let response = roundtrip(addr, &request);
+    assert!(response.ok, "error: {:?}", response.error);
+    assert!(
+        response.best_effort,
+        "a 1ms-deadline top-k answer must be flagged best-effort"
+    );
+    let fresh = roundtrip(
+        addr,
+        &Request {
+            deadline_ms: None,
+            ..request.clone()
+        },
+    );
+    assert!(fresh.ok && !fresh.best_effort);
+    assert!(!fresh.cached, "a partial top-k answer was cached");
+    shutdown(addr);
+    handle.join().expect("daemon thread");
+}
+
+#[test]
 fn updates_rekey_the_cache_and_match_a_fresh_run() {
     use mqce_graph::{dirty_two_hop_closure, GraphDelta, SubproblemScratch};
 

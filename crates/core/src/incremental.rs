@@ -24,15 +24,15 @@
 //!    anchors through the shared anchor driver (work stealing and
 //!    intra-subproblem splitting for multi-threaded sessions);
 //! 5. merges the fresh streams with only the **frontier** of the retained
-//!    family — retained sets that contain at least one dirty vertex —
-//!    through one fresh
-//!    [`MaximalityEngine`](mqce_settrie::MaximalityEngine), restoring exact
-//!    global maximality. Every fresh set contains its dirty anchor, so a
-//!    retained set that could dominate one must contain that dirty vertex too;
-//!    retained sets disjoint from the closure can never interact with the
-//!    fresh stream and bypass the engine entirely, which keeps the
-//!    per-update merge cost proportional to the *local* family, not the
-//!    whole one.
+//!    family — retained sets that contain at least one dirty vertex — in one
+//!    compaction, restoring exact global maximality: the single worker
+//!    engine's own at one thread, and at several threads
+//!    [`compact_parallel`] over the drained per-thread engines. Every fresh
+//!    set contains its dirty anchor, so a retained set that could dominate
+//!    one must contain that dirty vertex too; retained sets disjoint from the
+//!    closure can never interact with the fresh stream and bypass the
+//!    compaction entirely, which keeps the per-update merge cost
+//!    proportional to the *local* family, not the whole one.
 //!
 //! Why retiring only dirty-anchored sets is exact: let `H` be maximal in the
 //! new graph with clean anchor `v` (its lowest-ranked member). Every member
@@ -52,10 +52,11 @@ use std::sync::Arc;
 
 use mqce_graph::delta::{dirty_two_hop_closure, update_core_decomposition, GraphDelta};
 use mqce_graph::{Graph, SubproblemScratch, VertexId};
+use mqce_settrie::compact_parallel;
 
 use crate::config::MqceConfig;
 use crate::dc::{run_anchors, DcPlan, EngineFactory};
-use crate::pipeline::{dc_setup, feed_sets};
+use crate::pipeline::{dc_setup, drain_engines, feed_sets};
 use crate::prepared::PreparedGraph;
 use crate::session::Session;
 use crate::stats::SearchStats;
@@ -282,9 +283,10 @@ impl IncrementalSession {
         let retained_count = (untouched.len() + frontier.len()) as u64;
 
         // Re-run the dirty subproblems, streaming into per-thread engines,
-        // then merge those and the frontier sets through one engine: the
-        // drain/add merge is exact over frontier ∪ fresh, and the untouched
-        // sets are spliced back in afterwards.
+        // then compact those together with the frontier sets — exact over
+        // frontier ∪ fresh — and splice the untouched sets back in
+        // afterwards. Several engines are drained into one parallel
+        // compaction; a single engine takes the frontier sets directly.
         let config = self.config;
         let factory = || config.s2_backend.new_engine_with_model(config.s2_model);
         let factory_ref: EngineFactory<'_> = &factory;
@@ -296,12 +298,14 @@ impl IncrementalSession {
             None,
             Some(factory_ref),
         );
-        let mut engine = factory();
-        feed_sets(engine.as_mut(), &frontier, None);
-        for mut worker_engine in engines {
-            feed_sets(engine.as_mut(), &worker_engine.drain(), None);
-        }
-        let outcome = engine.finish();
+        let outcome = if engines.len() >= 2 {
+            let workers = engines.len();
+            compact_parallel(drain_engines(engines, frontier), workers, None)
+        } else {
+            let mut engine = engines.into_iter().next().unwrap_or_else(factory);
+            feed_sets(engine.as_mut(), &frontier, None);
+            engine.finish()
+        };
         // Both halves are in canonical order: `untouched` is a subsequence
         // of the old canonical family, `finish` returns canonical order.
         self.family = merge_canonical(untouched, outcome.mqcs);

@@ -7,8 +7,10 @@
 //! S2 is no longer a batch pass over the full S1 output: the
 //! divide-and-conquer drivers stream each subproblem's quasi-cliques into a
 //! [`MaximalityEngine`] as they are produced (dropping duplicates and
-//! dominated sets on arrival), the parallel driver merges per-thread
-//! engines, and the final compaction honours whatever remains of the
+//! dominated sets on arrival). A one-thread run finishes with its engine's
+//! own compaction; a multi-threaded run drains its per-thread engines into
+//! one family and compacts it on all workers over a frozen index
+//! ([`compact_parallel`]). Either compaction honours whatever remains of the
 //! wall-clock budget — a run that exhausts its time limit in S1 no longer
 //! pays an unbounded post-hoc filtering bill on hundreds of thousands of
 //! sets.
@@ -16,7 +18,7 @@
 use std::time::{Duration, Instant};
 
 use mqce_graph::{Graph, VertexId};
-use mqce_settrie::MaximalityEngine;
+use mqce_settrie::{compact_parallel, MaximalityEngine};
 
 use crate::branch::SearchOutcome;
 use crate::config::{Algorithm, MqceConfig};
@@ -195,50 +197,67 @@ pub(crate) fn run_pipeline(
     let factory = || config.s2_backend.new_engine_with_model(config.s2_model);
     let factory: EngineFactory<'_> = &factory;
     let s1_start = Instant::now();
-    let (outcome, engines, merge_phase) = match dc_setup(config) {
+    let (outcome, engines) = match dc_setup(config) {
         Some((inner, dc)) => {
             let plan = DcPlan::from_prepared(prepared, config.params, dc, None);
-            let (outcome, engines) = run_anchors(
+            run_anchors(
                 &plan,
                 &plan.ordering,
                 inner,
                 threads,
                 deadline,
                 Some(factory),
-            );
-            (outcome, engines, threads >= 2)
+            )
         }
-        None => {
-            let outcome = solve_whole_graph(prepared.graph(), config, deadline);
-            (outcome, Vec::new(), false)
-        }
+        None => (
+            solve_whole_graph(prepared.graph(), config, deadline),
+            Vec::new(),
+        ),
     };
-    finish_run(
-        outcome,
-        engines,
-        factory,
-        config,
-        deadline,
-        s1_start,
-        merge_phase,
-    )
+    finish_run(outcome, engines, factory, config, deadline, s1_start)
 }
 
-/// The pipeline tail shared by full runs and shard workers: merges the
-/// per-thread engines, compacts, and assembles the [`MqceResult`].
+/// Drains every engine and appends the retained sets to `sets`. Sets that
+/// several engines retained appear once per engine; the compaction's sort
+/// drops the copies. Each engine is drained and dropped on its own scoped
+/// thread, since releasing an engine's indexes is a serial cost otherwise.
+pub(crate) fn drain_engines(
+    engines: Vec<Box<dyn MaximalityEngine>>,
+    mut sets: Vec<Vec<VertexId>>,
+) -> Vec<Vec<VertexId>> {
+    sets.reserve(engines.iter().map(|e| e.live_len()).sum());
+    let drained: Vec<_> = std::thread::scope(|scope| {
+        let handles: Vec<_> = engines
+            .into_iter()
+            .map(|mut engine| scope.spawn(move || engine.drain()))
+            .collect();
+        handles
+            .into_iter()
+            .map(|handle| {
+                handle
+                    .join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+            })
+            .collect()
+    });
+    for mut part in drained {
+        sets.append(&mut part);
+    }
+    sets
+}
+
+/// The pipeline tail shared by full runs and shard workers: compacts the
+/// per-thread engines and assembles the [`MqceResult`].
 ///
-/// The merge drains each engine into the first; re-adding re-probes, so
-/// sets retained by one worker but dominated by another worker's results are
-/// dropped. With no engines (a whole-graph algorithm, or an empty anchor
-/// list) a fresh engine is fed the batch of S1 outputs instead. Merging,
-/// feeding and compaction all run under one graced S2 deadline, granted
-/// once, when post-S1 work starts; `s2_time` covers all of it.
-///
-/// `merge_phase` says whether the engine performed a cross-engine merge
-/// rather than the plain per-subproblem streaming pass: its dispatch audit
-/// then lands in [`S2Stats::merge_decision`] instead of
-/// [`S2Stats::decision`], so a merge-phase backend choice never overwrites
-/// (or masquerades as) a per-subproblem one.
+/// With two or more engines (a multi-threaded run), every engine is drained
+/// and the concatenated family goes through [`compact_parallel`] on as many
+/// workers as there were engines; [`S2Stats::backend`] then reads
+/// `parallel` and carries no dispatch decision. With one engine (a
+/// one-thread run) that engine's own compaction runs. With no engines (a
+/// whole-graph algorithm, or an empty anchor list) a fresh engine is fed the
+/// batch of S1 outputs instead. Feeding and compaction run under one graced
+/// S2 deadline, granted once, when post-S1 work starts; `s2_time` covers
+/// all of it.
 pub(crate) fn finish_run(
     outcome: SearchOutcome,
     engines: Vec<Box<dyn MaximalityEngine>>,
@@ -246,39 +265,35 @@ pub(crate) fn finish_run(
     config: &MqceConfig,
     deadline: Option<Instant>,
     s1_start: Instant,
-    merge_phase: bool,
 ) -> MqceResult {
     let s1_time = s1_start.elapsed();
     let s2_start = Instant::now();
     let s2_dl = s2_deadline(deadline, config.time_limit);
-    let fed_inline = !engines.is_empty();
-    let mut engines = engines.into_iter();
-    let mut engine = engines.next().unwrap_or_else(factory);
-    let mut feed_truncated = false;
-    for mut other in engines {
-        feed_truncated |= !feed_sets(engine.as_mut(), &other.drain(), s2_dl);
-    }
-    if !fed_inline {
-        feed_truncated = !feed_sets(engine.as_mut(), &outcome.outputs, s2_dl);
-    }
-    let sets_streamed = outcome.outputs.len() as u64;
-    let sets_retained = engine.live_len() as u64;
-    // A zero-budget run reaches this point with its S2 deadline already in
-    // the past; the compaction of whatever the engine holds (often nothing)
-    // may complete before polling the deadline, so the expiry itself marks
-    // the result as partial. Runs with a real budget start compaction with
-    // (most of) the grace slice still ahead and do not trip this.
-    let deadline_expired = s2_dl.is_some_and(|d| Instant::now() >= d);
-    let s2_out = engine.finish_with_deadline(s2_dl);
-    let s2_time = s2_start.elapsed();
-    let mut qcs = outcome.outputs;
-    qcs.sort();
-    qcs.dedup();
-    let (decision, merge_decision) = if merge_phase {
-        (None, s2_out.decision)
+    // A zero-budget run reaches compaction with its S2 deadline already in
+    // the past; compacting whatever is held (often nothing) may complete
+    // before polling the deadline, so the expiry itself marks the result as
+    // partial. Runs with a real budget start compaction with (most of) the
+    // grace slice still ahead and do not trip this.
+    let expired = || s2_dl.is_some_and(|d| Instant::now() >= d);
+    let (s2_out, sets_retained, partial) = if engines.len() >= 2 {
+        let workers = engines.len();
+        let sets = drain_engines(engines, Vec::new());
+        let retained = sets.len() as u64;
+        let partial = expired();
+        (compact_parallel(sets, workers, s2_dl), retained, partial)
     } else {
-        (s2_out.decision, None)
+        let fed_inline = !engines.is_empty();
+        let mut engine = engines.into_iter().next().unwrap_or_else(factory);
+        let truncated = !fed_inline && !feed_sets(engine.as_mut(), &outcome.outputs, s2_dl);
+        let retained = engine.live_len() as u64;
+        let partial = truncated || expired();
+        (engine.finish_with_deadline(s2_dl), retained, partial)
     };
+    let s2_time = s2_start.elapsed();
+    let sets_streamed = outcome.outputs.len() as u64;
+    let mut qcs = outcome.outputs;
+    qcs.sort_unstable();
+    qcs.dedup();
     MqceResult {
         qcs,
         mqcs: s2_out.mqcs,
@@ -288,9 +303,8 @@ pub(crate) fn finish_run(
             backend: s2_out.backend.to_string(),
             sets_streamed,
             sets_retained,
-            timed_out: s2_out.timed_out || feed_truncated || deadline_expired,
-            decision,
-            merge_decision,
+            timed_out: s2_out.timed_out || partial,
+            decision: s2_out.decision,
         },
         s1_time,
         s2_time,
@@ -493,11 +507,23 @@ mod tests {
             909,
         );
         let reference = run(&g, &MqceConfig::new(0.85, 5).unwrap()).mqcs;
-        for backend in [S2Backend::Inverted, S2Backend::Bitset, S2Backend::Extremal] {
+        for backend in [
+            S2Backend::Auto,
+            S2Backend::Inverted,
+            S2Backend::Bitset,
+            S2Backend::Extremal,
+        ] {
             let config = MqceConfig::new(0.85, 5).unwrap().with_s2_backend(backend);
-            let parallel = run_threads(&g, &config, 4);
-            assert_eq!(parallel.mqcs, reference, "{backend:?}");
-            assert!(!parallel.s2.timed_out);
+            for threads in [2, 3, 4] {
+                let parallel = run_threads(&g, &config, threads);
+                assert_eq!(parallel.mqcs, reference, "{backend:?} at {threads} threads");
+                // The per-thread engines are compacted together by the
+                // parallel pass, which makes no dispatch decision.
+                assert!(!parallel.s2.timed_out);
+                assert_eq!(parallel.s2.backend, "parallel");
+                assert!(parallel.s2.decision.is_none());
+                assert!(parallel.s2.sets_retained as usize >= reference.len());
+            }
         }
     }
 
@@ -536,6 +562,19 @@ mod tests {
                 "{algo:?}: zero budget took {elapsed:?}"
             );
         }
+        // The same at two threads, through the parallel compaction.
+        let config = MqceConfig::new(0.85, 4)
+            .unwrap()
+            .with_time_limit(Duration::ZERO);
+        let start = Instant::now();
+        let result = run_threads(&g, &config, 2);
+        let elapsed = start.elapsed();
+        assert!(result.s2_timed_out(), "2 threads: zero budget not flagged");
+        assert!(result.mqcs.is_empty());
+        assert!(
+            elapsed < S2_MIN_GRACE,
+            "2 threads: zero budget took {elapsed:?}"
+        );
     }
 
     #[test]

@@ -110,8 +110,8 @@ pub struct ShardFamily {
 pub struct MergedShards {
     /// The exact global maximal family (canonical order).
     pub mqcs: Vec<Vec<VertexId>>,
-    /// The merge engine's dispatch audit (recorded separately from
-    /// per-subproblem decisions; see [`S2Stats::merge_decision`](crate::stats::S2Stats::merge_decision)).
+    /// The merge engine's dispatch audit (recorded separately from the
+    /// shards' per-subproblem decisions).
     pub merge_decision: Option<S2Decision>,
     /// The backend that performed the frontier compaction.
     pub backend: String,
@@ -244,8 +244,8 @@ pub fn plan_shards(
 }
 
 /// Executes one shard: runs the shard's anchors over the slice through the
-/// shared anchor driver, then merges and compacts the per-thread engines
-/// under the pipeline's graced S2 deadline, and returns the shard-local
+/// shared anchor driver, then compacts the per-thread engines under the
+/// pipeline's graced S2 deadline, and returns the shard-local
 /// maximal family over original-graph ids. This is exactly what a
 /// `mqce shard-worker` process does with a decoded [`GraphSlice`].
 pub fn run_shard(
@@ -275,15 +275,7 @@ pub fn run_shard(
     let factory_ref: EngineFactory<'_> = &factory;
     let (outcome, engines) =
         run_anchors(&plan, anchors, inner, threads, deadline, Some(factory_ref));
-    let result = finish_run(
-        outcome,
-        engines,
-        factory_ref,
-        config,
-        deadline,
-        s1_start,
-        threads >= 2,
-    );
+    let result = finish_run(outcome, engines, factory_ref, config, deadline, s1_start);
     ShardFamily {
         timed_out: result.timed_out(),
         mqcs: result.mqcs,

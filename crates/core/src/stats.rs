@@ -113,31 +113,27 @@ impl ThreadStats {
 /// Counters describing the MQCE-S2 maximality-engine stage of one run.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct S2Stats {
-    /// The backend that performed the final compaction (`inverted` /
-    /// `bitset` / `extremal`; `Auto` resolves to its committed choice).
+    /// The backend that performed the final compaction: `inverted` /
+    /// `bitset` / `extremal` for a one-thread run (`Auto` resolves to its
+    /// committed choice), `parallel` when several per-thread engines were
+    /// compacted together by [`compact_parallel`](mqce_settrie::compact_parallel).
     pub backend: String,
     /// Sets fed into the engine (the raw S1 output count).
     pub sets_streamed: u64,
-    /// Sets retained after on-arrival deduplication and domination checks
-    /// (an upper bound on the final MQC count).
+    /// Sets handed to the final compaction: what the engines retained after
+    /// on-arrival deduplication and domination checks, summed over the
+    /// per-thread engines (a set two workers both retained counts twice).
+    /// An upper bound on the final MQC count.
     pub sets_retained: u64,
     /// Whether S2 stopped at its deadline. The MQC list is then a *sound
     /// partial* result: still an antichain (every returned set is maximal
     /// with respect to the returned collection), but incomplete.
     pub timed_out: bool,
     /// The auto dispatcher's decision record (observed stream shape plus
-    /// per-backend predicted costs) for the **per-subproblem streaming
-    /// phase**, for auditing mispredictions against measured times. `None`
-    /// when a concrete backend was requested, or when the final compaction
-    /// ran on a merge engine (see [`S2Stats::merge_decision`]).
+    /// per-backend predicted costs), for auditing mispredictions against
+    /// measured times. `None` when a concrete backend was requested, and
+    /// for the `parallel` pass, which makes no backend choice.
     pub decision: Option<mqce_settrie::S2Decision>,
-    /// The auto dispatcher's decision record for the **merge phase** — the
-    /// engine that combined per-thread, incremental-frontier, or per-shard
-    /// families before the final compaction. Kept separate from
-    /// [`S2Stats::decision`] so a merge-phase backend choice never
-    /// overwrites (or is mistaken for) a per-subproblem one when auditing
-    /// coordinator-side merges.
-    pub merge_decision: Option<mqce_settrie::S2Decision>,
 }
 
 impl std::fmt::Display for S2Stats {
@@ -153,20 +149,15 @@ impl std::fmt::Display for S2Stats {
             self.sets_streamed,
             self.sets_retained
         )?;
-        for (label, decision) in [
-            ("model", &self.decision),
-            ("merge_model", &self.merge_decision),
-        ] {
-            if let Some(d) = decision {
-                if d.modeled {
-                    write!(
-                        f,
-                        " {label}[inv/bs/ex]={:.1}/{:.1}/{:.1}ms",
-                        d.predicted_millis[0], d.predicted_millis[1], d.predicted_millis[2]
-                    )?;
-                } else {
-                    write!(f, " {label}=small-family-fallback")?;
-                }
+        if let Some(d) = &self.decision {
+            if d.modeled {
+                write!(
+                    f,
+                    " model[inv/bs/ex]={:.1}/{:.1}/{:.1}ms",
+                    d.predicted_millis[0], d.predicted_millis[1], d.predicted_millis[2]
+                )?;
+            } else {
+                write!(f, " model=small-family-fallback")?;
             }
         }
         if self.timed_out {
@@ -254,7 +245,6 @@ mod tests {
             sets_retained: 40,
             timed_out: false,
             decision: None,
-            merge_decision: None,
         };
         let text = s2.to_string();
         assert!(text.contains("backend=bitset"));
@@ -270,13 +260,6 @@ mod tests {
         // The small-family fallback is labelled as such.
         s2.decision = Some(mqce_settrie::S2CostModel::checked_in().decide(10, 5, 30));
         assert!(s2.to_string().contains("model=small-family-fallback"));
-        // A merge-phase decision is labelled separately from the streaming one.
-        s2.decision = None;
-        s2.merge_decision =
-            Some(mqce_settrie::S2CostModel::checked_in().decide(10_000, 100, 150_000));
-        let text = s2.to_string();
-        assert!(text.contains("merge_model[inv/bs/ex]="));
-        assert!(!text.contains(" model[inv/bs/ex]="));
     }
 
     #[test]

@@ -8,6 +8,8 @@
 //! maximal QCs have been found — every probe reuses the full DCFastQC
 //! machinery, so each round is cheap when the threshold is high.
 
+use std::time::Instant;
+
 use mqce_graph::VertexId;
 
 use crate::config::{MqceConfig, ParamError};
@@ -25,6 +27,10 @@ pub struct TopKResult {
     pub final_theta: usize,
     /// Number of enumeration rounds performed.
     pub rounds: usize,
+    /// Whether the time limit cut the search short. The list then holds the
+    /// largest sets found before the budget ran out and may miss some of
+    /// the true top k.
+    pub timed_out: bool,
 }
 
 /// Upper bound on the size of any γ-quasi-clique for γ ≥ 0.5: `2ω + 1`, where
@@ -38,6 +44,11 @@ pub fn max_qc_size_bound(prepared: &PreparedGraph) -> usize {
 /// `base` supplies the algorithm/branching/time-limit configuration; its
 /// `theta` is ignored (the search manages the threshold itself). Every
 /// round runs on the cached decomposition of `prepared`.
+///
+/// The time limit is one budget for the whole search, not one per round:
+/// each round runs on what is left of it (a spent budget runs the next
+/// round with a zero limit, which does no work and is flagged), and the
+/// search stops after the first round that reports a timeout.
 pub fn find_largest_mqcs(
     prepared: &PreparedGraph,
     gamma: f64,
@@ -54,26 +65,40 @@ pub fn find_largest_mqcs(
         return Ok(TopKResult::default());
     }
 
+    let deadline = template.time_limit.map(|limit| Instant::now() + limit);
     let mut theta = max_qc_size_bound(prepared).max(2);
     let mut rounds = 0usize;
+    // The last completed round's threshold and family: every maximal QC of
+    // at least that size, hence the exact top of the ranking.
+    let mut complete: (usize, Vec<Vec<VertexId>>) = (usize::MAX, Vec::new());
     loop {
         rounds += 1;
         let config = MqceConfig {
             params: crate::config::MqceParams::new(gamma, theta)?,
+            time_limit: deadline.map(|d| d.saturating_duration_since(Instant::now())),
             ..template
         };
         let result = run_pipeline(prepared, &config, 1);
-        let enough = result.mqcs.len() >= k;
-        if enough || theta == 2 {
+        let timed_out = result.timed_out();
+        if result.mqcs.len() >= k || theta == 2 || timed_out {
             let mut mqcs = result.mqcs;
+            if timed_out {
+                // Sets of a cut-off round at least as large as the previous
+                // threshold are already in that round's exact family.
+                let (previous, mut exact) = complete;
+                mqcs.retain(|set| set.len() < previous);
+                mqcs.append(&mut exact);
+            }
             mqcs.sort_by(|a, b| b.len().cmp(&a.len()).then_with(|| a.cmp(b)));
             mqcs.truncate(k);
             return Ok(TopKResult {
                 mqcs,
                 final_theta: theta,
                 rounds,
+                timed_out,
             });
         }
+        complete = (theta, result.mqcs);
         // Lower the threshold geometrically (but never below 2).
         theta = (theta / 2).max(2);
     }
@@ -161,5 +186,38 @@ mod tests {
         let mut by_size = full.mqcs.clone();
         by_size.sort_by(|a, b| b.len().cmp(&a.len()).then_with(|| a.cmp(b)));
         assert_eq!(top.mqcs, by_size[..3.min(by_size.len())].to_vec());
+        assert!(!top.timed_out);
+    }
+
+    #[test]
+    fn time_limit_is_one_budget_across_rounds() {
+        // Regression: every round used to get a fresh copy of the full
+        // limit. Dense 40-vertex communities at γ = 0.6 are far more work
+        // than the budget, spread over several rounds.
+        use mqce_graph::generators::{community_graph, CommunityGraphParams};
+        use std::time::Duration;
+        let g = community_graph(
+            CommunityGraphParams {
+                n: 400,
+                num_communities: 10,
+                p_intra: 0.9,
+                inter_degree: 2.0,
+            },
+            11,
+        );
+        let prepared = prep(&g);
+        let limit = Duration::from_millis(200);
+        let base = MqceConfig::new(0.6, 2).unwrap().with_time_limit(limit);
+        let start = Instant::now();
+        let top = find_largest_mqcs(&prepared, 0.6, usize::MAX, Some(base)).unwrap();
+        let elapsed = start.elapsed();
+        assert!(top.timed_out, "a spent budget must be flagged");
+        // The limit, one S2 grace slice (100 ms at this limit), and slack
+        // for the budget-independent per-round plan on slow machines.
+        assert!(
+            elapsed < limit + Duration::from_millis(100) + Duration::from_millis(500),
+            "top-k overran its budget: {elapsed:?} over {} rounds",
+            top.rounds
+        );
     }
 }

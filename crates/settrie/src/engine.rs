@@ -10,7 +10,9 @@
 //! * **streams**: sets are fed in as the branch-and-bound search produces
 //!   them, so duplicates and dominated sets are dropped on arrival and the
 //!   filtering cost is amortised across the whole run;
-//! * **parallelises**: per-thread engines can be drained and merged;
+//! * **parallelises**: per-thread engines are drained into one family that
+//!   [`compact_parallel`](crate::compact_parallel) compacts on all workers
+//!   over a frozen index;
 //! * **is deadline-aware**: the final compaction honours a wall-clock budget
 //!   and returns a *sound* partial result (an antichain — every returned set
 //!   is maximal w.r.t. the returned collection) instead of blowing through a
@@ -89,8 +91,9 @@ pub trait MaximalityEngine: Send {
     fn live_len(&self) -> usize;
 
     /// Removes and returns every retained set, leaving the engine empty.
-    /// Used to merge per-thread engines: drain one engine and `add` each set
-    /// into another.
+    /// Used to merge per-thread engines: the drained families are
+    /// concatenated and handed to [`compact_parallel`](crate::compact_parallel)
+    /// (or `add`ed into another engine).
     fn drain(&mut self) -> Vec<Vec<u32>>;
 
     /// Compacts the retained sets to exactly the maximal ones (sorted
@@ -1000,12 +1003,12 @@ impl MaximalityEngine for AutoEngine {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::filter::{filter_maximal, filter_maximal_naive};
 
     /// Deterministic pseudo-random overlapping set families.
-    fn random_families() -> Vec<Vec<Vec<u32>>> {
+    pub(crate) fn random_families() -> Vec<Vec<Vec<u32>>> {
         let mut families = Vec::new();
         for family in 0..20u64 {
             let mut sets = Vec::new();

@@ -8,7 +8,9 @@
 //! [`MaximalityEngine`]: sets are fed in as the search produces them, so
 //! duplicates and dominated sets are dropped on arrival, and
 //! [`finish`](MaximalityEngine::finish) compacts what is left to exactly
-//! the maximal sets. [`filter_maximal`] is the one-shot batch form.
+//! the maximal sets. [`filter_maximal`] is the one-shot batch form, and
+//! [`compact_parallel`] compacts the drained families of several per-thread
+//! engines together on scoped worker threads.
 //!
 //! ```
 //! use mqce_settrie::{MaximalityEngine, S2Backend};
@@ -28,8 +30,10 @@ pub mod arena;
 pub mod cost_model;
 pub mod engine;
 mod filter;
+mod parallel;
 
 pub use arena::SetArena;
 pub use cost_model::{fit_log_linear, S2CostModel, S2Decision};
 pub use engine::{choose_backend, filter_maximal_with, MaximalityEngine, S2Backend, S2Outcome};
 pub use filter::{filter_maximal, filter_maximal_naive};
+pub use parallel::compact_parallel;

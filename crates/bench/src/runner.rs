@@ -339,6 +339,7 @@ pub fn measure_threads(
         s2_predicted_millis: result
             .s2
             .decision
+            .or(result.s2.merge_decision)
             .filter(|d| d.modeled)
             .map(|d| d.predicted_millis.to_vec())
             .unwrap_or_default(),

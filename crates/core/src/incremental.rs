@@ -27,12 +27,15 @@
 //!    family — retained sets that contain at least one dirty vertex — in one
 //!    compaction, restoring exact global maximality: the single worker
 //!    engine's own at one thread, and at several threads
-//!    [`compact_parallel`] over the drained per-thread engines. Every fresh
+//!    [`compact_parallel`](mqce_settrie::compact_parallel) over the drained
+//!    per-thread engines (the same rule as a full run's tail). Every fresh
 //!    set contains its dirty anchor, so a retained set that could dominate
 //!    one must contain that dirty vertex too; retained sets disjoint from the
 //!    closure can never interact with the fresh stream and bypass the
-//!    compaction entirely, which keeps the per-update merge cost
-//!    proportional to the *local* family, not the whole one.
+//!    compaction entirely, which keeps the per-update merge work
+//!    proportional to the *local* family, not the whole one (the parallel
+//!    pass compresses vertex ids when the local family is small next to the
+//!    graph, so its index does not grow with the vertex count).
 //!
 //! Why retiring only dirty-anchored sets is exact: let `H` be maximal in the
 //! new graph with clean anchor `v` (its lowest-ranked member). Every member
@@ -52,11 +55,10 @@ use std::sync::Arc;
 
 use mqce_graph::delta::{dirty_two_hop_closure, update_core_decomposition, GraphDelta};
 use mqce_graph::{Graph, SubproblemScratch, VertexId};
-use mqce_settrie::compact_parallel;
 
 use crate::config::MqceConfig;
 use crate::dc::{run_anchors, DcPlan, EngineFactory};
-use crate::pipeline::{dc_setup, drain_engines, feed_sets};
+use crate::pipeline::{compact_engines, dc_setup};
 use crate::prepared::PreparedGraph;
 use crate::session::Session;
 use crate::stats::SearchStats;
@@ -285,8 +287,7 @@ impl IncrementalSession {
         // Re-run the dirty subproblems, streaming into per-thread engines,
         // then compact those together with the frontier sets — exact over
         // frontier ∪ fresh — and splice the untouched sets back in
-        // afterwards. Several engines are drained into one parallel
-        // compaction; a single engine takes the frontier sets directly.
+        // afterwards.
         let config = self.config;
         let factory = || config.s2_backend.new_engine_with_model(config.s2_model);
         let factory_ref: EngineFactory<'_> = &factory;
@@ -298,14 +299,7 @@ impl IncrementalSession {
             None,
             Some(factory_ref),
         );
-        let outcome = if engines.len() >= 2 {
-            let workers = engines.len();
-            compact_parallel(drain_engines(engines, frontier), workers, None)
-        } else {
-            let mut engine = engines.into_iter().next().unwrap_or_else(factory);
-            feed_sets(engine.as_mut(), &frontier, None);
-            engine.finish()
-        };
+        let (outcome, _, _) = compact_engines(engines, &frontier, factory_ref, None);
         // Both halves are in canonical order: `untouched` is a subsequence
         // of the old canonical family, `finish` returns canonical order.
         self.family = merge_canonical(untouched, outcome.mqcs);

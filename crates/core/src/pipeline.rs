@@ -18,7 +18,7 @@
 use std::time::{Duration, Instant};
 
 use mqce_graph::{Graph, VertexId};
-use mqce_settrie::{compact_parallel, MaximalityEngine};
+use mqce_settrie::{compact_parallel, MaximalityEngine, S2Outcome};
 
 use crate::branch::SearchOutcome;
 use crate::config::{Algorithm, MqceConfig};
@@ -221,7 +221,7 @@ pub(crate) fn run_pipeline(
 /// several engines retained appear once per engine; the compaction's sort
 /// drops the copies. Each engine is drained and dropped on its own scoped
 /// thread, since releasing an engine's indexes is a serial cost otherwise.
-pub(crate) fn drain_engines(
+fn drain_engines(
     engines: Vec<Box<dyn MaximalityEngine>>,
     mut sets: Vec<Vec<VertexId>>,
 ) -> Vec<Vec<VertexId>> {
@@ -246,18 +246,60 @@ pub(crate) fn drain_engines(
     sets
 }
 
-/// The pipeline tail shared by full runs and shard workers: compacts the
-/// per-thread engines and assembles the [`MqceResult`].
+/// The one S2 compaction rule, shared by [`finish_run`] and incremental
+/// updates: compacts what `engines` retained together with `sets` under
+/// `deadline`.
 ///
-/// With two or more engines (a multi-threaded run), every engine is drained
-/// and the concatenated family goes through [`compact_parallel`] on as many
-/// workers as there were engines; [`S2Stats::backend`] then reads
-/// `parallel` and carries no dispatch decision. With one engine (a
-/// one-thread run) that engine's own compaction runs. With no engines (a
-/// whole-graph algorithm, or an empty anchor list) a fresh engine is fed the
-/// batch of S1 outputs instead. Feeding and compaction run under one graced
-/// S2 deadline, granted once, when post-S1 work starts; `s2_time` covers
-/// all of it.
+/// Two or more engines (a multi-threaded run) are drained, and the
+/// concatenated family goes through [`compact_parallel`] on as many workers
+/// as there were engines. Otherwise `sets` is fed into the single engine —
+/// or into a fresh one from `factory` when there is none — and that
+/// engine's own compaction runs.
+///
+/// Returns the outcome, the number of sets handed to the compaction, and
+/// whether the result is partial beyond the outcome's own `timed_out`:
+/// feeding was cut short, or the deadline had passed before compaction
+/// started. A zero-budget run gets here with its deadline already past, and
+/// compacting what is held (often nothing) may finish before polling it, so
+/// the expiry itself marks the result partial. Runs with a real budget
+/// start compaction with (most of) the grace slice still ahead.
+pub(crate) fn compact_engines(
+    engines: Vec<Box<dyn MaximalityEngine>>,
+    sets: &[Vec<VertexId>],
+    factory: EngineFactory<'_>,
+    deadline: Option<Instant>,
+) -> (S2Outcome, u64, bool) {
+    let expired = || deadline.is_some_and(|d| Instant::now() >= d);
+    if engines.len() >= 2 {
+        let workers = engines.len();
+        let family = drain_engines(engines, sets.to_vec());
+        let retained = family.len() as u64;
+        let partial = expired();
+        (
+            compact_parallel(family, workers, deadline),
+            retained,
+            partial,
+        )
+    } else {
+        let mut engine = engines.into_iter().next().unwrap_or_else(factory);
+        let truncated = !feed_sets(engine.as_mut(), sets, deadline);
+        let retained = engine.live_len() as u64;
+        let partial = truncated || expired();
+        (engine.finish_with_deadline(deadline), retained, partial)
+    }
+}
+
+/// The pipeline tail shared by full runs and shard workers: compacts the
+/// per-thread engines with [`compact_engines`] and assembles the
+/// [`MqceResult`].
+///
+/// A multi-threaded run's engines go through the parallel pass, so
+/// [`S2Stats::backend`] reads `parallel` and carries no dispatch decision;
+/// a one-thread run finishes with its engine's own compaction. With no
+/// engines (a whole-graph algorithm, or an empty anchor list) a fresh
+/// engine is fed the batch of S1 outputs instead. Feeding and compaction
+/// run under one graced S2 deadline, granted once, when post-S1 work
+/// starts; `s2_time` covers all of it.
 pub(crate) fn finish_run(
     outcome: SearchOutcome,
     engines: Vec<Box<dyn MaximalityEngine>>,
@@ -269,26 +311,14 @@ pub(crate) fn finish_run(
     let s1_time = s1_start.elapsed();
     let s2_start = Instant::now();
     let s2_dl = s2_deadline(deadline, config.time_limit);
-    // A zero-budget run reaches compaction with its S2 deadline already in
-    // the past; compacting whatever is held (often nothing) may complete
-    // before polling the deadline, so the expiry itself marks the result as
-    // partial. Runs with a real budget start compaction with (most of) the
-    // grace slice still ahead and do not trip this.
-    let expired = || s2_dl.is_some_and(|d| Instant::now() >= d);
-    let (s2_out, sets_retained, partial) = if engines.len() >= 2 {
-        let workers = engines.len();
-        let sets = drain_engines(engines, Vec::new());
-        let retained = sets.len() as u64;
-        let partial = expired();
-        (compact_parallel(sets, workers, s2_dl), retained, partial)
+    // Engines were fed inline by the anchor driver; only a run without
+    // engines hands its batch of S1 outputs to the compaction.
+    let batch: &[Vec<VertexId>] = if engines.is_empty() {
+        &outcome.outputs
     } else {
-        let fed_inline = !engines.is_empty();
-        let mut engine = engines.into_iter().next().unwrap_or_else(factory);
-        let truncated = !fed_inline && !feed_sets(engine.as_mut(), &outcome.outputs, s2_dl);
-        let retained = engine.live_len() as u64;
-        let partial = truncated || expired();
-        (engine.finish_with_deadline(s2_dl), retained, partial)
+        &[]
     };
+    let (s2_out, sets_retained, partial) = compact_engines(engines, batch, factory, s2_dl);
     let s2_time = s2_start.elapsed();
     let sets_streamed = outcome.outputs.len() as u64;
     let mut qcs = outcome.outputs;
@@ -305,6 +335,7 @@ pub(crate) fn finish_run(
             sets_retained,
             timed_out: s2_out.timed_out || partial,
             decision: s2_out.decision,
+            merge_decision: None,
         },
         s1_time,
         s2_time,

@@ -110,8 +110,8 @@ pub struct ShardFamily {
 pub struct MergedShards {
     /// The exact global maximal family (canonical order).
     pub mqcs: Vec<Vec<VertexId>>,
-    /// The merge engine's dispatch audit (recorded separately from the
-    /// shards' per-subproblem decisions).
+    /// The merge engine's dispatch audit (recorded separately from
+    /// per-subproblem decisions; see [`S2Stats::merge_decision`](crate::stats::S2Stats::merge_decision)).
     pub merge_decision: Option<S2Decision>,
     /// The backend that performed the frontier compaction.
     pub backend: String,

@@ -134,6 +134,14 @@ pub struct S2Stats {
     /// measured times. `None` when a concrete backend was requested, and
     /// for the `parallel` pass, which makes no backend choice.
     pub decision: Option<mqce_settrie::S2Decision>,
+    /// The auto dispatcher's decision record for a **merge phase** — an
+    /// engine that combined per-shard or incremental-frontier families
+    /// before the final compaction. Kept separate from
+    /// [`S2Stats::decision`] so a merge-phase backend choice never
+    /// overwrites (or is mistaken for) a per-subproblem one when auditing
+    /// coordinator-side merges. `None` for the `parallel` pass, which makes
+    /// no backend choice.
+    pub merge_decision: Option<mqce_settrie::S2Decision>,
 }
 
 impl std::fmt::Display for S2Stats {
@@ -149,15 +157,20 @@ impl std::fmt::Display for S2Stats {
             self.sets_streamed,
             self.sets_retained
         )?;
-        if let Some(d) = &self.decision {
-            if d.modeled {
-                write!(
-                    f,
-                    " model[inv/bs/ex]={:.1}/{:.1}/{:.1}ms",
-                    d.predicted_millis[0], d.predicted_millis[1], d.predicted_millis[2]
-                )?;
-            } else {
-                write!(f, " model=small-family-fallback")?;
+        for (label, decision) in [
+            ("model", &self.decision),
+            ("merge_model", &self.merge_decision),
+        ] {
+            if let Some(d) = decision {
+                if d.modeled {
+                    write!(
+                        f,
+                        " {label}[inv/bs/ex]={:.1}/{:.1}/{:.1}ms",
+                        d.predicted_millis[0], d.predicted_millis[1], d.predicted_millis[2]
+                    )?;
+                } else {
+                    write!(f, " {label}=small-family-fallback")?;
+                }
             }
         }
         if self.timed_out {
@@ -245,6 +258,7 @@ mod tests {
             sets_retained: 40,
             timed_out: false,
             decision: None,
+            merge_decision: None,
         };
         let text = s2.to_string();
         assert!(text.contains("backend=bitset"));
@@ -260,6 +274,13 @@ mod tests {
         // The small-family fallback is labelled as such.
         s2.decision = Some(mqce_settrie::S2CostModel::checked_in().decide(10, 5, 30));
         assert!(s2.to_string().contains("model=small-family-fallback"));
+        // A merge-phase decision is labelled separately from the streaming one.
+        s2.decision = None;
+        s2.merge_decision =
+            Some(mqce_settrie::S2CostModel::checked_in().decide(10_000, 100, 150_000));
+        let text = s2.to_string();
+        assert!(text.contains("merge_model[inv/bs/ex]="));
+        assert!(!text.contains(" model[inv/bs/ex]="));
     }
 
     #[test]

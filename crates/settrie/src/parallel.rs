@@ -26,14 +26,16 @@ const BLOCK: usize = 64;
 /// set survives only when it is the sole input, as in
 /// [`filter_maximal`](crate::filter_maximal).
 ///
-/// Element values index the frozen index directly, so they should be dense
-/// ids (graph vertex ids): its memory is linear in the largest element.
+/// The index is keyed by element value. When the largest element reaches
+/// the family's total number of elements (sparse ids, or a small local
+/// family over a large graph), elements are first replaced by their ranks
+/// among the distinct values, so memory and time stay linear in the input.
 ///
-/// Steps: sort lexicographically and dedup (chunks sorted in parallel, then
-/// merged); rank the sets by length descending with a counting sort and
-/// build the CSR index over the ranks; probe each set at its rarest element
-/// against the part of that element's list holding strictly larger sets;
-/// keep the survivors, which are already in lexicographic order.
+/// Steps: sort lexicographically and dedup; rank the sets by length
+/// descending with a counting sort and build the CSR index over the ranks;
+/// probe each set at its rarest element against the part of that element's
+/// list holding strictly larger sets; keep the survivors, which are already
+/// in lexicographic order.
 ///
 /// Under a deadline the result holds only sets whose probe completed, and
 /// each of those is maximal in the whole family: a cut-off answer is a
@@ -57,7 +59,8 @@ pub fn compact_parallel(
     if expired() {
         return outcome(Vec::new(), true);
     }
-    let sets = sort_dedup(sets, threads);
+    let mut sets = sort_dedup(sets);
+    let values = compress_sparse(&mut sets);
     let index = FrozenIndex::build(&sets);
     let n = sets.len();
     let next = AtomicUsize::new(0);
@@ -98,37 +101,50 @@ pub fn compact_parallel(
     for i in survivors {
         keep[i as usize] = true;
     }
-    let mqcs = sets
+    let mut mqcs: Vec<Vec<u32>> = sets
         .into_iter()
         .zip(keep)
         .filter_map(|(set, keep)| keep.then_some(set))
         .collect();
+    if let Some(values) = values {
+        for e in mqcs.iter_mut().flatten() {
+            *e = values[*e as usize];
+        }
+    }
     outcome(mqcs, timed_out.into_inner())
 }
 
 /// Canonicalises every set (sorted, deduplicated elements), then sorts the
-/// family lexicographically and drops duplicate sets. `threads` chunks are
-/// canonicalised and sorted on scoped workers, then merged.
-fn sort_dedup(mut sets: Vec<Vec<u32>>, threads: usize) -> Vec<Vec<u32>> {
-    let chunk = sets.len().div_ceil(threads);
-    std::thread::scope(|scope| {
-        for part in sets.chunks_mut(chunk) {
-            scope.spawn(|| {
-                for set in part.iter_mut() {
-                    if !set.windows(2).all(|w| w[0] < w[1]) {
-                        set.sort_unstable();
-                        set.dedup();
-                    }
-                }
-                part.sort_unstable();
-            });
+/// family lexicographically and drops duplicate sets.
+fn sort_dedup(mut sets: Vec<Vec<u32>>) -> Vec<Vec<u32>> {
+    for set in sets.iter_mut() {
+        if !set.windows(2).all(|w| w[0] < w[1]) {
+            set.sort_unstable();
+            set.dedup();
         }
-    });
-    // The stable sort finds the sorted chunks as natural runs and only
-    // merges them.
-    sets.sort();
+    }
+    sets.sort_unstable();
     sets.dedup();
     sets
+}
+
+/// When the largest element reaches the total number of elements, replaces
+/// every element by its rank among the distinct values and returns those
+/// values, to map the survivors back. Ranks preserve order, so every set
+/// stays sorted and the family's order and containments are unchanged.
+fn compress_sparse(sets: &mut [Vec<u32>]) -> Option<Vec<u32>> {
+    let total: usize = sets.iter().map(Vec::len).sum();
+    let &max = sets.iter().flatten().max()?;
+    if (max as usize) < total {
+        return None;
+    }
+    let mut values: Vec<u32> = sets.iter().flatten().copied().collect();
+    values.sort_unstable();
+    values.dedup();
+    for e in sets.iter_mut().flatten() {
+        *e = values.partition_point(|&v| v < *e) as u32;
+    }
+    Some(values)
 }
 
 /// The frozen probe structure over a lexicographically sorted, deduplicated
@@ -271,6 +287,37 @@ mod tests {
                     compact_parallel(sets.clone(), threads, None).mqcs,
                     filter_maximal(&sets),
                     "{threads} workers on {sets:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn sparse_universe_does_not_allocate_by_element_value() {
+        // Element values are arbitrary u32s; memory must scale with the
+        // input, not with the largest value.
+        for threads in [1, 2] {
+            let sets = vec![vec![0], vec![4_000_000_000], vec![0, 4_000_000_000]];
+            assert_eq!(
+                compact_parallel(sets, threads, None).mqcs,
+                vec![vec![0, 4_000_000_000]]
+            );
+            assert_eq!(
+                compact_parallel(vec![vec![u32::MAX]], threads, None).mqcs,
+                vec![vec![u32::MAX]]
+            );
+        }
+        // Spread-out ids give the same family as the dense originals.
+        for sets in random_families() {
+            let sparse: Vec<Vec<u32>> = sets
+                .iter()
+                .map(|set| set.iter().map(|&e| e * 1_000_003 + 5).collect())
+                .collect();
+            for threads in [1, 2, 4] {
+                assert_eq!(
+                    compact_parallel(sparse.clone(), threads, None).mqcs,
+                    filter_maximal_naive(&sparse),
+                    "{threads} workers on {sparse:?}"
                 );
             }
         }

@@ -1,12 +1,12 @@
-//! MQCE-S2 cost (Section 2.2): set-trie maximality filtering on realistic S1
-//! outputs, compared against the quadratic reference filter.
+//! MQCE-S2 cost (Section 2.2): the S2 pass at one and two workers on
+//! realistic S1 outputs, compared against the serial inverted-index filter.
 
 use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mqce_bench::datasets::{email, web, SuiteScale};
 use mqce_core::{solve_s1, Algorithm, MqceConfig};
-use mqce_settrie::{filter_maximal, filter_maximal_naive};
+use mqce_settrie::{compact_parallel, filter_maximal};
 
 fn bench_settrie(c: &mut Criterion) {
     let mut group = c.benchmark_group("settrie_filter");
@@ -24,15 +24,17 @@ fn bench_settrie(c: &mut Criterion) {
         let s1 = solve_s1(&dataset.graph, &config).outputs;
 
         group.bench_with_input(
-            BenchmarkId::new("set_trie", dataset.name),
+            BenchmarkId::new("filter_maximal", dataset.name),
             &s1,
             |b, sets| b.iter(|| filter_maximal(sets)),
         );
-        group.bench_with_input(
-            BenchmarkId::new("quadratic_reference", dataset.name),
-            &s1,
-            |b, sets| b.iter(|| filter_maximal_naive(sets)),
-        );
+        for workers in [1, 2] {
+            group.bench_with_input(
+                BenchmarkId::new(format!("compact_parallel_x{workers}"), dataset.name),
+                &s1,
+                |b, sets| b.iter(|| compact_parallel(sets, workers, None)),
+            );
+        }
     }
     group.finish();
 }

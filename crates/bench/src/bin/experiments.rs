@@ -6,16 +6,13 @@
 //!
 //! Experiments: `table1`, `fig7`, `fig8`, `fig9`, `fig10a`, `fig10b`,
 //! `fig11`, `fig12`, `maxround`, `shrink`, `s2`, `quick`, `s2-stress`,
-//! `s2-calibrate`, `threads`, `alloc-gate`, `updates`, `shards`, `all`.
+//! `threads`, `alloc-gate`, `updates`, `shards`, `all`.
 //!
 //! `quick` is the backend-comparison profile (bitset kernel vs sorted
 //! slices); it writes `BENCH_mqce.json` by default so the CI bench-smoke
-//! job and the perf trajectory can pick the records up. `s2-stress` (the
-//! maximality-engine backends on large overlapping families; restrict it to
-//! one backend with `--s2-backend`, as the CI matrix does), `s2-calibrate`
-//! (fits the S2 cost model from measured timings; `--emit <path>` writes the
-//! fitted table, e.g. over `crates/settrie/src/s2_cost_model.tsv`),
-//! `threads` (the parallel-scaling sweep) and `alloc-gate` (heap-allocation
+//! job and the perf trajectory can pick the records up. `s2-stress` (the S2
+//! pass at one and two workers on large overlapping families), `threads`
+//! (the parallel-scaling sweep) and `alloc-gate` (heap-allocation
 //! events per DC subproblem against a checked-in bound; needs a
 //! `--features count-allocs` build) *append* their rows to the same file.
 //!
@@ -36,9 +33,8 @@ use mqce_bench::runner::{append_json, save_json, RunRecord};
 
 fn usage() -> ! {
     eprintln!(
-        "usage: experiments <table1|fig7|fig8|fig9|fig10a|fig10b|fig11|fig12|maxround|shrink|s2|quick|s2-stress|s2-calibrate|threads|alloc-gate|updates|shards|fuzz|all> \
+        "usage: experiments <table1|fig7|fig8|fig9|fig10a|fig10b|fig11|fig12|maxround|shrink|s2|quick|s2-stress|threads|alloc-gate|updates|shards|fuzz|all> \
          [--quick] [--time-limit <seconds>] [--json <path>] \
-         [--s2-backend <inverted|bitset|extremal>] [--emit <path>] \
          [--fuzz-iters <n>] [--seed <n>] [--fixture-dir <dir>] [--replay <fixture>]"
     );
     std::process::exit(2);
@@ -102,7 +98,6 @@ fn main() {
     let mut experiment: Option<String> = None;
     let mut opts = ExperimentOptions::default();
     let mut json_path: Option<PathBuf> = None;
-    let mut emit_path: Option<PathBuf> = None;
     let mut fuzz_opts = FuzzOptions::default();
     let mut replay_path: Option<PathBuf> = None;
 
@@ -152,21 +147,6 @@ fn main() {
                     args.get(i).cloned().unwrap_or_else(|| usage()),
                 ));
             }
-            "--emit" => {
-                i += 1;
-                emit_path = Some(PathBuf::from(
-                    args.get(i).cloned().unwrap_or_else(|| usage()),
-                ));
-            }
-            "--s2-backend" => {
-                i += 1;
-                opts.s2_backend = match args.get(i).map(String::as_str) {
-                    Some("inverted") => Some(mqce_settrie::S2Backend::Inverted),
-                    Some("bitset") => Some(mqce_settrie::S2Backend::Bitset),
-                    Some("extremal") => Some(mqce_settrie::S2Backend::Extremal),
-                    _ => usage(),
-                };
-            }
             name if experiment.is_none() && !name.starts_with('-') => {
                 experiment = Some(name.to_string());
             }
@@ -185,7 +165,6 @@ fn main() {
     // order the two flags appeared in.
     if quick {
         let mut quick_opts = ExperimentOptions::quick();
-        quick_opts.s2_backend = opts.s2_backend;
         if time_limit_set {
             quick_opts.time_limit = opts.time_limit;
         } else {
@@ -195,11 +174,11 @@ fn main() {
     }
     // The perf profiles are the per-PR smoke signal: bounded time limits and
     // always a machine-readable artifact. `quick` starts the file fresh;
-    // `s2-stress`, `s2-calibrate` and `threads` append so one CI job can
+    // `s2-stress` and `threads` append so one CI job can
     // accumulate them into a single BENCH_mqce.json.
     let perf_profile = matches!(
         experiment.as_str(),
-        "quick" | "s2-stress" | "s2-calibrate" | "threads" | "alloc-gate" | "updates" | "shards"
+        "quick" | "s2-stress" | "threads" | "alloc-gate" | "updates" | "shards"
     );
     if perf_profile {
         if !time_limit_set {
@@ -224,14 +203,6 @@ fn main() {
         "s2" => experiments::s2_cost(opts),
         "quick" => experiments::quick_backends(opts),
         "s2-stress" => experiments::s2_stress(opts),
-        "s2-calibrate" => {
-            let (records, model) = experiments::s2_calibrate(opts);
-            if let Some(path) = &emit_path {
-                std::fs::write(path, model.to_table_string()).expect("write fitted cost model");
-                println!("wrote fitted cost model to {}", path.display());
-            }
-            records
-        }
         "threads" => experiments::thread_sweep(opts),
         "alloc-gate" => experiments::alloc_gate(opts),
         "updates" => experiments::updates(opts),
@@ -243,7 +214,7 @@ fn main() {
     if let Some(path) = json_path {
         if matches!(
             experiment.as_str(),
-            "s2-stress" | "s2-calibrate" | "threads" | "alloc-gate" | "updates" | "shards"
+            "s2-stress" | "threads" | "alloc-gate" | "updates" | "shards"
         ) {
             append_json(&path, &records).expect("append JSON results");
             println!("\nappended {} records to {}", records.len(), path.display());

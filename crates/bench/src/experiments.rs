@@ -6,7 +6,6 @@ use std::time::{Duration, Instant};
 
 use mqce_core::{AdjacencyBackend, BranchingStrategy};
 use mqce_graph::GraphStats;
-use mqce_settrie::{S2Backend, S2CostModel};
 
 use crate::datasets::{self, Dataset, SuiteScale};
 use crate::runner::{measure, measure_threads, print_table, AlgoSpec, RunRecord};
@@ -18,11 +17,6 @@ pub struct ExperimentOptions {
     pub scale: SuiteScale,
     /// Per-run time limit (the paper's INF cap, scaled down).
     pub time_limit: Duration,
-    /// Restricts the `s2-stress` profile to one backend (measured against
-    /// the inverted reference) — the CI backend matrix runs the profile once
-    /// per concrete backend through this knob. `None` measures every backend
-    /// plus the auto dispatcher and audits its decision.
-    pub s2_backend: Option<S2Backend>,
 }
 
 impl Default for ExperimentOptions {
@@ -30,7 +24,6 @@ impl Default for ExperimentOptions {
         ExperimentOptions {
             scale: SuiteScale::Full,
             time_limit: Duration::from_secs(30),
-            s2_backend: None,
         }
     }
 }
@@ -41,7 +34,6 @@ impl ExperimentOptions {
         ExperimentOptions {
             scale: SuiteScale::Small,
             time_limit: Duration::from_secs(5),
-            s2_backend: None,
         }
     }
 }
@@ -510,12 +502,12 @@ pub fn quick_backends(opts: ExperimentOptions) -> Vec<RunRecord> {
 /// subproblem allowed on the community-800 preset, roughly 2× the measured
 /// steady state. The budget covers everything a full pipeline run allocates
 /// — the warmup ramp of the per-worker scratch buffers, the one-`Vec`-per-
-/// surviving-output boxing at the end of the run, and the streaming S2
-/// engine — so a reintroduced per-subproblem allocation (the pre-scratch
-/// path paid hundreds: a fresh local-id map, `Vec<Vec<_>>` adjacency,
-/// per-emission predicate masks and per-QC boxing each time) blows through
-/// it immediately. Measured steady state: ~13.1 (most of it the final
-/// boxing, which scales with surviving outputs, not subproblems).
+/// output boxing at the end of the run, and the S2 pass — so a reintroduced
+/// per-subproblem allocation (the pre-scratch path paid hundreds: a fresh
+/// local-id map, `Vec<Vec<_>>` adjacency, per-emission predicate masks and
+/// per-QC boxing each time) blows through it immediately. Measured steady
+/// state: ~6.1 (most of it the final boxing, which scales with outputs, not
+/// subproblems).
 pub const ALLOC_GATE_MAX_ALLOCS_PER_SUBPROBLEM: f64 = 30.0;
 
 /// **Allocation gate** (`experiments alloc-gate`): measures heap-allocation
@@ -749,9 +741,8 @@ pub fn updates(opts: ExperimentOptions) -> Vec<RunRecord> {
                 theta,
                 max_round: 2,
                 threads: 1,
-                s2_backend: "auto".to_string(),
+                s2_backend: "parallel".to_string(),
                 s2_timed_out: false,
-                s2_predicted_millis: Vec::new(),
                 s1_millis: incr_millis,
                 s2_millis: 0.0,
                 s1_outputs: mqcs,
@@ -885,13 +876,8 @@ pub fn shards(opts: ExperimentOptions) -> Vec<RunRecord> {
             theta,
             max_round: 2,
             threads: 1,
-            s2_backend: "auto".to_string(),
+            s2_backend: "parallel".to_string(),
             s2_timed_out: false,
-            s2_predicted_millis: outcome
-                .merge_decision
-                .filter(|d| d.modeled)
-                .map(|d| d.predicted_millis.to_vec())
-                .unwrap_or_default(),
             s1_millis: shard_total,
             s2_millis: outcome.merge_millis,
             s1_outputs: outcome.mqcs.len(),
@@ -931,10 +917,8 @@ pub fn stress_family(n_sets: usize, universe: u32, seed: u64) -> Vec<Vec<u32>> {
     stress_family_with(n_sets, universe, 12, 25, seed)
 }
 
-/// [`stress_family`] with an explicit set-size range `len_lo..=len_hi`: the
-/// calibration grid sweeps the range (together with the universe) to move
-/// the mean-overlap feature of the cost model independently of the set
-/// count.
+/// [`stress_family`] with an explicit set-size range `len_lo..=len_hi`, for
+/// the sparse control family of the stress profile.
 pub fn stress_family_with(
     n_sets: usize,
     universe: u32,
@@ -970,62 +954,42 @@ pub fn stress_family_with(
         .collect()
 }
 
-/// Streams one family through one S2 backend under a wall-clock budget and
-/// records the timings. Returns the record plus the maximal family when the
-/// run finished inside the budget (`None` for a truncated, incomparable run).
-fn measure_s2_backend(
+/// Compacts one family with [`compact_parallel`](mqce_settrie::compact_parallel)
+/// on `workers` workers under a wall-clock budget and records the timing.
+/// Returns the record plus the maximal family when the pass finished inside
+/// the budget (`None` for a truncated, incomparable run).
+fn measure_s2_pass(
     dataset: &str,
     family: &[Vec<u32>],
-    backend: S2Backend,
+    workers: usize,
     time_limit: Duration,
 ) -> (RunRecord, Option<Vec<Vec<u32>>>) {
-    let n_sets = family.len();
     let start = Instant::now();
-    let mut engine = backend.new_engine();
-    // Stream under the budget, like the pipeline's deadline-aware feed:
-    // without this, one slow backend would stall the whole profile.
-    let deadline = start + time_limit;
-    let mut streamed = n_sets;
-    for (i, set) in family.iter().enumerate() {
-        if i.is_multiple_of(256) && Instant::now() >= deadline {
-            streamed = i;
-            break;
-        }
-        engine.add(set);
-    }
-    let stream_millis = start.elapsed().as_secs_f64() * 1e3;
-    let finish_start = Instant::now();
-    let outcome = engine.finish_with_deadline(Some(deadline));
-    let finish_millis = finish_start.elapsed().as_secs_f64() * 1e3;
-    let timed_out = outcome.timed_out || streamed < n_sets;
+    let outcome = mqce_settrie::compact_parallel(family, workers, Some(start + time_limit));
+    let millis = start.elapsed().as_secs_f64() * 1e3;
+    let timed_out = outcome.timed_out;
     println!(
-        "{:<26} {:<12} {:>14.1} {:>14.1} {:>10} {:>8}",
+        "{:<26} {:>8} {:>12.1} {:>10} {:>8}",
         dataset,
-        backend.name(),
-        stream_millis,
-        finish_millis,
+        workers,
+        millis,
         outcome.mqcs.len(),
         if timed_out { "INF" } else { "ok" }
     );
     let record = RunRecord {
         dataset: dataset.to_string(),
-        algorithm: format!("S2/{}", backend.name()),
+        algorithm: format!("S2/{}x{workers}", outcome.backend),
         branching: "-".to_string(),
         backend: "-".to_string(),
         gamma: 0.0,
         theta: 0,
         max_round: 0,
-        threads: 1,
+        threads: workers,
         s2_backend: outcome.backend.to_string(),
         s2_timed_out: timed_out,
-        s2_predicted_millis: outcome
-            .decision
-            .filter(|d| d.modeled)
-            .map(|d| d.predicted_millis.to_vec())
-            .unwrap_or_default(),
         s1_millis: 0.0,
-        s2_millis: stream_millis + finish_millis,
-        s1_outputs: streamed,
+        s2_millis: millis,
+        s1_outputs: family.len(),
         mqcs: outcome.mqcs.len(),
         mqc_min: outcome.mqcs.iter().map(Vec::len).min().unwrap_or(0),
         mqc_max: outcome.mqcs.iter().map(Vec::len).max().unwrap_or(0),
@@ -1055,45 +1019,26 @@ fn measure_s2_backend(
     (record, (!timed_out).then_some(outcome.mqcs))
 }
 
-/// Measured time of one backend's finished row within a family's records;
-/// `None` when the backend timed out (its truncated time is incomparable).
-fn finished_millis(records: &[RunRecord], backend: S2Backend) -> Option<f64> {
-    records
-        .iter()
-        .find(|r| r.algorithm == format!("S2/{}", backend.name()) && !r.timed_out)
-        .map(|r| r.s2_millis)
-}
-
-/// Absolute slack added to the 2×-of-optimal assertions of the stress
-/// profile, absorbing scheduler/timer noise on short CI runs.
-const STRESS_AUDIT_SLACK_MILLIS: f64 = 150.0;
-
-/// **S2 stress profile** (`experiments s2-stress`): replays large
-/// overlapping set families — the small-universe heavy-overlap shape of the
-/// recorded 382k-set wall *and* a sparse large-universe control — through
-/// the maximality-engine backends with a per-backend time budget. Backends
-/// that finish must agree with the inverted-index reference; a mismatch is a
-/// bug and panics (the CI bench-smoke job runs this at the small preset, and
-/// the CI backend matrix re-runs it once per concrete backend via
-/// `--s2-backend`).
+/// **S2 stress profile** (`experiments s2-stress`): times the S2 pass,
+/// [`compact_parallel`](mqce_settrie::compact_parallel), at one and two
+/// workers on two large overlapping set families — the small-universe
+/// heavy-overlap shape of the recorded 382k-set wall and a sparse
+/// large-universe control — under a per-pass time budget.
 ///
-/// In full (no `--s2-backend`) mode the profile also audits the measured
-/// cost model: the extremal backend must stay within 2× of the best backend
-/// on the heavy-overlap family (the regime where its pre-Bayardo–Panda
-/// variant degenerated), and on every family the backend the auto dispatcher
-/// committed to must be within 2× of the measured optimum.
+/// Passes that finish must agree: with each other, and at the small preset
+/// (the one the CI bench-smoke job runs) with the independent serial
+/// [`filter_maximal`](mqce_settrie::filter_maximal). The full preset skips
+/// that reference, which takes minutes on the 400k-set dense family. A
+/// mismatch is a bug and panics.
 pub fn s2_stress(opts: ExperimentOptions) -> Vec<RunRecord> {
     let (dense_sets, sparse_sets, sparse_universe) = match opts.scale {
         SuiteScale::Small => (20_000, 12_000, 4_000),
         // The recorded wall: 382k sets took 203 s through the inverted index.
         SuiteScale::Full => (400_000, 120_000, 30_000),
     };
-    // The dense family is the degenerate regime ROADMAP flagged; the sparse
-    // family is the opposite corner, so the decision audit spans both.
-    let families: Vec<(String, bool, Vec<Vec<u32>>)> = vec![
+    let families: Vec<(String, Vec<Vec<u32>>)> = vec![
         (
             format!("s2-stress-{}k-u140", dense_sets / 1000),
-            true,
             stress_family(dense_sets, 140, 2024),
         ),
         (
@@ -1102,22 +1047,11 @@ pub fn s2_stress(opts: ExperimentOptions) -> Vec<RunRecord> {
                 sparse_sets / 1000,
                 sparse_universe / 1000
             ),
-            false,
             stress_family_with(sparse_sets, sparse_universe as u32, 8, 20, 4048),
         ),
     ];
-    let backends: Vec<S2Backend> = match opts.s2_backend {
-        None => vec![
-            S2Backend::Inverted,
-            S2Backend::Bitset,
-            S2Backend::Extremal,
-            S2Backend::Auto,
-        ],
-        Some(S2Backend::Inverted) => vec![S2Backend::Inverted],
-        Some(chosen) => vec![S2Backend::Inverted, chosen],
-    };
     let mut records = Vec::new();
-    for (dataset, dense, family) in &families {
+    for (dataset, family) in &families {
         println!(
             "\n== S2 stress: {} sets, universe {} ==",
             family.len(),
@@ -1128,227 +1062,47 @@ pub fn s2_stress(opts: ExperimentOptions) -> Vec<RunRecord> {
                 .len()
         );
         println!(
-            "{:<26} {:<12} {:>14} {:>14} {:>10} {:>8}",
-            "dataset", "backend", "stream (ms)", "finish (ms)", "#MQC", "status"
+            "{:<26} {:>8} {:>12} {:>10} {:>8}",
+            "dataset", "workers", "time (ms)", "#MQC", "status"
         );
-        let mut family_records = Vec::new();
-        let mut finished_families: Vec<Option<Vec<Vec<u32>>>> = Vec::new();
-        for &backend in &backends {
-            let (record, finished) = measure_s2_backend(dataset, family, backend, opts.time_limit);
-            family_records.push(record);
-            finished_families.push(finished);
+        let mut finished = Vec::new();
+        for workers in [1, 2] {
+            let (record, family) = measure_s2_pass(dataset, family, workers, opts.time_limit);
+            records.push(record);
+            finished.extend(family.map(|f| (workers, f)));
         }
-        // Differential check: every backend that finished within budget must
-        // report exactly the same maximal family as the inverted-index
-        // reference (the first finished backend in declaration order is
-        // `inverted` unless it blew the budget). The small preset is sized
-        // so the reference always finishes — that is the configuration the
-        // CI jobs run; at full scale a timed-out reference weakens the
-        // check, so say so loudly.
-        if family_records[0].timed_out {
-            assert!(
-                opts.scale != SuiteScale::Small,
-                "the inverted reference timed out at the small preset; \
-                 the differential check requires it to finish there"
+        if opts.scale == SuiteScale::Small {
+            assert_eq!(
+                finished.len(),
+                2,
+                "an S2 pass hit its budget on {dataset} at the small preset"
             );
+            let start = Instant::now();
+            let reference = mqce_settrie::filter_maximal(family);
             println!(
-                "WARNING: inverted reference hit its budget; \
-                 backend agreement only checked among the backends that finished"
+                "{:<26} {:>8} {:>12.1} {:>10} {:>8}",
+                dataset,
+                "ref",
+                start.elapsed().as_secs_f64() * 1e3,
+                reference.len(),
+                "ok"
             );
-        }
-        let mut finished = family_records
-            .iter()
-            .zip(&finished_families)
-            .filter_map(|(r, f)| f.as_ref().map(|f| (r, f)));
-        if let Some((ref_rec, ref_family)) = finished.next() {
-            for (rec, fam) in finished {
-                assert_eq!(
-                    fam, ref_family,
-                    "S2 backend disagreement on {dataset}: {} vs reference {}",
-                    rec.algorithm, ref_rec.algorithm
+            for (workers, mqcs) in &finished {
+                assert!(
+                    *mqcs == reference,
+                    "S2 pass at {workers} workers disagrees with filter_maximal on {dataset}"
                 );
             }
+        } else if let [(_, one), (_, two)] = finished.as_slice() {
+            assert!(
+                one == two,
+                "S2 pass at 1 and 2 workers disagree on {dataset}"
+            );
+        } else {
+            println!("WARNING: an S2 pass hit its budget on {dataset}; agreement not checked");
         }
-        // Cost-model audit (full mode only): measured-time criteria for the
-        // completed extremal backend and the auto dispatcher's choice.
-        if opts.s2_backend.is_none() {
-            audit_stress_family(dataset, *dense, &family_records, opts.time_limit);
-        }
-        records.extend(family_records);
     }
     records
-}
-
-/// The measured-time assertions of the stress profile: with `best` = the
-/// fastest finished concrete backend, the extremal backend must be within
-/// 2× of `best` on the heavy-overlap family, and the backend the auto
-/// dispatcher committed to must be within 2× of `best` on every family.
-fn audit_stress_family(dataset: &str, dense: bool, records: &[RunRecord], time_limit: Duration) {
-    let concrete_times: Vec<(S2Backend, f64)> = S2Backend::concrete()
-        .into_iter()
-        .filter_map(|b| finished_millis(records, b).map(|ms| (b, ms)))
-        .collect();
-    let Some(&(_, best)) = concrete_times
-        .iter()
-        .min_by(|a, b| a.1.partial_cmp(&b.1).expect("timings are finite"))
-    else {
-        println!("WARNING: no concrete backend finished on {dataset}; audit skipped");
-        return;
-    };
-    let budget = 2.0 * best + STRESS_AUDIT_SLACK_MILLIS;
-    // A timed-out backend is only a genuine audit failure when the
-    // 2×-of-best threshold was measurable inside the wall-clock budget: the
-    // backend ran for the whole per-measurement limit, so exceeding a
-    // *smaller* threshold is proven. When the threshold is beyond the
-    // budget, a timeout is a truncation artefact, not evidence of
-    // degeneration — warn and skip instead of panicking the profile.
-    let limit_millis = time_limit.as_secs_f64() * 1e3;
-    let audit_one =
-        |backend: S2Backend, label: &str, context: &str| match finished_millis(records, backend) {
-            Some(millis) => assert!(
-                millis <= budget,
-                "{label} on {dataset}: {} took {millis:.1}ms vs best {best:.1}ms{context}",
-                backend.name(),
-            ),
-            None if budget < limit_millis => panic!(
-                "{label} on {dataset}: {} blew the {limit_millis:.0}ms budget \
-                 with best at {best:.1}ms{context}",
-                backend.name(),
-            ),
-            None => println!(
-                "WARNING: {} timed out on {dataset} but the 2x threshold ({budget:.0}ms) \
-                 exceeds the budget ({limit_millis:.0}ms); {label} audit inconclusive, skipped",
-                backend.name()
-            ),
-        };
-    if dense {
-        // The tentpole claim: the full Bayardo–Panda pass no longer
-        // degenerates exactly where its predecessor did.
-        audit_one(S2Backend::Extremal, "extremal degenerates", "");
-    }
-    let auto = records
-        .iter()
-        .find(|r| r.algorithm == "S2/auto")
-        .expect("full mode always measures the auto dispatcher");
-    let chosen = S2Backend::concrete()
-        .into_iter()
-        .find(|b| b.name() == auto.s2_backend)
-        .expect("auto commits to a concrete backend");
-    audit_one(
-        chosen,
-        "cost model mispredicted",
-        &format!(" (predictions {:?})", auto.s2_predicted_millis),
-    );
-    println!(
-        "audit {dataset}: best={best:.1}ms chosen={} ({}) pred={:?}",
-        auto.s2_backend,
-        finished_millis(records, chosen).map_or("INF".to_string(), |ms| format!("{ms:.1}ms")),
-        auto.s2_predicted_millis
-    );
-}
-
-/// **S2 cost-model calibration** (`experiments s2-calibrate`): measures
-/// every concrete maximality backend over a grid of synthetic families
-/// spanning the model's three features (set count, universe size, mean
-/// overlap), fits each backend's log-linear cost surface by least squares,
-/// and prints the fitted table in the checked-in `s2_cost_model.tsv` format
-/// (pass `--emit <path>` to write it). Runs that blow the per-measurement
-/// budget are recorded but excluded from the fit — a truncated time is not a
-/// cost. The profile ends with a self-audit: on every calibration family it
-/// reports how far the fitted model's pick is from the measured optimum.
-///
-/// Returns the measurement records plus the fitted model (backends whose fit
-/// is degenerate — e.g. every sample timed out — keep their checked-in row,
-/// with a loud warning).
-pub fn s2_calibrate(opts: ExperimentOptions) -> (Vec<RunRecord>, S2CostModel) {
-    let (set_counts, universes): (Vec<usize>, Vec<usize>) = match opts.scale {
-        SuiteScale::Small => (vec![2_000, 6_000], vec![64, 512, 4_096]),
-        SuiteScale::Full => (vec![4_000, 16_000, 48_000], vec![64, 512, 4_096, 24_576]),
-    };
-    let len_ranges: [(usize, usize); 2] = [(8, 16), (16, 32)];
-    println!("\n== S2 cost-model calibration ==");
-    println!(
-        "{:<26} {:<12} {:>14} {:>14} {:>10} {:>8}",
-        "family", "backend", "stream (ms)", "finish (ms)", "#MQC", "status"
-    );
-    let mut records = Vec::new();
-    // Per-backend samples (set_count, universe, total_elements, millis) in
-    // S2Backend::concrete() order.
-    let mut samples: [Vec<(usize, usize, usize, f64)>; 3] = Default::default();
-    let mut shapes: Vec<(String, usize, usize, usize)> = Vec::new();
-    for &n in &set_counts {
-        for &u in &universes {
-            for &(lo, hi) in &len_ranges {
-                let seed = (n * 31 + u * 7 + lo) as u64;
-                let family = stress_family_with(n, u as u32, lo, hi, seed);
-                let total: usize = family.iter().map(Vec::len).sum();
-                let universe = family
-                    .iter()
-                    .flatten()
-                    .collect::<std::collections::HashSet<_>>()
-                    .len();
-                let dataset = format!("cal-n{n}-u{u}-l{lo}-{hi}");
-                shapes.push((dataset.clone(), n, universe, total));
-                for (k, backend) in S2Backend::concrete().into_iter().enumerate() {
-                    let (mut record, _finished) =
-                        measure_s2_backend(&dataset, &family, backend, opts.time_limit);
-                    record.algorithm = format!("S2-cal/{}", backend.name());
-                    if !record.timed_out {
-                        samples[k].push((n, universe, total, record.s2_millis.max(0.01)));
-                    }
-                    records.push(record);
-                }
-            }
-        }
-    }
-    // Fit one surface per backend; a degenerate fit keeps the checked-in row.
-    let mut model = S2CostModel::checked_in();
-    for (k, backend) in S2Backend::concrete().into_iter().enumerate() {
-        match mqce_settrie::fit_log_linear(&samples[k]) {
-            Some(row) => model.coeffs[k] = row,
-            None => println!(
-                "WARNING: {} fit degenerate ({} usable samples); keeping the checked-in row",
-                backend.name(),
-                samples[k].len()
-            ),
-        }
-    }
-    println!("\nfitted cost model:\n{}", model.to_table_string());
-    // Self-audit: how far the fitted model's pick is from the measured
-    // optimum on each calibration family (1.00 = it picked the fastest).
-    let mut worst = 1.0f64;
-    for (dataset, n, universe, total) in &shapes {
-        let measured: Vec<Option<f64>> = S2Backend::concrete()
-            .into_iter()
-            .map(|b| {
-                records
-                    .iter()
-                    .find(|r| {
-                        &r.dataset == dataset
-                            && r.algorithm == format!("S2-cal/{}", b.name())
-                            && !r.timed_out
-                    })
-                    .map(|r| r.s2_millis)
-            })
-            .collect();
-        let Some(best) = measured.iter().flatten().copied().reduce(f64::min) else {
-            continue;
-        };
-        let decision = model.decide(*n, *universe, *total);
-        let slot = S2Backend::concrete()
-            .into_iter()
-            .position(|b| b == decision.chosen)
-            .expect("decide returns a concrete backend");
-        let ratio = measured[slot].map_or(f64::INFINITY, |ms| ms / best);
-        worst = worst.max(ratio);
-        println!(
-            "audit {dataset}: chose {} at {:.2}x of optimum",
-            decision.chosen.name(),
-            ratio
-        );
-    }
-    println!("worst calibration-family misprediction: {worst:.2}x of optimum");
-    (records, model)
 }
 
 /// **Parallel-scaling sweep** (`experiments threads`): DCFastQC over the
@@ -1653,14 +1407,26 @@ mod tests {
 
     #[test]
     fn stress_family_backends_agree_with_reference() {
-        use mqce_settrie::{filter_maximal, filter_maximal_with};
+        use mqce_settrie::{compact_parallel, filter_maximal, S2Backend};
         let family = stress_family(3000, 100, 5);
         let reference = filter_maximal(&family);
         // Almost nothing dominated: that is what makes the shape a stress.
         assert!(reference.len() > family.len() / 2);
-        for backend in S2Backend::concrete() {
+        for workers in [1, 2] {
             assert_eq!(
-                filter_maximal_with(&family, backend),
+                compact_parallel(&family, workers, None).mqcs,
+                reference,
+                "the pass at {workers} workers disagrees on the stress family"
+            );
+        }
+        // The benchmark harness's backend buffers run the same pass.
+        for backend in S2Backend::concrete() {
+            let mut buffer = backend.new_engine();
+            for set in &family {
+                buffer.add(set);
+            }
+            assert_eq!(
+                buffer.finish_with_deadline(None).mqcs,
                 reference,
                 "{} disagrees on the stress family",
                 backend.name()

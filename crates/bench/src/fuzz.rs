@@ -5,8 +5,8 @@
 //! parameters, and a schedule of edge-update batches — and then executed
 //! *differentially*:
 //!
-//! * every production configuration (algorithm × adjacency backend × S2
-//!   engine, sequential and the work-stealing scheduler) against the
+//! * every production configuration (algorithm × adjacency backend,
+//!   sequential and the work-stealing scheduler) against the
 //!   exhaustive [`mqce_core::naive`] oracle;
 //! * the incremental session against a full recompute after every batch;
 //! * the update WAL against direct application (append → reopen → replay
@@ -23,7 +23,7 @@
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
-use mqce_core::{AdjacencyBackend, Algorithm, IncrementalSession, MqceConfig, S2Backend, Session};
+use mqce_core::{AdjacencyBackend, Algorithm, IncrementalSession, MqceConfig, Session};
 use mqce_graph::{Graph, GraphDelta, WriteAheadLog};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -196,35 +196,22 @@ fn run_case(case: &FuzzCase, checks: &mut u64, contained: &mut u64) -> Vec<(Stri
 
     // --- production grid vs the oracle ------------------------------------
     let backends = [AdjacencyBackend::Slice, AdjacencyBackend::Bitset];
-    let s2s = [
-        S2Backend::Inverted,
-        S2Backend::Bitset,
-        S2Backend::Extremal,
-        S2Backend::Auto,
-    ];
     let algorithms = [
         Algorithm::DcFastQc,
         Algorithm::FastQc,
         Algorithm::BasicDcFastQc,
         Algorithm::QuickPlus,
     ];
-    for (ai, &algorithm) in algorithms.iter().enumerate() {
-        for (bi, &backend) in backends.iter().enumerate() {
-            // Rotate the S2 engine with the case index so every
-            // (algorithm × backend × S2) triple is exercised across a run
-            // without paying the full cross product on every case.
-            let s2 = s2s[(case.index + ai + bi) % s2s.len()];
-            let config = base
-                .with_algorithm(algorithm)
-                .with_backend(backend)
-                .with_s2_backend(s2);
+    for &algorithm in &algorithms {
+        for &backend in &backends {
+            let config = base.with_algorithm(algorithm).with_backend(backend);
             let result = Session::open(g.clone()).config(config).run();
             *checks += 1;
             if result.mqcs != oracle.mqcs {
                 failures.push((
                     "oracle-divergence".to_string(),
                     format!(
-                        "{}/{backend:?}/{s2:?}: got {} expected {}",
+                        "{}/{backend:?}: got {} expected {}",
                         algorithm.name(),
                         family_digest(&result.mqcs),
                         family_digest(&oracle.mqcs)
@@ -235,9 +222,7 @@ fn run_case(case: &FuzzCase, checks: &mut u64, contained: &mut u64) -> Vec<(Stri
     }
 
     // --- work-stealing scheduler vs the oracle ----------------------------
-    let config = base
-        .with_backend(backends[case.index % backends.len()])
-        .with_s2_backend(s2s[case.index % s2s.len()]);
+    let config = base.with_backend(backends[case.index % backends.len()]);
     let result = Session::open(g.clone()).config(config).threads(3).run();
     *checks += 1;
     if result.mqcs != oracle.mqcs {
@@ -288,9 +273,7 @@ fn run_case(case: &FuzzCase, checks: &mut u64, contained: &mut u64) -> Vec<(Stri
     }
 
     // --- incremental session vs full recompute, and the WAL ---------------
-    let inc_config = base
-        .with_backend(backends[case.index % backends.len()])
-        .with_s2_backend(s2s[case.index % s2s.len()]);
+    let inc_config = base.with_backend(backends[case.index % backends.len()]);
     let threads = 1 + case.index % 2;
     let mut session = IncrementalSession::new(g.clone(), inc_config, threads);
     let mut current = g.clone();

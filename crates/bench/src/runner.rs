@@ -76,23 +76,14 @@ pub struct RunRecord {
     pub max_round: usize,
     /// Worker threads used by the DC driver (1 = sequential).
     pub threads: usize,
-    /// The S2 maximality-engine backend that ran the final compaction.
+    /// The S2 pass that compacted the family (`parallel`).
     pub s2_backend: String,
     /// Whether S2 hit its deadline (the MQC count is then a partial result).
     pub s2_timed_out: bool,
-    /// The auto dispatcher's predicted compaction cost per concrete backend
-    /// (`[inverted, bitset, extremal]` milliseconds), empty when a concrete
-    /// backend was requested or the small-family fallback fired — the raw
-    /// material for auditing cost-model mispredictions against `s2_millis`.
-    /// `default` so pre-cost-model records still parse.
-    #[serde(default)]
-    pub s2_predicted_millis: Vec<f64>,
-    /// Wall-clock time of the MQCE-S1 window in milliseconds. Since the
-    /// streaming-S2 rework this includes the engine `add` probes that run
-    /// inline with the DC search (the filtering work deliberately overlapped
-    /// with S1); it is not comparable with pre-streaming records.
+    /// Wall-clock time of MQCE-S1 in milliseconds. Records written while S2
+    /// probed inline with the search include those probes.
     pub s1_millis: f64,
-    /// Wall-clock time of MQCE-S2 (engine merge + final compaction) in
+    /// Wall-clock time of MQCE-S2 (sort, deduplication and compaction) in
     /// milliseconds.
     pub s2_millis: f64,
     /// Number of quasi-cliques reported by S1.
@@ -168,7 +159,7 @@ pub struct RunRecord {
     #[serde(default)]
     pub shard_millis: Vec<f64>,
     /// Wall-clock milliseconds the coordinator spent merging the per-shard
-    /// families through the frontier-restricted maximality engine — the
+    /// families through the frontier-restricted S2 pass — the
     /// sharding overhead that does not parallelise. `default` as above.
     #[serde(default)]
     pub merge_millis: f64,
@@ -336,13 +327,6 @@ pub fn measure_threads(
         threads,
         s2_backend: result.s2.backend.clone(),
         s2_timed_out: result.s2.timed_out,
-        s2_predicted_millis: result
-            .s2
-            .decision
-            .or(result.s2.merge_decision)
-            .filter(|d| d.modeled)
-            .map(|d| d.predicted_millis.to_vec())
-            .unwrap_or_default(),
         s1_millis: result.s1_time.as_secs_f64() * 1e3,
         s2_millis: result.s2_time.as_secs_f64() * 1e3,
         s1_outputs: result.qcs.len(),

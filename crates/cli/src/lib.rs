@@ -36,9 +36,7 @@ use std::time::Duration;
 use mqce_core::prelude::*;
 use mqce_core::query::find_mqcs_containing;
 use mqce_core::verify::verify_mqc_set;
-use mqce_core::{
-    find_largest_mqcs, AdjacencyBackend, Algorithm, BranchingStrategy, PreparedGraph, S2Backend,
-};
+use mqce_core::{find_largest_mqcs, AdjacencyBackend, Algorithm, BranchingStrategy, PreparedGraph};
 use mqce_graph::{formats, generators, Graph, GraphStats, VertexId};
 
 use args::{parse, ArgError, ParsedArgs};
@@ -86,7 +84,7 @@ USAGE:
   mqce stats <graph>
   mqce enumerate <graph> --gamma G --theta T [--algorithm A] [--branching B]
                  [--max-round N] [--threads N] [--steal-granularity N]
-                 [--backend K] [--s2-backend F] [--s2-model PATH]
+                 [--backend K]
                  [--time-limit-secs S] [--print-sets] [--verify]
                  [--shards N [--fault-injection [--fault MODE]]]
   mqce topk <graph> --gamma G [--k K]
@@ -111,13 +109,6 @@ ALGORITHMS (--algorithm): dcfastqc (default), fastqc, bdcfastqc, quickplus,
 BRANCHING (--branching): hybrid (default), sym, se.
 BACKEND (--backend): auto (default; bitset kernel on dense subproblems),
   slice (CSR binary search only), bitset (force the kernel when it fits).
-S2 BACKEND (--s2-backend): auto (default; picks from the observed stream),
-  inverted (inverted-index filter), bitset (word-parallel bitmap probes),
-  extremal (full Bayardo-Panda extremal sets). See the README section on S2
-  maximality backends.
-S2 MODEL (--s2-model): path to a fitted cost-model table for the auto
-  dispatcher (the format `experiments s2-calibrate --emit` writes); defaults
-  to the calibrated table checked in with the settrie crate.
 THREADS (--threads): worker count for the DC subproblems; 0 auto-detects
   the available parallelism of the machine. Default 1 (sequential). Workers
   run a work-stealing scheduler; busy searchers split untaken branches off
@@ -147,8 +138,8 @@ SHARDS (--shards): multi-process sharded enumeration. The coordinator
   partitions the degeneracy-ordered anchor list into N cost-balanced shards,
   ships each shard's two-hop-closed graph slice to a `mqce shard-worker`
   process over the newline-JSON protocol (version-handshaken via ping), and
-  merges the returned per-shard families through one maximality engine
-  restricted to the cross-shard frontier — the result is byte-identical to a
+  merges the returned per-shard families through one S2 pass restricted
+  to the cross-shard frontier — the result is byte-identical to a
   single-process run. A worker lost mid-shard is respawned and its shard
   retried once; a second loss degrades the run to best-effort instead of
   hanging. --threads sets the worker-side thread count per shard. With
@@ -254,16 +245,6 @@ fn parse_backend(raw: Option<&str>) -> Result<AdjacencyBackend, CliError> {
     }
 }
 
-fn parse_s2_backend(raw: Option<&str>) -> Result<S2Backend, CliError> {
-    match raw.unwrap_or("auto").to_ascii_lowercase().as_str() {
-        "auto" => Ok(S2Backend::Auto),
-        "inverted" | "inverted-index" => Ok(S2Backend::Inverted),
-        "bitset" | "bitmap" => Ok(S2Backend::Bitset),
-        "extremal" | "bayardo-panda" => Ok(S2Backend::Extremal),
-        other => Err(CliError::Params(format!("unknown S2 backend {other:?}"))),
-    }
-}
-
 /// Resolves the `--threads` value: `0` means "use every core the OS reports".
 fn resolve_threads(requested: usize) -> usize {
     if requested == 0 {
@@ -283,15 +264,7 @@ fn build_config(parsed: &ParsedArgs) -> Result<MqceConfig, CliError> {
         .with_algorithm(parse_algorithm(parsed.get("algorithm"))?)
         .with_branching(parse_branching(parsed.get("branching"))?)
         .with_backend(parse_backend(parsed.get("backend"))?)
-        .with_s2_backend(parse_s2_backend(parsed.get("s2-backend"))?)
         .with_max_round(parsed.get_usize("max-round", 2)?);
-    if let Some(path) = parsed.get("s2-model") {
-        let text = std::fs::read_to_string(path)
-            .map_err(|e| CliError::Io(format!("cannot read S2 cost model {path}: {e}")))?;
-        let model = mqce_core::S2CostModel::from_table_str(&text)
-            .map_err(|e| CliError::Params(format!("invalid S2 cost model {path}: {e}")))?;
-        config = config.with_s2_model(model);
-    }
     if let Some(raw) = parsed.get("steal-granularity") {
         let granularity = raw.parse().map_err(|_| {
             CliError::Args(args::ArgError::BadValue {
@@ -346,8 +319,6 @@ fn cmd_enumerate<W: Write>(parsed: &ParsedArgs, out: &mut W) -> Result<(), CliEr
         "algorithm",
         "branching",
         "backend",
-        "s2-backend",
-        "s2-model",
         "max-round",
         "threads",
         "steal-granularity",
@@ -412,7 +383,7 @@ fn cmd_enumerate<W: Write>(parsed: &ParsedArgs, out: &mut W) -> Result<(), CliEr
         )
         .map_err(io_err)?;
     }
-    for line in run_warnings(&result) {
+    for line in run_warnings(&result.stats, result.s2_timed_out()) {
         writeln!(out, "{line}").map_err(io_err)?;
     }
     if parsed.switch("verify") {
@@ -428,19 +399,21 @@ fn cmd_enumerate<W: Write>(parsed: &ParsedArgs, out: &mut W) -> Result<(), CliEr
     Ok(())
 }
 
-/// The `WARNING` lines of an unsharded `enumerate` run, one per reason the
-/// maximal family may be incomplete; a complete run gets none.
-fn run_warnings(result: &MqceResult) -> Vec<String> {
+/// The `WARNING` lines of an unsharded `enumerate` or a `query`, one per
+/// reason the maximal family may be incomplete: the search (`stats`) or the
+/// S2 pass hit the time limit, or subproblem panics were contained. A
+/// complete run gets none.
+fn run_warnings(stats: &SearchStats, s2_timed_out: bool) -> Vec<String> {
     let mut lines = Vec::new();
-    if result.timed_out() {
+    if stats.timed_out || s2_timed_out {
         lines.push("WARNING          time limit hit; output may be incomplete".to_string());
     }
-    if result.s2_timed_out() {
+    if s2_timed_out {
         lines.push(
             "WARNING          S2 deadline hit; MQC list is a sound partial antichain".to_string(),
         );
     }
-    let panics = result.stats.subproblem_panics;
+    let panics = stats.subproblem_panics;
     if panics > 0 {
         lines.push(format!(
             "WARNING          {panics} subproblem panic(s) contained; output may be incomplete"
@@ -464,7 +437,7 @@ fn cmd_enumerate_sharded<W: Write>(
     }
     // These knobs have no field in the worker protocol; silently dropping
     // them would make the sharded run diverge from what was asked for.
-    for flag in ["s2-model", "max-round", "steal-granularity"] {
+    for flag in ["max-round", "steal-granularity"] {
         if parsed.get(flag).is_some() {
             return Err(CliError::Params(format!(
                 "--{flag} is not supported with --shards (not expressible in the worker protocol)"
@@ -477,7 +450,6 @@ fn cmd_enumerate_sharded<W: Write>(
         algorithm: parsed.get("algorithm").map(str::to_string),
         branching: parsed.get("branching").map(str::to_string),
         backend: parsed.get("backend").map(str::to_string),
-        s2_backend: parsed.get("s2-backend").map(str::to_string),
         threads: parsed.get_usize("threads", 1)?,
         deadline_ms: match parsed.get("time-limit-secs") {
             Some(_) => Some(parsed.get_u64("time-limit-secs", 0)?.saturating_mul(1000)),
@@ -551,8 +523,6 @@ fn cmd_query<W: Write>(parsed: &ParsedArgs, out: &mut W) -> Result<(), CliError>
         "vertices",
         "branching",
         "backend",
-        "s2-backend",
-        "s2-model",
         "time-limit-secs",
         "print-sets",
     ])?;
@@ -572,12 +542,8 @@ fn cmd_query<W: Write>(parsed: &ParsedArgs, out: &mut W) -> Result<(), CliError>
     writeln!(out, "search universe  {} vertices", result.universe_size).map_err(io_err)?;
     writeln!(out, "maximal qcs      {}", result.mqcs.len()).map_err(io_err)?;
     writeln!(out, "time             {:.3}s", result.elapsed.as_secs_f64()).map_err(io_err)?;
-    if result.s2_timed_out {
-        writeln!(
-            out,
-            "WARNING          S2 deadline hit; MQC list is a sound partial antichain"
-        )
-        .map_err(io_err)?;
+    for line in run_warnings(&result.stats, result.s2_timed_out) {
+        writeln!(out, "{line}").map_err(io_err)?;
     }
     if parsed.switch("print-sets") {
         print_sets(out, &result.mqcs, false)?;
@@ -929,79 +895,6 @@ mod tests {
     }
 
     #[test]
-    fn s2_backend_flag_is_accepted_and_consistent() {
-        let path = write_paper_graph("s2_backend.txt");
-        let mut outputs = Vec::new();
-        for backend in ["auto", "inverted", "bitset", "extremal"] {
-            let out = run_capture(&[
-                "enumerate",
-                &path,
-                "--gamma",
-                "0.6",
-                "--theta",
-                "3",
-                "--s2-backend",
-                backend,
-                "--verify",
-                "--print-sets",
-            ])
-            .unwrap();
-            assert!(out.contains("verification     ok"), "{backend}: {out}");
-            assert!(
-                out.contains("s2 engine        backend="),
-                "{backend}: {out}"
-            );
-            let sets: Vec<&str> = out
-                .lines()
-                .filter(|l| l.chars().next().is_some_and(|c| c.is_ascii_digit()))
-                .collect();
-            outputs.push(sets.join("\n"));
-        }
-        for pair in outputs.windows(2) {
-            assert_eq!(pair[0], pair[1], "S2 backends disagree");
-        }
-        assert!(run_capture(&["enumerate", &path, "--s2-backend", "alien"]).is_err());
-    }
-
-    #[test]
-    fn s2_model_flag_loads_a_fitted_table() {
-        let path = write_paper_graph("s2_model.txt");
-        // A custom (here: identity-coefficient) model table round-trips
-        // through the flag; the tiny graph falls back below the model's
-        // range, so the output is unchanged either way.
-        let model_path = temp_path("custom_model.tsv");
-        std::fs::write(
-            &model_path,
-            mqce_core::S2CostModel::checked_in().to_table_string(),
-        )
-        .unwrap();
-        let out = run_capture(&[
-            "enumerate",
-            &path,
-            "--gamma",
-            "0.6",
-            "--theta",
-            "3",
-            "--s2-model",
-            &model_path,
-            "--verify",
-        ])
-        .unwrap();
-        assert!(out.contains("verification     ok"));
-        // Missing and malformed tables are rejected with a clear error.
-        assert!(matches!(
-            run_capture(&["enumerate", &path, "--s2-model", "/nonexistent/model.tsv"]),
-            Err(CliError::Io(_))
-        ));
-        let broken = temp_path("broken_model.tsv");
-        std::fs::write(&broken, "inverted 1 2\n").unwrap();
-        assert!(matches!(
-            run_capture(&["enumerate", &path, "--s2-model", &broken]),
-            Err(CliError::Params(_))
-        ));
-    }
-
-    #[test]
     fn backend_flag_is_accepted_and_consistent() {
         let path = write_paper_graph("backend.txt");
         let mut outputs = Vec::new();
@@ -1035,15 +928,31 @@ mod tests {
     #[test]
     fn contained_panics_are_warned_about_and_clean_runs_are_not() {
         let clean = MqceResult::default();
-        assert!(run_warnings(&clean).is_empty());
+        assert!(run_warnings(&clean.stats, clean.s2_timed_out()).is_empty());
         let mut panicked = MqceResult::default();
         panicked.stats.subproblem_panics = 1;
         assert_eq!(
-            run_warnings(&panicked),
+            run_warnings(&panicked.stats, panicked.s2_timed_out()),
             vec![
                 "WARNING          1 subproblem panic(s) contained; output may be incomplete"
                     .to_string()
             ]
         );
+    }
+
+    /// A query whose search hit the time limit is warned about even when
+    /// its S2 pass finished (regression: `query` only checked the S2 flag).
+    #[test]
+    fn query_search_time_limit_is_warned_about() {
+        let clean = mqce_core::QueryResult::default();
+        assert!(run_warnings(&clean.stats, clean.s2_timed_out).is_empty());
+        let mut cut = mqce_core::QueryResult::default();
+        cut.stats.timed_out = true;
+        assert_eq!(
+            run_warnings(&cut.stats, cut.s2_timed_out),
+            vec!["WARNING          time limit hit; output may be incomplete".to_string()]
+        );
+        cut.s2_timed_out = true;
+        assert_eq!(run_warnings(&cut.stats, cut.s2_timed_out).len(), 2);
     }
 }

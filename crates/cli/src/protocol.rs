@@ -8,7 +8,7 @@
 //!
 //! A request selects a command (`enumerate`, `query`, `topk`, `ping`,
 //! `update`, `shard_run`, `shutdown`) and may override any of the
-//! per-request knobs (γ, θ, k, algorithm, branching, adjacency/S2 backends,
+//! per-request knobs (γ, θ, k, algorithm, branching, adjacency backend,
 //! worker threads, a relative deadline in milliseconds). `update` carries
 //! `insert` / `delete` edge lists (`[[u, v], …]`); `shard_run` carries an
 //! encoded [`GraphSlice`](mqce_graph::GraphSlice) plus the shard's anchors
@@ -55,8 +55,6 @@ pub struct Request {
     pub branching: Option<String>,
     /// Adjacency backend (same values as `--backend`).
     pub backend: Option<String>,
-    /// S2 maximality backend (same values as `--s2-backend`).
-    pub s2_backend: Option<String>,
     /// Worker threads for this request (1 = sequential).
     pub threads: usize,
     /// Relative deadline for the whole request, in milliseconds, measured
@@ -107,7 +105,6 @@ impl Default for Request {
             algorithm: None,
             branching: None,
             backend: None,
-            s2_backend: None,
             threads: 1,
             deadline_ms: None,
             no_cache: false,
@@ -283,7 +280,6 @@ impl Request {
                 "algorithm" => req.algorithm = Some(as_str(v, "algorithm")?),
                 "branching" => req.branching = Some(as_str(v, "branching")?),
                 "backend" => req.backend = Some(as_str(v, "backend")?),
-                "s2_backend" => req.s2_backend = Some(as_str(v, "s2_backend")?),
                 "threads" => req.threads = as_usize(v, "threads")?,
                 "deadline_ms" => req.deadline_ms = Some(as_usize(v, "deadline_ms")? as u64),
                 "no_cache" => req.no_cache = as_bool(v, "no_cache")?,
@@ -359,7 +355,6 @@ impl Request {
             ("algorithm", &self.algorithm),
             ("branching", &self.branching),
             ("backend", &self.backend),
-            ("s2_backend", &self.s2_backend),
         ] {
             if let Some(s) = opt {
                 push(key, Value::Str(s.clone()));
@@ -424,7 +419,7 @@ impl Request {
         vertices.dedup();
         let verts: Vec<String> = vertices.iter().map(|v| v.to_string()).collect();
         format!(
-            "{fingerprint:016x}|{cmd}|g={gamma}|t={theta}|k={k}|v={verts}|a={alg}|br={br}|ab={ab}|s2={s2}",
+            "{fingerprint:016x}|{cmd}|g={gamma}|t={theta}|k={k}|v={verts}|a={alg}|br={br}|ab={ab}",
             cmd = self.cmd,
             gamma = self.gamma,
             theta = self.theta,
@@ -433,7 +428,6 @@ impl Request {
             alg = norm(&self.algorithm, "dcfastqc"),
             br = norm(&self.branching, "hybrid"),
             ab = norm(&self.backend, "auto"),
-            s2 = norm(&self.s2_backend, "auto"),
         )
     }
 }
@@ -686,7 +680,7 @@ mod tests {
         // Explicit defaults normalise to the same key as omitted options.
         let mut explicit = base.clone();
         explicit.algorithm = Some("DCFastQC".to_string());
-        explicit.s2_backend = Some("AUTO".to_string());
+        explicit.backend = Some("AUTO".to_string());
         assert_eq!(base.cache_key(42), explicit.cache_key(42));
     }
 

@@ -533,7 +533,6 @@ fn serve_record(label: &str, summary: ServeSummary) -> mqce_bench::runner::RunRe
         threads: 0,
         s2_backend: "-".to_string(),
         s2_timed_out: false,
-        s2_predicted_millis: Vec::new(),
         s1_millis: 0.0,
         s2_millis: 0.0,
         s1_outputs: 0,
@@ -981,8 +980,7 @@ pub(crate) fn build_request_config(req: &Request) -> Result<mqce_core::MqceConfi
         .map_err(|e| e.to_string())?
         .with_algorithm(crate::parse_algorithm(req.algorithm.as_deref()).map_err(stringify)?)
         .with_branching(crate::parse_branching(req.branching.as_deref()).map_err(stringify)?)
-        .with_backend(crate::parse_backend(req.backend.as_deref()).map_err(stringify)?)
-        .with_s2_backend(crate::parse_s2_backend(req.s2_backend.as_deref()).map_err(stringify)?);
+        .with_backend(crate::parse_backend(req.backend.as_deref()).map_err(stringify)?);
     Ok(config)
 }
 
@@ -1108,7 +1106,7 @@ fn compute_response(state: &ServerState, req: Request, arrival: Instant) -> Resp
                     Ok(result) => result,
                     Err(e) => return Response::failure(req.id, e.to_string()),
                 };
-            let s2_timed_out = result.s2_timed_out;
+            let (timed_out, s2_timed_out) = (result.stats.timed_out, result.s2_timed_out);
             let contained = result.stats.subproblem_panics;
             let mut extra = vec![(
                 "universe".to_string(),
@@ -1121,7 +1119,11 @@ fn compute_response(state: &ServerState, req: Request, arrival: Instant) -> Resp
                 mqcs: result.mqcs,
                 extra,
             };
-            (outcome, s2_timed_out || contained > 0, s2_timed_out)
+            (
+                outcome,
+                timed_out || s2_timed_out || contained > 0,
+                s2_timed_out,
+            )
         }
         "topk" => {
             let result =
@@ -1423,7 +1425,6 @@ fn request_from_flags(parsed: &ParsedArgs, cmd: &str) -> Result<Request, CliErro
         algorithm: parsed.get("algorithm").map(str::to_string),
         branching: parsed.get("branching").map(str::to_string),
         backend: parsed.get("backend").map(str::to_string),
-        s2_backend: parsed.get("s2-backend").map(str::to_string),
         threads: parsed.get_usize("threads", 1)?,
         deadline_ms: match parsed.get("deadline-ms") {
             Some(_) => Some(parsed.get_u64("deadline-ms", 0)?),
@@ -1457,7 +1458,6 @@ pub(crate) fn cmd_client<W: Write>(parsed: &ParsedArgs, out: &mut W) -> Result<(
         "algorithm",
         "branching",
         "backend",
-        "s2-backend",
         "threads",
         "deadline-ms",
         "no-cache",

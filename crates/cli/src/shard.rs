@@ -7,12 +7,12 @@
 //! over the same newline-JSON protocol the daemon speaks (extended with
 //! `shard_run` requests and `shard_result` set streams — see
 //! [`crate::protocol`]). Workers are this very binary re-invoked as
-//! `mqce shard-worker`: they decode the slice, run the unchanged streaming
-//! DC drivers via [`mqce_core::run_shard`], and stream the shard-local
-//! maximal family back. The coordinator then restores exact global
-//! maximality with [`mqce_core::merge_shard_families`] — one maximality
-//! engine restricted to the cross-shard frontier — so the merged family is
-//! byte-identical to a single-process run.
+//! `mqce shard-worker`: they decode the slice, run the unchanged DC drivers
+//! via [`mqce_core::run_shard`], and stream the shard-local maximal family
+//! back. The coordinator then restores exact global maximality with
+//! [`mqce_core::merge_shard_families`] — one S2 pass restricted to the
+//! cross-shard frontier — so the merged family is byte-identical to a
+//! single-process run.
 //!
 //! Fault tolerance: every worker is handshaken (`ping` with a stamped
 //! protocol version) before work is dispatched, and a worker that dies
@@ -513,7 +513,8 @@ pub(crate) fn run_coordinator<W: Write>(
     }
 
     let merge_start = Instant::now();
-    let merged = merge_shard_families(&plan, families, config);
+    let threads = crate::resolve_threads(template.threads);
+    let merged = merge_shard_families(&plan, families, threads);
     let merge_millis = merge_start.elapsed().as_secs_f64() * 1e3;
     writeln!(
         out,

@@ -2,7 +2,7 @@
 
 use std::time::Duration;
 
-pub use mqce_settrie::{S2Backend, S2CostModel};
+use mqce_settrie::S2Backend;
 
 /// Which adjacency representation the branch-and-bound searchers use for
 /// edge tests, subset-degree counts and the QC predicate.
@@ -188,14 +188,6 @@ pub struct MqceConfig {
     /// Number of one-hop/two-hop pruning rounds applied to each DC subgraph
     /// (`MAX_ROUND` in Algorithm 3). The paper's default is 2.
     pub max_round: usize,
-    /// Which maximality-engine backend runs MQCE-S2. `Auto` (the default)
-    /// commits to a backend from the observed stream statistics.
-    pub s2_backend: S2Backend,
-    /// The measured cost model the `Auto` S2 dispatcher consults (defaults
-    /// to the calibrated table checked in with the settrie crate; replace it
-    /// with [`S2CostModel::from_table_str`] output — e.g. the CLI's
-    /// `--s2-model` — after re-calibrating on new hardware).
-    pub s2_model: S2CostModel,
     /// Optional wall-clock budget; when exceeded the search stops early and
     /// the result is flagged as timed out. The budget covers the whole
     /// pipeline: S1 stops at the deadline and S2 compacts within the
@@ -213,8 +205,6 @@ impl MqceConfig {
             algorithm: Algorithm::default(),
             branching: BranchingStrategy::default(),
             max_round: 2,
-            s2_backend: S2Backend::default(),
-            s2_model: S2CostModel::default(),
             time_limit: None,
         })
     }
@@ -250,15 +240,9 @@ impl MqceConfig {
         self
     }
 
-    /// Sets the MQCE-S2 maximality-engine backend.
-    pub fn with_s2_backend(mut self, backend: S2Backend) -> Self {
-        self.s2_backend = backend;
-        self
-    }
-
-    /// Sets the cost model the `Auto` S2 dispatcher consults.
-    pub fn with_s2_model(mut self, model: S2CostModel) -> Self {
-        self.s2_model = model;
+    /// Has no effect: MQCE-S2 is one pass at every setting. Remains for
+    /// the benchmark harness, which still calls it.
+    pub fn with_s2_backend(self, _backend: S2Backend) -> Self {
         self
     }
 
@@ -304,14 +288,13 @@ mod tests {
             .with_branching(BranchingStrategy::SymSe)
             .with_max_round(3)
             .with_backend(AdjacencyBackend::Bitset)
-            .with_s2_backend(S2Backend::Extremal)
             .with_time_limit(Duration::from_secs(10));
         assert_eq!(cfg.algorithm, Algorithm::FastQc);
         assert_eq!(cfg.branching, BranchingStrategy::SymSe);
         assert_eq!(cfg.max_round, 3);
         assert_eq!(cfg.params.backend, AdjacencyBackend::Bitset);
-        assert_eq!(cfg.s2_backend, S2Backend::Extremal);
         assert!(cfg.time_limit.is_some());
+        assert_eq!(cfg.with_s2_backend(S2Backend::Extremal), cfg);
     }
 
     #[test]

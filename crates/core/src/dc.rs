@@ -18,7 +18,7 @@ use std::time::Instant;
 use mqce_graph::bitset::{AdjacencyMatrix, BitSet};
 use mqce_graph::subgraph::InducedSubgraph;
 use mqce_graph::{Graph, SubproblemScratch, VertexId};
-use mqce_settrie::{MaximalityEngine, SetArena};
+use mqce_settrie::SetArena;
 
 use crate::branch::{SearchOutcome, SearchScratch};
 use crate::config::{AdjacencyBackend, BranchingStrategy, MqceParams};
@@ -243,11 +243,9 @@ pub(crate) fn build_subproblem_in(
 
 /// Lines 4-8 of Algorithm 3 for a single anchor vertex `vi`: build and prune
 /// `G_i` in the worker's scratch, run the inner searcher with `S = {v_i}`,
-/// map each output back to the original graph's vertex ids, append it to the
-/// worker's `raw` arena, and stream it into the maximality engine (when one
-/// is attached).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn solve_subproblem_streaming<'e>(
+/// map each output back to the original graph's vertex ids, and append it to
+/// the worker's `raw` arena.
+pub(crate) fn solve_subproblem(
     plan: &DcPlan,
     vi: VertexId,
     inner: InnerAlgorithm,
@@ -255,7 +253,6 @@ pub(crate) fn solve_subproblem_streaming<'e>(
     scratch: &mut DcScratch,
     stats: &mut SearchStats,
     raw: &mut SetArena,
-    mut s2: Option<&mut (dyn MaximalityEngine + 'e)>,
 ) {
     let Some((sub, local_vi)) = build_subproblem_in(plan, vi, stats, scratch) else {
         return;
@@ -270,8 +267,8 @@ pub(crate) fn solve_subproblem_streaming<'e>(
     // requests from one process and must outlive any single bad subproblem.
     // `AssertUnwindSafe` is sound because everything the closure mutates is
     // discarded wholesale on panic: the search scratch is replaced with a
-    // fresh one and the subproblem's outputs are never extracted (`raw` and
-    // the engine are only touched after the searcher returns), so no torn
+    // fresh one and the subproblem's outputs are never extracted (`raw` is
+    // only touched after the searcher returns), so no torn
     // state is observable after the catch.
     let anchor = plan.reduced.to_global[vi as usize];
     let searched = {
@@ -330,49 +327,32 @@ pub(crate) fn solve_subproblem_streaming<'e>(
             let r = sub.to_global[l as usize];
             raw.push_elem(plan.reduced.to_global[r as usize]);
         }
-        let set = raw.commit_sorted();
-        if let Some(engine) = s2.as_deref_mut() {
-            engine.add(set);
-        }
+        raw.commit_sorted();
     }
     scratch.sub.recycle(sub);
 }
-
-/// A closure producing fresh per-thread maximality engines.
-pub(crate) type EngineFactory<'a> = &'a (dyn Fn() -> Box<dyn MaximalityEngine> + Sync);
 
 /// Runs the subproblems of `anchors` (reduced-graph ids, in processing
 /// order) — every full run, incremental dirty-anchor re-run and shard
 /// worker goes through here. At two or more threads the work-stealing
 /// scheduler distributes them (with cooperative intra-subproblem
 /// splitting); at one thread they run in a plain in-place loop, with no
-/// estimate pass and no thread spawn. With an engine factory, every worker
-/// streams its outputs into its own engine, and the engines are returned for
-/// the caller to merge; the maximal family is the same at every thread
-/// count (the raw S1 stream may carry a few extra dominated sets from split
-/// points, which MQCE-S2 removes).
+/// estimate pass and no thread spawn. The maximal family is the same at
+/// every thread count (the raw S1 outputs may carry a few extra dominated
+/// sets from split points, which MQCE-S2 removes).
 pub(crate) fn run_anchors(
     plan: &DcPlan,
     anchors: &[VertexId],
     inner: InnerAlgorithm,
     threads: usize,
     deadline: Option<Instant>,
-    engine_factory: Option<EngineFactory<'_>>,
-) -> (SearchOutcome, Vec<Box<dyn MaximalityEngine>>) {
+) -> SearchOutcome {
     if anchors.is_empty() {
-        return (SearchOutcome::default(), Vec::new());
+        return SearchOutcome::default();
     }
     if threads >= 2 {
-        return crate::scheduler::run_dc_work_stealing(
-            plan,
-            anchors,
-            inner,
-            threads,
-            deadline,
-            engine_factory,
-        );
+        return crate::scheduler::run_dc_work_stealing(plan, anchors, inner, threads, deadline);
     }
-    let mut engine = engine_factory.map(|f| f());
     let mut stats = SearchStats::default();
     let mut scratch = DcScratch::default();
     let mut raw = SetArena::new();
@@ -381,7 +361,7 @@ pub(crate) fn run_anchors(
             stats.timed_out = true;
             break;
         }
-        solve_subproblem_streaming(
+        solve_subproblem(
             plan,
             vi,
             inner,
@@ -389,18 +369,16 @@ pub(crate) fn run_anchors(
             &mut scratch,
             &mut stats,
             &mut raw,
-            engine.as_deref_mut(),
         );
         if stats.timed_out {
             break;
         }
     }
-    let outcome = SearchOutcome {
+    SearchOutcome {
         outputs: raw.into_vecs(),
         stats,
         thread_stats: Vec::new(),
-    };
-    (outcome, engine.into_iter().collect())
+    }
 }
 
 /// Applies `MAX_ROUND` rounds of one-hop and (optionally) two-hop pruning on
@@ -545,7 +523,7 @@ mod tests {
         deadline: Option<Instant>,
     ) -> SearchOutcome {
         let plan = DcPlan::for_graph(g, params, dc);
-        run_anchors(&plan, &plan.ordering, inner, threads, deadline, None).0
+        run_anchors(&plan, &plan.ordering, inner, threads, deadline)
     }
 
     fn check_dc_against_oracle(g: &Graph, gamma: f64, theta: usize, dc: DcConfig) {
@@ -773,16 +751,7 @@ mod tests {
                 raw.clear();
                 let mut stats = SearchStats::default();
                 for &vi in &plan.ordering {
-                    solve_subproblem_streaming(
-                        &plan,
-                        vi,
-                        inner,
-                        None,
-                        &mut reused,
-                        &mut stats,
-                        &mut raw,
-                        None,
-                    );
+                    solve_subproblem(&plan, vi, inner, None, &mut reused, &mut stats, &mut raw);
                 }
                 assert_eq!(raw.to_vecs(), fresh.outputs, "gamma={gamma} theta={theta}");
                 assert_eq!(stats.branches, fresh.stats.branches);
@@ -793,16 +762,7 @@ mod tests {
                 let mut stats = SearchStats::default();
                 for &vi in &plan.ordering {
                     let mut per_sub = DcScratch::default();
-                    solve_subproblem_streaming(
-                        &plan,
-                        vi,
-                        inner,
-                        None,
-                        &mut per_sub,
-                        &mut stats,
-                        &mut raw,
-                        None,
-                    );
+                    solve_subproblem(&plan, vi, inner, None, &mut per_sub, &mut stats, &mut raw);
                 }
                 assert_eq!(raw.to_vecs(), fresh.outputs, "gamma={gamma} theta={theta}");
                 assert_eq!(stats.branches, fresh.stats.branches);

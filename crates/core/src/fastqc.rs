@@ -400,7 +400,7 @@ impl<'a, 'g> FastQc<'a, 'g> {
                 // Run the current branch, then stop: the rest of the frame
                 // belongs to the stolen tasks. Whether they find a QC is
                 // unknown here, so the caller may redundantly emit G[S];
-                // the S2 engine drops it as dominated.
+                // MQCE-S2 drops it as dominated.
                 self.ctx.remove_c(vi);
                 any |= self.recurse_slice(&order[i + 1..]);
                 self.ctx.restore_c(vi);

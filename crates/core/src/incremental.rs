@@ -23,18 +23,16 @@
 //! 4. retires the sets whose anchor is dirty and re-runs exactly the dirty
 //!    anchors through the shared anchor driver (work stealing and
 //!    intra-subproblem splitting for multi-threaded sessions);
-//! 5. merges the fresh streams with only the **frontier** of the retained
-//!    family — retained sets that contain at least one dirty vertex — in one
-//!    compaction, restoring exact global maximality: the single worker
-//!    engine's own at one thread, and at several threads
-//!    [`compact_parallel`](mqce_settrie::compact_parallel) over the drained
-//!    per-thread engines (the same rule as a full run's tail). Every fresh
-//!    set contains its dirty anchor, so a retained set that could dominate
-//!    one must contain that dirty vertex too; retained sets disjoint from the
-//!    closure can never interact with the fresh stream and bypass the
+//! 5. merges the fresh outputs with only the **frontier** of the retained
+//!    family — retained sets that contain at least one dirty vertex — in
+//!    one compaction on the session's threads, restoring exact global
+//!    maximality (the same S2 pass as a full run's tail). Every fresh set
+//!    contains its dirty anchor, so a retained set that could dominate one
+//!    must contain that dirty vertex too; retained sets disjoint from the
+//!    closure can never interact with the fresh outputs and bypass the
 //!    compaction entirely, which keeps the per-update merge work
-//!    proportional to the *local* family, not the whole one (the parallel
-//!    pass compresses vertex ids when the local family is small next to the
+//!    proportional to the *local* family, not the whole one (the pass
+//!    compresses vertex ids when the local family is small next to the
 //!    graph, so its index does not grow with the vertex count).
 //!
 //! Why retiring only dirty-anchored sets is exact: let `H` be maximal in the
@@ -47,7 +45,7 @@
 //! family. Conversely a new-graph maximal set with a *dirty* anchor is
 //! emitted by that anchor's re-run (its members survive the core reduction:
 //! every member of a θ-sized γ-quasi-clique has degree ≥ ⌈γ(θ−1)⌉ within
-//! it). The engine merge then removes anything the update demoted from
+//! it). The merge then removes anything the update demoted from
 //! maximal. The differential harness checks this equivalence against full
 //! recompute on random schedules across the γ×θ grid at 1/2/4 threads.
 
@@ -57,8 +55,8 @@ use mqce_graph::delta::{dirty_two_hop_closure, update_core_decomposition, GraphD
 use mqce_graph::{Graph, SubproblemScratch, VertexId};
 
 use crate::config::MqceConfig;
-use crate::dc::{run_anchors, DcPlan, EngineFactory};
-use crate::pipeline::{compact_engines, dc_setup};
+use crate::dc::{run_anchors, DcPlan};
+use crate::pipeline::{compact_family, dc_setup};
 use crate::prepared::PreparedGraph;
 use crate::session::Session;
 use crate::stats::SearchStats;
@@ -258,7 +256,7 @@ impl IncrementalSession {
         // every fresh set contains its dirty anchor, so any superset does
         // too — and retained sets themselves are never dominated (a strict
         // quasi-clique superset would have put their anchor in the
-        // closure). Untouched sets therefore skip the engine merge.
+        // closure). Untouched sets therefore skip the merge.
         let old_family = std::mem::take(&mut self.family);
         let mut untouched: Vec<Vec<VertexId>> = Vec::with_capacity(old_family.len());
         let mut frontier: Vec<Vec<VertexId>> = Vec::new();
@@ -284,24 +282,14 @@ impl IncrementalSession {
             .collect();
         let retained_count = (untouched.len() + frontier.len()) as u64;
 
-        // Re-run the dirty subproblems, streaming into per-thread engines,
-        // then compact those together with the frontier sets — exact over
-        // frontier ∪ fresh — and splice the untouched sets back in
-        // afterwards.
-        let config = self.config;
-        let factory = || config.s2_backend.new_engine_with_model(config.s2_model);
-        let factory_ref: EngineFactory<'_> = &factory;
-        let (rerun, engines) = run_anchors(
-            &plan,
-            &dirty_locals,
-            inner,
-            self.threads,
-            None,
-            Some(factory_ref),
-        );
-        let (outcome, _, _) = compact_engines(engines, &frontier, factory_ref, None);
+        // Re-run the dirty subproblems, compact their outputs together with
+        // the frontier sets — exact over frontier ∪ fresh — and splice the
+        // untouched sets back in afterwards.
+        let mut rerun = run_anchors(&plan, &dirty_locals, inner, self.threads, None);
+        frontier.append(&mut rerun.outputs);
+        let outcome = compact_family(&mut frontier, self.threads, None);
         // Both halves are in canonical order: `untouched` is a subsequence
-        // of the old canonical family, `finish` returns canonical order.
+        // of the old canonical family, the pass returns canonical order.
         self.family = merge_canonical(untouched, outcome.mqcs);
         self.prepared = prepared;
         UpdateOutcome {

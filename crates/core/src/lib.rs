@@ -13,8 +13,8 @@
 //! * [`quickplus`] — the Quick+ baseline with SE branching and Type I/II
 //!   pruning rules.
 //! * [`pipeline`] — the end-to-end MQCE solver: MQCE-S1 (enumeration) plus
-//!   MQCE-S2 (set-trie maximality filtering), returning exactly the maximal
-//!   quasi-cliques of size ≥ θ.
+//!   MQCE-S2 (one maximality pass over the sorted S1 outputs), returning
+//!   exactly the maximal quasi-cliques of size ≥ θ.
 //! * [`naive`] — an exhaustive oracle for differential testing.
 //! * [`quasiclique`] — the γ-quasi-clique predicate and the τ/Δ/σ primitives.
 //!
@@ -59,11 +59,11 @@ pub mod verify;
 
 pub use branch::SearchOutcome;
 pub use config::{
-    AdjacencyBackend, Algorithm, BranchingStrategy, MqceConfig, MqceParams, ParamError, S2Backend,
-    S2CostModel,
+    AdjacencyBackend, Algorithm, BranchingStrategy, MqceConfig, MqceParams, ParamError,
 };
 pub use incremental::{IncrementalSession, UpdateOutcome};
-pub use mqce_settrie::S2Decision;
+/// Remains for the benchmark harness, which names it through this crate.
+pub use mqce_settrie::S2Backend;
 pub use pipeline::{enumerate_mqcs_default, solve_s1, MqceResult};
 pub use prepared::PreparedGraph;
 pub use query::{find_mqcs_containing, find_mqcs_containing_default, QueryError, QueryResult};
@@ -81,8 +81,7 @@ pub use verify::{
 /// Commonly used items, re-exported for convenient glob imports.
 pub mod prelude {
     pub use crate::config::{
-        AdjacencyBackend, Algorithm, BranchingStrategy, MqceConfig, MqceParams, S2Backend,
-        S2CostModel,
+        AdjacencyBackend, Algorithm, BranchingStrategy, MqceConfig, MqceParams,
     };
     pub use crate::pipeline::{enumerate_mqcs_default, solve_s1, MqceResult};
     pub use crate::quasiclique::is_quasi_clique;

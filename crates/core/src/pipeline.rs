@@ -1,28 +1,27 @@
-//! End-to-end MQCE pipeline: MQCE-S1 (branch-and-bound enumeration) feeding
-//! a streaming MQCE-S2 maximality engine.
+//! End-to-end MQCE pipeline: MQCE-S1 (branch-and-bound enumeration), then
+//! MQCE-S2 (maximality filtering).
 //!
 //! This is the high-level API most users want: give it a graph and the
 //! parameters, get back exactly the maximal γ-quasi-cliques of size ≥ θ.
 //!
-//! S2 is no longer a batch pass over the full S1 output: the
-//! divide-and-conquer drivers stream each subproblem's quasi-cliques into a
-//! [`MaximalityEngine`] as they are produced (dropping duplicates and
-//! dominated sets on arrival). A one-thread run finishes with its engine's
-//! own compaction; a multi-threaded run drains its per-thread engines into
-//! one family and compacts it on all workers over a frozen index
-//! ([`compact_parallel`]). Either compaction honours whatever remains of the
-//! wall-clock budget — a run that exhausts its time limit in S1 no longer
-//! pays an unbounded post-hoc filtering bill on hundreds of thousands of
-//! sets.
+//! S1's workers collect their quasi-cliques in flat arenas, which become
+//! the run's output list. S2 is one pass at every thread count (the
+//! crate-private `compact_family`): the outputs are sorted and deduplicated
+//! once (that is [`MqceResult::qcs`]) and compacted in place by
+//! [`compact_parallel`] on the run's workers. The pass honours whatever
+//! remains of the wall-clock budget, plus a grace slice, so a run that
+//! exhausts its time limit in S1 does not pay an unbounded filtering bill
+//! on hundreds of thousands of sets. Query searches, incremental updates
+//! and the shard coordinator's merge call the same helper.
 
 use std::time::{Duration, Instant};
 
 use mqce_graph::{Graph, VertexId};
-use mqce_settrie::{compact_parallel, MaximalityEngine, S2Outcome};
+use mqce_settrie::{compact_parallel, S2Outcome};
 
 use crate::branch::SearchOutcome;
 use crate::config::{Algorithm, MqceConfig};
-use crate::dc::{run_anchors, DcConfig, DcPlan, EngineFactory, InnerAlgorithm};
+use crate::dc::{run_anchors, DcConfig, DcPlan, InnerAlgorithm};
 use crate::fastqc::fastqc_whole_graph;
 use crate::naive;
 use crate::prepared::PreparedGraph;
@@ -42,11 +41,13 @@ const S2_MAX_GRACE: Duration = Duration::from_secs(5);
 #[derive(Clone, Debug, Default)]
 pub struct MqceResult {
     /// The MQCE-S1 output: a set of quasi-cliques containing every maximal QC
-    /// of size ≥ θ (possibly with non-maximal members). Sorted vertex sets.
+    /// of size ≥ θ (possibly with non-maximal members). Sorted vertex sets,
+    /// sorted lexicographically without duplicates; this is the family S2
+    /// compacts.
     pub qcs: Vec<Vec<VertexId>>,
     /// The MQCE-S2 output: exactly the maximal quasi-cliques of size ≥ θ,
-    /// sorted lexicographically. When [`S2Stats::timed_out`] is set this is
-    /// a sound partial result (an antichain) rather than the full family.
+    /// sorted lexicographically. When [`S2Stats::timed_out`] is set this
+    /// holds only maximal sets, but some are missing.
     pub mqcs: Vec<Vec<VertexId>>,
     /// Statistics of the S1 search.
     pub stats: SearchStats,
@@ -54,15 +55,13 @@ pub struct MqceResult {
     /// sequential runs): what each thread ran, stole and donated, and how
     /// its wall-clock split between busy and hungry.
     pub thread_stats: Vec<ThreadStats>,
-    /// Statistics of the S2 maximality engine.
+    /// Statistics of the S2 pass.
     pub s2: S2Stats,
-    /// Wall-clock time of the MQCE-S1 window. For DC algorithms this
-    /// includes the streaming S2 `add` probes that run inline with the
-    /// search — that overlap is the point of the streaming engine, so the
-    /// two stages no longer sum from disjoint measurements.
+    /// Wall-clock time of MQCE-S1: the search and the collection of its
+    /// outputs.
     pub s1_time: Duration,
-    /// Wall-clock time spent in MQCE-S2 (the part not already overlapped
-    /// with the search: merging and the final compaction).
+    /// Wall-clock time of MQCE-S2: sorting and deduplicating the outputs
+    /// and compacting them.
     pub s2_time: Duration,
 }
 
@@ -74,7 +73,8 @@ impl MqceResult {
     }
 
     /// Whether the maximality filtering stage specifically was cut off by
-    /// the deadline (the MQC list is then a sound partial antichain).
+    /// the deadline (the MQC list then holds only maximal sets, but not all
+    /// of them).
     pub fn s2_timed_out(&self) -> bool {
         self.s2.timed_out
     }
@@ -131,26 +131,6 @@ fn solve_whole_graph(g: &Graph, config: &MqceConfig, deadline: Option<Instant>) 
     }
 }
 
-/// Streams `sets` into `engine`, polling the deadline every few hundred
-/// sets. Returns `false` when the feed was cut short.
-pub(crate) fn feed_sets(
-    engine: &mut dyn MaximalityEngine,
-    sets: &[Vec<VertexId>],
-    deadline: Option<Instant>,
-) -> bool {
-    for (i, set) in sets.iter().enumerate() {
-        if i.is_multiple_of(256) {
-            if let Some(d) = deadline {
-                if Instant::now() >= d {
-                    return false;
-                }
-            }
-        }
-        engine.add(set);
-    }
-    true
-}
-
 /// Runs only MQCE-S1 with the configured algorithm, returning the raw set of
 /// quasi-cliques (global vertex ids) and the search statistics.
 pub fn solve_s1(g: &Graph, config: &MqceConfig) -> SearchOutcome {
@@ -160,7 +140,7 @@ pub fn solve_s1(g: &Graph, config: &MqceConfig) -> SearchOutcome {
     };
     let prepared = PreparedGraph::new(g.clone());
     let plan = DcPlan::from_prepared(&prepared, config.params, dc, None);
-    run_anchors(&plan, &plan.ordering, inner, 1, deadline, None).0
+    run_anchors(&plan, &plan.ordering, inner, 1, deadline)
 }
 
 /// The deadline MQCE-S2 compacts under: the pipeline deadline, but never
@@ -186,157 +166,78 @@ pub(crate) fn s2_deadline(deadline: Option<Instant>, limit: Option<Duration>) ->
 }
 
 /// The end-to-end pipeline over a prepared graph: MQCE-S1 on `threads`
-/// workers (see [`run_anchors`]) streaming into per-thread engines, then
-/// [`finish_run`].
+/// workers (see [`run_anchors`]), then [`finish_run`].
 pub(crate) fn run_pipeline(
     prepared: &PreparedGraph,
     config: &MqceConfig,
     threads: usize,
 ) -> MqceResult {
     let deadline = config.time_limit.map(|limit| Instant::now() + limit);
-    let factory = || config.s2_backend.new_engine_with_model(config.s2_model);
-    let factory: EngineFactory<'_> = &factory;
     let s1_start = Instant::now();
-    let (outcome, engines) = match dc_setup(config) {
+    let outcome = match dc_setup(config) {
         Some((inner, dc)) => {
             let plan = DcPlan::from_prepared(prepared, config.params, dc, None);
-            run_anchors(
-                &plan,
-                &plan.ordering,
-                inner,
-                threads,
-                deadline,
-                Some(factory),
-            )
+            run_anchors(&plan, &plan.ordering, inner, threads, deadline)
         }
-        None => (
-            solve_whole_graph(prepared.graph(), config, deadline),
-            Vec::new(),
-        ),
+        None => solve_whole_graph(prepared.graph(), config, deadline),
     };
-    finish_run(outcome, engines, factory, config, deadline, s1_start)
+    finish_run(outcome, config, threads, deadline, s1_start)
 }
 
-/// Drains every engine and appends the retained sets to `sets`. Sets that
-/// several engines retained appear once per engine; the compaction's sort
-/// drops the copies. Each engine is drained and dropped on its own scoped
-/// thread, since releasing an engine's indexes is a serial cost otherwise.
-fn drain_engines(
-    engines: Vec<Box<dyn MaximalityEngine>>,
-    mut sets: Vec<Vec<VertexId>>,
-) -> Vec<Vec<VertexId>> {
-    sets.reserve(engines.iter().map(|e| e.live_len()).sum());
-    let drained: Vec<_> = std::thread::scope(|scope| {
-        let handles: Vec<_> = engines
-            .into_iter()
-            .map(|mut engine| scope.spawn(move || engine.drain()))
-            .collect();
-        handles
-            .into_iter()
-            .map(|handle| {
-                handle
-                    .join()
-                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
-            })
-            .collect()
-    });
-    for mut part in drained {
-        sets.append(&mut part);
-    }
-    sets
-}
-
-/// The one S2 compaction rule, shared by [`finish_run`] and incremental
-/// updates: compacts what `engines` retained together with `sets` under
-/// `deadline`.
+/// MQCE-S2, the one compaction rule: sorts and deduplicates `sets` in place
+/// (callers keep it as their QC family), then compacts it with
+/// [`compact_parallel`] on `threads` workers under `deadline`. Full runs and
+/// shard workers ([`finish_run`]), query searches, incremental updates and
+/// the shard coordinator's merge all come through here.
 ///
-/// Two or more engines (a multi-threaded run) are drained, and the
-/// concatenated family goes through [`compact_parallel`] on as many workers
-/// as there were engines. Otherwise `sets` is fed into the single engine —
-/// or into a fresh one from `factory` when there is none — and that
-/// engine's own compaction runs.
-///
-/// Returns the outcome, the number of sets handed to the compaction, and
-/// whether the result is partial beyond the outcome's own `timed_out`:
-/// feeding was cut short, or the deadline had passed before compaction
-/// started. A zero-budget run gets here with its deadline already past, and
-/// compacting what is held (often nothing) may finish before polling it, so
-/// the expiry itself marks the result partial. Runs with a real budget
-/// start compaction with (most of) the grace slice still ahead.
-pub(crate) fn compact_engines(
-    engines: Vec<Box<dyn MaximalityEngine>>,
-    sets: &[Vec<VertexId>],
-    factory: EngineFactory<'_>,
+/// The outcome is also marked timed out when the deadline had passed
+/// before the pass started. A zero-budget run gets here with its deadline
+/// already past, and compacting what is held (often nothing) may finish
+/// before polling it, so the expiry itself marks the result partial. Runs
+/// with a real budget start the pass with (most of) the grace slice still
+/// ahead.
+pub(crate) fn compact_family(
+    sets: &mut Vec<Vec<VertexId>>,
+    threads: usize,
     deadline: Option<Instant>,
-) -> (S2Outcome, u64, bool) {
-    let expired = || deadline.is_some_and(|d| Instant::now() >= d);
-    if engines.len() >= 2 {
-        let workers = engines.len();
-        let family = drain_engines(engines, sets.to_vec());
-        let retained = family.len() as u64;
-        let partial = expired();
-        (
-            compact_parallel(family, workers, deadline),
-            retained,
-            partial,
-        )
-    } else {
-        let mut engine = engines.into_iter().next().unwrap_or_else(factory);
-        let truncated = !feed_sets(engine.as_mut(), sets, deadline);
-        let retained = engine.live_len() as u64;
-        let partial = truncated || expired();
-        (engine.finish_with_deadline(deadline), retained, partial)
-    }
+) -> S2Outcome {
+    sets.sort_unstable();
+    sets.dedup();
+    let expired = deadline.is_some_and(|d| Instant::now() >= d);
+    let mut outcome = compact_parallel(sets, threads, deadline);
+    outcome.timed_out |= expired;
+    outcome
 }
 
-/// The pipeline tail shared by full runs and shard workers: compacts the
-/// per-thread engines with [`compact_engines`] and assembles the
-/// [`MqceResult`].
-///
-/// A multi-threaded run's engines go through the parallel pass, so
-/// [`S2Stats::backend`] reads `parallel` and carries no dispatch decision;
-/// a one-thread run finishes with its engine's own compaction. With no
-/// engines (a whole-graph algorithm, or an empty anchor list) a fresh
-/// engine is fed the batch of S1 outputs instead. Feeding and compaction
-/// run under one graced S2 deadline, granted once, when post-S1 work
-/// starts; `s2_time` covers all of it.
+/// The pipeline tail shared by full runs and shard workers: runs
+/// [`compact_family`] over the S1 outputs on the run's `threads` under one
+/// graced S2 deadline, granted when S1 ends, and assembles the
+/// [`MqceResult`]. `s2_time` covers the sort and the compaction.
 pub(crate) fn finish_run(
     outcome: SearchOutcome,
-    engines: Vec<Box<dyn MaximalityEngine>>,
-    factory: EngineFactory<'_>,
     config: &MqceConfig,
+    threads: usize,
     deadline: Option<Instant>,
     s1_start: Instant,
 ) -> MqceResult {
     let s1_time = s1_start.elapsed();
     let s2_start = Instant::now();
     let s2_dl = s2_deadline(deadline, config.time_limit);
-    // Engines were fed inline by the anchor driver; only a run without
-    // engines hands its batch of S1 outputs to the compaction.
-    let batch: &[Vec<VertexId>] = if engines.is_empty() {
-        &outcome.outputs
-    } else {
-        &[]
-    };
-    let (s2_out, sets_retained, partial) = compact_engines(engines, batch, factory, s2_dl);
-    let s2_time = s2_start.elapsed();
     let sets_streamed = outcome.outputs.len() as u64;
     let mut qcs = outcome.outputs;
-    qcs.sort_unstable();
-    qcs.dedup();
+    let s2_out = compact_family(&mut qcs, threads, s2_dl);
+    let s2_time = s2_start.elapsed();
     MqceResult {
+        s2: S2Stats {
+            backend: s2_out.backend.to_string(),
+            sets_streamed,
+            sets_retained: qcs.len() as u64,
+            timed_out: s2_out.timed_out,
+        },
         qcs,
         mqcs: s2_out.mqcs,
         stats: outcome.stats,
         thread_stats: outcome.thread_stats,
-        s2: S2Stats {
-            backend: s2_out.backend.to_string(),
-            sets_streamed,
-            sets_retained,
-            timed_out: s2_out.timed_out || partial,
-            decision: s2_out.decision,
-            merge_decision: None,
-        },
         s1_time,
         s2_time,
     }
@@ -495,66 +396,65 @@ mod tests {
         let _ = result.timed_out();
     }
 
+    /// S2 is one pass over the sorted, deduplicated S1 outputs at every
+    /// thread count: the family is the same at 1–4 threads, and the pass
+    /// is handed exactly the distinct outputs (`qcs`), none dropped before
+    /// it runs. (A one-thread run on this graph emits thousands of sets
+    /// after one of their supersets, so dropping sets on arrival would
+    /// show.)
     #[test]
-    fn s2_backends_agree_and_report_stats() {
-        use crate::config::S2Backend;
-        let g = Graph::paper_figure1();
-        let reference = enumerate_mqcs_default(&g, 0.6, 3).unwrap().mqcs;
-        for backend in [
-            S2Backend::Auto,
-            S2Backend::Inverted,
-            S2Backend::Bitset,
-            S2Backend::Extremal,
-        ] {
-            let result = run(
-                &g,
-                &MqceConfig::new(0.6, 3).unwrap().with_s2_backend(backend),
-            );
-            assert_eq!(result.mqcs, reference, "{backend:?}");
-            assert!(!result.s2.timed_out);
-            assert!(!result.s2.backend.is_empty());
-            assert_eq!(result.s2.sets_streamed, result.stats.outputs);
-            assert!(result.s2.sets_retained as usize >= result.mqcs.len());
-            // Auto resolves to a concrete backend at finish time.
-            if backend != S2Backend::Auto {
-                assert_eq!(result.s2.backend, backend.name());
-            } else {
-                assert_ne!(result.s2.backend, "auto");
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_merge_agrees_across_s2_backends() {
-        use crate::config::S2Backend;
+    fn one_s2_pass_at_every_thread_count() {
         use mqce_graph::generators::{community_graph, CommunityGraphParams};
         let g = community_graph(
             CommunityGraphParams {
-                n: 100,
-                num_communities: 7,
+                n: 200,
+                num_communities: 10,
                 p_intra: 0.9,
                 inter_degree: 1.5,
             },
-            909,
+            7,
         );
-        let reference = run(&g, &MqceConfig::new(0.85, 5).unwrap()).mqcs;
-        for backend in [
-            S2Backend::Auto,
-            S2Backend::Inverted,
-            S2Backend::Bitset,
-            S2Backend::Extremal,
-        ] {
-            let config = MqceConfig::new(0.85, 5).unwrap().with_s2_backend(backend);
-            for threads in [2, 3, 4] {
-                let parallel = run_threads(&g, &config, threads);
-                assert_eq!(parallel.mqcs, reference, "{backend:?} at {threads} threads");
-                // The per-thread engines are compacted together by the
-                // parallel pass, which makes no dispatch decision.
-                assert!(!parallel.s2.timed_out);
-                assert_eq!(parallel.s2.backend, "parallel");
-                assert!(parallel.s2.decision.is_none());
-                assert!(parallel.s2.sets_retained as usize >= reference.len());
-            }
+        let config = MqceConfig::new(0.85, 5).unwrap();
+        let reference = run(&g, &config);
+        assert!(reference.qcs.len() > reference.mqcs.len());
+        for threads in [1, 2, 3, 4] {
+            let result = run_threads(&g, &config, threads);
+            assert_eq!(result.mqcs, reference.mqcs, "{threads} threads");
+            assert!(!result.s2.timed_out);
+            assert_eq!(result.s2.backend, "parallel");
+            assert_eq!(result.s2.sets_streamed, result.stats.outputs);
+            assert_eq!(
+                result.s2.sets_retained as usize,
+                result.qcs.len(),
+                "{threads} threads"
+            );
+        }
+    }
+
+    /// The pass agrees with the independent serial filter on the S1
+    /// outputs of a 2k-vertex community graph, at one and two threads.
+    #[test]
+    fn s2_pass_matches_filter_maximal_on_a_community_graph() {
+        use mqce_graph::generators::{community_graph, CommunityGraphParams};
+        let g = community_graph(
+            CommunityGraphParams {
+                n: 2000,
+                num_communities: 100,
+                p_intra: 0.9,
+                inter_degree: 1.0,
+            },
+            1,
+        );
+        let config = MqceConfig::new(0.9, 8).unwrap();
+        for threads in [1, 2] {
+            let result = run_threads(&g, &config, threads);
+            assert!(!result.timed_out());
+            assert!(result.qcs.len() > result.mqcs.len(), "{threads} threads");
+            assert_eq!(
+                result.mqcs,
+                mqce_settrie::filter_maximal(&result.qcs),
+                "{threads} threads"
+            );
         }
     }
 

@@ -62,8 +62,8 @@ pub struct QueryResult {
     pub universe_size: usize,
     /// Statistics of the branch-and-bound search.
     pub stats: SearchStats,
-    /// Whether the maximality filtering hit the deadline (the MQC list is
-    /// then a sound partial antichain).
+    /// Whether the maximality filtering hit the deadline (the MQC list then
+    /// holds only maximal sets, but not all of them).
     pub s2_timed_out: bool,
     /// Wall-clock time of the whole query.
     pub elapsed: Duration,
@@ -133,18 +133,16 @@ pub fn find_mqcs_containing(
             qcs.push(global);
         }
     }
-    // Maximality filtering through the configured S2 engine, honouring what
+    // Maximality filtering through the pipeline's S2 pass, honouring what
     // remains of the time budget (plus the standard grace slice).
-    let mut engine = config.s2_backend.new_engine_with_model(config.s2_model);
     let s2_dl = crate::pipeline::s2_deadline(deadline, config.time_limit);
-    let feed_truncated = !crate::pipeline::feed_sets(engine.as_mut(), &qcs, s2_dl);
-    let s2_out = engine.finish_with_deadline(s2_dl);
+    let s2_out = crate::pipeline::compact_family(&mut qcs, 1, s2_dl);
 
     Ok(QueryResult {
         mqcs: s2_out.mqcs,
         universe_size: universe.len(),
         stats: outcome.stats,
-        s2_timed_out: s2_out.timed_out || feed_truncated,
+        s2_timed_out: s2_out.timed_out,
         elapsed: start.elapsed(),
     })
 }
@@ -170,8 +168,6 @@ pub fn find_mqcs_containing_default(
         algorithm: crate::config::Algorithm::FastQc,
         branching: BranchingStrategy::HybridSe,
         max_round: 2,
-        s2_backend: crate::config::S2Backend::default(),
-        s2_model: crate::config::S2CostModel::default(),
         time_limit: None,
     };
     find_mqcs_containing(g, query, &config)

@@ -32,9 +32,8 @@
 //! `(S, C, D)` state, and the only divergence from the sequential run is
 //! that the donor no longer learns whether a donated branch found a
 //! quasi-clique, so the non-hereditary "additional step" may emit a few
-//! extra *valid* (but dominated) quasi-cliques. The streaming MQCE-S2
-//! engine drops those on arrival or at compaction, so the final maximal
-//! family is identical to the sequential driver's.
+//! extra *valid* (but dominated) quasi-cliques. MQCE-S2 removes those, so
+//! the final maximal family is identical to the sequential driver's.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -43,11 +42,11 @@ use std::time::{Duration, Instant};
 
 use mqce_graph::bitset::AdjacencyMatrix;
 use mqce_graph::{Graph, InducedSubgraph, VertexId};
-use mqce_settrie::{MaximalityEngine, SetArena};
+use mqce_settrie::SetArena;
 
 use crate::branch::{SearchOutcome, SearchScratch};
 use crate::config::MqceParams;
-use crate::dc::{build_subproblem_in, DcPlan, DcScratch, EngineFactory, InnerAlgorithm};
+use crate::dc::{build_subproblem_in, DcPlan, DcScratch, InnerAlgorithm};
 use crate::fastqc::run_fastqc_in;
 use crate::quickplus::run_quickplus_in;
 use crate::stats::{SearchStats, ThreadStats};
@@ -364,21 +363,19 @@ fn subproblem_estimates_parallel(
 struct WorkerResult {
     raw: SetArena,
     stats: SearchStats,
-    engine: Option<Box<dyn MaximalityEngine>>,
     thread_stats: ThreadStats,
 }
 
 /// Runs the subproblems of `anchors` on `num_threads` workers with work
 /// stealing and cooperative intra-subproblem splitting. Returns the merged
-/// outcome (with per-thread counters) and the per-worker maximality engines.
+/// outcome, with per-thread counters.
 pub(crate) fn run_dc_work_stealing(
     plan: &DcPlan,
     anchors: &[VertexId],
     inner: InnerAlgorithm,
     num_threads: usize,
     deadline: Option<Instant>,
-    engine_factory: Option<EngineFactory<'_>>,
-) -> (SearchOutcome, Vec<Box<dyn MaximalityEngine>>) {
+) -> SearchOutcome {
     let sched = Scheduler::new(num_threads, plan.params.steal_granularity);
     // One reusable scratch per worker, threaded through the whole run: the
     // estimate pass below shares its stamp array, then each worker owns one
@@ -408,16 +405,7 @@ pub(crate) fn run_dc_work_stealing(
             .enumerate()
             .map(|(id, scratch)| {
                 scope.spawn(move || {
-                    worker_loop(
-                        sched_ref,
-                        id,
-                        plan,
-                        anchors,
-                        inner,
-                        deadline,
-                        engine_factory,
-                        scratch,
-                    )
+                    worker_loop(sched_ref, id, plan, anchors, inner, deadline, scratch)
                 })
             })
             .collect();
@@ -429,23 +417,18 @@ pub(crate) fn run_dc_work_stealing(
 
     let mut stats = SearchStats::default();
     let mut outputs = Vec::new();
-    let mut engines = Vec::new();
     let mut thread_stats = Vec::new();
     for (worker, mut result) in results.into_iter().enumerate() {
         result.thread_stats.busy_millis += estimate_millis.get(worker).copied().unwrap_or(0.0);
         stats.merge(&result.stats);
         outputs.extend(result.raw.into_vecs());
-        engines.extend(result.engine);
         thread_stats.push(result.thread_stats);
     }
-    (
-        SearchOutcome {
-            outputs,
-            stats,
-            thread_stats,
-        },
-        engines,
-    )
+    SearchOutcome {
+        outputs,
+        stats,
+        thread_stats,
+    }
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -456,13 +439,11 @@ fn worker_loop(
     anchors: &[VertexId],
     inner: InnerAlgorithm,
     deadline: Option<Instant>,
-    engine_factory: Option<EngineFactory<'_>>,
     mut scratch: DcScratch,
 ) -> WorkerResult {
     let mut result = WorkerResult {
         raw: SetArena::new(),
         stats: SearchStats::default(),
-        engine: engine_factory.map(|f| f()),
         thread_stats: ThreadStats {
             thread: id,
             ..Default::default()
@@ -614,8 +595,8 @@ fn run_task(
 
 /// Runs the configured searcher on one branch of a subproblem (the whole
 /// subproblem when `s_init = [v_i]`) with the worker's reusable search
-/// scratch, maps the outputs to original-graph ids into the worker's flat
-/// arena, and streams them into the worker's engine.
+/// scratch, and maps the outputs to original-graph ids into the worker's
+/// flat arena.
 #[allow(clippy::too_many_arguments)]
 fn execute_branch(
     sched: &Scheduler,
@@ -638,7 +619,7 @@ fn execute_branch(
     // Containment boundary: a panicking branch fails alone. `AssertUnwindSafe`
     // is sound because on panic everything the closure mutated is discarded or
     // already consistent: the search scratch is replaced wholesale below, the
-    // worker arena and engine are untouched until the searcher returns, and
+    // worker arena is untouched until the searcher returns, and
     // any branches donated through the sink before the panic are self-contained
     // tasks already counted in `outstanding` (they run independently of this
     // branch's fate). `worker_loop` still decrements `outstanding` after this
@@ -689,10 +670,7 @@ fn execute_branch(
         for &l in search.sets.get(i) {
             result.raw.push_elem(shared.to_orig[l as usize]);
         }
-        let set = result.raw.commit_sorted();
-        if let Some(engine) = result.engine.as_deref_mut() {
-            engine.add(set);
-        }
+        result.raw.commit_sorted();
     }
 }
 
@@ -942,14 +920,8 @@ mod tests {
         // donated splits of the poisoned subproblem share its anchor and may
         // re-panic on other workers — and keep every other subproblem's
         // outputs intact.
-        let (outcome, _) = run_dc_work_stealing(
-            &plan,
-            &plan.ordering,
-            InnerAlgorithm::QuickPlus,
-            3,
-            None,
-            None,
-        );
+        let outcome =
+            run_dc_work_stealing(&plan, &plan.ordering, InnerAlgorithm::QuickPlus, 3, None);
         assert!(outcome.stats.subproblem_panics >= 1);
         assert_eq!(outcome.stats.last_panicked_anchor, Some(anchor));
         assert!(!outcome.stats.timed_out);

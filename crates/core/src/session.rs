@@ -86,8 +86,8 @@ impl Session {
         self
     }
 
-    /// Replaces the whole configuration (algorithm, branching, S2 backend,
-    /// time limit, parameters).
+    /// Replaces the whole configuration (algorithm, branching, time limit,
+    /// parameters).
     pub fn config(mut self, config: MqceConfig) -> Self {
         self.config = config;
         self
@@ -121,7 +121,7 @@ impl Session {
         self.threads
     }
 
-    /// Runs the full pipeline (S1 + streaming S2) and returns the maximal
+    /// Runs the full pipeline (S1, then the S2 pass) and returns the maximal
     /// family plus statistics. The family is the same at every thread
     /// count.
     pub fn run(&self) -> MqceResult {

@@ -19,32 +19,31 @@
 //!    the shared anchor driver and pipeline tail over a plan whose ordering
 //!    is just the shard's anchors and whose rank array carries the *global*
 //!    session ranks (ranks are only ever compared, never indexed, so any
-//!    monotone values are sound). The shard's engine output is the maximal
+//!    monotone values are sound). The shard's S2 output is the maximal
 //!    family of the shard's own emissions.
-//! 3. [`merge_shard_families`] restores exact global maximality through a
-//!    single [`MaximalityEngine`](mqce_settrie::MaximalityEngine) restricted
-//!    to the **cross-shard frontier** — the same argument as the incremental
-//!    merge. A set with anchor `a` is frontier iff `a`'s closed two-hop
-//!    ball leaves the shard's rank range. If `T ⊋ S` with anchors `b`, `a`,
-//!    then `b, a ∈ T` and `G[T]` has diameter ≤ 2 (γ ≥ ½), so each anchor
-//!    lies in the other's ball; if the two sets come from different shards
-//!    both are frontier, and if from the same shard the shard's local
-//!    engine already resolved them. Interior sets can therefore neither
-//!    dominate nor be dominated across shards and are spliced back in with
-//!    the canonical merge — the final family is byte-identical to a
-//!    single-process run (asserted differentially in the test suite).
+//! 3. [`merge_shard_families`] restores exact global maximality with one S2
+//!    pass restricted to the **cross-shard frontier** — the same argument as
+//!    the incremental merge. A set with anchor `a` is frontier iff `a`'s
+//!    closed two-hop ball leaves the shard's rank range. If `T ⊋ S` with
+//!    anchors `b`, `a`, then `b, a ∈ T` and `G[T]` has diameter ≤ 2
+//!    (γ ≥ ½), so each anchor lies in the other's ball; if the two sets come
+//!    from different shards both are frontier, and if from the same shard
+//!    the shard's own pass already resolved them. Interior sets can
+//!    therefore neither dominate nor be dominated across shards and are
+//!    spliced back in with the canonical merge — the final family is
+//!    byte-identical to a single-process run (asserted differentially in
+//!    the test suite).
 
 use std::time::Instant;
 
 use mqce_graph::slice::GraphSlice;
 use mqce_graph::subgraph::InducedSubgraph;
 use mqce_graph::{SubproblemScratch, VertexId};
-use mqce_settrie::S2Decision;
 
 use crate::config::MqceConfig;
-use crate::dc::{run_anchors, DcPlan, EngineFactory};
+use crate::dc::{run_anchors, DcPlan};
 use crate::incremental::merge_canonical;
-use crate::pipeline::{dc_setup, finish_run};
+use crate::pipeline::{compact_family, dc_setup, finish_run};
 use crate::prepared::PreparedGraph;
 use crate::scheduler::subproblem_estimates;
 use crate::stats::SearchStats;
@@ -77,7 +76,7 @@ pub struct ShardPlan {
     pub rank_of: Vec<usize>,
     /// Per original-graph vertex: whether, as an anchor, its closed two-hop
     /// ball crosses its shard's rank boundary — sets anchored there must go
-    /// through the coordinator's frontier engine.
+    /// through the coordinator's frontier merge.
     pub frontier: Vec<bool>,
 }
 
@@ -110,10 +109,7 @@ pub struct ShardFamily {
 pub struct MergedShards {
     /// The exact global maximal family (canonical order).
     pub mqcs: Vec<Vec<VertexId>>,
-    /// The merge engine's dispatch audit (recorded separately from
-    /// per-subproblem decisions; see [`S2Stats::merge_decision`](crate::stats::S2Stats::merge_decision)).
-    pub merge_decision: Option<S2Decision>,
-    /// The backend that performed the frontier compaction.
+    /// The pass that compacted the frontier (`parallel`).
     pub backend: String,
 }
 
@@ -135,8 +131,6 @@ pub struct ShardOutcome {
     pub best_effort: bool,
     /// S1 statistics aggregated over all shards.
     pub stats: SearchStats,
-    /// The merge engine's dispatch audit.
-    pub merge_decision: Option<S2Decision>,
 }
 
 /// Partitions the anchor list into `num_shards` cost-balanced contiguous
@@ -244,8 +238,8 @@ pub fn plan_shards(
 }
 
 /// Executes one shard: runs the shard's anchors over the slice through the
-/// shared anchor driver, then compacts the per-thread engines under the
-/// pipeline's graced S2 deadline, and returns the shard-local
+/// shared anchor driver, then runs the pipeline tail's S2 pass under its
+/// graced deadline, and returns the shard-local
 /// maximal family over original-graph ids. This is exactly what a
 /// `mqce shard-worker` process does with a decoded [`GraphSlice`].
 pub fn run_shard(
@@ -271,11 +265,8 @@ pub fn run_shard(
         params: config.params,
         dc,
     };
-    let factory = || config.s2_backend.new_engine_with_model(config.s2_model);
-    let factory_ref: EngineFactory<'_> = &factory;
-    let (outcome, engines) =
-        run_anchors(&plan, anchors, inner, threads, deadline, Some(factory_ref));
-    let result = finish_run(outcome, engines, factory_ref, config, deadline, s1_start);
+    let outcome = run_anchors(&plan, anchors, inner, threads, deadline);
+    let result = finish_run(outcome, config, threads, deadline, s1_start);
     ShardFamily {
         timed_out: result.timed_out(),
         mqcs: result.mqcs,
@@ -284,35 +275,35 @@ pub fn run_shard(
 }
 
 /// Merges per-shard maximal families into the exact global family: frontier
-/// sets go through one maximality engine, interior sets are spliced back in
-/// with the canonical merge (see the module docs for why this is exact).
+/// sets go through one S2 pass on `threads` workers, interior sets are
+/// spliced back in with the canonical merge (see the module docs for why
+/// this is exact).
 pub fn merge_shard_families(
     plan: &ShardPlan,
     families: Vec<Vec<Vec<VertexId>>>,
-    config: &MqceConfig,
+    threads: usize,
 ) -> MergedShards {
-    let mut engine = config.s2_backend.new_engine_with_model(config.s2_model);
+    let mut frontier = Vec::new();
     let mut interior: Vec<Vec<Vec<VertexId>>> = Vec::with_capacity(families.len());
     for family in families {
         let mut keep = Vec::with_capacity(family.len());
         for set in family {
             let anchor = plan.anchor_of(&set).expect("maximal sets are non-empty");
             if plan.frontier.get(anchor as usize).copied().unwrap_or(true) {
-                engine.add(&set);
+                frontier.push(set);
             } else {
                 keep.push(set);
             }
         }
         interior.push(keep);
     }
-    let s2_out = engine.finish();
+    let s2_out = compact_family(&mut frontier, threads, None);
     let mut merged = s2_out.mqcs;
     for keep in interior {
         merged = merge_canonical(merged, keep);
     }
     MergedShards {
         mqcs: merged,
-        merge_decision: s2_out.decision,
         backend: s2_out.backend.to_string(),
     }
 }
@@ -347,7 +338,7 @@ pub fn run_sharded(
         families.push(family.mqcs);
     }
     let merge_start = Instant::now();
-    let merged = merge_shard_families(&plan, families, config);
+    let merged = merge_shard_families(&plan, families, threads_per_shard);
     let merge_millis = merge_start.elapsed().as_secs_f64() * 1e3;
     Some(ShardOutcome {
         mqcs: merged.mqcs,
@@ -356,7 +347,6 @@ pub fn run_sharded(
         merge_millis,
         best_effort,
         stats,
-        merge_decision: merged.merge_decision,
     })
 }
 

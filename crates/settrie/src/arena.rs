@@ -3,10 +3,9 @@
 //! The S1 searchers emit one candidate quasi-clique per surviving branch.
 //! Boxing each set as its own `Vec<u32>` costs an allocation per output and
 //! scatters the family across the heap; [`SetArena`] instead packs every set
-//! into one contiguous `u32` pool addressed by `(start, len)` spans. The
-//! streaming [`MaximalityEngine`](crate::MaximalityEngine) already consumes
-//! sets by slice, so the arena feeds it directly and per-set boxing is
-//! deferred until the surviving family is materialised at the end of a run.
+//! into one contiguous `u32` pool addressed by `(start, len)` spans, and
+//! per-set boxing is deferred until the family is materialised at the end of
+//! a run.
 
 /// A growable pool of `u32` sets stored back-to-back, each addressed by a
 /// `(start, len)` span. Appending a set allocates only when the pool itself

@@ -1,4 +1,4 @@
-//! Parallel final compaction over a frozen inverted index.
+//! MQCE-S2: the one maximality pass, over a frozen inverted index.
 //!
 //! Whether a set is strictly contained in another set of the family does not
 //! depend on any other set's fate (containment is transitive, so probing
@@ -8,6 +8,7 @@
 //! (element → ascending set ids) over the whole family and lets scoped
 //! workers claim blocks of sets from a shared counter.
 
+use std::borrow::Cow;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::time::Instant;
 
@@ -21,30 +22,30 @@ use crate::filter::is_sorted_subset;
 const BLOCK: usize = 64;
 
 /// Compacts `sets` to exactly its maximal sets (sorted lexicographically)
-/// on `threads` scoped workers. Duplicates — within or across the inputs
-/// that were concatenated into `sets` — collapse to one copy, and the empty
-/// set survives only when it is the sole input, as in
-/// [`filter_maximal`](crate::filter_maximal).
+/// on `threads` scoped workers (the calling thread is one of them).
+/// Duplicates collapse to one copy, and the empty set survives only when it
+/// is the sole input, as in [`filter_maximal`](crate::filter_maximal).
+///
+/// A family that is already canonical — every set strictly increasing, the
+/// sets strictly increasing lexicographically, as a sorted and deduplicated
+/// S1 output is — is probed in place; any other input is first copied,
+/// sorted and deduplicated.
 ///
 /// The index is keyed by element value. When the largest element reaches
 /// the family's total number of elements (sparse ids, or a small local
-/// family over a large graph), elements are first replaced by their ranks
-/// among the distinct values, so memory and time stay linear in the input.
+/// family over a large graph), the index is built over the elements' ranks
+/// among the distinct values instead, so memory and time stay linear in the
+/// input.
 ///
-/// Steps: sort lexicographically and dedup; rank the sets by length
-/// descending with a counting sort and build the CSR index over the ranks;
-/// probe each set at its rarest element against the part of that element's
-/// list holding strictly larger sets; keep the survivors, which are already
-/// in lexicographic order.
+/// Steps: rank the sets by length descending with a counting sort and build
+/// the CSR index over the ranks; probe each set at its rarest element
+/// against the part of that element's list holding strictly larger sets;
+/// keep the survivors, which are already in lexicographic order.
 ///
 /// Under a deadline the result holds only sets whose probe completed, and
 /// each of those is maximal in the whole family: a cut-off answer is a
 /// subset of the true maximal family, not merely an antichain.
-pub fn compact_parallel(
-    sets: Vec<Vec<u32>>,
-    threads: usize,
-    deadline: Option<Instant>,
-) -> S2Outcome {
+pub fn compact_parallel(sets: &[Vec<u32>], threads: usize, deadline: Option<Instant>) -> S2Outcome {
     let threads = threads.max(1);
     let expired = || deadline.is_some_and(|d| Instant::now() >= d);
     let outcome = |mqcs, timed_out| S2Outcome {
@@ -59,10 +60,11 @@ pub fn compact_parallel(
     if expired() {
         return outcome(Vec::new(), true);
     }
-    let mut sets = sort_dedup(sets);
-    let values = compress_sparse(&mut sets);
-    let index = FrozenIndex::build(&sets);
-    let n = sets.len();
+    let sets = canonical_family(sets);
+    let compressed = compress_sparse(&sets);
+    let probed: &[Vec<u32>] = compressed.as_deref().unwrap_or(&sets);
+    let index = FrozenIndex::build(probed);
+    let n = probed.len();
     let next = AtomicUsize::new(0);
     let timed_out = AtomicBool::new(false);
     let work = || {
@@ -78,7 +80,7 @@ pub fn compact_parallel(
             }
             survivors.extend(
                 (start..(start + BLOCK).min(n))
-                    .filter(|&rank| !index.dominated(&sets, rank))
+                    .filter(|&rank| !index.dominated(probed, rank))
                     .map(|rank| index.by_rank[rank]),
             );
         }
@@ -96,43 +98,54 @@ pub fn compact_parallel(
         survivors
     });
     drop(index);
+    drop(compressed);
 
     let mut keep = vec![false; n];
     for i in survivors {
         keep[i as usize] = true;
     }
-    let mut mqcs: Vec<Vec<u32>> = sets
-        .into_iter()
-        .zip(keep)
-        .filter_map(|(set, keep)| keep.then_some(set))
-        .collect();
-    if let Some(values) = values {
-        for e in mqcs.iter_mut().flatten() {
-            *e = values[*e as usize];
-        }
-    }
+    let mqcs = match sets {
+        Cow::Borrowed(sets) => sets
+            .iter()
+            .zip(keep)
+            .filter(|&(_, keep)| keep)
+            .map(|(set, _)| set.clone())
+            .collect(),
+        Cow::Owned(sets) => sets
+            .into_iter()
+            .zip(keep)
+            .filter_map(|(set, keep)| keep.then_some(set))
+            .collect(),
+    };
     outcome(mqcs, timed_out.into_inner())
 }
 
-/// Canonicalises every set (sorted, deduplicated elements), then sorts the
-/// family lexicographically and drops duplicate sets.
-fn sort_dedup(mut sets: Vec<Vec<u32>>) -> Vec<Vec<u32>> {
+/// `sets` itself when it is canonical (every set strictly increasing, the
+/// sets strictly increasing lexicographically); otherwise a copy with every
+/// set sorted and deduplicated, sorted lexicographically without duplicate
+/// sets.
+fn canonical_family(sets: &[Vec<u32>]) -> Cow<'_, [Vec<u32>]> {
+    let increasing = |set: &[u32]| set.windows(2).all(|w| w[0] < w[1]);
+    if sets.iter().all(|set| increasing(set)) && sets.windows(2).all(|w| w[0] < w[1]) {
+        return Cow::Borrowed(sets);
+    }
+    let mut sets = sets.to_vec();
     for set in sets.iter_mut() {
-        if !set.windows(2).all(|w| w[0] < w[1]) {
+        if !increasing(set) {
             set.sort_unstable();
             set.dedup();
         }
     }
     sets.sort_unstable();
     sets.dedup();
-    sets
+    Cow::Owned(sets)
 }
 
-/// When the largest element reaches the total number of elements, replaces
-/// every element by its rank among the distinct values and returns those
-/// values, to map the survivors back. Ranks preserve order, so every set
-/// stays sorted and the family's order and containments are unchanged.
-fn compress_sparse(sets: &mut [Vec<u32>]) -> Option<Vec<u32>> {
+/// When the largest element reaches the total number of elements, a copy
+/// of `sets` with every element replaced by its rank among the distinct
+/// values. Ranks preserve order, so every set stays sorted and the family's
+/// order and containments are unchanged.
+fn compress_sparse(sets: &[Vec<u32>]) -> Option<Vec<Vec<u32>>> {
     let total: usize = sets.iter().map(Vec::len).sum();
     let &max = sets.iter().flatten().max()?;
     if (max as usize) < total {
@@ -141,10 +154,12 @@ fn compress_sparse(sets: &mut [Vec<u32>]) -> Option<Vec<u32>> {
     let mut values: Vec<u32> = sets.iter().flatten().copied().collect();
     values.sort_unstable();
     values.dedup();
-    for e in sets.iter_mut().flatten() {
-        *e = values.partition_point(|&v| v < *e) as u32;
-    }
-    Some(values)
+    let rank = |e: &u32| values.partition_point(|v| v < e) as u32;
+    Some(
+        sets.iter()
+            .map(|set| set.iter().map(rank).collect())
+            .collect(),
+    )
 }
 
 /// The frozen probe structure over a lexicographically sorted, deduplicated
@@ -258,13 +273,25 @@ mod tests {
     fn matches_naive_on_random_families() {
         for sets in random_families() {
             let expected = filter_maximal_naive(&sets);
-            // Duplicates spread across the concatenated inputs, as when
-            // several per-thread engines retained the same set.
+            // Duplicates spread across the input, and a canonical
+            // (sorted, deduplicated) family, which is probed in place.
             let mut doubled = sets.clone();
             doubled.extend(sets.iter().rev().cloned());
+            let mut canonical: Vec<Vec<u32>> = sets
+                .iter()
+                .map(|set| {
+                    let mut set = set.clone();
+                    set.sort_unstable();
+                    set.dedup();
+                    set
+                })
+                .collect();
+            canonical.sort_unstable();
+            canonical.dedup();
+            assert!(matches!(canonical_family(&canonical), Cow::Borrowed(_)));
             for threads in [1, 2, 4] {
-                for input in [&sets, &doubled] {
-                    let out = compact_parallel(input.clone(), threads, None);
+                for input in [&sets, &doubled, &canonical] {
+                    let out = compact_parallel(input, threads, None);
                     assert_eq!(out.mqcs, expected, "{threads} workers on {input:?}");
                     assert!(!out.timed_out);
                     assert_eq!(out.backend, "parallel");
@@ -284,7 +311,7 @@ mod tests {
                 vec![vec![], vec![7], vec![]],
             ] {
                 assert_eq!(
-                    compact_parallel(sets.clone(), threads, None).mqcs,
+                    compact_parallel(&sets, threads, None).mqcs,
                     filter_maximal(&sets),
                     "{threads} workers on {sets:?}"
                 );
@@ -299,11 +326,11 @@ mod tests {
         for threads in [1, 2] {
             let sets = vec![vec![0], vec![4_000_000_000], vec![0, 4_000_000_000]];
             assert_eq!(
-                compact_parallel(sets, threads, None).mqcs,
+                compact_parallel(&sets, threads, None).mqcs,
                 vec![vec![0, 4_000_000_000]]
             );
             assert_eq!(
-                compact_parallel(vec![vec![u32::MAX]], threads, None).mqcs,
+                compact_parallel(&[vec![u32::MAX]], threads, None).mqcs,
                 vec![vec![u32::MAX]]
             );
         }
@@ -315,7 +342,7 @@ mod tests {
                 .collect();
             for threads in [1, 2, 4] {
                 assert_eq!(
-                    compact_parallel(sparse.clone(), threads, None).mqcs,
+                    compact_parallel(&sparse, threads, None).mqcs,
                     filter_maximal_naive(&sparse),
                     "{threads} workers on {sparse:?}"
                 );
@@ -327,7 +354,7 @@ mod tests {
     fn expired_deadline_returns_nothing_and_is_flagged() {
         let sets = random_families().concat();
         for threads in [1, 2, 4] {
-            let out = compact_parallel(sets.clone(), threads, Some(Instant::now()));
+            let out = compact_parallel(&sets, threads, Some(Instant::now()));
             assert!(out.timed_out, "{threads} workers");
             assert!(out.mqcs.is_empty(), "{threads} workers");
         }
@@ -348,7 +375,7 @@ mod tests {
         for threads in [1, 2, 4] {
             for budget_micros in [0u64, 50, 500, 5_000] {
                 let deadline = Instant::now() + Duration::from_micros(budget_micros);
-                let out = compact_parallel(sets.clone(), threads, Some(deadline));
+                let out = compact_parallel(&sets, threads, Some(deadline));
                 for set in &out.mqcs {
                     assert!(
                         full.binary_search(set).is_ok(),

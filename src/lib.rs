@@ -6,8 +6,9 @@
 //!
 //! * [`graph`] — the graph substrate ([`mqce_graph`]): CSR graphs, builders,
 //!   generators, k-core / degeneracy, induced subgraphs, edge-list IO;
-//! * [`settrie`] — the streaming maximality engines ([`mqce_settrie`]) used
-//!   for maximality filtering (MQCE-S2);
+//! * [`settrie`] — maximality filtering for MQCE-S2 ([`mqce_settrie`]): the
+//!   one compaction pass the pipeline runs, plus the serial reference
+//!   filters;
 //! * [`core`] — the enumeration algorithms ([`mqce_core`]): FastQC, DCFastQC,
 //!   the Quick+ baseline, and the end-to-end pipeline behind the
 //!   [`Session`] builder (plus the in-process sharded driver in
@@ -49,5 +50,5 @@ pub mod prelude {
         MqceResult, PreparedGraph, Session,
     };
     pub use mqce_graph::{Graph, GraphBuilder, GraphStats, VertexId};
-    pub use mqce_settrie::{filter_maximal, filter_maximal_with, MaximalityEngine, S2Backend};
+    pub use mqce_settrie::{compact_parallel, filter_maximal};
 }

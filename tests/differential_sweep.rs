@@ -167,13 +167,12 @@ fn backends_agree_across_word_boundary_graphs() {
     }
 }
 
-/// The extremal ≡ inverted S2 differential over the same grid the oracle
-/// sweep uses: every (γ, θ) cell on a battery of seeded random graphs, run
-/// once per S2 backend through the full pipeline. The prefix-sharing
-/// extremal pass must reproduce the inverted reference family byte for byte
-/// (and both match the Auto dispatcher's result).
+/// The S2 differential over the same grid the oracle sweep uses: every
+/// (γ, θ) cell on a battery of seeded random graphs. The pipeline's pass
+/// must reproduce the independent serial filter run on its own S1 family,
+/// at one thread and at two.
 #[test]
-fn s2_extremal_equals_inverted_across_full_grid() {
+fn s2_pass_matches_filter_maximal_across_full_grid() {
     let mut rng = StdRng::seed_from_u64(0x52BD);
     let mut graphs: Vec<(String, Graph)> = (0..8)
         .map(|case| {
@@ -190,25 +189,19 @@ fn s2_extremal_equals_inverted_across_full_grid() {
     for (label, g) in &graphs {
         for gamma in GAMMAS {
             for theta in THETAS {
-                let run = |backend: S2Backend| {
-                    enumerate(
-                        g,
-                        &MqceConfig::new(gamma, theta)
-                            .unwrap()
-                            .with_s2_backend(backend),
-                    )
-                };
-                let inverted = run(S2Backend::Inverted);
-                let extremal = run(S2Backend::Extremal);
-                assert_eq!(
-                    extremal.mqcs, inverted.mqcs,
-                    "{label}: extremal S2 diverges from inverted (gamma={gamma}, theta={theta})"
-                );
-                assert_eq!(
-                    run(S2Backend::Auto).mqcs,
-                    inverted.mqcs,
-                    "{label}: auto S2 diverges from inverted (gamma={gamma}, theta={theta})"
-                );
+                let config = MqceConfig::new(gamma, theta).unwrap();
+                for threads in [1, 2] {
+                    let result = Session::open(g.clone())
+                        .config(config)
+                        .threads(threads)
+                        .run();
+                    assert_eq!(
+                        result.mqcs,
+                        mqce::settrie::filter_maximal(&result.qcs),
+                        "{label}: S2 pass diverges at {threads} threads \
+                         (gamma={gamma}, theta={theta})"
+                    );
+                }
             }
         }
     }

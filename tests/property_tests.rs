@@ -152,21 +152,13 @@ proptest! {
         prop_assert_eq!(filter_maximal(&sets), filter_maximal_naive(&sets));
     }
 
-    /// Every maximality-engine backend (and the auto dispatcher) agrees with
-    /// the quadratic reference on arbitrary set families.
+    /// The S2 pass agrees with the quadratic reference on arbitrary set
+    /// families.
     #[test]
-    fn s2_engine_backends_match_naive(sets in proptest::collection::vec(
+    fn s2_pass_matches_naive(sets in proptest::collection::vec(
         proptest::collection::vec(0u32..15, 0..6), 0..25)) {
-        use mqce::settrie::{filter_maximal_with, S2Backend};
-        let expected = filter_maximal_naive(&sets);
-        for backend in S2Backend::concrete() {
-            prop_assert_eq!(
-                filter_maximal_with(&sets, backend),
-                expected.clone(),
-                "backend {}", backend.name()
-            );
-        }
-        prop_assert_eq!(filter_maximal_with(&sets, S2Backend::Auto), expected);
+        let out = mqce::settrie::compact_parallel(&sets, 2, None);
+        prop_assert_eq!(out.mqcs, filter_maximal_naive(&sets));
     }
 
     /// Core decomposition invariant: every vertex of the k-core has at least k

@@ -9,7 +9,7 @@
 use std::time::{Duration, Instant};
 
 use mqce::core::shard::{merge_shard_families, plan_shards, run_shard, run_sharded};
-use mqce::core::{MqceConfig, PreparedGraph, S2Backend, Session};
+use mqce::core::{MqceConfig, PreparedGraph, Session};
 use mqce::graph::generators::{
     community_graph, planted_quasi_cliques, CommunityGraphParams, PlantedGroup,
 };
@@ -106,8 +106,8 @@ fn merge_reports_its_engine_and_per_shard_interiors_splice_exactly() {
             assert!(set.iter().all(|&v| v < n));
         }
     }
-    let merged = merge_shard_families(&plan, families, &config);
-    assert!(!merged.backend.is_empty());
+    let merged = merge_shard_families(&plan, families, 2);
+    assert_eq!(merged.backend, "parallel");
     let single = Session::open(g).config(config).run();
     assert_eq!(merged.mqcs, single.mqcs);
 }
@@ -151,8 +151,8 @@ fn panicking_anchor_yields_contained_best_effort_not_a_hang() {
 }
 
 /// A shard worker honours its time budget end to end: S1 stops at the
-/// deadline, and the engine merge and compaction run under the pipeline's
-/// graced S2 deadline instead of an unbounded final pass. The run returns
+/// deadline, and the S2 pass runs under the pipeline's graced S2 deadline
+/// instead of unbounded. The run returns
 /// within the limit plus the grace slice and reports that it was cut short.
 #[test]
 fn shard_run_returns_within_its_time_limit_and_reports_timed_out() {
@@ -172,11 +172,9 @@ fn shard_run_returns_within_its_time_limit_and_reports_timed_out() {
         99,
     );
     let prepared = PreparedGraph::new(g);
-    // The extremal engine defers all domination work to the final
-    // compaction, which only the graced S2 deadline bounds.
-    let base = MqceConfig::new(0.6, 5)
-        .unwrap()
-        .with_s2_backend(S2Backend::Extremal);
+    // All domination work happens in the S2 pass, which only the graced
+    // S2 deadline bounds.
+    let base = MqceConfig::new(0.6, 5).unwrap();
     let plan = plan_shards(&prepared, &base, 1).expect("DCFastQC is shardable");
     let spec = &plan.shards[0];
     // The pipeline's S2 grace is 10% of the limit, at least 100 ms. A zero

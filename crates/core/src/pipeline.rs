@@ -396,6 +396,66 @@ mod tests {
         let _ = result.timed_out();
     }
 
+    /// The backend knob is still accepted but selects nothing: every value
+    /// gives the same family and runs the same pass over the distinct S1
+    /// outputs.
+    #[test]
+    fn s2_backends_agree_and_report_stats() {
+        use crate::S2Backend;
+        let g = Graph::paper_figure1();
+        let reference = enumerate_mqcs_default(&g, 0.6, 3).unwrap().mqcs;
+        for backend in [
+            S2Backend::Auto,
+            S2Backend::Inverted,
+            S2Backend::Bitset,
+            S2Backend::Extremal,
+        ] {
+            let result = run(
+                &g,
+                &MqceConfig::new(0.6, 3).unwrap().with_s2_backend(backend),
+            );
+            assert_eq!(result.mqcs, reference, "{backend:?}");
+            assert!(!result.s2.timed_out);
+            assert_eq!(result.s2.backend, "parallel", "{backend:?}");
+            assert_eq!(result.s2.sets_streamed, result.stats.outputs);
+            assert_eq!(result.s2.sets_retained as usize, result.qcs.len());
+            assert!(result.s2.sets_retained as usize >= result.mqcs.len());
+        }
+    }
+
+    /// Multi-thread runs agree with the one-thread family for every value
+    /// of the backend knob.
+    #[test]
+    fn parallel_merge_agrees_across_s2_backends() {
+        use crate::S2Backend;
+        use mqce_graph::generators::{community_graph, CommunityGraphParams};
+        let g = community_graph(
+            CommunityGraphParams {
+                n: 100,
+                num_communities: 7,
+                p_intra: 0.9,
+                inter_degree: 1.5,
+            },
+            909,
+        );
+        let reference = run(&g, &MqceConfig::new(0.85, 5).unwrap()).mqcs;
+        for backend in [
+            S2Backend::Auto,
+            S2Backend::Inverted,
+            S2Backend::Bitset,
+            S2Backend::Extremal,
+        ] {
+            let config = MqceConfig::new(0.85, 5).unwrap().with_s2_backend(backend);
+            for threads in [2, 3, 4] {
+                let parallel = run_threads(&g, &config, threads);
+                assert_eq!(parallel.mqcs, reference, "{backend:?} at {threads} threads");
+                assert!(!parallel.s2.timed_out);
+                assert_eq!(parallel.s2.backend, "parallel");
+                assert!(parallel.s2.sets_retained as usize >= reference.len());
+            }
+        }
+    }
+
     /// S2 is one pass over the sorted, deduplicated S1 outputs at every
     /// thread count: the family is the same at 1–4 threads, and the pass
     /// is handed exactly the distinct outputs (`qcs`), none dropped before

@@ -506,8 +506,8 @@ pub fn quick_backends(opts: ExperimentOptions) -> Vec<RunRecord> {
 /// per-subproblem allocation (the pre-scratch path paid hundreds: a fresh
 /// local-id map, `Vec<Vec<_>>` adjacency, per-emission predicate masks and
 /// per-QC boxing each time) blows through it immediately. Measured steady
-/// state: ~6.1 (most of it the final boxing, which scales with outputs, not
-/// subproblems).
+/// state (a one-worker scheduler run): 6.76 (most of it the final boxing,
+/// which scales with outputs, not subproblems).
 pub const ALLOC_GATE_MAX_ALLOCS_PER_SUBPROBLEM: f64 = 30.0;
 
 /// **Allocation gate** (`experiments alloc-gate`): measures heap-allocation
@@ -1110,9 +1110,9 @@ pub fn s2_stress(opts: ExperimentOptions) -> Vec<RunRecord> {
 /// community plus a tail of tiny ones, the shape that starves
 /// whole-subproblem handout) — with 1..N worker threads. Every point records
 /// per-thread busy/steal/idle counters in the JSON rows, and the sweep
-/// asserts that the parallel maximal family equals the sequential one (the
+/// asserts that the N-worker maximal family equals the 1-worker one (the
 /// CI bench-smoke job runs this at the small preset, so a
-/// parallel-vs-sequential disagreement fails the build). The retired
+/// 1-worker vs N-worker disagreement fails the build). The retired
 /// shared-index baseline's numbers are kept as a static table in the README.
 pub fn thread_sweep(opts: ExperimentOptions) -> Vec<RunRecord> {
     use mqce_graph::generators::{
@@ -1218,7 +1218,7 @@ pub fn thread_sweep(opts: ExperimentOptions) -> Vec<RunRecord> {
     }
     // The MQC family must be thread-count-invariant; compare
     // the actual families (not just counts) at the largest thread count so
-    // the CI smoke run fails loudly on any parallel-vs-sequential drift.
+    // the CI smoke run fails loudly on any 1-worker vs N-worker drift.
     for &(name, graph, gamma, theta) in &workloads {
         let counts: Vec<usize> = records
             .iter()
@@ -1232,12 +1232,12 @@ pub fn thread_sweep(opts: ExperimentOptions) -> Vec<RunRecord> {
             .expect("benchmark parameters are valid")
             .with_time_limit(opts.time_limit);
         let session = mqce_core::Session::open(graph.clone()).config(config);
-        let sequential = session.run();
+        let one = session.run();
         let parallel = session.threads(max_threads).run();
-        if !sequential.timed_out() && !parallel.timed_out() {
+        if !one.timed_out() && !parallel.timed_out() {
             assert_eq!(
-                parallel.mqcs, sequential.mqcs,
-                "parallel MQC family differs from sequential on {name}"
+                parallel.mqcs, one.mqcs,
+                "{max_threads}-worker MQC family differs from 1-worker on {name}"
             );
         }
     }

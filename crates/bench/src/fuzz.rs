@@ -5,9 +5,9 @@
 //! parameters, and a schedule of edge-update batches — and then executed
 //! *differentially*:
 //!
-//! * every production configuration (algorithm × adjacency backend,
-//!   sequential and the work-stealing scheduler) against the
-//!   exhaustive [`mqce_core::naive`] oracle;
+//! * every production configuration (algorithm × adjacency backend, one
+//!   and several work-stealing workers) against the exhaustive
+//!   [`mqce_core::naive`] oracle;
 //! * the incremental session against a full recompute after every batch;
 //! * the update WAL against direct application (append → reopen → replay
 //!   must land on the same fingerprint, and a log truncated at *any* byte

@@ -100,7 +100,8 @@ pub struct RunRecord {
     pub branches: u64,
     /// Whether the run hit the time limit (reported as `INF` in tables).
     pub timed_out: bool,
-    /// Per-thread busy/steal/idle counters (empty for sequential runs).
+    /// Per-thread busy/steal/idle counters, one row per worker (empty for
+    /// the whole-graph algorithms, which run no scheduler).
     /// `default` so records written before this field existed still parse —
     /// `append_json` would otherwise discard the whole accumulated file.
     #[serde(default)]
@@ -290,7 +291,7 @@ pub fn measure(
 }
 
 /// [`measure`] with an explicit DC worker-thread count (the parallel-scaling
-/// sweep); `threads == 1` uses the sequential pipeline.
+/// sweep).
 pub fn measure_threads(
     dataset: &str,
     g: &Graph,
@@ -586,8 +587,8 @@ mod tests {
         assert_eq!(seq.mqcs, par.mqcs);
         assert!(!par.s2_timed_out);
         assert!(!par.s2_backend.is_empty());
-        // Sequential runs carry no thread rows; parallel runs one per worker.
-        assert!(seq.thread_stats.is_empty());
+        // Every DC run carries one thread row per worker, one included.
+        assert_eq!(seq.thread_stats.len(), 1);
         assert_eq!(par.thread_stats.len(), 4);
         let total: u64 = par.thread_stats.iter().map(|t| t.subproblems).sum();
         assert_eq!(total, par.stats.dc_subproblems);

@@ -47,10 +47,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, RwLock};
 use std::time::{Duration, Instant};
 
 use mqce_core::{PreparedGraph, Session};
-use mqce_graph::{
-    dirty_two_hop_closure, update_core_decomposition, Graph, GraphDelta, SubproblemScratch,
-    WriteAheadLog,
-};
+use mqce_graph::{Graph, GraphDelta, SubproblemScratch, WriteAheadLog};
 use serde::Value;
 
 use crate::args::ParsedArgs;
@@ -901,11 +898,8 @@ fn update_response(state: &ServerState, req: &Request, arrival: Instant) -> Resp
 
     let old = state.snapshot();
     let old_fingerprint = old.fingerprint();
-    let new_graph = delta.apply(old.graph());
-    let mut scratch = SubproblemScratch::new();
-    let dirty = dirty_two_hop_closure(old.graph(), &new_graph, &delta, &mut scratch);
-    let core_update = update_core_decomposition(old.cores(), &new_graph);
-    let prepared = Arc::new(PreparedGraph::with_cores(new_graph, core_update.cores));
+    let (prepared, dirty, core_changed) = old.apply_delta(&delta, &mut SubproblemScratch::new());
+    let prepared = Arc::new(prepared);
     let new_fingerprint = prepared.fingerprint();
     *unpoison(state.prepared.write()) = Arc::clone(&prepared);
 
@@ -949,10 +943,7 @@ fn update_response(state: &ServerState, req: &Request, arrival: Instant) -> Resp
             Value::Num(delta.len() as f64),
         ),
         ("dirty".to_string(), Value::Num(dirty.len() as f64)),
-        (
-            "core_changed".to_string(),
-            Value::Num(core_update.changed.len() as f64),
-        ),
+        ("core_changed".to_string(), Value::Num(core_changed as f64)),
         ("vertices".to_string(), Value::Num(g.num_vertices() as f64)),
         ("edges".to_string(), Value::Num(g.num_edges() as f64)),
         (
@@ -1131,19 +1122,22 @@ fn compute_response(state: &ServerState, req: Request, arrival: Instant) -> Resp
                     Ok(result) => result,
                     Err(e) => return Response::failure(req.id, e.to_string()),
                 };
+            let contained = result.stats.subproblem_panics;
+            let mut extra = vec![
+                (
+                    "final_theta".to_string(),
+                    Value::Num(result.final_theta as f64),
+                ),
+                ("rounds".to_string(), Value::Num(result.rounds as f64)),
+            ];
+            panic_extras(&result.stats, &mut extra);
             let outcome = CachedOutcome {
                 cmd: req.cmd.clone(),
                 vertices: Vec::new(),
                 mqcs: result.mqcs,
-                extra: vec![
-                    (
-                        "final_theta".to_string(),
-                        Value::Num(result.final_theta as f64),
-                    ),
-                    ("rounds".to_string(), Value::Num(result.rounds as f64)),
-                ],
+                extra,
             };
-            (outcome, result.timed_out, false)
+            (outcome, result.timed_out || contained > 0, false)
         }
         "shard_run" => {
             return Response::failure(

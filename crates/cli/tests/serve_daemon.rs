@@ -520,6 +520,35 @@ fn injected_faults_are_contained_and_the_daemon_keeps_serving() {
 }
 
 #[test]
+fn topk_worker_panics_are_contained_and_flagged() {
+    // Regression: top-k rebuilt every round's params from (γ, θ) alone, so
+    // a request's `panic-worker` fault never reached the search and the
+    // answer could not report a contained panic.
+    let (addr, handle) = start_daemon(
+        Graph::complete(6),
+        ServeSettings {
+            fault_injection: true,
+            ..ServeSettings::default()
+        },
+    );
+    let request = Request {
+        cmd: "topk".to_string(),
+        gamma: 0.9,
+        k: 1,
+        fault: Some("panic-worker:0".to_string()),
+        ..Request::default()
+    };
+    let response = roundtrip(addr, &request);
+    assert!(response.ok, "error: {:?}", response.error);
+    assert!(response.extra_num("contained_panics").unwrap_or(0.0) >= 1.0);
+    assert_eq!(response.extra_num("panicked_anchor"), Some(0.0));
+    assert!(response.best_effort, "a lossy answer must be best-effort");
+    assert!(!response.cached);
+    shutdown(addr);
+    handle.join().expect("daemon thread");
+}
+
+#[test]
 fn fault_requests_are_refused_without_the_flag() {
     let graph = test_graph(60, 22);
     let (addr, handle) = start_daemon(graph, ServeSettings::default());

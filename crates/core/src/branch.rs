@@ -49,8 +49,8 @@ pub struct SearchOutcome {
     pub outputs: Vec<Vec<VertexId>>,
     /// Search statistics.
     pub stats: SearchStats,
-    /// Per-worker counters (work-stealing parallel driver only; empty for
-    /// sequential runs).
+    /// Per-worker counters of the work-stealing scheduler, one per worker
+    /// (empty for searches that do not go through it).
     pub thread_stats: Vec<ThreadStats>,
 }
 
@@ -113,11 +113,6 @@ impl Default for SearchScratch {
 }
 
 impl SearchScratch {
-    /// Creates an empty scratch; buffers grow on first use.
-    pub(crate) fn new() -> Self {
-        Self::default()
-    }
-
     /// Re-dimensions every buffer for an `n`-vertex (local) graph and
     /// empties the emitted-set arena. O(n) and allocation-free once the
     /// buffers have grown to the largest subproblem seen.
@@ -155,9 +150,9 @@ pub(crate) struct SearchCtx<'g> {
     deadline: Option<Instant>,
     pub(crate) aborted: bool,
     depth: u64,
-    /// Cooperative work-donation hook of the work-stealing parallel driver;
-    /// `None` for sequential searches (the poll then compiles to a branch on
-    /// a constant).
+    /// Cooperative work-donation hook of the work-stealing scheduler; `None`
+    /// for whole-graph and query searches (the poll then compiles to a
+    /// branch on a constant).
     splitter: Option<&'g dyn SplitSink>,
 }
 

@@ -52,10 +52,10 @@ pub struct MqceParams {
     pub backend: AdjacencyBackend,
     /// Minimum number of untaken sibling branches a searcher must hold
     /// before it donates them as split tasks to hungry workers (the
-    /// `--steal-granularity` knob of the work-stealing parallel DC driver).
+    /// `--steal-granularity` knob of the work-stealing DC scheduler).
     /// `0` disables intra-subproblem splitting entirely (whole subproblems
-    /// are still stolen between workers). Only consulted by the parallel
-    /// driver; sequential runs ignore it.
+    /// are still stolen between workers). A one-worker run is never hungry,
+    /// so it never splits whatever the value.
     pub steal_granularity: usize,
     /// Test-only fault injection consumed by the DC drivers: panic inside
     /// the searcher of the subproblem anchored at this original-graph
@@ -233,7 +233,7 @@ impl MqceConfig {
         self
     }
 
-    /// Sets the work-stealing split granularity of the parallel DC driver
+    /// Sets the work-stealing split granularity of the DC scheduler
     /// (`0` disables intra-subproblem splitting).
     pub fn with_steal_granularity(mut self, granularity: usize) -> Self {
         self.params.steal_granularity = granularity;

@@ -18,14 +18,14 @@ use std::time::Instant;
 use mqce_graph::bitset::{AdjacencyMatrix, BitSet};
 use mqce_graph::subgraph::InducedSubgraph;
 use mqce_graph::{Graph, SubproblemScratch, VertexId};
-use mqce_settrie::SetArena;
 
-use crate::branch::{SearchOutcome, SearchScratch};
+use crate::branch::{SearchCtx, SearchOutcome, SearchScratch};
 use crate::config::{AdjacencyBackend, BranchingStrategy, MqceParams};
-use crate::fastqc::run_fastqc_in;
+use crate::fastqc::FastQc;
 use crate::prepared::PreparedGraph;
 use crate::quasiclique::{required_degree, tau};
-use crate::quickplus::run_quickplus_in;
+use crate::quickplus::QuickPlus;
+use crate::scheduler::SplitSink;
 use crate::stats::SearchStats;
 
 /// Which branch-and-bound searcher the DC driver invokes per subproblem.
@@ -35,6 +35,52 @@ pub enum InnerAlgorithm {
     FastQc(BranchingStrategy),
     /// The Quick+ baseline (Algorithm 1).
     QuickPlus,
+}
+
+impl InnerAlgorithm {
+    /// Runs this searcher on `g` from the branch `(s_init, cand, implicit
+    /// D)` with the caller's reusable [`SearchScratch`], leaving every
+    /// emitted quasi-clique in `bufs.sets` (ids of `g`, each sorted) and
+    /// returning the search statistics. The emitted family contains every
+    /// maximal QC of size ≥ θ that lies in `s_init ∪ cand` and contains
+    /// `s_init`.
+    ///
+    /// Every search runs through here: the scheduler's task body (`s_init =
+    /// [v_i]` and the pruned two-hop candidates, or a donated branch), the
+    /// whole-graph algorithms (`s_init = []`, every vertex) and query search
+    /// (`s_init` = the query). `kernel` is a bitset kernel already built
+    /// over `g`; without one the backend policy in `params` decides whether
+    /// to build it. While branching at shallow depths the searcher polls
+    /// `splitter` and, when a worker is hungry, donates its untaken sibling
+    /// branches instead of exploring them itself.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn search(
+        self,
+        g: &Graph,
+        kernel: Option<&AdjacencyMatrix>,
+        s_init: &[VertexId],
+        cand: &[VertexId],
+        params: MqceParams,
+        deadline: Option<Instant>,
+        splitter: Option<&dyn SplitSink>,
+        bufs: &mut SearchScratch,
+    ) -> SearchStats {
+        let mut ctx = SearchCtx::new_with_kernel(g, kernel, params, s_init, cand, deadline, bufs);
+        if let Some(splitter) = splitter {
+            ctx = ctx.with_splitter(splitter);
+        }
+        let mut root = ctx.take_buf();
+        root.extend_from_slice(cand);
+        match self {
+            InnerAlgorithm::FastQc(branching) => FastQc {
+                ctx: &mut ctx,
+                branching,
+            }
+            .recurse(root),
+            InnerAlgorithm::QuickPlus => QuickPlus { ctx: &mut ctx }.recurse(root),
+        };
+        ctx.finish()
+    }
 }
 
 /// Configuration of the divide-and-conquer driver.
@@ -140,7 +186,7 @@ impl DcPlan {
     }
 }
 
-/// Per-worker reusable state for the DC drivers: subgraph-extraction scratch,
+/// Per-worker reusable state of the DC scheduler: subgraph-extraction scratch,
 /// the inner searcher's frame/degree buffers, pruning masks and the candidate
 /// list. One instance per worker thread; every buffer is allocated on first
 /// use and then reused for the worker's whole run, making the per-subproblem
@@ -241,105 +287,13 @@ pub(crate) fn build_subproblem_in(
     Some((sub, local_vi))
 }
 
-/// Lines 4-8 of Algorithm 3 for a single anchor vertex `vi`: build and prune
-/// `G_i` in the worker's scratch, run the inner searcher with `S = {v_i}`,
-/// map each output back to the original graph's vertex ids, and append it to
-/// the worker's `raw` arena.
-pub(crate) fn solve_subproblem(
-    plan: &DcPlan,
-    vi: VertexId,
-    inner: InnerAlgorithm,
-    deadline: Option<Instant>,
-    scratch: &mut DcScratch,
-    stats: &mut SearchStats,
-    raw: &mut SetArena,
-) {
-    let Some((sub, local_vi)) = build_subproblem_in(plan, vi, stats, scratch) else {
-        return;
-    };
-    let params = plan.params;
-
-    // ---- lines 7-8: run the searcher with S = {v_i} ----
-    //
-    // The searcher runs inside a containment boundary: a panicking
-    // subproblem (a bug, or an injected fault) fails alone instead of
-    // tearing down the whole enumeration — the serve daemon answers many
-    // requests from one process and must outlive any single bad subproblem.
-    // `AssertUnwindSafe` is sound because everything the closure mutates is
-    // discarded wholesale on panic: the search scratch is replaced with a
-    // fresh one and the subproblem's outputs are never extracted (`raw` is
-    // only touched after the searcher returns), so no torn
-    // state is observable after the catch.
-    let anchor = plan.reduced.to_global[vi as usize];
-    let searched = {
-        let DcScratch {
-            ref mut search,
-            ref cand,
-            ..
-        } = *scratch;
-        let kernel = sub.adjacency.as_ref();
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            if params.fail_anchor == Some(anchor) {
-                panic!("injected fault: searcher panic at anchor {anchor}");
-            }
-            match inner {
-                InnerAlgorithm::FastQc(branching) => run_fastqc_in(
-                    &sub.graph,
-                    kernel,
-                    &[local_vi],
-                    cand,
-                    params,
-                    branching,
-                    deadline,
-                    None,
-                    search,
-                ),
-                InnerAlgorithm::QuickPlus => run_quickplus_in(
-                    &sub.graph,
-                    kernel,
-                    &[local_vi],
-                    cand,
-                    params,
-                    deadline,
-                    None,
-                    search,
-                ),
-            }
-        }))
-    };
-    let sub_stats = match searched {
-        Ok(sub_stats) => sub_stats,
-        Err(_) => {
-            stats.subproblem_panics += 1;
-            stats.last_panicked_anchor = Some(anchor);
-            // The scratch may hold a half-built search frame; discard it
-            // rather than reuse it (the buffers are rebuilt on first use).
-            scratch.search = SearchScratch::default();
-            return;
-        }
-    };
-    stats.merge(&sub_stats);
-    // Map local → reduced → original ids. Both id maps are sorted ascending,
-    // so the composition is monotone and each mapped set stays sorted.
-    for i in 0..scratch.search.sets.len() {
-        raw.begin();
-        for &l in scratch.search.sets.get(i) {
-            let r = sub.to_global[l as usize];
-            raw.push_elem(plan.reduced.to_global[r as usize]);
-        }
-        raw.commit_sorted();
-    }
-    scratch.sub.recycle(sub);
-}
-
 /// Runs the subproblems of `anchors` (reduced-graph ids, in processing
-/// order) — every full run, incremental dirty-anchor re-run and shard
-/// worker goes through here. At two or more threads the work-stealing
-/// scheduler distributes them (with cooperative intra-subproblem
-/// splitting); at one thread they run in a plain in-place loop, with no
-/// estimate pass and no thread spawn. The maximal family is the same at
-/// every thread count (the raw S1 outputs may carry a few extra dominated
-/// sets from split points, which MQCE-S2 removes).
+/// order) on the work-stealing scheduler with `threads` workers — every full
+/// run, incremental dirty-anchor re-run and shard worker goes through here,
+/// at every thread count. A single worker is never hungry, so it never
+/// splits a subproblem. The maximal family is the same at every thread
+/// count (the raw S1 outputs may carry a few extra dominated sets from split
+/// points, which MQCE-S2 removes).
 pub(crate) fn run_anchors(
     plan: &DcPlan,
     anchors: &[VertexId],
@@ -350,35 +304,7 @@ pub(crate) fn run_anchors(
     if anchors.is_empty() {
         return SearchOutcome::default();
     }
-    if threads >= 2 {
-        return crate::scheduler::run_dc_work_stealing(plan, anchors, inner, threads, deadline);
-    }
-    let mut stats = SearchStats::default();
-    let mut scratch = DcScratch::default();
-    let mut raw = SetArena::new();
-    for &vi in anchors {
-        if deadline.is_some_and(|d| Instant::now() >= d) {
-            stats.timed_out = true;
-            break;
-        }
-        solve_subproblem(
-            plan,
-            vi,
-            inner,
-            deadline,
-            &mut scratch,
-            &mut stats,
-            &mut raw,
-        );
-        if stats.timed_out {
-            break;
-        }
-    }
-    SearchOutcome {
-        outputs: raw.into_vecs(),
-        stats,
-        thread_stats: Vec::new(),
-    }
+    crate::scheduler::run_dc_work_stealing(plan, anchors, inner, threads.max(1), deadline)
 }
 
 /// Applies `MAX_ROUND` rounds of one-hop and (optionally) two-hop pruning on
@@ -722,11 +648,14 @@ mod tests {
 
     #[test]
     fn scratch_reuse_across_grid_matches_fresh_runs() {
-        // Differential test for the allocation-free hot path: one DcScratch
-        // and one SetArena reused across an entire γ×θ grid must produce
-        // exactly the outputs (families, order, and branch counts) of fresh
-        // per-run state, and of fresh per-*subproblem* state — stale stamps,
-        // recycled CSR buffers, or a dirty arena would all show up here.
+        // Differential test for the allocation-free hot path, run through
+        // the scheduler's task body: one DcScratch reused across an entire
+        // γ×θ grid must produce exactly the outputs (families, order, and
+        // branch counts) of a brand-new scratch per *subproblem*, and the
+        // family and branch count of a fresh one-worker run — stale stamps,
+        // recycled CSR buffers, or a dirty search arena would all show up
+        // here.
+        use crate::scheduler::run_roots_in;
         use mqce_graph::generators::{community_graph, CommunityGraphParams};
         let g = community_graph(
             CommunityGraphParams {
@@ -740,7 +669,6 @@ mod tests {
         let dc = DcConfig::paper_default();
         let inner = InnerAlgorithm::FastQc(BranchingStrategy::HybridSe);
         let mut reused = DcScratch::default();
-        let mut raw = SetArena::new();
         for &gamma in &[0.7, 0.85, 0.95] {
             for theta in [3usize, 4, 6] {
                 let p = params(gamma, theta);
@@ -748,24 +676,26 @@ mod tests {
                 let plan = DcPlan::for_graph(&g, p, dc);
 
                 // (a) one scratch reused across the whole grid;
-                raw.clear();
-                let mut stats = SearchStats::default();
-                for &vi in &plan.ordering {
-                    solve_subproblem(&plan, vi, inner, None, &mut reused, &mut stats, &mut raw);
-                }
-                assert_eq!(raw.to_vecs(), fresh.outputs, "gamma={gamma} theta={theta}");
+                let (outputs, stats) = run_roots_in(&plan, &plan.ordering, inner, &mut reused);
+                let mut sorted = outputs.clone();
+                sorted.sort();
+                let mut fresh_sorted = fresh.outputs.clone();
+                fresh_sorted.sort();
+                assert_eq!(sorted, fresh_sorted, "gamma={gamma} theta={theta}");
                 assert_eq!(stats.branches, fresh.stats.branches);
                 assert_eq!(stats.dc_subproblems, fresh.stats.dc_subproblems);
 
                 // (b) a brand-new scratch per subproblem.
-                raw.clear();
-                let mut stats = SearchStats::default();
+                let mut per_sub_outputs = Vec::new();
+                let mut per_sub_stats = SearchStats::default();
                 for &vi in &plan.ordering {
                     let mut per_sub = DcScratch::default();
-                    solve_subproblem(&plan, vi, inner, None, &mut per_sub, &mut stats, &mut raw);
+                    let (out, st) = run_roots_in(&plan, &[vi], inner, &mut per_sub);
+                    per_sub_outputs.extend(out);
+                    per_sub_stats.merge(&st);
                 }
-                assert_eq!(raw.to_vecs(), fresh.outputs, "gamma={gamma} theta={theta}");
-                assert_eq!(stats.branches, fresh.stats.branches);
+                assert_eq!(per_sub_outputs, outputs, "gamma={gamma} theta={theta}");
+                assert_eq!(per_sub_stats.branches, stats.branches);
             }
         }
     }

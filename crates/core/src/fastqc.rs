@@ -21,136 +21,17 @@
 //! Together these give the `O(n · d · α_k^n)` worst-case bound with
 //! `α_k < 2` (Theorem 1).
 
-use std::time::Instant;
+use mqce_graph::VertexId;
 
-use mqce_graph::bitset::AdjacencyMatrix;
-use mqce_graph::{Graph, VertexId};
+use crate::branch::{DegSource, SearchCtx};
+use crate::config::BranchingStrategy;
+use crate::scheduler::SplitRequest;
 
-use crate::branch::{DegSource, SearchCtx, SearchOutcome, SearchScratch};
-use crate::config::{BranchingStrategy, MqceParams};
-use crate::scheduler::{SplitRequest, SplitSink};
-use crate::stats::SearchStats;
-
-/// Runs FastQC on `g` starting from the branch `(s_init, cand, implicit D)`.
-///
-/// * For the whole-graph algorithm, pass `s_init = []` and `cand = all
-///   vertices`.
-/// * The divide-and-conquer driver passes `s_init = [v_i]` and the pruned
-///   2-hop candidate set.
-///
-/// Returns every quasi-clique emitted (a superset of all maximal QCs of size
-/// ≥ θ that are contained in `s_init ∪ cand` and contain `s_init`).
-pub fn run_fastqc(
-    g: &Graph,
-    s_init: &[VertexId],
-    cand: &[VertexId],
-    params: MqceParams,
-    branching: BranchingStrategy,
-    deadline: Option<Instant>,
-) -> SearchOutcome {
-    run_fastqc_with_kernel(g, None, s_init, cand, params, branching, deadline)
-}
-
-/// [`run_fastqc`] with an optionally pre-built bitset adjacency kernel over
-/// `g` (the DC driver passes the one attached to the subproblem's induced
-/// subgraph, avoiding a rebuild). When `kernel` is `None` the backend policy
-/// in `params` decides whether one is built internally.
-pub fn run_fastqc_with_kernel(
-    g: &Graph,
-    kernel: Option<&AdjacencyMatrix>,
-    s_init: &[VertexId],
-    cand: &[VertexId],
-    params: MqceParams,
-    branching: BranchingStrategy,
-    deadline: Option<Instant>,
-) -> SearchOutcome {
-    run_fastqc_inner(g, kernel, s_init, cand, params, branching, deadline, None)
-}
-
-/// [`run_fastqc_with_kernel`] with a split sink, materialising its outputs:
-/// while branching at shallow depths the searcher polls `splitter` and, when
-/// a worker is hungry, donates its untaken sibling branches as self-contained
-/// split tasks instead of exploring them itself. Test support — the scheduler
-/// itself threads a [`SearchScratch`] through [`run_fastqc_in`] instead.
-#[cfg(test)]
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_fastqc_split(
-    g: &Graph,
-    kernel: Option<&AdjacencyMatrix>,
-    s_init: &[VertexId],
-    cand: &[VertexId],
-    params: MqceParams,
-    branching: BranchingStrategy,
-    deadline: Option<Instant>,
-    splitter: &dyn SplitSink,
-) -> SearchOutcome {
-    run_fastqc_inner(
-        g,
-        kernel,
-        s_init,
-        cand,
-        params,
-        branching,
-        deadline,
-        Some(splitter),
-    )
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_fastqc_inner(
-    g: &Graph,
-    kernel: Option<&AdjacencyMatrix>,
-    s_init: &[VertexId],
-    cand: &[VertexId],
-    params: MqceParams,
-    branching: BranchingStrategy,
-    deadline: Option<Instant>,
-    splitter: Option<&dyn SplitSink>,
-) -> SearchOutcome {
-    let mut bufs = SearchScratch::new();
-    let stats = run_fastqc_in(
-        g, kernel, s_init, cand, params, branching, deadline, splitter, &mut bufs,
-    );
-    SearchOutcome {
-        outputs: bufs.sets.into_vecs(),
-        stats,
-        thread_stats: Vec::new(),
-    }
-}
-
-/// The allocation-free driver entry point: runs FastQC using the caller's
-/// reusable [`SearchScratch`], leaving the emitted family behind in
-/// `bufs.sets` (local ids, packed) for the caller to stream or materialise.
-/// Returns the search statistics.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_fastqc_in(
-    g: &Graph,
-    kernel: Option<&AdjacencyMatrix>,
-    s_init: &[VertexId],
-    cand: &[VertexId],
-    params: MqceParams,
-    branching: BranchingStrategy,
-    deadline: Option<Instant>,
-    splitter: Option<&dyn SplitSink>,
-    bufs: &mut SearchScratch,
-) -> SearchStats {
-    let mut ctx = SearchCtx::new_with_kernel(g, kernel, params, s_init, cand, deadline, bufs);
-    if let Some(splitter) = splitter {
-        ctx = ctx.with_splitter(splitter);
-    }
-    let mut root = ctx.take_buf();
-    root.extend_from_slice(cand);
-    let mut searcher = FastQc {
-        ctx: &mut ctx,
-        branching,
-    };
-    searcher.recurse(root);
-    ctx.finish()
-}
-
-struct FastQc<'a, 'g> {
-    ctx: &'a mut SearchCtx<'g>,
-    branching: BranchingStrategy,
+/// The FastQC searcher over one search context; run through
+/// [`InnerAlgorithm::search`](crate::dc::InnerAlgorithm::search).
+pub(crate) struct FastQc<'a, 'g> {
+    pub(crate) ctx: &'a mut SearchCtx<'g>,
+    pub(crate) branching: BranchingStrategy,
 }
 
 /// What the refinement loop decided about the current branch.
@@ -165,7 +46,7 @@ impl<'a, 'g> FastQc<'a, 'g> {
     /// `FastQC-Rec(S, C, D)`. Returns `true` iff a quasi-clique was found in
     /// this branch (including `G[S]` itself), matching the bookkeeping of
     /// Algorithm 2 that decides whether the parent must consider `G[S]`.
-    fn recurse(&mut self, mut cand: Vec<VertexId>) -> bool {
+    pub(crate) fn recurse(&mut self, mut cand: Vec<VertexId>) -> bool {
         let result = if self.ctx.enter_branch() {
             self.branch_body(&mut cand)
         } else {
@@ -596,17 +477,6 @@ impl<'a, 'g> FastQc<'a, 'g> {
     }
 }
 
-/// Convenience wrapper: run FastQC over the whole graph (no initial `S`).
-pub fn fastqc_whole_graph(
-    g: &Graph,
-    params: MqceParams,
-    branching: BranchingStrategy,
-    deadline: Option<Instant>,
-) -> SearchOutcome {
-    let all: Vec<VertexId> = g.vertices().collect();
-    run_fastqc(g, &[], &all, params, branching, deadline)
-}
-
 /// The branching-factor constant `α_k` of Theorem 1: the largest real root of
 /// `x^{k+2} − x^{k+1} − 2x^k + 2 = 0` for `k ≥ 2` (and ≈1.445 for `k = 1`,
 /// the largest root of `x^3 − x^2 − 2x + 2` restricted to the `k = 1` recur-
@@ -645,12 +515,35 @@ pub fn alpha_k(k: usize) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::MqceParams;
+    use crate::branch::{SearchOutcome, SearchScratch};
+    use crate::config::{Algorithm, MqceConfig, MqceParams};
+    use crate::dc::InnerAlgorithm;
     use crate::naive;
+    use crate::pipeline::solve_s1;
+    use mqce_graph::Graph;
     use mqce_settrie::filter_maximal;
+    use std::time::Duration;
 
     fn params(gamma: f64, theta: usize) -> MqceParams {
         MqceParams::new(gamma, theta).unwrap()
+    }
+
+    /// FastQC over the whole graph (no initial `S`): the pipeline's
+    /// whole-graph S1 path.
+    fn fastqc_whole_graph(
+        g: &Graph,
+        params: MqceParams,
+        branching: BranchingStrategy,
+        time_limit: Option<Duration>,
+    ) -> SearchOutcome {
+        let config = MqceConfig {
+            params,
+            algorithm: Algorithm::FastQc,
+            branching,
+            max_round: 2,
+            time_limit,
+        };
+        solve_s1(g, &config)
     }
 
     /// Helper: run FastQC on the whole graph, filter to maximal sets, compare
@@ -797,8 +690,8 @@ mod tests {
     #[test]
     fn time_limit_aborts() {
         let g = Graph::complete(18);
-        let deadline = Some(Instant::now());
-        let outcome = fastqc_whole_graph(&g, params(0.5, 2), BranchingStrategy::Se, deadline);
+        let limit = Some(Duration::ZERO);
+        let outcome = fastqc_whole_graph(&g, params(0.5, 2), BranchingStrategy::Se, limit);
         // With an already-expired deadline the search gives up early. It may
         // still emit a few outputs but must flag the timeout (unless it
         // happened to finish within the polling interval, which Se on K18
@@ -818,15 +711,18 @@ mod tests {
     fn dc_style_invocation_with_initial_s() {
         // Emulate a DC subproblem: S = {0}, C = the 2-hop ball around 0.
         let g = Graph::complete(5);
-        let outcome = run_fastqc(
+        let mut bufs = SearchScratch::default();
+        InnerAlgorithm::FastQc(BranchingStrategy::HybridSe).search(
             &g,
+            None,
             &[0],
             &[1, 2, 3, 4],
             params(0.9, 2),
-            BranchingStrategy::HybridSe,
             None,
+            None,
+            &mut bufs,
         );
-        let filtered = filter_maximal(&outcome.outputs);
+        let filtered = filter_maximal(&bufs.sets.to_vecs());
         assert_eq!(filtered, vec![vec![0, 1, 2, 3, 4]]);
     }
 }

@@ -51,7 +51,7 @@
 
 use std::sync::Arc;
 
-use mqce_graph::delta::{dirty_two_hop_closure, update_core_decomposition, GraphDelta};
+use mqce_graph::delta::GraphDelta;
 use mqce_graph::{Graph, SubproblemScratch, VertexId};
 
 use crate::config::MqceConfig;
@@ -208,20 +208,17 @@ impl IncrementalSession {
                 ..UpdateOutcome::default()
             };
         }
-        let old_graph = self.prepared.graph();
-        let new_graph = delta.apply(old_graph);
-        let dirty = dirty_two_hop_closure(old_graph, &new_graph, delta, &mut self.scratch);
-        let core_update = update_core_decomposition(self.prepared.cores(), &new_graph);
+        let (prepared, dirty, core_changed) = self.prepared.apply_delta(delta, &mut self.scratch);
+        let prepared = Arc::new(prepared);
 
         // Grow the session ordering: vertices the batch added rank after
         // everything that existed before, so no retained anchor moves.
-        let n = new_graph.num_vertices();
+        let n = prepared.graph().num_vertices();
         for v in self.rank.len() as VertexId..n as VertexId {
             self.rank.push(self.ordering.len());
             self.ordering.push(v);
         }
 
-        let prepared = Arc::new(PreparedGraph::with_cores(new_graph, core_update.cores));
         let Some((inner, dc)) = dc_setup(&self.config) else {
             // No DC decomposition, no per-anchor dirty set: full recompute.
             self.prepared = prepared;
@@ -232,7 +229,7 @@ impl IncrementalSession {
                 .mqcs;
             return UpdateOutcome {
                 updates_applied: delta.len() as u64,
-                core_changed: core_update.changed.len() as u64,
+                core_changed: core_changed as u64,
                 dirty,
                 full_recompute: true,
                 ..UpdateOutcome::default()
@@ -297,7 +294,7 @@ impl IncrementalSession {
             dirty_subproblems: dirty_locals.len() as u64,
             retired,
             retained: retained_count,
-            core_changed: core_update.changed.len() as u64,
+            core_changed: core_changed as u64,
             dirty,
             stats: rerun.stats,
             full_recompute: false,

@@ -66,7 +66,7 @@ pub use incremental::{IncrementalSession, UpdateOutcome};
 pub use mqce_settrie::S2Backend;
 pub use pipeline::{enumerate_mqcs_default, solve_s1, MqceResult};
 pub use prepared::PreparedGraph;
-pub use query::{find_mqcs_containing, find_mqcs_containing_default, QueryError, QueryResult};
+pub use query::{find_mqcs_containing, QueryError, QueryResult};
 pub use session::Session;
 pub use shard::{
     merge_shard_families, plan_shards, run_shard, run_sharded, MergedShards, ShardFamily,

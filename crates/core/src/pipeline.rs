@@ -19,13 +19,11 @@ use std::time::{Duration, Instant};
 use mqce_graph::{Graph, VertexId};
 use mqce_settrie::{compact_parallel, S2Outcome};
 
-use crate::branch::SearchOutcome;
+use crate::branch::{SearchOutcome, SearchScratch};
 use crate::config::{Algorithm, MqceConfig};
 use crate::dc::{run_anchors, DcConfig, DcPlan, InnerAlgorithm};
-use crate::fastqc::fastqc_whole_graph;
 use crate::naive;
 use crate::prepared::PreparedGraph;
-use crate::quickplus::quickplus_whole_graph;
 use crate::session::Session;
 use crate::stats::{S2Stats, SearchStats, ThreadStats};
 
@@ -51,9 +49,11 @@ pub struct MqceResult {
     pub mqcs: Vec<Vec<VertexId>>,
     /// Statistics of the S1 search.
     pub stats: SearchStats,
-    /// Per-worker counters of the work-stealing scheduler (empty for
-    /// sequential runs): what each thread ran, stole and donated, and how
-    /// its wall-clock split between busy and hungry.
+    /// Per-worker counters of the work-stealing scheduler, one per worker
+    /// at every thread count (empty for the whole-graph algorithms, which
+    /// do not use it, and when no subproblem survives the core reduction):
+    /// what each thread ran, stole and donated, and how its wall-clock
+    /// split between busy and hungry.
     pub thread_stats: Vec<ThreadStats>,
     /// Statistics of the S2 pass.
     pub s2: S2Stats,
@@ -110,24 +110,33 @@ pub(crate) fn dc_setup(config: &MqceConfig) -> Option<(InnerAlgorithm, DcConfig)
 }
 
 /// MQCE-S1 of the algorithms without a DC decomposition: one whole-graph
-/// search whose outputs arrive in a single batch.
+/// search (`S = ∅`, every vertex a candidate) whose outputs arrive in a
+/// single batch.
 fn solve_whole_graph(g: &Graph, config: &MqceConfig, deadline: Option<Instant>) -> SearchOutcome {
     let params = config.params;
-    match config.algorithm {
-        Algorithm::FastQc => fastqc_whole_graph(g, params, config.branching, deadline),
-        Algorithm::QuickPlusRaw => quickplus_whole_graph(g, params, deadline),
+    let inner = match config.algorithm {
+        Algorithm::FastQc => InnerAlgorithm::FastQc(config.branching),
+        Algorithm::QuickPlusRaw => InnerAlgorithm::QuickPlus,
         Algorithm::Naive => {
             let outputs = naive::all_maximal_quasi_cliques(g, params);
-            SearchOutcome {
+            return SearchOutcome {
                 stats: SearchStats {
                     outputs: outputs.len() as u64,
                     ..Default::default()
                 },
                 outputs,
                 thread_stats: Vec::new(),
-            }
+            };
         }
         _ => unreachable!("DC algorithms are handled by dc_setup"),
+    };
+    let all: Vec<VertexId> = g.vertices().collect();
+    let mut bufs = SearchScratch::default();
+    let stats = inner.search(g, None, &[], &all, params, deadline, None, &mut bufs);
+    SearchOutcome {
+        outputs: bufs.sets.into_vecs(),
+        stats,
+        thread_stats: Vec::new(),
     }
 }
 

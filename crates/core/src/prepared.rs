@@ -18,7 +18,8 @@
 
 use mqce_graph::bitset::AdjacencyMatrix;
 use mqce_graph::core_decomp::{core_decomposition, CoreDecomposition};
-use mqce_graph::{Graph, VertexId};
+use mqce_graph::delta::{dirty_two_hop_closure, update_core_decomposition};
+use mqce_graph::{Graph, GraphDelta, SubproblemScratch, VertexId};
 
 /// A graph plus the derived read-only state a serving process reuses across
 /// requests: content fingerprint, core decomposition and (for graphs within
@@ -36,23 +37,14 @@ impl PreparedGraph {
     /// decomposition, and builds the adjacency matrix when the size cap
     /// recommends it.
     pub fn new(graph: Graph) -> Self {
-        let fingerprint = graph.fingerprint();
         let cores = core_decomposition(&graph);
-        let matrix = AdjacencyMatrix::recommended_for(graph.num_vertices())
-            .then(|| AdjacencyMatrix::from_graph(&graph));
-        PreparedGraph {
-            graph,
-            fingerprint,
-            cores,
-            matrix,
-        }
+        PreparedGraph::with_cores(graph, cores)
     }
 
-    /// Prepares `graph` reusing an already-computed core decomposition —
-    /// the incremental-update path maintains the decomposition itself (see
-    /// `mqce_graph::delta::update_core_decomposition`) and must not pay the
-    /// peel a second time. `cores` must be the decomposition of `graph`.
-    pub fn with_cores(graph: Graph, cores: CoreDecomposition) -> Self {
+    /// Prepares `graph` reusing an already-computed core decomposition, so
+    /// [`apply_delta`](Self::apply_delta) does not pay the peel a second
+    /// time. `cores` must be the decomposition of `graph`.
+    fn with_cores(graph: Graph, cores: CoreDecomposition) -> Self {
         debug_assert_eq!(cores.core_numbers.len(), graph.num_vertices());
         let fingerprint = graph.fingerprint();
         let matrix = AdjacencyMatrix::recommended_for(graph.num_vertices())
@@ -63,6 +55,29 @@ impl PreparedGraph {
             cores,
             matrix,
         }
+    }
+
+    /// The one update step of the daemon and the incremental session:
+    /// applies `delta` and returns the prepared updated graph, the dirty
+    /// two-hop closure (sorted; the vertices whose DC subproblems the batch
+    /// can change, see `mqce_graph::delta::dirty_two_hop_closure`) and the
+    /// number of vertices whose core number changed. The core decomposition
+    /// is maintained from this one's rather than recomputed by a second
+    /// peel; `scratch` serves the closure walk.
+    pub fn apply_delta(
+        &self,
+        delta: &GraphDelta,
+        scratch: &mut SubproblemScratch,
+    ) -> (PreparedGraph, Vec<VertexId>, usize) {
+        let new_graph = delta.apply(&self.graph);
+        let dirty = dirty_two_hop_closure(&self.graph, &new_graph, delta, scratch);
+        let update = update_core_decomposition(&self.cores, &new_graph);
+        let core_changed = update.changed.len();
+        (
+            PreparedGraph::with_cores(new_graph, update.cores),
+            dirty,
+            core_changed,
+        )
     }
 
     /// The underlying graph.

@@ -23,8 +23,9 @@ use std::time::{Duration, Instant};
 use mqce_graph::subgraph::two_hop_neighborhood;
 use mqce_graph::{Graph, VertexId};
 
-use crate::config::{BranchingStrategy, MqceConfig, MqceParams};
-use crate::fastqc::run_fastqc;
+use crate::branch::SearchScratch;
+use crate::config::MqceConfig;
+use crate::dc::InnerAlgorithm;
 use crate::quasiclique::is_quasi_clique;
 use crate::stats::SearchStats;
 
@@ -112,20 +113,23 @@ pub fn find_mqcs_containing(
         .filter(|v| !local_query.contains(v))
         .collect();
 
-    let outcome = run_fastqc(
+    let mut bufs = SearchScratch::default();
+    let stats = InnerAlgorithm::FastQc(config.branching).search(
         &sub.graph,
+        None,
         &local_query,
         &local_cand,
         params,
-        config.branching,
         deadline,
+        None,
+        &mut bufs,
     );
 
     // The search can only emit sets that contain S = query, but be defensive
     // about it (and about the QC property) before filtering maximality.
-    let mut qcs: Vec<Vec<VertexId>> = Vec::with_capacity(outcome.outputs.len());
-    for local_set in &outcome.outputs {
-        let global = sub.to_global_set(local_set);
+    let mut qcs: Vec<Vec<VertexId>> = Vec::with_capacity(bufs.sets.len());
+    for i in 0..bufs.sets.len() {
+        let global = sub.to_global_set(bufs.sets.get(i));
         if query.iter().all(|q| global.contains(q))
             && global.len() >= params.theta
             && is_quasi_clique(g, &global, params.gamma)
@@ -141,36 +145,10 @@ pub fn find_mqcs_containing(
     Ok(QueryResult {
         mqcs: s2_out.mqcs,
         universe_size: universe.len(),
-        stats: outcome.stats,
+        stats,
         s2_timed_out: s2_out.timed_out,
         elapsed: start.elapsed(),
     })
-}
-
-/// Convenience wrapper with the default configuration (Hybrid-SE branching,
-/// no time limit).
-pub fn find_mqcs_containing_default(
-    g: &Graph,
-    query: &[VertexId],
-    gamma: f64,
-    theta: usize,
-) -> Result<QueryResult, QueryError> {
-    let params = MqceParams::new(gamma, theta).map_err(|_| QueryError::EmptyQuery);
-    // Parameter errors are surfaced through MqceConfig in the public pipeline;
-    // here an invalid γ/θ cannot be represented, so fall back to a panic-free
-    // minimal config only when the parameters are valid.
-    let params = match params {
-        Ok(p) => p,
-        Err(_) => return Err(QueryError::EmptyQuery),
-    };
-    let config = MqceConfig {
-        params,
-        algorithm: crate::config::Algorithm::FastQc,
-        branching: BranchingStrategy::HybridSe,
-        max_round: 2,
-        time_limit: None,
-    };
-    find_mqcs_containing(g, query, &config)
 }
 
 fn validate_query(g: &Graph, query: &[VertexId]) -> Result<(), QueryError> {
@@ -223,6 +201,16 @@ mod tests {
     use crate::pipeline::enumerate_mqcs_default;
     use mqce_graph::generators::{planted_quasi_cliques, PlantedGroup};
 
+    /// Query search with the default configuration at `(gamma, theta)`.
+    fn find(
+        g: &Graph,
+        query: &[VertexId],
+        gamma: f64,
+        theta: usize,
+    ) -> Result<QueryResult, QueryError> {
+        find_mqcs_containing(g, query, &MqceConfig::new(gamma, theta).unwrap())
+    }
+
     /// Reference implementation: full enumeration followed by a containment
     /// filter.
     fn reference_query(
@@ -243,9 +231,7 @@ mod tests {
         for gamma in [0.5, 0.6, 0.7, 0.9] {
             for theta in [2usize, 3, 4] {
                 for query in [vec![0u32], vec![3], vec![0, 2], vec![4, 5], vec![0, 8]] {
-                    let got = find_mqcs_containing_default(&g, &query, gamma, theta)
-                        .unwrap()
-                        .mqcs;
+                    let got = find(&g, &query, gamma, theta).unwrap().mqcs;
                     let expected = reference_query(&g, &query, gamma, theta);
                     assert_eq!(got, expected, "gamma={gamma} theta={theta} query={query:?}");
                 }
@@ -265,7 +251,7 @@ mod tests {
             31,
         );
         for q in [0u32, 4, 9] {
-            let result = find_mqcs_containing_default(&g, &[q], 0.9, 8).unwrap();
+            let result = find(&g, &[q], 0.9, 8).unwrap();
             assert!(
                 result
                     .mqcs
@@ -281,23 +267,20 @@ mod tests {
     fn disconnected_query_has_no_results() {
         // Two far-apart vertices of a path can never be in one QC (γ ≥ 0.5).
         let g = Graph::path(10);
-        let result = find_mqcs_containing_default(&g, &[0, 9], 0.5, 2).unwrap();
+        let result = find(&g, &[0, 9], 0.5, 2).unwrap();
         assert!(result.mqcs.is_empty());
     }
 
     #[test]
     fn query_errors() {
         let g = Graph::complete(4);
+        assert_eq!(find(&g, &[], 0.9, 2).unwrap_err(), QueryError::EmptyQuery);
         assert_eq!(
-            find_mqcs_containing_default(&g, &[], 0.9, 2).unwrap_err(),
-            QueryError::EmptyQuery
-        );
-        assert_eq!(
-            find_mqcs_containing_default(&g, &[7], 0.9, 2).unwrap_err(),
+            find(&g, &[7], 0.9, 2).unwrap_err(),
             QueryError::VertexOutOfRange(7)
         );
         assert_eq!(
-            find_mqcs_containing_default(&g, &[1, 1], 0.9, 2).unwrap_err(),
+            find(&g, &[1, 1], 0.9, 2).unwrap_err(),
             QueryError::DuplicateVertex(1)
         );
         assert!(QueryError::EmptyQuery.to_string().contains("empty"));
@@ -317,7 +300,7 @@ mod tests {
     #[test]
     fn theta_larger_than_universe_short_circuits() {
         let g = Graph::path(6);
-        let result = find_mqcs_containing_default(&g, &[0], 0.9, 5).unwrap();
+        let result = find(&g, &[0], 0.9, 5).unwrap();
         assert!(result.mqcs.is_empty());
         assert_eq!(result.stats.branches, 0);
     }

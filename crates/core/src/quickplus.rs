@@ -15,123 +15,23 @@
 //! its outputs, so it reports more non-maximal quasi-cliques (this is the
 //! `#{Quick+}` vs `#{DCFastQC}` comparison of Table 1).
 
-use std::time::Instant;
-
-use mqce_graph::bitset::AdjacencyMatrix;
-use mqce_graph::{Graph, VertexId};
+use mqce_graph::VertexId;
 
 use crate::bounds::{branch_bounds, candidate_feasible};
-use crate::branch::{DegSource, SearchCtx, SearchOutcome, SearchScratch};
-use crate::config::MqceParams;
+use crate::branch::{DegSource, SearchCtx};
 use crate::quasiclique::{required_degree, tau};
-use crate::scheduler::{SplitRequest, SplitSink};
-use crate::stats::SearchStats;
+use crate::scheduler::SplitRequest;
 
-/// Runs Quick+ on `g` starting from the branch `(s_init, cand, implicit D)`.
-pub fn run_quickplus(
-    g: &Graph,
-    s_init: &[VertexId],
-    cand: &[VertexId],
-    params: MqceParams,
-    deadline: Option<Instant>,
-) -> SearchOutcome {
-    run_quickplus_with_kernel(g, None, s_init, cand, params, deadline)
-}
-
-/// [`run_quickplus`] with an optionally pre-built bitset adjacency kernel
-/// over `g` (see [`run_fastqc_with_kernel`](crate::fastqc::run_fastqc_with_kernel)).
-pub fn run_quickplus_with_kernel(
-    g: &Graph,
-    kernel: Option<&AdjacencyMatrix>,
-    s_init: &[VertexId],
-    cand: &[VertexId],
-    params: MqceParams,
-    deadline: Option<Instant>,
-) -> SearchOutcome {
-    run_quickplus_inner(g, kernel, s_init, cand, params, deadline, None)
-}
-
-/// [`run_quickplus_with_kernel`] with a split sink, materialising its
-/// outputs: while SE-branching at shallow depths the searcher polls
-/// `splitter` and donates untaken sibling branches to hungry workers. Test
-/// support — the scheduler itself threads a [`SearchScratch`] through
-/// [`run_quickplus_in`] instead.
-#[cfg(test)]
-pub(crate) fn run_quickplus_split(
-    g: &Graph,
-    kernel: Option<&AdjacencyMatrix>,
-    s_init: &[VertexId],
-    cand: &[VertexId],
-    params: MqceParams,
-    deadline: Option<Instant>,
-    splitter: &dyn SplitSink,
-) -> SearchOutcome {
-    run_quickplus_inner(g, kernel, s_init, cand, params, deadline, Some(splitter))
-}
-
-fn run_quickplus_inner(
-    g: &Graph,
-    kernel: Option<&AdjacencyMatrix>,
-    s_init: &[VertexId],
-    cand: &[VertexId],
-    params: MqceParams,
-    deadline: Option<Instant>,
-    splitter: Option<&dyn SplitSink>,
-) -> SearchOutcome {
-    let mut bufs = SearchScratch::new();
-    let stats = run_quickplus_in(
-        g, kernel, s_init, cand, params, deadline, splitter, &mut bufs,
-    );
-    SearchOutcome {
-        outputs: bufs.sets.into_vecs(),
-        stats,
-        thread_stats: Vec::new(),
-    }
-}
-
-/// The allocation-free driver entry point: runs Quick+ using the caller's
-/// reusable [`SearchScratch`], leaving the emitted family behind in
-/// `bufs.sets` (local ids, packed). Returns the search statistics.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_quickplus_in(
-    g: &Graph,
-    kernel: Option<&AdjacencyMatrix>,
-    s_init: &[VertexId],
-    cand: &[VertexId],
-    params: MqceParams,
-    deadline: Option<Instant>,
-    splitter: Option<&dyn SplitSink>,
-    bufs: &mut SearchScratch,
-) -> SearchStats {
-    let mut ctx = SearchCtx::new_with_kernel(g, kernel, params, s_init, cand, deadline, bufs);
-    if let Some(splitter) = splitter {
-        ctx = ctx.with_splitter(splitter);
-    }
-    let mut root = ctx.take_buf();
-    root.extend_from_slice(cand);
-    let mut searcher = QuickPlus { ctx: &mut ctx };
-    searcher.recurse(root);
-    ctx.finish()
-}
-
-/// Convenience wrapper: run Quick+ over the whole graph.
-pub fn quickplus_whole_graph(
-    g: &Graph,
-    params: MqceParams,
-    deadline: Option<Instant>,
-) -> SearchOutcome {
-    let all: Vec<VertexId> = g.vertices().collect();
-    run_quickplus(g, &[], &all, params, deadline)
-}
-
-struct QuickPlus<'a, 'g> {
-    ctx: &'a mut SearchCtx<'g>,
+/// The Quick+ searcher over one search context; run through
+/// [`InnerAlgorithm::search`](crate::dc::InnerAlgorithm::search).
+pub(crate) struct QuickPlus<'a, 'g> {
+    pub(crate) ctx: &'a mut SearchCtx<'g>,
 }
 
 impl<'a, 'g> QuickPlus<'a, 'g> {
     /// `Quick-Rec(S, C, D)`: returns `true` iff a quasi-clique was found under
     /// this branch (so the parent knows whether to consider `G[S]`).
-    fn recurse(&mut self, cand: Vec<VertexId>) -> bool {
+    pub(crate) fn recurse(&mut self, cand: Vec<VertexId>) -> bool {
         let result = if self.ctx.enter_branch() {
             self.branch_body(&cand)
         } else {
@@ -334,18 +234,30 @@ impl<'a, 'g> QuickPlus<'a, 'g> {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::config::MqceParams;
+    use crate::branch::{SearchOutcome, SearchScratch};
+    use crate::config::{Algorithm, MqceConfig, MqceParams};
+    use crate::dc::InnerAlgorithm;
     use crate::naive;
+    use crate::pipeline::solve_s1;
+    use mqce_graph::Graph;
     use mqce_settrie::filter_maximal;
 
     fn params(gamma: f64, theta: usize) -> MqceParams {
         MqceParams::new(gamma, theta).unwrap()
     }
 
+    /// `algorithm` over the whole graph (no initial `S`): the pipeline's
+    /// whole-graph S1 path.
+    fn whole_graph(g: &Graph, p: MqceParams, algorithm: Algorithm) -> SearchOutcome {
+        let config = MqceConfig::new(p.gamma, p.theta)
+            .unwrap()
+            .with_algorithm(algorithm);
+        solve_s1(g, &config)
+    }
+
     fn check_against_oracle(g: &Graph, gamma: f64, theta: usize) {
         let p = params(gamma, theta);
-        let outcome = quickplus_whole_graph(g, p, None);
+        let outcome = whole_graph(g, p, Algorithm::QuickPlusRaw);
         assert_eq!(outcome.stats.outputs_rejected, 0);
         for h in &outcome.outputs {
             assert!(h.len() >= theta);
@@ -398,12 +310,10 @@ mod tests {
     fn quickplus_reports_at_least_as_many_outputs_as_fastqc() {
         // Quick+ lacks the necessary-maximality filter, so its S1 output is a
         // superset in count (Table 1 shape: #{Quick+} ≥ #{DCFastQC}).
-        use crate::config::BranchingStrategy;
-        use crate::fastqc::fastqc_whole_graph;
         let g = Graph::paper_figure1();
         let p = params(0.6, 3);
-        let quick = quickplus_whole_graph(&g, p, None);
-        let fast = fastqc_whole_graph(&g, p, BranchingStrategy::HybridSe, None);
+        let quick = whole_graph(&g, p, Algorithm::QuickPlusRaw);
+        let fast = whole_graph(&g, p, Algorithm::FastQc);
         assert!(quick.stats.outputs >= fast.stats.outputs);
         // And both reduce to the same maximal set.
         assert_eq!(
@@ -415,15 +325,25 @@ mod tests {
     #[test]
     fn empty_graph() {
         let g = Graph::empty(4);
-        let outcome = quickplus_whole_graph(&g, params(0.9, 2), None);
+        let outcome = whole_graph(&g, params(0.9, 2), Algorithm::QuickPlusRaw);
         assert!(outcome.outputs.is_empty());
     }
 
     #[test]
     fn dc_style_invocation() {
         let g = Graph::complete(5);
-        let outcome = run_quickplus(&g, &[0], &[1, 2, 3, 4], params(0.9, 2), None);
-        let filtered = filter_maximal(&outcome.outputs);
+        let mut bufs = SearchScratch::default();
+        InnerAlgorithm::QuickPlus.search(
+            &g,
+            None,
+            &[0],
+            &[1, 2, 3, 4],
+            params(0.9, 2),
+            None,
+            None,
+            &mut bufs,
+        );
+        let filtered = filter_maximal(&bufs.sets.to_vecs());
         assert_eq!(filtered, vec![vec![0, 1, 2, 3, 4]]);
     }
 }

@@ -1,4 +1,5 @@
-//! Work-stealing scheduler for the parallel divide-and-conquer driver.
+//! Work-stealing scheduler: runs the divide-and-conquer subproblems at
+//! every thread count.
 //!
 //! Handing out whole per-vertex subproblems through a shared atomic index
 //! wastes cores on skewed subproblem families: one heavy subproblem (the
@@ -27,13 +28,18 @@
 //!   Split tasks run in a fresh search context and can themselves split
 //!   further, so one dense community keeps every worker fed.
 //!
+//! One-thread runs take the same path with one worker: it drains its own
+//! deque, is never hungry while work remains, and so never steals or
+//! splits. Its outputs are exactly those of running every subproblem to
+//! completion in seeding order.
+//!
 //! Splitting is *output-sound*: a stolen branch reproduces exactly the
 //! outputs the donor's recursion would have produced from the same
-//! `(S, C, D)` state, and the only divergence from the sequential run is
+//! `(S, C, D)` state, and the only divergence from an unsplit run is
 //! that the donor no longer learns whether a donated branch found a
 //! quasi-clique, so the non-hereditary "additional step" may emit a few
 //! extra *valid* (but dominated) quasi-cliques. MQCE-S2 removes those, so
-//! the final maximal family is identical to the sequential driver's.
+//! the final maximal family is identical at every thread count.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -47,8 +53,6 @@ use mqce_settrie::SetArena;
 use crate::branch::{SearchOutcome, SearchScratch};
 use crate::config::MqceParams;
 use crate::dc::{build_subproblem_in, DcPlan, DcScratch, InnerAlgorithm};
-use crate::fastqc::run_fastqc_in;
-use crate::quickplus::run_quickplus_in;
 use crate::stats::{SearchStats, ThreadStats};
 
 /// Idle spins (yields) before the hungry wait loop starts sleeping.
@@ -70,8 +74,8 @@ pub(crate) struct SplitRequest {
 }
 
 /// The donation hook a searcher polls while branching. Implemented by the
-/// scheduler's per-subproblem sink; the searcher only sees this trait so the
-/// sequential drivers pay nothing.
+/// scheduler's per-subproblem sink; the searcher only sees this trait, and
+/// searches outside the scheduler (whole-graph and query runs) pass none.
 pub(crate) trait SplitSink {
     /// Whether a hungry worker exists and `rest` untaken sibling branches
     /// are enough to be worth packaging (the `--steal-granularity` knob).
@@ -593,6 +597,40 @@ fn run_task(
     }
 }
 
+/// Runs the root tasks of `anchors`, in order, through the task body of a
+/// one-worker scheduler with the caller's scratch (no estimate pass, no
+/// thread). Returns the mapped outputs in emission order and the merged
+/// statistics.
+#[cfg(test)]
+pub(crate) fn run_roots_in(
+    plan: &DcPlan,
+    anchors: &[VertexId],
+    inner: InnerAlgorithm,
+    scratch: &mut DcScratch,
+) -> (Vec<Vec<VertexId>>, SearchStats) {
+    let sched = Scheduler::new(1, plan.params.steal_granularity);
+    let mut result = WorkerResult {
+        raw: SetArena::new(),
+        stats: SearchStats::default(),
+        thread_stats: ThreadStats::default(),
+    };
+    for idx in 0..anchors.len() {
+        let task = Task::Root(idx);
+        run_task(
+            &sched,
+            0,
+            task,
+            plan,
+            anchors,
+            inner,
+            None,
+            scratch,
+            &mut result,
+        );
+    }
+    (result.raw.into_vecs(), result.stats)
+}
+
 /// Runs the configured searcher on one branch of a subproblem (the whole
 /// subproblem when `s_init = [v_i]`) with the worker's reusable search
 /// scratch, and maps the outputs to original-graph ids into the worker's
@@ -616,13 +654,15 @@ fn execute_branch(
         worker: id,
     };
     let kernel = shared.kernel.as_ref();
-    // Containment boundary: a panicking branch fails alone. `AssertUnwindSafe`
-    // is sound because on panic everything the closure mutated is discarded or
-    // already consistent: the search scratch is replaced wholesale below, the
-    // worker arena is untouched until the searcher returns, and
-    // any branches donated through the sink before the panic are self-contained
-    // tasks already counted in `outstanding` (they run independently of this
-    // branch's fate). `worker_loop` still decrements `outstanding` after this
+    // Containment boundary: a panicking branch fails alone instead of
+    // tearing down the whole enumeration (the serve daemon answers many
+    // requests from one process and must outlive any bad subproblem).
+    // `AssertUnwindSafe` is sound because on panic everything the closure
+    // mutated is discarded or already consistent: the search scratch is
+    // replaced wholesale below, the worker arena is untouched until the
+    // searcher returns, and any branches donated through the sink before the
+    // panic are self-contained tasks already counted in `outstanding` (they
+    // run independently of this branch's fate). `worker_loop` still decrements `outstanding` after this
     // returns, so containment never hangs the barrier.
     let anchor = s_init.first().map(|&l| shared.to_orig[l as usize]);
     let searched = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -631,29 +671,16 @@ fn execute_branch(
                 panic!("injected fault: searcher panic at anchor {a}");
             }
         }
-        match inner {
-            InnerAlgorithm::FastQc(branching) => run_fastqc_in(
-                &shared.graph,
-                kernel,
-                s_init,
-                cand,
-                params,
-                branching,
-                deadline,
-                Some(&sink),
-                search,
-            ),
-            InnerAlgorithm::QuickPlus => run_quickplus_in(
-                &shared.graph,
-                kernel,
-                s_init,
-                cand,
-                params,
-                deadline,
-                Some(&sink),
-                search,
-            ),
-        }
+        inner.search(
+            &shared.graph,
+            kernel,
+            s_init,
+            cand,
+            params,
+            deadline,
+            Some(&sink),
+            search,
+        )
     }));
     let stats = match searched {
         Ok(stats) => stats,
@@ -678,9 +705,7 @@ fn execute_branch(
 mod tests {
     use super::*;
     use crate::config::{BranchingStrategy, MqceParams};
-    use crate::fastqc::run_fastqc_split;
     use crate::naive;
-    use crate::quickplus::run_quickplus_split;
     use mqce_settrie::filter_maximal;
     use std::cell::{Cell, RefCell};
 
@@ -715,28 +740,40 @@ mod tests {
 
     /// Runs a whole-graph search under greedy splitting and then drains the
     /// donated-task queue to completion (tasks may re-donate), returning the
-    /// union of all outputs.
+    /// union of all outputs and the number of donated branches. With
+    /// `reuse_scratch` one [`SearchScratch`] serves the root search and
+    /// every drained split task — exactly the lifetime a scheduler worker
+    /// gives its scratch — instead of a fresh scratch per call.
     fn run_with_greedy_splits(
         g: &Graph,
         params: MqceParams,
-        branching: Option<BranchingStrategy>,
+        inner: InnerAlgorithm,
+        reuse_scratch: bool,
     ) -> (Vec<Vec<VertexId>>, usize) {
         let sink = GreedySink::new();
         let all: Vec<VertexId> = g.vertices().collect();
-        let mut outputs = match branching {
-            Some(b) => run_fastqc_split(g, None, &[], &all, params, b, None, &sink).outputs,
-            None => run_quickplus_split(g, None, &[], &all, params, None, &sink).outputs,
+        let mut scratch = SearchScratch::default();
+        let mut run = |s_init: &[VertexId], cand: &[VertexId]| {
+            if !reuse_scratch {
+                scratch = SearchScratch::default();
+            }
+            inner.search(
+                g,
+                None,
+                s_init,
+                cand,
+                params,
+                None,
+                Some(&sink),
+                &mut scratch,
+            );
+            scratch.sets.to_vecs()
         };
+        let mut outputs = run(&[], &all);
         loop {
             let task = sink.queue.borrow_mut().pop();
             let Some(task) = task else { break };
-            let outcome = match branching {
-                Some(b) => {
-                    run_fastqc_split(g, None, &task.s_init, &task.cand, params, b, None, &sink)
-                }
-                None => run_quickplus_split(g, None, &task.s_init, &task.cand, params, None, &sink),
-            };
-            outputs.extend(outcome.outputs);
+            outputs.extend(run(&task.s_init, &task.cand));
         }
         (outputs, sink.donations.get())
     }
@@ -749,10 +786,10 @@ mod tests {
             mqce_graph::generators::erdos_renyi_gnm(14, 50, 11),
         ];
         let strategies = [
-            Some(BranchingStrategy::HybridSe),
-            Some(BranchingStrategy::SymSe),
-            Some(BranchingStrategy::Se),
-            None, // Quick+
+            InnerAlgorithm::FastQc(BranchingStrategy::HybridSe),
+            InnerAlgorithm::FastQc(BranchingStrategy::SymSe),
+            InnerAlgorithm::FastQc(BranchingStrategy::Se),
+            InnerAlgorithm::QuickPlus,
         ];
         let mut donations_by_strategy = [0usize; 4];
         for g in &graphs {
@@ -760,12 +797,12 @@ mod tests {
                 for theta in 2..=3 {
                     let params = MqceParams::new(gamma, theta).unwrap();
                     let expected = naive::all_maximal_quasi_cliques(g, params);
-                    for (k, &branching) in strategies.iter().enumerate() {
-                        let (outputs, donations) = run_with_greedy_splits(g, params, branching);
+                    for (k, &inner) in strategies.iter().enumerate() {
+                        let (outputs, donations) = run_with_greedy_splits(g, params, inner, false);
                         assert_eq!(
                             filter_maximal(&outputs),
                             expected,
-                            "greedy splitting broke {branching:?} at gamma={gamma} theta={theta} \
+                            "greedy splitting broke {inner:?} at gamma={gamma} theta={theta} \
                              on {} vertices",
                             g.num_vertices()
                         );
@@ -776,45 +813,12 @@ mod tests {
         }
         // Some (graph, γ, θ) combinations terminate without ever branching,
         // but over the whole grid every strategy must have donated work.
-        for (k, &branching) in strategies.iter().enumerate() {
+        for (k, &inner) in strategies.iter().enumerate() {
             assert!(
                 donations_by_strategy[k] > 0,
-                "{branching:?} never donated despite an always-hungry sink"
+                "{inner:?} never donated despite an always-hungry sink"
             );
         }
-    }
-
-    /// [`run_with_greedy_splits`] with one [`SearchScratch`] reused across
-    /// the root search and every drained split task — exactly the lifetime a
-    /// scheduler worker gives its scratch — instead of a fresh scratch per
-    /// call. Returns the union of all outputs.
-    fn run_with_greedy_splits_reused_scratch(
-        g: &Graph,
-        params: MqceParams,
-        branching: Option<BranchingStrategy>,
-    ) -> (Vec<Vec<VertexId>>, usize) {
-        let sink = GreedySink::new();
-        let all: Vec<VertexId> = g.vertices().collect();
-        let mut scratch = SearchScratch::default();
-        let mut outputs: Vec<Vec<VertexId>> = Vec::new();
-        let run = |s_init: &[VertexId], cand: &[VertexId], scratch: &mut SearchScratch| {
-            match branching {
-                Some(b) => {
-                    run_fastqc_in(g, None, s_init, cand, params, b, None, Some(&sink), scratch);
-                }
-                None => {
-                    run_quickplus_in(g, None, s_init, cand, params, None, Some(&sink), scratch);
-                }
-            }
-            scratch.sets.to_vecs()
-        };
-        outputs.extend(run(&[], &all, &mut scratch));
-        loop {
-            let task = sink.queue.borrow_mut().pop();
-            let Some(task) = task else { break };
-            outputs.extend(run(&task.s_init, &task.cand, &mut scratch));
-        }
-        (outputs, sink.donations.get())
     }
 
     #[test]
@@ -829,17 +833,16 @@ mod tests {
         for &gamma in &[0.5, 0.6, 0.9] {
             for theta in 2..=3 {
                 let params = MqceParams::new(gamma, theta).unwrap();
-                for branching in [
-                    Some(BranchingStrategy::HybridSe),
-                    Some(BranchingStrategy::Se),
-                    None,
+                for inner in [
+                    InnerAlgorithm::FastQc(BranchingStrategy::HybridSe),
+                    InnerAlgorithm::FastQc(BranchingStrategy::Se),
+                    InnerAlgorithm::QuickPlus,
                 ] {
-                    let (fresh, _) = run_with_greedy_splits(&g, params, branching);
-                    let (reused, donations) =
-                        run_with_greedy_splits_reused_scratch(&g, params, branching);
+                    let (fresh, _) = run_with_greedy_splits(&g, params, inner, false);
+                    let (reused, donations) = run_with_greedy_splits(&g, params, inner, true);
                     assert_eq!(
                         reused, fresh,
-                        "reused scratch diverged for {branching:?} gamma={gamma} theta={theta}"
+                        "reused scratch diverged for {inner:?} gamma={gamma} theta={theta}"
                     );
                     total_donations += donations;
                 }

@@ -12,9 +12,10 @@ use std::time::Instant;
 
 use mqce_graph::VertexId;
 
-use crate::config::{MqceConfig, ParamError};
+use crate::config::{MqceConfig, MqceParams, ParamError};
 use crate::pipeline::run_pipeline;
 use crate::prepared::PreparedGraph;
+use crate::stats::SearchStats;
 
 /// Result of a top-k search.
 #[derive(Clone, Debug, Default)]
@@ -31,6 +32,9 @@ pub struct TopKResult {
     /// largest sets found before the budget ran out and may miss some of
     /// the true top k.
     pub timed_out: bool,
+    /// Statistics of every round's S1 search, merged. A contained searcher
+    /// panic (`subproblem_panics > 0`) means the list may miss sets.
+    pub stats: SearchStats,
 }
 
 /// Upper bound on the size of any γ-quasi-clique for γ ≥ 0.5: `2ω + 1`, where
@@ -41,9 +45,11 @@ pub fn max_qc_size_bound(prepared: &PreparedGraph) -> usize {
 
 /// Finds the `k` largest maximal γ-quasi-cliques (of size ≥ 2).
 ///
-/// `base` supplies the algorithm/branching/time-limit configuration; its
-/// `theta` is ignored (the search manages the threshold itself). Every
-/// round runs on the cached decomposition of `prepared`.
+/// `base` supplies the rest of the configuration (algorithm, branching,
+/// time limit and the implementation knobs of its params); its `gamma` is
+/// replaced by `gamma` and its `theta` is ignored (the search manages the
+/// threshold itself). Every round runs on the cached decomposition of
+/// `prepared`.
 ///
 /// The time limit is one budget for the whole search, not one per round:
 /// each round runs on what is left of it (a spent budget runs the next
@@ -55,12 +61,10 @@ pub fn find_largest_mqcs(
     k: usize,
     base: Option<MqceConfig>,
 ) -> Result<TopKResult, ParamError> {
-    // Validate gamma via the normal constructor.
-    let template = match base {
-        Some(cfg) => cfg,
-        None => MqceConfig::new(gamma, 2)?,
-    };
-    let _ = MqceConfig::new(gamma, 2)?;
+    // Validates gamma; every round's theta is at least 2.
+    let defaults = MqceConfig::new(gamma, 2)?;
+    let mut template = base.unwrap_or(defaults);
+    template.params.gamma = gamma;
     if k == 0 || prepared.graph().num_vertices() == 0 {
         return Ok(TopKResult::default());
     }
@@ -68,18 +72,23 @@ pub fn find_largest_mqcs(
     let deadline = template.time_limit.map(|limit| Instant::now() + limit);
     let mut theta = max_qc_size_bound(prepared).max(2);
     let mut rounds = 0usize;
+    let mut stats = SearchStats::default();
     // The last completed round's threshold and family: every maximal QC of
     // at least that size, hence the exact top of the ranking.
     let mut complete: (usize, Vec<Vec<VertexId>>) = (usize::MAX, Vec::new());
     loop {
         rounds += 1;
         let config = MqceConfig {
-            params: crate::config::MqceParams::new(gamma, theta)?,
+            params: MqceParams {
+                theta,
+                ..template.params
+            },
             time_limit: deadline.map(|d| d.saturating_duration_since(Instant::now())),
             ..template
         };
         let result = run_pipeline(prepared, &config, 1);
         let timed_out = result.timed_out();
+        stats.merge(&result.stats);
         if result.mqcs.len() >= k || theta == 2 || timed_out {
             let mut mqcs = result.mqcs;
             if timed_out {
@@ -96,6 +105,7 @@ pub fn find_largest_mqcs(
                 final_theta: theta,
                 rounds,
                 timed_out,
+                stats,
             });
         }
         complete = (theta, result.mqcs);
@@ -187,6 +197,19 @@ mod tests {
         by_size.sort_by(|a, b| b.len().cmp(&a.len()).then_with(|| a.cmp(b)));
         assert_eq!(top.mqcs, by_size[..3.min(by_size.len())].to_vec());
         assert!(!top.timed_out);
+    }
+
+    #[test]
+    fn rounds_keep_the_callers_params() {
+        // Regression: every round rebuilt its params from (γ, θ) alone, so
+        // the caller's fault injection (and backend) never reached the
+        // search.
+        let g = Graph::complete(6);
+        let mut base = MqceConfig::new(0.9, 3).unwrap();
+        base.params.fail_anchor = Some(0);
+        let top = find_largest_mqcs(&prep(&g), 0.9, 1, Some(base)).unwrap();
+        assert!(top.stats.subproblem_panics > 0);
+        assert_eq!(top.stats.last_panicked_anchor, Some(0));
     }
 
     #[test]

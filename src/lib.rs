@@ -43,7 +43,7 @@ pub use mqce_core::{IncrementalSession, Session};
 /// configuration types.
 pub mod prelude {
     pub use mqce_core::prelude::*;
-    pub use mqce_core::query::{find_mqcs_containing, find_mqcs_containing_default};
+    pub use mqce_core::query::find_mqcs_containing;
     pub use mqce_core::verify::{verify_mqc_set, verify_s1_output};
     pub use mqce_core::{
         find_largest_mqcs, AdjacencyBackend, Algorithm, BranchingStrategy, MqceConfig, MqceParams,

@@ -72,9 +72,8 @@ fn query_search_agrees_with_filtered_enumeration() {
                     .filter(|mqc| query.iter().all(|q| mqc.contains(q)))
                     .cloned()
                     .collect();
-                let got = find_mqcs_containing_default(&g, &query, gamma, theta)
-                    .unwrap()
-                    .mqcs;
+                let config = MqceConfig::new(gamma, theta).unwrap();
+                let got = find_mqcs_containing(&g, &query, &config).unwrap().mqcs;
                 assert_eq!(
                     got, expected,
                     "{label}: query {query:?} gamma={gamma} theta={theta}"

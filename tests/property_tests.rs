@@ -219,7 +219,8 @@ proptest! {
         let full = enumerate_mqcs_default(&g, gamma, theta).unwrap().mqcs;
         for q in g.vertices() {
             let expected: Vec<Vec<u32>> = full.iter().filter(|m| m.contains(&q)).cloned().collect();
-            let got = find_mqcs_containing_default(&g, &[q], gamma, theta).unwrap().mqcs;
+            let config = MqceConfig::new(gamma, theta).unwrap();
+            let got = find_mqcs_containing(&g, &[q], &config).unwrap().mqcs;
             prop_assert_eq!(got, expected, "query {}", q);
         }
     }

@@ -127,6 +127,33 @@ fn intra_subproblem_splitting_fires_on_a_single_giant_community() {
 }
 
 #[test]
+fn one_worker_runs_the_scheduler_and_never_steals_or_splits() {
+    // Every thread count runs the work-stealing scheduler, so every run
+    // reports one row per worker. A lone worker is never hungry: even at
+    // the most eager granularity it neither steals nor splits, and its
+    // family equals the 2-worker one.
+    let g = skewed_graph();
+    let config = MqceConfig::new(0.85, 6).unwrap().with_steal_granularity(1);
+    let runs: Vec<MqceResult> = (1..=4)
+        .map(|threads| enumerate_threads(&g, &config, threads))
+        .collect();
+    for (threads, run) in (1..=4).zip(&runs) {
+        assert_eq!(run.thread_stats.len(), threads, "{threads} threads");
+    }
+    let one = &runs[0];
+    assert!(one
+        .thread_stats
+        .iter()
+        .all(|t| t.steals == 0 && t.splits == 0));
+    assert_eq!(one.stats.tasks_stolen, 0);
+    assert_eq!(one.stats.split_donated, 0);
+    assert_eq!(one.stats.split_executed, 0);
+    assert_eq!(one.thread_stats[0].subproblems, one.stats.dc_subproblems);
+    assert!(!one.timed_out());
+    assert_eq!(one.mqcs, runs[1].mqcs);
+}
+
+#[test]
 fn granularity_zero_disables_splitting_but_not_stealing() {
     let g = skewed_graph();
     let config = MqceConfig::new(0.85, 6).unwrap().with_steal_granularity(0);

@@ -6,7 +6,7 @@
 //!
 //! Experiments: `table1`, `fig7`, `fig8`, `fig9`, `fig10a`, `fig10b`,
 //! `fig11`, `fig12`, `maxround`, `shrink`, `s2`, `quick`, `s2-stress`,
-//! `threads`, `alloc-gate`, `updates`, `shards`, `all`.
+//! `threads`, `alloc-gate`, `updates`, `all`.
 //!
 //! `quick` is the backend-comparison profile (bitset kernel vs sorted
 //! slices); it writes `BENCH_mqce.json` by default so the CI bench-smoke
@@ -33,7 +33,7 @@ use mqce_bench::runner::{append_json, save_json, RunRecord};
 
 fn usage() -> ! {
     eprintln!(
-        "usage: experiments <table1|fig7|fig8|fig9|fig10a|fig10b|fig11|fig12|maxround|shrink|s2|quick|s2-stress|threads|alloc-gate|updates|shards|fuzz|all> \
+        "usage: experiments <table1|fig7|fig8|fig9|fig10a|fig10b|fig11|fig12|maxround|shrink|s2|quick|s2-stress|threads|alloc-gate|updates|fuzz|all> \
          [--quick] [--time-limit <seconds>] [--json <path>] \
          [--fuzz-iters <n>] [--seed <n>] [--fixture-dir <dir>] [--replay <fixture>]"
     );
@@ -178,7 +178,7 @@ fn main() {
     // accumulate them into a single BENCH_mqce.json.
     let perf_profile = matches!(
         experiment.as_str(),
-        "quick" | "s2-stress" | "threads" | "alloc-gate" | "updates" | "shards"
+        "quick" | "s2-stress" | "threads" | "alloc-gate" | "updates"
     );
     if perf_profile {
         if !time_limit_set {
@@ -206,7 +206,6 @@ fn main() {
         "threads" => experiments::thread_sweep(opts),
         "alloc-gate" => experiments::alloc_gate(opts),
         "updates" => experiments::updates(opts),
-        "shards" => experiments::shards(opts),
         "all" => experiments::run_all(opts),
         _ => usage(),
     };
@@ -214,7 +213,7 @@ fn main() {
     if let Some(path) = json_path {
         if matches!(
             experiment.as_str(),
-            "s2-stress" | "threads" | "alloc-gate" | "updates" | "shards"
+            "s2-stress" | "threads" | "alloc-gate" | "updates"
         ) {
             append_json(&path, &records).expect("append JSON results");
             println!("\nappended {} records to {}", records.len(), path.display());

@@ -763,146 +763,9 @@ pub fn updates(opts: ExperimentOptions) -> Vec<RunRecord> {
                 full_recompute_millis: full_millis,
                 alloc_count: 0,
                 peak_alloc_bytes: 0,
-                shards: 0,
-                shard_millis: Vec::new(),
-                merge_millis: 0.0,
                 stats: Default::default(),
             });
         }
-    }
-    records
-}
-
-/// **Sharded execution** (`shards`): the cost-balanced shard planner and
-/// frontier merge against the single-process pipeline. For each shard count
-/// the profile runs [`run_sharded`](mqce_core::run_sharded) in-process —
-/// the same plan/execute/merge steps the multi-process `mqce --shards`
-/// coordinator drives over worker processes — asserts the merged family is
-/// identical to a fresh single-process run, and records the per-shard
-/// wall-clocks plus the merge overhead (the part of sharding that does not
-/// parallelise) into `shard_millis` / `merge_millis` of `BENCH_mqce.json`.
-pub fn shards(opts: ExperimentOptions) -> Vec<RunRecord> {
-    use mqce_core::{run_sharded, MqceConfig, PreparedGraph, Session};
-    use mqce_graph::generators::{community_graph, CommunityGraphParams};
-
-    let (gamma, theta) = (0.9, 8);
-    let (name, graph, shard_counts): (&str, mqce_graph::Graph, &[usize]) = match opts.scale {
-        SuiteScale::Small => (
-            "community-120",
-            community_graph(
-                CommunityGraphParams {
-                    n: 120,
-                    num_communities: 8,
-                    p_intra: 0.9,
-                    inter_degree: 1.5,
-                },
-                42,
-            ),
-            &[3],
-        ),
-        SuiteScale::Full => (
-            "community-800",
-            community_graph(
-                CommunityGraphParams {
-                    n: 800,
-                    num_communities: 80,
-                    p_intra: 0.9,
-                    inter_degree: 0.5,
-                },
-                7,
-            ),
-            &[2, 3, 4],
-        ),
-    };
-
-    let config = MqceConfig::new(gamma, theta)
-        .expect("benchmark parameters are valid")
-        .with_time_limit(opts.time_limit);
-    let prepared = std::sync::Arc::new(PreparedGraph::new(graph.clone()));
-
-    println!("\n== Sharded execution: cost-balanced shards + frontier merge ==");
-    println!(
-        "{:<16} {:>7} {:>12} {:>12} {:>12} {:>10} {:>8}",
-        "dataset", "shards", "single(ms)", "shards(ms)", "merge(ms)", "imbalance", "#MQC"
-    );
-
-    let t = Instant::now();
-    let single = Session::open_prepared(prepared.clone())
-        .config(config)
-        .run();
-    let single_millis = t.elapsed().as_secs_f64() * 1e3;
-
-    let mut records = Vec::new();
-    for &num_shards in shard_counts {
-        let outcome = run_sharded(&prepared, &config, num_shards, 1)
-            .expect("DCFastQC has a DC decomposition");
-        assert_eq!(
-            outcome.mqcs, single.mqcs,
-            "sharded family diverged from single-process on {name} ({num_shards} shards)"
-        );
-        assert!(
-            !outcome.best_effort,
-            "sharded run on {name} was cut short under the profile time limit"
-        );
-        let shard_total: f64 = outcome.shard_millis.iter().sum();
-        let slowest = outcome.shard_millis.iter().cloned().fold(0.0, f64::max);
-        // Slowest shard over the ideal even split: 1.0x is a perfect balance.
-        let imbalance = slowest / (shard_total / num_shards as f64).max(0.01);
-        println!(
-            "{:<16} {:>7} {:>12.1} {:>12.1} {:>12.1} {:>9.2}x {:>8}",
-            name,
-            num_shards,
-            single_millis,
-            shard_total,
-            outcome.merge_millis,
-            imbalance,
-            outcome.mqcs.len()
-        );
-        let (mqc_min, mqc_max) = (
-            outcome.mqcs.iter().map(Vec::len).min().unwrap_or(0),
-            outcome.mqcs.iter().map(Vec::len).max().unwrap_or(0),
-        );
-        let mqc_avg = if outcome.mqcs.is_empty() {
-            0.0
-        } else {
-            outcome.mqcs.iter().map(Vec::len).sum::<usize>() as f64 / outcome.mqcs.len() as f64
-        };
-        records.push(RunRecord {
-            dataset: name.to_string(),
-            algorithm: format!("DCFastQC/sharded-{num_shards}"),
-            branching: "HybridSe".to_string(),
-            backend: "auto".to_string(),
-            gamma,
-            theta,
-            max_round: 2,
-            threads: 1,
-            s2_backend: "parallel".to_string(),
-            s2_timed_out: false,
-            s1_millis: shard_total,
-            s2_millis: outcome.merge_millis,
-            s1_outputs: outcome.mqcs.len(),
-            mqcs: outcome.mqcs.len(),
-            mqc_min,
-            mqc_max,
-            mqc_avg,
-            branches: outcome.stats.branches,
-            timed_out: false,
-            thread_stats: Vec::new(),
-            serve_requests: 0,
-            serve_cache_hits: 0,
-            serve_cache_misses: 0,
-            serve_cache_evictions: 0,
-            serve_cache_len: 0,
-            updates_applied: 0,
-            dirty_subproblems: 0,
-            full_recompute_millis: single_millis,
-            alloc_count: 0,
-            peak_alloc_bytes: 0,
-            shards: num_shards,
-            shard_millis: outcome.shard_millis,
-            merge_millis: outcome.merge_millis,
-            stats: outcome.stats,
-        });
     }
     records
 }
@@ -1011,9 +874,6 @@ fn measure_s2_pass(
         full_recompute_millis: 0.0,
         alloc_count: 0,
         peak_alloc_bytes: 0,
-        shards: 0,
-        shard_millis: Vec::new(),
-        merge_millis: 0.0,
         stats: Default::default(),
     };
     (record, (!timed_out).then_some(outcome.mqcs))

@@ -150,20 +150,6 @@ pub struct RunRecord {
     /// caveat as `alloc_count`).
     #[serde(default)]
     pub peak_alloc_bytes: u64,
-    /// Worker processes used by the sharded coordinator (0 for ordinary
-    /// single-process runs). `default` so pre-sharding files still parse.
-    #[serde(default)]
-    pub shards: usize,
-    /// Per-shard wall-clock milliseconds (worker spawn + handshake + DC run +
-    /// result decode), one entry per shard, empty for single-process runs.
-    /// `default` as above.
-    #[serde(default)]
-    pub shard_millis: Vec<f64>,
-    /// Wall-clock milliseconds the coordinator spent merging the per-shard
-    /// families through the frontier-restricted S2 pass — the
-    /// sharding overhead that does not parallelise. `default` as above.
-    #[serde(default)]
-    pub merge_millis: f64,
     /// Raw search statistics.
     #[serde(skip)]
     pub stats: SearchStats,
@@ -350,9 +336,6 @@ pub fn measure_threads(
             .alloc_count
             .saturating_sub(alloc_before.alloc_count),
         peak_alloc_bytes: alloc_after.peak_bytes,
-        shards: 0,
-        shard_millis: Vec::new(),
-        merge_millis: 0.0,
         stats: result.stats,
     }
 }
@@ -718,7 +701,9 @@ mod tests {
     fn records_without_serve_stats_still_parse() {
         // A pre-daemon BENCH_mqce.json has no serve_* fields (nor the other
         // later additions); `default` keeps it readable so append_json does
-        // not discard the accumulated history.
+        // not discard the accumulated history. Records written while the
+        // sharded driver existed carry fields that are gone now; unknown
+        // fields are ignored, so they parse too.
         let old = r#"[{
             "dataset": "k4", "algorithm": "Quick+", "branching": "HybridSe",
             "backend": "auto", "gamma": 0.9, "theta": 2, "max_round": 1,
@@ -726,9 +711,18 @@ mod tests {
             "s1_millis": 1.0, "s2_millis": 0.5, "s1_outputs": 1, "mqcs": 1,
             "mqc_min": 4, "mqc_max": 4, "mqc_avg": 4.0, "branches": 3,
             "timed_out": false
+        }, {
+            "dataset": "k4", "algorithm": "DCFastQC/sharded-2",
+            "branching": "HybridSe", "backend": "auto", "gamma": 0.9,
+            "theta": 2, "max_round": 2, "threads": 1, "s2_backend": "parallel",
+            "s2_timed_out": false, "s1_millis": 1.0, "s2_millis": 0.5,
+            "s1_outputs": 1, "mqcs": 1, "mqc_min": 4, "mqc_max": 4,
+            "mqc_avg": 4.0, "branches": 3, "timed_out": false,
+            "shards": 2, "shard_millis": [0.4, 0.6], "merge_millis": 0.5
         }]"#;
         let parsed: Vec<RunRecord> = serde_json::from_str(old).unwrap();
-        assert_eq!(parsed.len(), 1);
+        assert_eq!(parsed.len(), 2);
+        assert_eq!(parsed[1].algorithm, "DCFastQC/sharded-2");
         assert_eq!(parsed[0].serve_requests, 0);
         assert_eq!(parsed[0].serve_cache_hits, 0);
         assert_eq!(parsed[0].serve_cache_misses, 0);

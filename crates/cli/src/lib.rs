@@ -17,8 +17,6 @@
 //!   newline-delimited JSON requests over TCP or a Unix socket, with a
 //!   result cache and admission control (see [`serve`]).
 //! * `client [...]` — send requests to a running daemon.
-//! * `shard-worker` — coordinator-spawned worker process for multi-process
-//!   sharded enumeration (`enumerate --shards N`); see [`shard`].
 //! * `help` — usage.
 
 #![forbid(unsafe_code)]
@@ -27,7 +25,6 @@
 pub mod args;
 pub mod protocol;
 pub mod serve;
-pub mod shard;
 
 use std::io::Write;
 use std::path::Path;
@@ -86,7 +83,6 @@ USAGE:
                  [--max-round N] [--threads N] [--steal-granularity N]
                  [--backend K]
                  [--time-limit-secs S] [--print-sets] [--verify]
-                 [--shards N [--fault-injection [--fault MODE]]]
   mqce topk <graph> --gamma G [--k K]
   mqce query <graph> --gamma G --theta T --vertices V1,V2,...
   mqce generate <kind> <output> [--n N] [--density D] [--seed S]
@@ -98,7 +94,6 @@ USAGE:
   mqce client [--addr HOST:PORT] [--socket PATH] [--retry-secs S]
               [--requests FILE] [--cmd C --gamma G --theta T ...]
               [--fault MODE] [--shutdown]
-  mqce shard-worker [--fault-injection]
   mqce help
 
 GRAPH FILES: format chosen by extension — .clq/.dimacs/.col (DIMACS),
@@ -135,18 +130,6 @@ SERVE: the daemon loads the graph (plus degeneracy ordering and, when it
   on startup, so a crashed daemon restarts to its exact pre-crash graph.
   --fault-injection enables the debug-only per-request fault field
   (panic | panic-locked | panic-worker:<v>) used by the containment tests.
-SHARDS (--shards): multi-process sharded enumeration. The coordinator
-  partitions the degeneracy-ordered anchor list into N cost-balanced shards,
-  ships each shard's two-hop-closed graph slice to a `mqce shard-worker`
-  process over the newline-JSON protocol (version-handshaken via ping), and
-  merges the returned per-shard families through one S2 pass restricted
-  to the cross-shard frontier — the result is byte-identical to a
-  single-process run. A worker lost mid-shard is respawned and its shard
-  retried once; a second loss degrades the run to best-effort instead of
-  hanging. --threads sets the worker-side thread count per shard. With
-  --fault-injection, --fault die:<shard> kills that shard's worker mid-run
-  (and its retry) and --fault panic:<anchor> panics one DC subproblem
-  (contained by the worker; the run is flagged best-effort).
 ";
 
 /// Entry point: parses `args` and writes the report to `out`.
@@ -170,7 +153,6 @@ pub fn run<W: Write>(args: &[String], out: &mut W) -> Result<(), CliError> {
         "convert" => cmd_convert(&parsed, out),
         "serve" => serve::cmd_serve(&parsed, out),
         "client" => serve::cmd_client(&parsed, out),
-        "shard-worker" => shard::cmd_shard_worker(&parsed, out),
         other => Err(CliError::UnknownCommand(other.to_string())),
     }
 }
@@ -326,24 +308,11 @@ fn cmd_enumerate<W: Write>(parsed: &ParsedArgs, out: &mut W) -> Result<(), CliEr
         "time-limit-secs",
         "print-sets",
         "verify",
-        "shards",
-        "fault",
-        "fault-injection",
     ])?;
     parsed.no_extra_positionals(2)?;
     let path = parsed.positional(1, "graph")?;
     let g = load_graph(path)?;
     let config = build_config(parsed)?;
-    if parsed.get("shards").is_some() {
-        return cmd_enumerate_sharded(parsed, &g, &config, out);
-    }
-    for flag in ["fault", "fault-injection"] {
-        if parsed.get(flag).is_some() {
-            return Err(CliError::Params(format!(
-                "--{flag} is only meaningful with --shards"
-            )));
-        }
-    }
     let threads = resolve_threads(parsed.get_usize("threads", 1)?);
     let result = Session::open(g.clone())
         .config(config)
@@ -400,7 +369,7 @@ fn cmd_enumerate<W: Write>(parsed: &ParsedArgs, out: &mut W) -> Result<(), CliEr
     Ok(())
 }
 
-/// The `WARNING` lines of an unsharded `enumerate` or a `query`, one per
+/// The `WARNING` lines of an `enumerate` or a `query`, one per
 /// reason the maximal family may be incomplete: the search (`stats`) or the
 /// S2 pass hit the time limit, or subproblem panics were contained. A
 /// complete run gets none.
@@ -421,54 +390,6 @@ fn run_warnings(stats: &SearchStats, s2_timed_out: bool) -> Vec<String> {
         ));
     }
     lines
-}
-
-/// The `enumerate --shards N` path: builds the worker request template from
-/// the protocol-expressible flags and hands off to the multi-process
-/// coordinator in [`shard`].
-fn cmd_enumerate_sharded<W: Write>(
-    parsed: &ParsedArgs,
-    g: &Graph,
-    config: &MqceConfig,
-    out: &mut W,
-) -> Result<(), CliError> {
-    let shards = parsed.get_usize("shards", 3)?;
-    if shards == 0 {
-        return Err(CliError::Params("--shards must be at least 1".to_string()));
-    }
-    // These knobs have no field in the worker protocol; silently dropping
-    // them would make the sharded run diverge from what was asked for.
-    for flag in ["max-round", "steal-granularity"] {
-        if parsed.get(flag).is_some() {
-            return Err(CliError::Params(format!(
-                "--{flag} is not supported with --shards (not expressible in the worker protocol)"
-            )));
-        }
-    }
-    let template = protocol::Request {
-        gamma: config.params.gamma,
-        theta: config.params.theta,
-        algorithm: parsed.get("algorithm").map(str::to_string),
-        branching: parsed.get("branching").map(str::to_string),
-        backend: parsed.get("backend").map(str::to_string),
-        threads: parsed.get_usize("threads", 1)?,
-        deadline_ms: match parsed.get("time-limit-secs") {
-            Some(_) => Some(parsed.get_u64("time-limit-secs", 0)?.saturating_mul(1000)),
-            None => None,
-        },
-        ..protocol::Request::default()
-    };
-    shard::run_coordinator(
-        g,
-        config,
-        &template,
-        shards,
-        parsed.get("fault"),
-        parsed.switch("fault-injection"),
-        parsed.switch("print-sets"),
-        parsed.switch("verify"),
-        out,
-    )
 }
 
 fn cmd_topk<W: Write>(parsed: &ParsedArgs, out: &mut W) -> Result<(), CliError> {
@@ -498,11 +419,7 @@ fn cmd_topk<W: Write>(parsed: &ParsedArgs, out: &mut W) -> Result<(), CliError> 
 /// buffer flushed before returning: a large family then costs a few large
 /// writes instead of one per set. `ranked` prefixes each line with its
 /// 1-based position and the set size, as `topk` prints them.
-pub(crate) fn print_sets<W: Write>(
-    out: &mut W,
-    sets: &[Vec<VertexId>],
-    ranked: bool,
-) -> Result<(), CliError> {
+fn print_sets<W: Write>(out: &mut W, sets: &[Vec<VertexId>], ranked: bool) -> Result<(), CliError> {
     let mut buf = std::io::BufWriter::new(out);
     for (i, set) in sets.iter().enumerate() {
         if ranked {

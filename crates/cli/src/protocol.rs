@@ -7,18 +7,15 @@
 //! knows the field names.
 //!
 //! A request selects a command (`enumerate`, `query`, `topk`, `ping`,
-//! `update`, `shard_run`, `shutdown`) and may override any of the
-//! per-request knobs (γ, θ, k, algorithm, branching, adjacency backend,
-//! worker threads, a relative deadline in milliseconds). `update` carries
-//! `insert` / `delete` edge lists (`[[u, v], …]`); `shard_run` carries an
-//! encoded [`GraphSlice`](mqce_graph::GraphSlice) plus the shard's anchors
-//! and global ranks, and is answered with a `shard_result` set stream (see
-//! [`encode_set_stream`]). Responses echo the request `id` and carry the
+//! `update`, `shutdown`) and may override any of the per-request knobs (γ,
+//! θ, k, algorithm, branching, adjacency backend, worker threads, a relative
+//! deadline in milliseconds). `update` carries `insert` / `delete` edge
+//! lists (`[[u, v], …]`). Responses echo the request `id` and carry the
 //! result plus `cached` / `best_effort` / `s2_timed_out` status flags.
 //!
 //! Peers negotiate compatibility through the `version` field: a client may
 //! stamp any request (a `ping` handshake by convention) with the protocol
-//! version it speaks, and a daemon or worker that speaks a different version
+//! version it speaks, and a daemon that speaks a different version
 //! answers with a typed `error_kind:"protocol_version"` failure instead of
 //! an unknown-field error, so mixed-version deployments fail loudly and
 //! diagnosably.
@@ -67,8 +64,7 @@ pub struct Request {
     /// Include the MQC vertex sets in the response, not just the count.
     pub sets: bool,
     /// Debug-only fault injection mode (`panic`, `panic-locked`,
-    /// `panic-worker:<v>`; shard workers also honour `die` and
-    /// `panic:<anchor>`), used by the fault-containment tests. The daemon
+    /// `panic-worker:<v>`), used by the fault-containment tests. The daemon
     /// refuses it unless started with `--fault-injection`. Fault requests
     /// bypass the result cache entirely, so the field is not part of
     /// [`Request::cache_key`].
@@ -77,18 +73,6 @@ pub struct Request {
     /// a peer speaking a different version rejects the request with a typed
     /// `error_kind:"protocol_version"` failure.
     pub version: Option<u32>,
-    /// Encoded [`GraphSlice`](mqce_graph::GraphSlice) payload (`shard_run`
-    /// only): the self-contained subgraph the shard's subproblems run on.
-    pub slice: Option<String>,
-    /// The shard's anchors as slice-local ids, in rank order (`shard_run`
-    /// only).
-    pub anchors: Vec<u32>,
-    /// Per slice-local vertex: its global session rank (`shard_run` only).
-    /// Ranks are only compared, never indexed, by the DC drivers.
-    pub ranks: Vec<usize>,
-    /// Which shard this payload is (`shard_run` only), echoed in the result
-    /// so the coordinator can match asynchronous replies.
-    pub shard_id: usize,
 }
 
 impl Default for Request {
@@ -111,10 +95,6 @@ impl Default for Request {
             sets: false,
             fault: None,
             version: None,
-            slice: None,
-            anchors: Vec::new(),
-            ranks: Vec::new(),
-            shard_id: 0,
         }
     }
 }
@@ -286,28 +266,11 @@ impl Request {
                 "sets" => req.sets = as_bool(v, "sets")?,
                 "fault" => req.fault = Some(as_str(v, "fault")?),
                 "version" => req.version = Some(as_usize(v, "version")? as u32),
-                "slice" => req.slice = Some(as_str(v, "slice")?),
-                "anchors" => {
-                    req.anchors =
-                        as_vertices(v).map_err(|_| "field `anchors` must list vertex ids")?
-                }
-                "ranks" => {
-                    let Value::Array(items) = v else {
-                        return Err("field `ranks` must be an array of ranks".to_string());
-                    };
-                    req.ranks = items
-                        .iter()
-                        .map(|item| as_usize(item, "ranks"))
-                        .collect::<Result<_, _>>()?;
-                }
-                "shard_id" => req.shard_id = as_usize(v, "shard_id")?,
                 other => return Err(format!("unknown request field `{other}`")),
             }
         }
         match req.cmd.as_str() {
-            "enumerate" | "query" | "topk" | "ping" | "update" | "shard_run" | "shutdown" => {
-                Ok(req)
-            }
+            "enumerate" | "query" | "topk" | "ping" | "update" | "shutdown" => Ok(req),
             other => Err(format!("unknown command {other:?}")),
         }
     }
@@ -378,24 +341,6 @@ impl Request {
         if let Some(version) = self.version {
             push("version", Value::Num(version as f64));
         }
-        if let Some(slice) = &self.slice {
-            push("slice", Value::Str(slice.clone()));
-        }
-        if !self.anchors.is_empty() {
-            push(
-                "anchors",
-                Value::Array(self.anchors.iter().map(|&v| Value::Num(v as f64)).collect()),
-            );
-        }
-        if !self.ranks.is_empty() {
-            push(
-                "ranks",
-                Value::Array(self.ranks.iter().map(|&r| Value::Num(r as f64)).collect()),
-            );
-        }
-        if self.cmd == "shard_run" {
-            push("shard_id", Value::Num(self.shard_id as f64));
-        }
         Value::Object(fields)
     }
 
@@ -430,50 +375,6 @@ impl Request {
             ab = norm(&self.backend, "auto"),
         )
     }
-}
-
-/// Flattens a family of vertex sets into the length-prefixed number stream
-/// carried by `shard_result` responses: `[len₀, v…, len₁, v…]`. One flat
-/// array keeps the vendored value tree shallow for large families.
-pub fn encode_set_stream(sets: &[Vec<u32>]) -> Value {
-    let mut stream = Vec::with_capacity(sets.iter().map(|s| s.len() + 1).sum());
-    for set in sets {
-        stream.push(Value::Num(set.len() as f64));
-        stream.extend(set.iter().map(|&v| Value::Num(v as f64)));
-    }
-    Value::Array(stream)
-}
-
-/// Decodes a length-prefixed set stream (the inverse of
-/// [`encode_set_stream`]), rejecting truncated or malformed payloads.
-pub fn decode_set_stream(value: &Value) -> Result<Vec<Vec<u32>>, String> {
-    let Value::Array(items) = value else {
-        return Err("set stream must be an array".to_string());
-    };
-    let num = |v: &Value| -> Result<usize, String> {
-        match v {
-            Value::Num(n) if n.fract() == 0.0 && *n >= 0.0 && *n <= u32::MAX as f64 => {
-                Ok(*n as usize)
-            }
-            _ => Err("set stream entries must be non-negative integers".to_string()),
-        }
-    };
-    let mut sets = Vec::new();
-    let mut i = 0;
-    while i < items.len() {
-        let len = num(&items[i])?;
-        i += 1;
-        if i + len > items.len() {
-            return Err("set stream truncated mid-set".to_string());
-        }
-        let set = items[i..i + len]
-            .iter()
-            .map(|v| num(v).map(|x| x as u32))
-            .collect::<Result<Vec<u32>, _>>()?;
-        i += len;
-        sets.push(set);
-    }
-    Ok(sets)
 }
 
 impl Response {
@@ -651,6 +552,8 @@ mod tests {
     fn bad_requests_are_rejected() {
         assert!(Request::parse_line("not json").is_err());
         assert!(Request::parse_line(r#"{"cmd":"frobnicate"}"#).is_err());
+        assert!(Request::parse_line(r#"{"cmd":"shard_run"}"#)
+            .is_err_and(|e| e.contains("unknown command")));
         assert!(Request::parse_line(r#"{"cmd":"enumerate","gama":0.9}"#).is_err());
         assert!(Request::parse_line(r#"{"cmd":"enumerate","theta":-1}"#).is_err());
         assert!(Request::parse_line(r#"{"cmd":"enumerate","vertices":[1.5]}"#).is_err());
@@ -718,42 +621,6 @@ mod tests {
         assert_eq!(back, resp);
         assert_eq!(back.extra_str("fingerprint"), Some("abc"));
         assert_eq!(back.extra_num("fingerprint"), None);
-    }
-
-    #[test]
-    fn shard_run_requests_roundtrip() {
-        let req = Request {
-            id: Some("s0".to_string()),
-            cmd: "shard_run".to_string(),
-            gamma: 0.85,
-            theta: 5,
-            version: Some(PROTOCOL_VERSION),
-            slice: Some("MQSL1 0 0 0 deadbeefdeadbeef".to_string()),
-            anchors: vec![0, 2, 5],
-            ranks: vec![7, 8, 9, 10],
-            shard_id: 2,
-            ..Request::default()
-        };
-        assert_eq!(Request::parse_line(&req.to_line()).unwrap(), req);
-        // Bad rank payloads are rejected loudly.
-        assert!(Request::parse_line(r#"{"cmd":"shard_run","ranks":[1.5]}"#).is_err());
-        assert!(Request::parse_line(r#"{"cmd":"shard_run","ranks":7}"#).is_err());
-    }
-
-    #[test]
-    fn set_streams_roundtrip_and_reject_truncation() {
-        let sets = vec![vec![0u32, 3, 9], vec![], vec![7]];
-        let stream = encode_set_stream(&sets);
-        assert_eq!(decode_set_stream(&stream).unwrap(), sets);
-        assert_eq!(
-            decode_set_stream(&encode_set_stream(&[])).unwrap(),
-            Vec::<Vec<u32>>::new()
-        );
-        // A length prefix pointing past the end of the stream is truncation.
-        let truncated = Value::Array(vec![Value::Num(3.0), Value::Num(1.0)]);
-        assert!(decode_set_stream(&truncated).is_err());
-        assert!(decode_set_stream(&Value::Num(1.0)).is_err());
-        assert!(decode_set_stream(&Value::Array(vec![Value::Num(-1.0)])).is_err());
     }
 
     #[test]

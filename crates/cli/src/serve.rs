@@ -550,9 +550,6 @@ fn serve_record(label: &str, summary: ServeSummary) -> mqce_bench::runner::RunRe
         full_recompute_millis: 0.0,
         alloc_count: 0,
         peak_alloc_bytes: 0,
-        shards: 0,
-        shard_millis: Vec::new(),
-        merge_millis: 0.0,
         stats: Default::default(),
     }
 }
@@ -564,7 +561,7 @@ fn serve_record(label: &str, summary: ServeSummary) -> mqce_bench::runner::RunRe
 const MAX_LINE_BYTES: usize = 1 << 20;
 
 /// One bounded read from a connection.
-pub(crate) enum LineRead {
+enum LineRead {
     /// A complete line (without the newline), within the size cap.
     Line(String),
     /// Clean end of stream.
@@ -577,10 +574,7 @@ pub(crate) enum LineRead {
 /// Reads one newline-terminated line without ever buffering more than `max`
 /// bytes of it — the `BufRead::lines` convenience would happily grow its
 /// `String` to the size of whatever a client streams at us.
-pub(crate) fn read_line_bounded<R: BufRead>(
-    reader: &mut R,
-    max: usize,
-) -> std::io::Result<LineRead> {
+fn read_line_bounded<R: BufRead>(reader: &mut R, max: usize) -> std::io::Result<LineRead> {
     let mut buf: Vec<u8> = Vec::new();
     loop {
         let chunk = reader.fill_buf()?;
@@ -966,7 +960,7 @@ fn update_response(state: &ServerState, req: &Request, arrival: Instant) -> Resp
     }
 }
 
-pub(crate) fn build_request_config(req: &Request) -> Result<mqce_core::MqceConfig, String> {
+fn build_request_config(req: &Request) -> Result<mqce_core::MqceConfig, String> {
     let config = mqce_core::MqceConfig::new(req.gamma, req.theta)
         .map_err(|e| e.to_string())?
         .with_algorithm(crate::parse_algorithm(req.algorithm.as_deref()).map_err(stringify)?)
@@ -1138,12 +1132,6 @@ fn compute_response(state: &ServerState, req: Request, arrival: Instant) -> Resp
                 extra,
             };
             (outcome, result.timed_out || contained > 0, false)
-        }
-        "shard_run" => {
-            return Response::failure(
-                req.id,
-                "`shard_run` is answered by `mqce shard-worker` processes, not the daemon",
-            )
         }
         other => return Response::failure(req.id, format!("unknown command {other:?}")),
     };

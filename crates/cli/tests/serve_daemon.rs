@@ -619,6 +619,59 @@ fn oversized_request_lines_are_rejected_and_the_daemon_survives() {
     assert_eq!(summary.errors, 1);
 }
 
+/// A line just under the cap is parsed in time linear in its length: one
+/// long string field must not pin a daemon core.
+#[test]
+fn a_ping_with_a_one_mebibyte_id_is_answered_promptly() {
+    let graph = test_graph(60, 24);
+    let (addr, handle) = start_daemon(graph, ServeSettings::default());
+
+    let id = "i".repeat((1 << 20) - 64);
+    let request = Request {
+        cmd: "ping".to_string(),
+        id: Some(id.clone()),
+        ..Request::default()
+    };
+    let start = Instant::now();
+    let response = roundtrip(addr, &request);
+    let elapsed = start.elapsed();
+    assert!(response.ok, "error: {:?}", response.error);
+    assert_eq!(response.id.as_deref(), Some(id.as_str()));
+    assert!(
+        elapsed < Duration::from_secs(1),
+        "a 1 MiB ping took {elapsed:?}"
+    );
+
+    shutdown(addr);
+    handle.join().expect("daemon thread");
+}
+
+#[test]
+fn ping_negotiates_the_protocol_version() {
+    let graph = test_graph(60, 25);
+    let (addr, handle) = start_daemon(graph, ServeSettings::default());
+
+    let ping = |version| {
+        roundtrip(
+            addr,
+            &Request {
+                cmd: "ping".to_string(),
+                version: Some(version),
+                ..Request::default()
+            },
+        )
+    };
+    let same = ping(1);
+    assert!(same.ok, "error: {:?}", same.error);
+    assert_eq!(same.extra_num("protocol_version"), Some(1.0));
+    let other = ping(99);
+    assert!(!other.ok);
+    assert_eq!(other.extra_str("error_kind"), Some("protocol_version"));
+
+    shutdown(addr);
+    handle.join().expect("daemon thread");
+}
+
 /// Seeded protocol-line fuzz: random garbage and mutated valid requests,
 /// first through `Request::parse_line` under `catch_unwind` (the parser must
 /// never panic), then through a live daemon (every line gets exactly one

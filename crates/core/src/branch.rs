@@ -149,6 +149,9 @@ pub(crate) struct SearchCtx<'g> {
     pub(crate) stats: SearchStats,
     deadline: Option<Instant>,
     pub(crate) aborted: bool,
+    /// Children cut before they entered a branch; polled for the deadline
+    /// like entered branches, but kept out of `stats.branches`.
+    cut_children: u64,
     depth: u64,
     /// Cooperative work-donation hook of the work-stealing scheduler; `None`
     /// for whole-graph and query searches (the poll then compiles to a
@@ -212,6 +215,7 @@ impl<'g> SearchCtx<'g> {
             stats: SearchStats::default(),
             deadline,
             aborted: false,
+            cut_children: 0,
             depth: 0,
             splitter: None,
         };
@@ -370,9 +374,24 @@ impl<'g> SearchCtx<'g> {
         if self.aborted {
             return false;
         }
+        self.poll_deadline(self.stats.branches)
+    }
+
+    /// Counts a child that was cut before entering a branch toward the
+    /// deadline poll, so a search that prunes most of its children still
+    /// stops on time; check `aborted` afterwards.
+    pub(crate) fn cut_child(&mut self) {
+        self.cut_children += 1;
+        if !self.aborted {
+            self.poll_deadline(self.cut_children);
+        }
+    }
+
+    /// Checks the deadline every [`TIME_CHECK_INTERVAL`] counts of `count`,
+    /// marking the search aborted once it has passed.
+    fn poll_deadline(&mut self, count: u64) -> bool {
         if let Some(deadline) = self.deadline {
-            if self.stats.branches.is_multiple_of(TIME_CHECK_INTERVAL) && Instant::now() >= deadline
-            {
+            if count.is_multiple_of(TIME_CHECK_INTERVAL) && Instant::now() >= deadline {
                 self.aborted = true;
                 return false;
             }

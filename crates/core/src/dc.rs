@@ -289,8 +289,8 @@ pub(crate) fn build_subproblem_in(
 
 /// Runs the subproblems of `anchors` (reduced-graph ids, in processing
 /// order) on the work-stealing scheduler with `threads` workers — every full
-/// run, incremental dirty-anchor re-run and shard worker goes through here,
-/// at every thread count. A single worker is never hungry, so it never
+/// run and incremental dirty-anchor re-run goes through here, at every
+/// thread count. A single worker is never hungry, so it never
 /// splits a subproblem. The maximal family is the same at every thread
 /// count (the raw S1 outputs may carry a few extra dominated sets from split
 /// points, which MQCE-S2 removes).

@@ -108,9 +108,7 @@ pub struct IncrementalSession {
 }
 
 /// Merges two lexicographically sorted families into one sorted family.
-/// Shared with the shard coordinator, which splices shard-interior sets
-/// around its frontier merge exactly as the incremental update does.
-pub(crate) fn merge_canonical(a: Vec<Vec<VertexId>>, b: Vec<Vec<VertexId>>) -> Vec<Vec<VertexId>> {
+fn merge_canonical(a: Vec<Vec<VertexId>>, b: Vec<Vec<VertexId>>) -> Vec<Vec<VertexId>> {
     if a.is_empty() {
         return b;
     }

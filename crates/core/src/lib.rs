@@ -52,7 +52,6 @@ pub mod query;
 pub mod quickplus;
 mod scheduler;
 pub mod session;
-pub mod shard;
 pub mod stats;
 pub mod topk;
 pub mod verify;
@@ -68,10 +67,6 @@ pub use pipeline::{enumerate_mqcs_default, solve_s1, MqceResult};
 pub use prepared::PreparedGraph;
 pub use query::{find_mqcs_containing, QueryError, QueryResult};
 pub use session::Session;
-pub use shard::{
-    merge_shard_families, plan_shards, run_shard, run_sharded, MergedShards, ShardFamily,
-    ShardOutcome, ShardPlan, ShardSpec,
-};
 pub use stats::{S2Stats, SearchStats, ThreadStats};
 pub use topk::{find_largest_mqcs, TopKResult};
 pub use verify::{

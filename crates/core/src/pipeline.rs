@@ -11,8 +11,8 @@
 //! [`compact_parallel`] on the run's workers. The pass honours whatever
 //! remains of the wall-clock budget, plus a grace slice, so a run that
 //! exhausts its time limit in S1 does not pay an unbounded filtering bill
-//! on hundreds of thousands of sets. Query searches, incremental updates
-//! and the shard coordinator's merge call the same helper.
+//! on hundreds of thousands of sets. Query searches and incremental updates
+//! call the same helper.
 
 use std::time::{Duration, Instant};
 
@@ -175,7 +175,9 @@ pub(crate) fn s2_deadline(deadline: Option<Instant>, limit: Option<Duration>) ->
 }
 
 /// The end-to-end pipeline over a prepared graph: MQCE-S1 on `threads`
-/// workers (see [`run_anchors`]), then [`finish_run`].
+/// workers (see [`run_anchors`]), then [`compact_family`] over the S1
+/// outputs on the same workers under one graced S2 deadline, granted when
+/// S1 ends. `s2_time` covers the sort and the compaction.
 pub(crate) fn run_pipeline(
     prepared: &PreparedGraph,
     config: &MqceConfig,
@@ -190,45 +192,6 @@ pub(crate) fn run_pipeline(
         }
         None => solve_whole_graph(prepared.graph(), config, deadline),
     };
-    finish_run(outcome, config, threads, deadline, s1_start)
-}
-
-/// MQCE-S2, the one compaction rule: sorts and deduplicates `sets` in place
-/// (callers keep it as their QC family), then compacts it with
-/// [`compact_parallel`] on `threads` workers under `deadline`. Full runs and
-/// shard workers ([`finish_run`]), query searches, incremental updates and
-/// the shard coordinator's merge all come through here.
-///
-/// The outcome is also marked timed out when the deadline had passed
-/// before the pass started. A zero-budget run gets here with its deadline
-/// already past, and compacting what is held (often nothing) may finish
-/// before polling it, so the expiry itself marks the result partial. Runs
-/// with a real budget start the pass with (most of) the grace slice still
-/// ahead.
-pub(crate) fn compact_family(
-    sets: &mut Vec<Vec<VertexId>>,
-    threads: usize,
-    deadline: Option<Instant>,
-) -> S2Outcome {
-    sets.sort_unstable();
-    sets.dedup();
-    let expired = deadline.is_some_and(|d| Instant::now() >= d);
-    let mut outcome = compact_parallel(sets, threads, deadline);
-    outcome.timed_out |= expired;
-    outcome
-}
-
-/// The pipeline tail shared by full runs and shard workers: runs
-/// [`compact_family`] over the S1 outputs on the run's `threads` under one
-/// graced S2 deadline, granted when S1 ends, and assembles the
-/// [`MqceResult`]. `s2_time` covers the sort and the compaction.
-pub(crate) fn finish_run(
-    outcome: SearchOutcome,
-    config: &MqceConfig,
-    threads: usize,
-    deadline: Option<Instant>,
-    s1_start: Instant,
-) -> MqceResult {
     let s1_time = s1_start.elapsed();
     let s2_start = Instant::now();
     let s2_dl = s2_deadline(deadline, config.time_limit);
@@ -250,6 +213,31 @@ pub(crate) fn finish_run(
         s1_time,
         s2_time,
     }
+}
+
+/// MQCE-S2, the one compaction rule: sorts and deduplicates `sets` in place
+/// (callers keep it as their QC family), then compacts it with
+/// [`compact_parallel`] on `threads` workers under `deadline`. Full runs
+/// ([`run_pipeline`]), query searches and incremental updates all come
+/// through here.
+///
+/// The outcome is also marked timed out when the deadline had passed
+/// before the pass started. A zero-budget run gets here with its deadline
+/// already past, and compacting what is held (often nothing) may finish
+/// before polling it, so the expiry itself marks the result partial. Runs
+/// with a real budget start the pass with (most of) the grace slice still
+/// ahead.
+pub(crate) fn compact_family(
+    sets: &mut Vec<Vec<VertexId>>,
+    threads: usize,
+    deadline: Option<Instant>,
+) -> S2Outcome {
+    sets.sort_unstable();
+    sets.dedup();
+    let expired = deadline.is_some_and(|d| Instant::now() >= d);
+    let mut outcome = compact_parallel(sets, threads, deadline);
+    outcome.timed_out |= expired;
+    outcome
 }
 
 /// Convenience wrapper: enumerate the maximal γ-quasi-cliques of size ≥ θ

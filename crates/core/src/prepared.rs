@@ -8,7 +8,7 @@
 //! an `Arc` can serve any number of concurrent requests.
 //!
 //! Every pipeline run ([`Session::run`](crate::Session::run), top-k rounds,
-//! incremental updates, shard planning) borrows this state instead of
+//! incremental updates) borrows this state instead of
 //! re-deriving it: per-request core reduction becomes a filter over the
 //! cached core numbers, and the per-request vertex ordering is the cached
 //! global degeneracy ordering restricted to the surviving vertices. Both are

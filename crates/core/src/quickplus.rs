@@ -86,6 +86,7 @@ impl<'a, 'g> QuickPlus<'a, 'g> {
             } else {
                 self.ctx.stats.pruned_by_size += 1;
                 self.ctx.put_buf(child_cand);
+                self.ctx.cut_child();
             }
             for &v in removed.iter().rev() {
                 self.ctx.restore_c(v);
@@ -327,6 +328,37 @@ mod tests {
         let g = Graph::empty(4);
         let outcome = whole_graph(&g, params(0.9, 2), Algorithm::QuickPlusRaw);
         assert!(outcome.outputs.is_empty());
+    }
+
+    /// Type II checks cut most children before they enter a branch, so the
+    /// deadline poll must count those children too: entered branches alone
+    /// leave seconds between polls on this graph.
+    #[test]
+    fn quickplus_stops_soon_after_its_deadline() {
+        use crate::session::Session;
+        use mqce_graph::generators::erdos_renyi_gnm;
+        use std::time::{Duration, Instant};
+
+        let g = erdos_renyi_gnm(250, 5500, 5);
+        for algorithm in [Algorithm::QuickPlus, Algorithm::QuickPlusRaw] {
+            let config = MqceConfig::new(0.5, 3)
+                .unwrap()
+                .with_algorithm(algorithm)
+                .with_time_limit(Duration::from_millis(50));
+            for threads in [1, 2] {
+                let start = Instant::now();
+                let result = Session::open(g.clone())
+                    .config(config)
+                    .threads(threads)
+                    .run();
+                let elapsed = start.elapsed();
+                assert!(result.timed_out(), "{algorithm:?} at {threads} threads");
+                assert!(
+                    elapsed < Duration::from_secs(1),
+                    "{algorithm:?} at {threads} threads took {elapsed:?}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -293,8 +293,7 @@ fn two_hop_estimate(plan: &DcPlan, stamp: &mut [u32], tag: u32, vi: mqce_graph::
 
 /// Per-subproblem cost estimates of `anchors`, used to seed the deques (the
 /// sequential pass, kept as the single-chunk case and the differential
-/// reference). The shard planner reuses it to cost-balance its contiguous
-/// rank ranges.
+/// reference).
 pub(crate) fn subproblem_estimates(plan: &DcPlan, anchors: &[VertexId]) -> Vec<usize> {
     let mut stamp: Vec<u32> = vec![u32::MAX; plan.reduced.graph.num_vertices()];
     anchors

@@ -97,12 +97,6 @@ impl Graph {
         (self.offsets, self.neighbors)
     }
 
-    /// Borrows the raw CSR arrays (offsets, neighbours) without consuming
-    /// the graph; the slice encoder flattens them into its wire format.
-    pub(crate) fn csr_parts(&self) -> (&[usize], &[VertexId]) {
-        (&self.offsets, &self.neighbors)
-    }
-
     /// Number of vertices.
     #[inline]
     pub fn num_vertices(&self) -> usize {

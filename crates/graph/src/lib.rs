@@ -19,8 +19,6 @@
 //!   2-hop neighbourhood extraction.
 //! * [`scratch`] — reusable per-worker buffers ([`SubproblemScratch`]) for
 //!   allocation-free subgraph extraction on the divide-and-conquer hot path.
-//! * [`mod@slice`] — checksummed single-line serialisation of induced subgraph
-//!   slices ([`GraphSlice`]) for the multi-process shard protocol.
 //! * [`connectivity`] — BFS connectivity and connected components.
 //! * [`delta`] — normalised edge-update batches ([`GraphDelta`]) with a
 //!   slack-aware CSR rebuild, dirty two-hop closures, and incremental
@@ -48,7 +46,6 @@ pub mod generators;
 mod graph;
 pub mod ordering;
 pub mod scratch;
-pub mod slice;
 pub mod stats;
 pub mod subgraph;
 pub mod wal;
@@ -60,7 +57,6 @@ pub use delta::{
 };
 pub use graph::{Graph, VertexId};
 pub use scratch::SubproblemScratch;
-pub use slice::{GraphSlice, SliceDecodeError};
 pub use stats::GraphStats;
 pub use subgraph::InducedSubgraph;
 pub use wal::WriteAheadLog;

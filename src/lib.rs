@@ -11,8 +11,7 @@
 //!   filters;
 //! * [`core`] — the enumeration algorithms ([`mqce_core`]): FastQC, DCFastQC,
 //!   the Quick+ baseline, and the end-to-end pipeline behind the
-//!   [`Session`] builder (plus the in-process sharded driver in
-//!   [`core::shard`]).
+//!   [`Session`] builder.
 //!
 //! # Example
 //!

@@ -165,3 +165,56 @@ fn pipeline_budget_is_not_blown_by_s2() {
         }
     }
 }
+
+/// The pipeline tail keeps its budget: S1 stops at the deadline, and the S2
+/// pass runs under the graced S2 deadline instead of unbounded. The run
+/// returns within the limit plus the grace slice and reports that it was
+/// cut short.
+#[test]
+fn session_returns_within_its_time_limit_and_reports_timed_out() {
+    use mqce::graph::generators::{planted_quasi_cliques, PlantedGroup};
+    use std::sync::Arc;
+
+    let g = planted_quasi_cliques(
+        220,
+        0.03,
+        &[
+            PlantedGroup {
+                size: 30,
+                density: 0.95,
+            },
+            PlantedGroup {
+                size: 24,
+                density: 0.95,
+            },
+        ],
+        99,
+    );
+    let prepared = Arc::new(PreparedGraph::new(g));
+    // All domination work happens in the S2 pass, which only the graced
+    // S2 deadline bounds.
+    let base = MqceConfig::new(0.6, 5).unwrap();
+    // The pipeline's S2 grace is 10% of the limit, at least 100 ms. A zero
+    // budget gets no grace; the same 100 ms then bounds its
+    // budget-independent set-up.
+    let grace = Duration::from_millis(100);
+    for limit in [Duration::ZERO, Duration::from_millis(50)] {
+        let config = base.with_time_limit(limit);
+        for threads in [1, 2] {
+            let start = Instant::now();
+            let result = Session::open_prepared(Arc::clone(&prepared))
+                .config(config)
+                .threads(threads)
+                .run();
+            let elapsed = start.elapsed();
+            assert!(
+                result.timed_out(),
+                "{limit:?} budget at {threads} threads not reported as timed out"
+            );
+            assert!(
+                elapsed <= limit + grace,
+                "{limit:?} budget at {threads} threads took {elapsed:?}"
+            );
+        }
+    }
+}

@@ -65,10 +65,13 @@ fn run_fuzz_command(fuzz_opts: FuzzOptions, replay: Option<PathBuf>) -> ! {
         }
     };
     println!(
-        "fuzz: {} cases, {} checks, {} contained injected panics, {} failures",
+        "fuzz: {} cases, {} checks, {} contained injected panics, \
+         {} exact and {} partial answers on the partial paths, {} failures",
         report.cases,
         report.checks,
         report.contained_panics,
+        report.exact_answers,
+        report.partial_answers,
         report.failures.len()
     );
     if report.failures.is_empty() {

@@ -4,7 +4,7 @@
 
 use std::time::{Duration, Instant};
 
-use mqce_core::{AdjacencyBackend, BranchingStrategy};
+use mqce_core::{AdjacencyBackend, BranchingStrategy, Completeness};
 use mqce_graph::GraphStats;
 
 use crate::datasets::{self, Dataset, SuiteScale};
@@ -742,28 +742,18 @@ pub fn updates(opts: ExperimentOptions) -> Vec<RunRecord> {
                 max_round: 2,
                 threads: 1,
                 s2_backend: "parallel".to_string(),
-                s2_timed_out: false,
+                s2_timed_out: session.completeness().s2_timed_out,
                 s1_millis: incr_millis,
-                s2_millis: 0.0,
                 s1_outputs: mqcs,
                 mqcs,
                 mqc_min,
                 mqc_max,
                 mqc_avg,
-                branches: 0,
-                timed_out: false,
-                thread_stats: Vec::new(),
-                serve_requests: 0,
-                serve_cache_hits: 0,
-                serve_cache_misses: 0,
-                serve_cache_evictions: 0,
-                serve_cache_len: 0,
+                timed_out: session.completeness().timed_out(),
                 updates_applied: applied,
                 dirty_subproblems: dirty,
                 full_recompute_millis: full_millis,
-                alloc_count: 0,
-                peak_alloc_bytes: 0,
-                stats: Default::default(),
+                ..RunRecord::default()
             });
         }
     }
@@ -830,7 +820,8 @@ fn measure_s2_pass(
     let start = Instant::now();
     let outcome = mqce_settrie::compact_parallel(family, workers, Some(start + time_limit));
     let millis = start.elapsed().as_secs_f64() * 1e3;
-    let timed_out = outcome.timed_out;
+    let completeness = Completeness::new(&Default::default(), outcome.timed_out);
+    let timed_out = completeness.timed_out();
     println!(
         "{:<26} {:>8} {:>12.1} {:>10} {:>8}",
         dataset,
@@ -844,13 +835,9 @@ fn measure_s2_pass(
         algorithm: format!("S2/{}x{workers}", outcome.backend),
         branching: "-".to_string(),
         backend: "-".to_string(),
-        gamma: 0.0,
-        theta: 0,
-        max_round: 0,
         threads: workers,
         s2_backend: outcome.backend.to_string(),
-        s2_timed_out: timed_out,
-        s1_millis: 0.0,
+        s2_timed_out: completeness.s2_timed_out,
         s2_millis: millis,
         s1_outputs: family.len(),
         mqcs: outcome.mqcs.len(),
@@ -861,20 +848,8 @@ fn measure_s2_pass(
         } else {
             outcome.mqcs.iter().map(Vec::len).sum::<usize>() as f64 / outcome.mqcs.len() as f64
         },
-        branches: 0,
         timed_out,
-        thread_stats: Vec::new(),
-        serve_requests: 0,
-        serve_cache_hits: 0,
-        serve_cache_misses: 0,
-        serve_cache_evictions: 0,
-        serve_cache_len: 0,
-        updates_applied: 0,
-        dirty_subproblems: 0,
-        full_recompute_millis: 0.0,
-        alloc_count: 0,
-        peak_alloc_bytes: 0,
-        stats: Default::default(),
+        ..RunRecord::default()
     };
     (record, (!timed_out).then_some(outcome.mqcs))
 }

@@ -12,9 +12,11 @@
 //! * the update WAL against direct application (append → reopen → replay
 //!   must land on the same fingerprint, and a log truncated at *any* byte
 //!   must reopen to a clean prefix of the appended batches);
-//! * an injected per-subproblem panic against the DC drivers' containment
-//!   boundary (the panic must never escape, and the surviving family must
-//!   stay inside the oracle's).
+//! * the partial paths — an injected per-subproblem panic in a full run, a
+//!   top-k search and an incremental session, and a zero budget for a
+//!   query, a top-k search and an incremental session's seed — against the
+//!   oracle by their verdict: an `Exact` answer must equal it, a `Partial`
+//!   one must be subset-sound (the panic must never escape either).
 //!
 //! A failing case is minimised by greedy edge removal and written as a
 //! replayable fixture file (`experiments fuzz --replay <file>`), so a CI
@@ -23,7 +25,13 @@
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
-use mqce_core::{AdjacencyBackend, Algorithm, IncrementalSession, MqceConfig, Session};
+use std::time::Duration;
+
+use mqce_core::quasiclique::is_quasi_clique;
+use mqce_core::{
+    find_largest_mqcs, find_mqcs_containing, AdjacencyBackend, Algorithm, Completeness,
+    IncrementalSession, MqceConfig, MqceParams, PreparedGraph, Session,
+};
 use mqce_graph::{Graph, GraphDelta, WriteAheadLog};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -72,6 +80,10 @@ pub struct FuzzReport {
     pub checks: u64,
     /// Injected panics that were properly contained by the DC drivers.
     pub contained_panics: u64,
+    /// Answers on the partial paths that came back `Exact`.
+    pub exact_answers: u64,
+    /// Answers on the partial paths that came back `Partial`.
+    pub partial_answers: u64,
     /// Confirmed failures (empty on a clean run).
     pub failures: Vec<FuzzFailure>,
 }
@@ -177,9 +189,45 @@ fn family_digest(family: &[Vec<u32>]) -> String {
     out
 }
 
+impl FuzzReport {
+    /// Checks one answer against `oracle` by its verdict: an exact answer
+    /// must equal it; a partial one must be subset-sound, an antichain of
+    /// γ-QCs of size ≥ θ, each inside some oracle set (a cut S1 can leave
+    /// sets that are maximal only within what it found). Counts the verdict
+    /// and returns the failure of the named check, if any.
+    fn check_answer(
+        &mut self,
+        g: &Graph,
+        (gamma, theta): (f64, usize),
+        check: &str,
+        (got, verdict): (&[Vec<u32>], Completeness),
+        oracle: &[Vec<u32>],
+    ) -> Option<(String, String)> {
+        self.checks += 1;
+        let subset = |a: &[u32], b: &[u32]| a.iter().all(|v| b.contains(v));
+        let detail = if verdict.is_exact() {
+            self.exact_answers += 1;
+            (got != oracle).then(|| {
+                let (got, oracle) = (family_digest(got), family_digest(oracle));
+                format!("exact answer {got} expected {oracle}")
+            })
+        } else {
+            self.partial_answers += 1;
+            got.iter().enumerate().find_map(|(i, h)| {
+                let sound = h.len() >= theta
+                    && is_quasi_clique(g, h, gamma)
+                    && oracle.iter().any(|m| subset(h, m))
+                    && !got.iter().enumerate().any(|(j, o)| i != j && subset(h, o));
+                (!sound).then(|| format!("partial answer {h:?} is not subset-sound"))
+            })
+        };
+        detail.map(|detail| (check.to_string(), detail))
+    }
+}
+
 /// The full differential battery for one case. Returns every failed check
-/// (`(check-name, detail)`); bumps the shared counters as it goes.
-fn run_case(case: &FuzzCase, checks: &mut u64, contained: &mut u64) -> Vec<(String, String)> {
+/// (`(check-name, detail)`); bumps the counters of `report` as it goes.
+fn run_case(case: &FuzzCase, report: &mut FuzzReport) -> Vec<(String, String)> {
     let mut failures = Vec::new();
     let g = Graph::from_edges(case.n, &case.edges);
     let base = match MqceConfig::new(case.gamma, case.theta) {
@@ -192,7 +240,7 @@ fn run_case(case: &FuzzCase, checks: &mut u64, contained: &mut u64) -> Vec<(Stri
     let oracle = Session::open(g.clone())
         .config(base.with_algorithm(Algorithm::Naive))
         .run();
-    *checks += 1;
+    report.checks += 1;
 
     // --- production grid vs the oracle ------------------------------------
     let backends = [AdjacencyBackend::Slice, AdjacencyBackend::Bitset];
@@ -206,7 +254,7 @@ fn run_case(case: &FuzzCase, checks: &mut u64, contained: &mut u64) -> Vec<(Stri
         for &backend in &backends {
             let config = base.with_algorithm(algorithm).with_backend(backend);
             let result = Session::open(g.clone()).config(config).run();
-            *checks += 1;
+            report.checks += 1;
             if result.mqcs != oracle.mqcs {
                 failures.push((
                     "oracle-divergence".to_string(),
@@ -224,7 +272,7 @@ fn run_case(case: &FuzzCase, checks: &mut u64, contained: &mut u64) -> Vec<(Stri
     // --- work-stealing scheduler vs the oracle ----------------------------
     let config = base.with_backend(backends[case.index % backends.len()]);
     let result = Session::open(g.clone()).config(config).threads(3).run();
-    *checks += 1;
+    report.checks += 1;
     if result.mqcs != oracle.mqcs {
         failures.push((
             "parallel-divergence".to_string(),
@@ -236,46 +284,77 @@ fn run_case(case: &FuzzCase, checks: &mut u64, contained: &mut u64) -> Vec<(Stri
         ));
     }
 
-    // --- injected panic containment ---------------------------------------
-    if case.n > 0 {
-        let mut config = base;
-        config.params.fail_anchor = Some((case.index % case.n) as u32);
-        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            Session::open(g.clone()).config(config).run()
-        }));
-        *checks += 1;
-        match caught {
-            Err(_) => failures.push((
-                "uncontained-panic".to_string(),
-                format!(
-                    "injected fault at anchor {:?} escaped",
-                    config.params.fail_anchor
-                ),
-            )),
-            Ok(result) => {
-                *contained += result.stats.subproblem_panics;
-                // The survivors must still be real quasi-cliques of the true
-                // family (possibly missing the panicked anchor's sets).
-                let outside: Vec<_> = result
-                    .mqcs
-                    .iter()
-                    .filter(|h| !oracle.mqcs.iter().any(|e| h.iter().all(|v| e.contains(v))))
-                    .cloned()
-                    .collect();
-                if !outside.is_empty() {
-                    failures.push((
-                        "contained-panic-torn-output".to_string(),
-                        format!("sets outside the true family: {}", family_digest(&outside)),
-                    ));
-                }
-            }
+    // --- the partial paths vs the oracle ----------------------------------
+    let params = (case.gamma, case.theta);
+    let spent = base.with_time_limit(Duration::ZERO);
+    let mut faulted = base;
+    faulted.params.fail_anchor = Some((case.index % case.n) as u32);
+    let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        Session::open(g.clone()).config(faulted).run()
+    }));
+    report.checks += 1;
+    match caught {
+        Err(_) => failures.push((
+            "uncontained-panic".to_string(),
+            format!(
+                "injected fault at anchor {:?} escaped",
+                faulted.params.fail_anchor
+            ),
+        )),
+        Ok(result) => {
+            report.contained_panics += result.completeness.contained_panics;
+            let answer = (&result.mqcs[..], result.completeness);
+            let check = "contained-panic-torn-output";
+            failures.extend(report.check_answer(&g, params, check, answer, &oracle.mqcs));
         }
     }
+    // A one-vertex query; its oracle keeps the sets that contain the vertex.
+    let q = (case.index * 5 % case.n) as u32;
+    let mut containing = oracle.mqcs.clone();
+    containing.retain(|h| h.contains(&q));
+    let result = find_mqcs_containing(&g, &[q], &spent).expect("a valid one-vertex query");
+    let answer = (&result.mqcs[..], result.completeness);
+    failures.extend(report.check_answer(&g, params, "partial-query", answer, &containing));
+    // Top-k ranks every maximal QC of size ≥ 2, largest first.
+    let k = 1 + case.index % 4;
+    let mut ranked = Session::open(g.clone())
+        .config(base.with_algorithm(Algorithm::Naive))
+        .params(MqceParams::new(case.gamma, 2).expect("gamma is valid"))
+        .run()
+        .mqcs;
+    ranked.sort_by(|a, b| b.len().cmp(&a.len()).then_with(|| a.cmp(b)));
+    let prepared = PreparedGraph::new(g.clone());
+    for (check, config) in [
+        ("partial-topk-zero-budget", spent),
+        ("partial-topk-fail-anchor", faulted),
+    ] {
+        let top = find_largest_mqcs(&prepared, case.gamma, k, Some(config)).expect("valid params");
+        let shown = if top.completeness.is_exact() {
+            k
+        } else {
+            ranked.len()
+        };
+        let oracle = &ranked[..shown.min(ranked.len())];
+        let answer = (&top.mqcs[..], top.completeness);
+        failures.extend(report.check_answer(&g, (case.gamma, 2), check, answer, oracle));
+    }
 
-    // --- incremental session vs full recompute, and the WAL ---------------
+    // --- incremental sessions vs full recompute, and the WAL --------------
+    // The clean session must match a full recompute after every batch; the
+    // sessions seeded under a spent budget or a fault are checked by their
+    // verdict, seed included.
     let inc_config = base.with_backend(backends[case.index % backends.len()]);
     let threads = 1 + case.index % 2;
     let mut session = IncrementalSession::new(g.clone(), inc_config, threads);
+    let mut seeded = [
+        ("partial-incremental-zero-budget", spent),
+        ("partial-incremental-fail-anchor", faulted),
+    ]
+    .map(|(check, config)| (check, IncrementalSession::new(g.clone(), config, threads)));
+    for (check, seed) in &seeded {
+        let answer = (seed.family(), seed.completeness());
+        failures.extend(report.check_answer(&g, params, check, answer, &oracle.mqcs));
+    }
     let mut current = g.clone();
     let deltas: Vec<GraphDelta> = case
         .deltas
@@ -286,19 +365,26 @@ fn run_case(case: &FuzzCase, checks: &mut u64, contained: &mut u64) -> Vec<(Stri
         if delta.is_empty() {
             continue;
         }
-        session.update(delta);
+        let outcome = session.update(delta);
         current = delta.apply(&current);
         let full = Session::open(current.clone()).config(inc_config).run();
-        *checks += 1;
-        if session.family() != full.mqcs.as_slice() {
+        report.checks += 1;
+        if session.family() != full.mqcs.as_slice() || !outcome.completeness.is_exact() {
             failures.push((
                 "incremental-divergence".to_string(),
                 format!(
-                    "after batch {di}: session {} vs recompute {}",
+                    "after batch {di}: session {} ({:?}) vs recompute {}",
                     family_digest(session.family()),
+                    outcome.completeness,
                     family_digest(&full.mqcs)
                 ),
             ));
+        }
+        for (check, seed) in &mut seeded {
+            let outcome = seed.update(delta);
+            let answer = (seed.family(), outcome.completeness);
+            let failure = report.check_answer(&current, params, check, answer, &full.mqcs);
+            failures.extend(failure.map(|(c, d)| (c, format!("after batch {di}: {d}"))));
         }
     }
 
@@ -362,7 +448,7 @@ fn run_case(case: &FuzzCase, checks: &mut u64, contained: &mut u64) -> Vec<(Stri
         }
         Ok(())
     })();
-    *checks += 1;
+    report.checks += 1;
     let _ = std::fs::remove_file(&wal_path);
     if let Err(detail) = wal_check {
         failures.push(("wal-divergence".to_string(), detail));
@@ -376,8 +462,7 @@ fn run_case(case: &FuzzCase, checks: &mut u64, contained: &mut u64) -> Vec<(Stri
 /// budget so a pathological case cannot stall the run.
 fn minimise(case: &FuzzCase, check: &str) -> FuzzCase {
     let still_fails = |candidate: &FuzzCase| -> bool {
-        let (mut checks, mut contained) = (0u64, 0u64);
-        run_case(candidate, &mut checks, &mut contained)
+        run_case(candidate, &mut FuzzReport::default())
             .iter()
             .any(|(name, _)| name == check)
     };
@@ -504,8 +589,8 @@ fn parse_fixture(text: &str) -> Result<FuzzCase, String> {
             other => return Err(format!("unknown fixture key `{other}`")),
         }
     }
-    if !saw_n {
-        return Err("fixture is missing `n`".to_string());
+    if !saw_n || case.n == 0 {
+        return Err("fixture is missing `n` or has no vertices".to_string());
     }
     Ok(case)
 }
@@ -517,7 +602,7 @@ pub fn run_fuzz(opts: &FuzzOptions) -> FuzzReport {
     let mut report = FuzzReport::default();
     for index in 0..opts.iterations {
         let case = generate_case(opts.seed, index);
-        let failures = run_case(&case, &mut report.checks, &mut report.contained_panics);
+        let failures = run_case(&case, &mut report);
         report.cases += 1;
         for (check, detail) in failures {
             let minimised = minimise(&case, &check);
@@ -548,7 +633,7 @@ pub fn replay_fixture(path: &Path) -> Result<FuzzReport, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read fixture: {e}"))?;
     let case = parse_fixture(&text)?;
     let mut report = FuzzReport::default();
-    let failures = run_case(&case, &mut report.checks, &mut report.contained_panics);
+    let failures = run_case(&case, &mut report);
     report.cases = 1;
     for (check, detail) in failures {
         report.failures.push(FuzzFailure {
@@ -582,6 +667,7 @@ mod tests {
         );
         // Every case injects one fault; most land on an executing anchor.
         assert!(report.contained_panics > 0);
+        assert!(report.exact_answers > 0 && report.partial_answers > 0);
     }
 
     #[test]

@@ -58,7 +58,7 @@ impl From<&ThreadStats> for ThreadRow {
 }
 
 /// One measured run: the row unit of every experiment.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, Serialize, Deserialize)]
 pub struct RunRecord {
     /// Dataset name.
     pub dataset: String,
@@ -313,7 +313,7 @@ pub fn measure_threads(
         max_round: spec.max_round,
         threads,
         s2_backend: result.s2.backend.clone(),
-        s2_timed_out: result.s2.timed_out,
+        s2_timed_out: result.completeness.s2_timed_out,
         s1_millis: result.s1_time.as_secs_f64() * 1e3,
         s2_millis: result.s2_time.as_secs_f64() * 1e3,
         s1_outputs: result.qcs.len(),
@@ -324,19 +324,12 @@ pub fn measure_threads(
         branches: result.stats.branches,
         timed_out: result.timed_out(),
         thread_stats: result.thread_stats.iter().map(ThreadRow::from).collect(),
-        serve_requests: 0,
-        serve_cache_hits: 0,
-        serve_cache_misses: 0,
-        serve_cache_evictions: 0,
-        serve_cache_len: 0,
-        updates_applied: 0,
-        dirty_subproblems: 0,
-        full_recompute_millis: 0.0,
         alloc_count: alloc_after
             .alloc_count
             .saturating_sub(alloc_before.alloc_count),
         peak_alloc_bytes: alloc_after.peak_bytes,
         stats: result.stats,
+        ..RunRecord::default()
     }
 }
 

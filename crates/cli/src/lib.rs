@@ -353,7 +353,7 @@ fn cmd_enumerate<W: Write>(parsed: &ParsedArgs, out: &mut W) -> Result<(), CliEr
         )
         .map_err(io_err)?;
     }
-    for line in run_warnings(&result.stats, result.s2_timed_out()) {
+    for line in result.completeness.warnings() {
         writeln!(out, "{line}").map_err(io_err)?;
     }
     if parsed.switch("verify") {
@@ -367,29 +367,6 @@ fn cmd_enumerate<W: Write>(parsed: &ParsedArgs, out: &mut W) -> Result<(), CliEr
         print_sets(out, &result.mqcs, false)?;
     }
     Ok(())
-}
-
-/// The `WARNING` lines of an `enumerate` or a `query`, one per
-/// reason the maximal family may be incomplete: the search (`stats`) or the
-/// S2 pass hit the time limit, or subproblem panics were contained. A
-/// complete run gets none.
-fn run_warnings(stats: &SearchStats, s2_timed_out: bool) -> Vec<String> {
-    let mut lines = Vec::new();
-    if stats.timed_out || s2_timed_out {
-        lines.push("WARNING          time limit hit; output may be incomplete".to_string());
-    }
-    if s2_timed_out {
-        lines.push(
-            "WARNING          S2 deadline hit; MQC list is a sound partial antichain".to_string(),
-        );
-    }
-    let panics = stats.subproblem_panics;
-    if panics > 0 {
-        lines.push(format!(
-            "WARNING          {panics} subproblem panic(s) contained; output may be incomplete"
-        ));
-    }
-    lines
 }
 
 fn cmd_topk<W: Write>(parsed: &ParsedArgs, out: &mut W) -> Result<(), CliError> {
@@ -406,6 +383,9 @@ fn cmd_topk<W: Write>(parsed: &ParsedArgs, out: &mut W) -> Result<(), CliError> 
     writeln!(out, "found            {}", top.mqcs.len()).map_err(io_err)?;
     writeln!(out, "final theta      {}", top.final_theta).map_err(io_err)?;
     writeln!(out, "rounds           {}", top.rounds).map_err(io_err)?;
+    for line in top.completeness.warnings() {
+        writeln!(out, "{line}").map_err(io_err)?;
+    }
     if parsed.switch("print-sets") {
         return print_sets(out, &top.mqcs, true);
     }
@@ -460,7 +440,7 @@ fn cmd_query<W: Write>(parsed: &ParsedArgs, out: &mut W) -> Result<(), CliError>
     writeln!(out, "search universe  {} vertices", result.universe_size).map_err(io_err)?;
     writeln!(out, "maximal qcs      {}", result.mqcs.len()).map_err(io_err)?;
     writeln!(out, "time             {:.3}s", result.elapsed.as_secs_f64()).map_err(io_err)?;
-    for line in run_warnings(&result.stats, result.s2_timed_out) {
+    for line in result.completeness.warnings() {
         writeln!(out, "{line}").map_err(io_err)?;
     }
     if parsed.switch("print-sets") {
@@ -566,6 +546,7 @@ fn cmd_convert<W: Write>(parsed: &ParsedArgs, out: &mut W) -> Result<(), CliErro
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mqce_core::Completeness;
 
     fn argv(parts: &[&str]) -> Vec<String> {
         parts.iter().map(|s| s.to_string()).collect()
@@ -845,12 +826,13 @@ mod tests {
 
     #[test]
     fn contained_panics_are_warned_about_and_clean_runs_are_not() {
-        let clean = MqceResult::default();
-        assert!(run_warnings(&clean.stats, clean.s2_timed_out()).is_empty());
-        let mut panicked = MqceResult::default();
-        panicked.stats.subproblem_panics = 1;
+        assert!(MqceResult::default().completeness.warnings().is_empty());
+        let panicked = SearchStats {
+            subproblem_panics: 1,
+            ..SearchStats::default()
+        };
         assert_eq!(
-            run_warnings(&panicked.stats, panicked.s2_timed_out()),
+            Completeness::new(&panicked, false).warnings(),
             vec![
                 "WARNING          1 subproblem panic(s) contained; output may be incomplete"
                     .to_string()
@@ -859,18 +841,37 @@ mod tests {
     }
 
     /// A query whose search hit the time limit is warned about even when
-    /// its S2 pass finished (regression: `query` only checked the S2 flag).
+    /// its S2 pass finished (regression: `query` only checked the S2 flag),
+    /// and `query`, `enumerate` and `topk` print the lines of their answer's
+    /// verdict: a spent budget warns, a default run does not.
     #[test]
     fn query_search_time_limit_is_warned_about() {
-        let clean = mqce_core::QueryResult::default();
-        assert!(run_warnings(&clean.stats, clean.s2_timed_out).is_empty());
-        let mut cut = mqce_core::QueryResult::default();
-        cut.stats.timed_out = true;
+        assert!(mqce_core::QueryResult::default()
+            .completeness
+            .warnings()
+            .is_empty());
+        let cut = SearchStats {
+            timed_out: true,
+            ..SearchStats::default()
+        };
         assert_eq!(
-            run_warnings(&cut.stats, cut.s2_timed_out),
+            Completeness::new(&cut, false).warnings(),
             vec!["WARNING          time limit hit; output may be incomplete".to_string()]
         );
-        cut.s2_timed_out = true;
-        assert_eq!(run_warnings(&cut.stats, cut.s2_timed_out).len(), 2);
+        assert_eq!(Completeness::new(&cut, true).warnings().len(), 2);
+
+        let path = write_paper_graph("warnings.txt");
+        let spent = ["--gamma", "0.6", "--theta", "3", "--time-limit-secs", "0"];
+        for cmd in [
+            &["query", &path, "--vertices", "0"][..],
+            &["enumerate", &path],
+        ] {
+            let out = run_capture(&[cmd, &spent[..]].concat()).unwrap();
+            assert!(out.contains("WARNING          time limit hit"), "{out}");
+            let out = run_capture(&[cmd, &spent[..4]].concat()).unwrap();
+            assert!(!out.contains("WARNING"), "{out}");
+        }
+        let topk = run_capture(&["topk", &path, "--gamma", "0.6"]).unwrap();
+        assert!(!topk.contains("WARNING"), "{topk}");
     }
 }

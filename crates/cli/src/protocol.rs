@@ -11,7 +11,11 @@
 //! θ, k, algorithm, branching, adjacency backend, worker threads, a relative
 //! deadline in milliseconds). `update` carries `insert` / `delete` edge
 //! lists (`[[u, v], …]`). Responses echo the request `id` and carry the
-//! result plus `cached` / `best_effort` / `s2_timed_out` status flags.
+//! result plus `cached` / `best_effort` / `s2_timed_out` status flags. The
+//! last two render the answer's [`mqce_core::Completeness`]: `best_effort`
+//! marks a partial answer (never cached; a contained worker panic also
+//! adds `contained_panics`/`panicked_anchor`), `s2_timed_out` one whose S2
+//! pass hit its deadline.
 //!
 //! Peers negotiate compatibility through the `version` field: a client may
 //! stamp any request (a `ping` handshake by convention) with the protocol
@@ -110,11 +114,11 @@ pub struct Response {
     pub error: Option<String>,
     /// Whether the result came from the daemon's result cache.
     pub cached: bool,
-    /// Whether the result is best-effort (deadline cut the work short, or
-    /// the request expired while queued for an enumeration slot).
+    /// Whether the result is partial: its verdict is not exact, or the
+    /// request expired while queued for an enumeration slot.
     pub best_effort: bool,
-    /// Whether the S2 maximality filter hit its deadline (the MQC list is
-    /// then a sound partial antichain).
+    /// Whether the verdict records an S2 deadline (the MQC list is then a
+    /// sound partial antichain).
     pub s2_timed_out: bool,
     /// Wall-clock time the daemon spent on this request, in milliseconds
     /// (near zero for cache hits).

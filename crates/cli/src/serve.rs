@@ -46,7 +46,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, RwLock};
 use std::time::{Duration, Instant};
 
-use mqce_core::{PreparedGraph, Session};
+use mqce_core::{Completeness, PreparedGraph, Session};
 use mqce_graph::{Graph, GraphDelta, SubproblemScratch, WriteAheadLog};
 use serde::Value;
 
@@ -524,33 +524,13 @@ fn serve_record(label: &str, summary: ServeSummary) -> mqce_bench::runner::RunRe
         algorithm: "serve".to_string(),
         branching: "-".to_string(),
         backend: "-".to_string(),
-        gamma: 0.0,
-        theta: 0,
-        max_round: 0,
-        threads: 0,
         s2_backend: "-".to_string(),
-        s2_timed_out: false,
-        s1_millis: 0.0,
-        s2_millis: 0.0,
-        s1_outputs: 0,
-        mqcs: 0,
-        mqc_min: 0,
-        mqc_max: 0,
-        mqc_avg: 0.0,
-        branches: 0,
-        timed_out: false,
-        thread_stats: Vec::new(),
         serve_requests: summary.requests,
         serve_cache_hits: summary.cache_hits,
         serve_cache_misses: summary.cache_misses,
         serve_cache_evictions: summary.cache_evictions,
         serve_cache_len: summary.cache_len,
-        updates_applied: 0,
-        dirty_subproblems: 0,
-        full_recompute_millis: 0.0,
-        alloc_count: 0,
-        peak_alloc_bytes: 0,
-        stats: Default::default(),
+        ..Default::default()
     }
 }
 
@@ -1017,7 +997,7 @@ fn compute_response(state: &ServerState, req: Request, arrival: Instant) -> Resp
         match hit {
             Some(outcome) => {
                 state.stats.cache_hits.fetch_add(1, Ordering::Relaxed);
-                return render(&req, &outcome, true, false, false, arrival);
+                return render(&req, &outcome, true, Completeness::default(), arrival);
             }
             None => {
                 state.stats.cache_misses.fetch_add(1, Ordering::Relaxed);
@@ -1047,43 +1027,14 @@ fn compute_response(state: &ServerState, req: Request, arrival: Instant) -> Resp
         None => config,
     };
 
-    // Surfaces contained worker panics in the response: the answer is
-    // honest (`best_effort`, never cached — the panicked subproblem's
-    // quasi-cliques may be missing) and the offending anchor is reported.
-    let panic_extras = |stats: &mqce_core::SearchStats, extra: &mut Vec<(String, Value)>| {
-        if stats.subproblem_panics > 0 {
-            extra.push((
-                "contained_panics".to_string(),
-                Value::Num(stats.subproblem_panics as f64),
-            ));
-            if let Some(anchor) = stats.last_panicked_anchor {
-                extra.push(("panicked_anchor".to_string(), Value::Num(anchor as f64)));
-            }
-        }
-    };
-
-    let (outcome, best_effort, s2_timed_out) = match req.cmd.as_str() {
+    let (mqcs, extra, completeness) = match req.cmd.as_str() {
         "enumerate" => {
-            let threads = crate::resolve_threads(req.threads);
             let result = Session::open_prepared(Arc::clone(&prepared))
                 .config(config)
-                .threads(threads)
+                .threads(crate::resolve_threads(req.threads))
                 .run();
-            let (timed_out, s2_timed_out) = (result.timed_out(), result.s2_timed_out());
-            let contained = result.stats.subproblem_panics;
-            let mut extra = vec![("s2_engine".to_string(), Value::Str(result.s2.to_string()))];
-            panic_extras(&result.stats, &mut extra);
-            let outcome = CachedOutcome {
-                cmd: req.cmd.clone(),
-                vertices: Vec::new(),
-                mqcs: result.mqcs,
-                extra,
-            };
-            (
-                outcome,
-                timed_out || s2_timed_out || contained > 0,
-                s2_timed_out,
-            )
+            let extra = vec![("s2_engine".to_string(), Value::Str(result.s2.to_string()))];
+            (result.mqcs, extra, result.completeness)
         }
         "query" => {
             let result =
@@ -1091,24 +1042,11 @@ fn compute_response(state: &ServerState, req: Request, arrival: Instant) -> Resp
                     Ok(result) => result,
                     Err(e) => return Response::failure(req.id, e.to_string()),
                 };
-            let (timed_out, s2_timed_out) = (result.stats.timed_out, result.s2_timed_out);
-            let contained = result.stats.subproblem_panics;
-            let mut extra = vec![(
+            let extra = vec![(
                 "universe".to_string(),
                 Value::Num(result.universe_size as f64),
             )];
-            panic_extras(&result.stats, &mut extra);
-            let outcome = CachedOutcome {
-                cmd: req.cmd.clone(),
-                vertices: req.vertices.clone(),
-                mqcs: result.mqcs,
-                extra,
-            };
-            (
-                outcome,
-                timed_out || s2_timed_out || contained > 0,
-                s2_timed_out,
-            )
+            (result.mqcs, extra, result.completeness)
         }
         "topk" => {
             let result =
@@ -1116,60 +1054,66 @@ fn compute_response(state: &ServerState, req: Request, arrival: Instant) -> Resp
                     Ok(result) => result,
                     Err(e) => return Response::failure(req.id, e.to_string()),
                 };
-            let contained = result.stats.subproblem_panics;
-            let mut extra = vec![
+            let extra = vec![
                 (
                     "final_theta".to_string(),
                     Value::Num(result.final_theta as f64),
                 ),
                 ("rounds".to_string(), Value::Num(result.rounds as f64)),
             ];
-            panic_extras(&result.stats, &mut extra);
-            let outcome = CachedOutcome {
-                cmd: req.cmd.clone(),
-                vertices: Vec::new(),
-                mqcs: result.mqcs,
-                extra,
-            };
-            (outcome, result.timed_out || contained > 0, false)
+            (result.mqcs, extra, result.completeness)
         }
         other => return Response::failure(req.id, format!("unknown command {other:?}")),
     };
+    let outcome = Arc::new(CachedOutcome {
+        cmd: req.cmd.clone(),
+        vertices: req.vertices.clone(),
+        mqcs,
+        extra,
+    });
 
-    // A deadline that expired mid-run means the answer may be partial even
-    // if no individual stage reported it.
-    let best_effort = best_effort || deadline.is_some_and(|d| Instant::now() >= d);
-
-    let outcome = Arc::new(outcome);
-    if use_cache && !best_effort && !s2_timed_out {
+    // Only exact answers are cached; a partial one may miss sets.
+    if use_cache && completeness.is_exact() {
         let evicted = state.cache().insert(key, Arc::clone(&outcome));
         state
             .stats
             .cache_evictions
             .fetch_add(evicted, Ordering::Relaxed);
     }
-    render(&req, &outcome, false, best_effort, s2_timed_out, arrival)
+    render(&req, &outcome, false, completeness, arrival)
 }
 
+/// The response to `req`: the outcome plus the status flags of its
+/// `completeness`. A partial answer is `best_effort`, and a contained
+/// worker panic also reports its count and anchor.
 fn render(
     req: &Request,
     outcome: &CachedOutcome,
     cached: bool,
-    best_effort: bool,
-    s2_timed_out: bool,
+    completeness: Completeness,
     arrival: Instant,
 ) -> Response {
+    let mut extra = outcome.extra.clone();
+    if completeness.contained_panics > 0 {
+        extra.push((
+            "contained_panics".to_string(),
+            Value::Num(completeness.contained_panics as f64),
+        ));
+        if let Some(anchor) = completeness.panicked_anchor {
+            extra.push(("panicked_anchor".to_string(), Value::Num(anchor as f64)));
+        }
+    }
     Response {
         id: req.id.clone(),
         ok: true,
         error: None,
         cached,
-        best_effort,
-        s2_timed_out,
+        best_effort: !completeness.is_exact(),
+        s2_timed_out: completeness.s2_timed_out,
         elapsed_ms: arrival.elapsed().as_secs_f64() * 1e3,
         count: outcome.mqcs.len(),
         mqcs: req.sets.then(|| outcome.mqcs.clone()),
-        extra: outcome.extra.clone(),
+        extra,
     }
 }
 

@@ -195,35 +195,47 @@ fn cache_hits_are_an_order_of_magnitude_faster_than_cold_runs() {
 fn spent_deadlines_return_promptly_and_are_flagged_best_effort() {
     let graph = test_graph(800, 11);
     let (addr, handle) = start_daemon(graph, ServeSettings::default());
-    let request = Request {
+    let enumerate = Request {
         gamma: 0.9,
         theta: 4,
         deadline_ms: Some(1),
         no_cache: true,
         ..Request::default()
     };
-    let start = Instant::now();
-    let response = roundtrip(addr, &request);
-    let elapsed = start.elapsed();
-    assert!(response.ok, "error: {:?}", response.error);
-    assert!(
-        response.best_effort,
-        "a 1ms-deadline answer must be flagged best-effort"
-    );
-    // Prompt: well under the cold enumeration time (bounded by the S2 grace
-    // slice plus scheduling noise, not by the size of the search).
-    assert!(elapsed < Duration::from_secs(5), "took {elapsed:?}");
+    // A query's search is small enough to finish inside 1 ms, and an answer
+    // that finishes inside its budget is exact; a zero budget is spent on
+    // arrival.
+    let query = Request {
+        cmd: "query".to_string(),
+        vertices: vec![0],
+        deadline_ms: Some(0),
+        ..enumerate.clone()
+    };
+    for request in [enumerate, query] {
+        let start = Instant::now();
+        let response = roundtrip(addr, &request);
+        let elapsed = start.elapsed();
+        assert!(response.ok, "{}: error: {:?}", request.cmd, response.error);
+        assert!(
+            response.best_effort,
+            "a spent-deadline {} answer must be flagged best-effort",
+            request.cmd
+        );
+        // Prompt: well under the cold enumeration time (bounded by the S2
+        // grace slice plus scheduling noise, not by the size of the search).
+        assert!(elapsed < Duration::from_secs(5), "took {elapsed:?}");
 
-    // Best-effort answers must not poison the cache.
-    let fresh = roundtrip(
-        addr,
-        &Request {
-            deadline_ms: None,
-            no_cache: false,
-            ..request.clone()
-        },
-    );
-    assert!(fresh.ok && !fresh.cached);
+        // Best-effort answers must not poison the cache.
+        let fresh = roundtrip(
+            addr,
+            &Request {
+                deadline_ms: None,
+                no_cache: false,
+                ..request.clone()
+            },
+        );
+        assert!(fresh.ok && !fresh.cached && !fresh.best_effort);
+    }
     shutdown(addr);
     handle.join().expect("daemon thread");
 }

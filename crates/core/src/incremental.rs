@@ -54,6 +54,7 @@ use std::sync::Arc;
 use mqce_graph::delta::GraphDelta;
 use mqce_graph::{Graph, SubproblemScratch, VertexId};
 
+use crate::completeness::Completeness;
 use crate::config::MqceConfig;
 use crate::dc::{run_anchors, DcPlan};
 use crate::pipeline::{compact_family, dc_setup};
@@ -82,9 +83,12 @@ pub struct UpdateOutcome {
     pub dirty: Vec<VertexId>,
     /// Search statistics aggregated over the re-run subproblems.
     pub stats: SearchStats,
-    /// Whether the session fell back to a full recompute (algorithms
-    /// without a DC decomposition have no per-anchor dirty set).
+    /// Whether the session fell back to a full recompute: algorithms
+    /// without a DC decomposition have no per-anchor dirty set, and a
+    /// partial family cannot be patched.
     pub full_recompute: bool,
+    /// Whether the family after this update is exact, and if not, why not.
+    pub completeness: Completeness,
 }
 
 /// A long-lived enumeration session that maintains the maximal family under
@@ -103,6 +107,9 @@ pub struct IncrementalSession {
     /// The current maximal family (sorted sets, lexicographic order — the
     /// same canonical form the batch pipeline returns).
     family: Vec<Vec<VertexId>>,
+    /// Whether `family` is exact. A partial family is never patched: the
+    /// next update recomputes it in full.
+    completeness: Completeness,
     /// Epoch-stamped scratch shared by the dirty walk and the partition.
     scratch: SubproblemScratch,
 }
@@ -157,18 +164,18 @@ impl IncrementalSession {
             rank[v as usize] = i;
         }
         let threads = threads.max(1);
-        let family = Session::open_prepared(prepared.clone())
+        let seed = Session::open_prepared(prepared.clone())
             .config(config)
             .threads(threads)
-            .run()
-            .mqcs;
+            .run();
         IncrementalSession {
             prepared,
             config,
             threads,
             ordering,
             rank,
-            family,
+            family: seed.mqcs,
+            completeness: seed.completeness,
             scratch: SubproblemScratch::new(),
         }
     }
@@ -185,9 +192,17 @@ impl IncrementalSession {
     }
 
     /// The current maximal family (exactly what a fresh full run on the
-    /// current graph returns).
+    /// current graph returns, unless [`completeness`](Self::completeness)
+    /// says otherwise).
     pub fn family(&self) -> &[Vec<VertexId>] {
         &self.family
+    }
+
+    /// Whether the current family is exact. The seeding run honours
+    /// `config.time_limit`, and a contained searcher panic drops sets, so
+    /// either can leave the session partial until the next update.
+    pub fn completeness(&self) -> Completeness {
+        self.completeness
     }
 
     /// The session's configuration.
@@ -197,12 +212,14 @@ impl IncrementalSession {
 
     /// Applies an update batch and restores the family to exactly the
     /// maximal family of the updated graph, re-running only the dirtied
-    /// subproblems. Updates always run to completion (the session ignores
+    /// subproblems. A session whose family is partial is recomputed in
+    /// full instead. Updates always run to completion (the session ignores
     /// `config.time_limit`, which only bounds the seeding run).
     pub fn update(&mut self, delta: &GraphDelta) -> UpdateOutcome {
         if delta.is_empty() {
             return UpdateOutcome {
                 retained: self.family.len() as u64,
+                completeness: self.completeness,
                 ..UpdateOutcome::default()
             };
         }
@@ -217,19 +234,27 @@ impl IncrementalSession {
             self.ordering.push(v);
         }
 
-        let Some((inner, dc)) = dc_setup(&self.config) else {
-            // No DC decomposition, no per-anchor dirty set: full recompute.
+        let dc = dc_setup(&self.config).filter(|_| self.completeness.is_exact());
+        let Some((inner, dc)) = dc else {
+            // No DC decomposition, no per-anchor dirty set, or a partial
+            // family whose missing sets no dirty set can name: full
+            // recompute, without the seeding run's time limit.
             self.prepared = prepared;
-            self.family = Session::open_prepared(self.prepared.clone())
-                .config(self.config)
+            let mut config = self.config;
+            config.time_limit = None;
+            let result = Session::open_prepared(self.prepared.clone())
+                .config(config)
                 .threads(self.threads)
-                .run()
-                .mqcs;
+                .run();
+            self.family = result.mqcs;
+            self.completeness = result.completeness;
             return UpdateOutcome {
                 updates_applied: delta.len() as u64,
                 core_changed: core_changed as u64,
                 dirty,
+                stats: result.stats,
                 full_recompute: true,
+                completeness: result.completeness,
                 ..UpdateOutcome::default()
             };
         };
@@ -286,6 +311,7 @@ impl IncrementalSession {
         // Both halves are in canonical order: `untouched` is a subsequence
         // of the old canonical family, the pass returns canonical order.
         self.family = merge_canonical(untouched, outcome.mqcs);
+        self.completeness = Completeness::new(&rerun.stats, outcome.timed_out);
         self.prepared = prepared;
         UpdateOutcome {
             updates_applied: delta.len() as u64,
@@ -296,6 +322,7 @@ impl IncrementalSession {
             dirty,
             stats: rerun.stats,
             full_recompute: false,
+            completeness: self.completeness,
         }
     }
 }

@@ -38,6 +38,7 @@
 
 pub mod bounds;
 mod branch;
+pub mod completeness;
 pub mod config;
 pub mod dc;
 pub mod edge_qc;
@@ -57,6 +58,7 @@ pub mod topk;
 pub mod verify;
 
 pub use branch::SearchOutcome;
+pub use completeness::Completeness;
 pub use config::{
     AdjacencyBackend, Algorithm, BranchingStrategy, MqceConfig, MqceParams, ParamError,
 };

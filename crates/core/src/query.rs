@@ -24,6 +24,7 @@ use mqce_graph::subgraph::two_hop_neighborhood;
 use mqce_graph::{Graph, VertexId};
 
 use crate::branch::SearchScratch;
+use crate::completeness::Completeness;
 use crate::config::MqceConfig;
 use crate::dc::InnerAlgorithm;
 use crate::quasiclique::is_quasi_clique;
@@ -63,9 +64,8 @@ pub struct QueryResult {
     pub universe_size: usize,
     /// Statistics of the branch-and-bound search.
     pub stats: SearchStats,
-    /// Whether the maximality filtering hit the deadline (the MQC list then
-    /// holds only maximal sets, but not all of them).
-    pub s2_timed_out: bool,
+    /// Whether `mqcs` is exact, and if not, why not.
+    pub completeness: Completeness,
     /// Wall-clock time of the whole query.
     pub elapsed: Duration,
 }
@@ -97,7 +97,7 @@ pub fn find_mqcs_containing(
             mqcs: Vec::new(),
             universe_size: universe.len(),
             stats: SearchStats::default(),
-            s2_timed_out: false,
+            completeness: Completeness::default(),
             elapsed: start.elapsed(),
         });
     }
@@ -145,8 +145,8 @@ pub fn find_mqcs_containing(
     Ok(QueryResult {
         mqcs: s2_out.mqcs,
         universe_size: universe.len(),
+        completeness: Completeness::new(&stats, s2_out.timed_out),
         stats,
-        s2_timed_out: s2_out.timed_out,
         elapsed: start.elapsed(),
     })
 }

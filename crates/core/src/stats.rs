@@ -123,9 +123,6 @@ pub struct S2Stats {
     /// ([`MqceResult::qcs`](crate::MqceResult::qcs)). An upper bound on the
     /// final MQC count.
     pub sets_retained: u64,
-    /// Whether S2 stopped at its deadline. The MQC list then holds only
-    /// sets that are maximal in the whole family, but some are missing.
-    pub timed_out: bool,
 }
 
 impl std::fmt::Display for S2Stats {
@@ -140,11 +137,7 @@ impl std::fmt::Display for S2Stats {
             },
             self.sets_streamed,
             self.sets_retained
-        )?;
-        if self.timed_out {
-            write!(f, " TIMED_OUT")?;
-        }
-        Ok(())
+        )
     }
 }
 
@@ -220,19 +213,15 @@ mod tests {
 
     #[test]
     fn s2_stats_display() {
-        let mut s2 = S2Stats {
+        let s2 = S2Stats {
             backend: "parallel".to_string(),
             sets_streamed: 100,
             sets_retained: 40,
-            timed_out: false,
         };
         let text = s2.to_string();
         assert!(text.contains("backend=parallel"));
         assert!(text.contains("streamed=100"));
         assert!(text.contains("retained=40"));
-        assert!(!text.contains("TIMED_OUT"));
-        s2.timed_out = true;
-        assert!(s2.to_string().contains("TIMED_OUT"));
         assert!(S2Stats::default().to_string().contains("backend=?"));
     }
 

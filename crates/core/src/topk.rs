@@ -12,6 +12,7 @@ use std::time::Instant;
 
 use mqce_graph::VertexId;
 
+use crate::completeness::Completeness;
 use crate::config::{MqceConfig, MqceParams, ParamError};
 use crate::pipeline::run_pipeline;
 use crate::prepared::PreparedGraph;
@@ -28,12 +29,11 @@ pub struct TopKResult {
     pub final_theta: usize,
     /// Number of enumeration rounds performed.
     pub rounds: usize,
-    /// Whether the time limit cut the search short. The list then holds the
-    /// largest sets found before the budget ran out and may miss some of
-    /// the true top k.
-    pub timed_out: bool,
-    /// Statistics of every round's S1 search, merged. A contained searcher
-    /// panic (`subproblem_panics > 0`) means the list may miss sets.
+    /// Every round's verdict, merged. A partial list holds the largest sets
+    /// found before a deadline or a contained panic cut a round short, and
+    /// may miss some of the true top k.
+    pub completeness: Completeness,
+    /// Statistics of every round's S1 search, merged.
     pub stats: SearchStats,
 }
 
@@ -73,6 +73,7 @@ pub fn find_largest_mqcs(
     let mut theta = max_qc_size_bound(prepared).max(2);
     let mut rounds = 0usize;
     let mut stats = SearchStats::default();
+    let mut completeness = Completeness::default();
     // The last completed round's threshold and family: every maximal QC of
     // at least that size, hence the exact top of the ranking.
     let mut complete: (usize, Vec<Vec<VertexId>>) = (usize::MAX, Vec::new());
@@ -89,6 +90,7 @@ pub fn find_largest_mqcs(
         let result = run_pipeline(prepared, &config, 1);
         let timed_out = result.timed_out();
         stats.merge(&result.stats);
+        completeness.merge(result.completeness);
         if result.mqcs.len() >= k || theta == 2 || timed_out {
             let mut mqcs = result.mqcs;
             if timed_out {
@@ -104,7 +106,7 @@ pub fn find_largest_mqcs(
                 mqcs,
                 final_theta: theta,
                 rounds,
-                timed_out,
+                completeness,
                 stats,
             });
         }
@@ -196,7 +198,7 @@ mod tests {
         let mut by_size = full.mqcs.clone();
         by_size.sort_by(|a, b| b.len().cmp(&a.len()).then_with(|| a.cmp(b)));
         assert_eq!(top.mqcs, by_size[..3.min(by_size.len())].to_vec());
-        assert!(!top.timed_out);
+        assert!(top.completeness.is_exact());
     }
 
     #[test]
@@ -210,6 +212,7 @@ mod tests {
         let top = find_largest_mqcs(&prep(&g), 0.9, 1, Some(base)).unwrap();
         assert!(top.stats.subproblem_panics > 0);
         assert_eq!(top.stats.last_panicked_anchor, Some(0));
+        assert_eq!(top.completeness.panicked_anchor, Some(0));
     }
 
     #[test]
@@ -234,7 +237,10 @@ mod tests {
         let start = Instant::now();
         let top = find_largest_mqcs(&prepared, 0.6, usize::MAX, Some(base)).unwrap();
         let elapsed = start.elapsed();
-        assert!(top.timed_out, "a spent budget must be flagged");
+        assert!(
+            top.completeness.timed_out(),
+            "a spent budget must be flagged"
+        );
         // The limit, one S2 grace slice (100 ms at this limit), and slack
         // for the budget-independent per-round plan on slow machines.
         assert!(

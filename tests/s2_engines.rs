@@ -147,10 +147,10 @@ fn pipeline_budget_is_not_blown_by_s2() {
     for threads in [1, 2] {
         let start = Instant::now();
         let result = enumerate_threads(&g, &config, threads);
-        // The bound is deliberately loose (S1's per-branch deadline polling
-        // has its own granularity) but far below an unbounded S2 pass.
+        // S1 stops on time, and S2 gets its grace slice; the bound leaves
+        // ~8x headroom over a debug build's ~0.25 s.
         assert!(
-            start.elapsed() < Duration::from_secs(20),
+            start.elapsed() < Duration::from_secs(2),
             "{threads} threads: pipeline ran {:?} on a 200ms budget",
             start.elapsed()
         );

@@ -65,10 +65,12 @@ fn run_fuzz_command(fuzz_opts: FuzzOptions, replay: Option<PathBuf>) -> ! {
         }
     };
     println!(
-        "fuzz: {} cases, {} checks, {} contained injected panics, \
+        "fuzz: {} cases, {} checks ({} on the algorithm x branching x backend grid), \
+         {} contained injected panics, \
          {} exact and {} partial answers on the partial paths, {} failures",
         report.cases,
         report.checks,
+        report.grid_checks,
         report.contained_panics,
         report.exact_answers,
         report.partial_answers,

@@ -735,7 +735,7 @@ pub fn updates(opts: ExperimentOptions) -> Vec<RunRecord> {
             records.push(RunRecord {
                 dataset: format!("{name}/churn-{churn}%"),
                 algorithm: "IncrementalDC".to_string(),
-                branching: "HybridSe".to_string(),
+                branching: format!("{:?}", config.branching),
                 backend: "auto".to_string(),
                 gamma,
                 theta,

@@ -5,9 +5,9 @@
 //! parameters, and a schedule of edge-update batches — and then executed
 //! *differentially*:
 //!
-//! * every production configuration (algorithm × adjacency backend, one
-//!   and several work-stealing workers) against the exhaustive
-//!   [`mqce_core::naive`] oracle;
+//! * every production configuration (algorithm × adjacency backend, the
+//!   FastQC searchers at every branching, one and several work-stealing
+//!   workers) against the exhaustive [`mqce_core::naive`] oracle;
 //! * the incremental session against a full recompute after every batch;
 //! * the update WAL against direct application (append → reopen → replay
 //!   must land on the same fingerprint, and a log truncated at *any* byte
@@ -29,8 +29,8 @@ use std::time::Duration;
 
 use mqce_core::quasiclique::is_quasi_clique;
 use mqce_core::{
-    find_largest_mqcs, find_mqcs_containing, AdjacencyBackend, Algorithm, Completeness,
-    IncrementalSession, MqceConfig, MqceParams, PreparedGraph, Session,
+    find_largest_mqcs, find_mqcs_containing, AdjacencyBackend, Algorithm, BranchingStrategy,
+    Completeness, IncrementalSession, MqceConfig, MqceParams, PreparedGraph, Session,
 };
 use mqce_graph::{Graph, GraphDelta, WriteAheadLog};
 use rand::rngs::StdRng;
@@ -78,6 +78,9 @@ pub struct FuzzReport {
     pub cases: usize,
     /// Individual differential checks executed across all cases.
     pub checks: u64,
+    /// The part of `checks` that ran the production grid (algorithm ×
+    /// branching × adjacency backend) against the oracle.
+    pub grid_checks: u64,
     /// Injected panics that were properly contained by the DC drivers.
     pub contained_panics: u64,
     /// Answers on the partial paths that came back `Exact`.
@@ -243,28 +246,42 @@ fn run_case(case: &FuzzCase, report: &mut FuzzReport) -> Vec<(String, String)> {
     report.checks += 1;
 
     // --- production grid vs the oracle ------------------------------------
+    // Every algorithm at both backends; the FastQC searchers also at every
+    // branching, so the arms other than the default keep an oracle check.
     let backends = [AdjacencyBackend::Slice, AdjacencyBackend::Bitset];
-    let algorithms = [
-        Algorithm::DcFastQc,
-        Algorithm::FastQc,
-        Algorithm::BasicDcFastQc,
-        Algorithm::QuickPlus,
+    let every_branching = [
+        BranchingStrategy::HybridSe,
+        BranchingStrategy::SymSe,
+        BranchingStrategy::Se,
     ];
-    for &algorithm in &algorithms {
-        for &backend in &backends {
-            let config = base.with_algorithm(algorithm).with_backend(backend);
-            let result = Session::open(g.clone()).config(config).run();
-            report.checks += 1;
-            if result.mqcs != oracle.mqcs {
-                failures.push((
-                    "oracle-divergence".to_string(),
-                    format!(
-                        "{}/{backend:?}: got {} expected {}",
-                        algorithm.name(),
-                        family_digest(&result.mqcs),
-                        family_digest(&oracle.mqcs)
-                    ),
-                ));
+    let default_branching = [BranchingStrategy::default()];
+    let grid = [
+        (Algorithm::DcFastQc, &every_branching[..]),
+        (Algorithm::FastQc, &every_branching[..]),
+        (Algorithm::BasicDcFastQc, &default_branching[..]),
+        (Algorithm::QuickPlus, &default_branching[..]),
+    ];
+    for (algorithm, branchings) in grid {
+        for &branching in branchings {
+            for &backend in &backends {
+                let config = base
+                    .with_algorithm(algorithm)
+                    .with_branching(branching)
+                    .with_backend(backend);
+                let result = Session::open(g.clone()).config(config).run();
+                report.checks += 1;
+                report.grid_checks += 1;
+                if result.mqcs != oracle.mqcs {
+                    failures.push((
+                        "oracle-divergence".to_string(),
+                        format!(
+                            "{}/{branching:?}/{backend:?}: got {} expected {}",
+                            algorithm.name(),
+                            family_digest(&result.mqcs),
+                            family_digest(&oracle.mqcs)
+                        ),
+                    ));
+                }
             }
         }
     }
@@ -660,6 +677,9 @@ mod tests {
         let report = run_fuzz(&opts);
         assert_eq!(report.cases, 12);
         assert!(report.checks > 12 * 10);
+        // Per case: DCFastQC and FastQC at three branchings, BDCFastQC and
+        // Quick+ at the default, each at two backends.
+        assert_eq!(report.grid_checks, 12 * (2 * 3 + 2) * 2);
         assert!(
             report.failures.is_empty(),
             "fuzz failures: {:?}",

@@ -194,7 +194,7 @@ impl AlgoSpec {
         AlgoSpec {
             label: "DCFastQC",
             algorithm: Algorithm::DcFastQc,
-            branching: BranchingStrategy::HybridSe,
+            branching: BranchingStrategy::default(),
             max_round: 2,
             backend: AdjacencyBackend::Auto,
         }
@@ -216,7 +216,7 @@ impl AlgoSpec {
         AlgoSpec {
             label: "FastQC",
             algorithm: Algorithm::FastQc,
-            branching: BranchingStrategy::HybridSe,
+            branching: BranchingStrategy::default(),
             max_round: 2,
             backend: AdjacencyBackend::Auto,
         }
@@ -227,7 +227,7 @@ impl AlgoSpec {
         AlgoSpec {
             label: "BDCFastQC",
             algorithm: Algorithm::BasicDcFastQc,
-            branching: BranchingStrategy::HybridSe,
+            branching: BranchingStrategy::default(),
             max_round: 1,
             backend: AdjacencyBackend::Auto,
         }
@@ -249,7 +249,7 @@ impl AlgoSpec {
         AlgoSpec {
             label,
             algorithm: Algorithm::DcFastQc,
-            branching: BranchingStrategy::HybridSe,
+            branching: BranchingStrategy::default(),
             max_round,
             backend: AdjacencyBackend::Auto,
         }

@@ -24,6 +24,7 @@
 //! an unknown-field error, so mixed-version deployments fail loudly and
 //! diagnosably.
 
+use mqce_core::MqceConfig;
 use serde::Value;
 
 /// The protocol version this build speaks. Bumped on any incompatible wire
@@ -353,30 +354,45 @@ impl Request {
         value_to_line(&self.to_value())
     }
 
+    /// The engine configuration this request asks for: its γ and θ plus
+    /// the algorithm, branching and adjacency-backend knobs, parsed as the
+    /// CLI parses its flags (an omitted knob takes the engine's default).
+    ///
+    /// # Errors
+    /// The message of an out-of-range γ or θ, or of an unknown knob value.
+    pub fn config(&self) -> Result<MqceConfig, String> {
+        let knob = |e: crate::CliError| e.to_string();
+        Ok(MqceConfig::new(self.gamma, self.theta)
+            .map_err(|e| e.to_string())?
+            .with_algorithm(crate::parse_algorithm(self.algorithm.as_deref()).map_err(knob)?)
+            .with_branching(crate::parse_branching(self.branching.as_deref()).map_err(knob)?)
+            .with_backend(crate::parse_backend(self.backend.as_deref()).map_err(knob)?))
+    }
+
     /// Canonical cache key: graph fingerprint plus every parameter that can
-    /// change the *result*. Presentation and scheduling knobs — `id`,
-    /// `sets`, `threads`, `deadline_ms`, `no_cache` — are deliberately
-    /// excluded: a cached complete answer is valid for any of them. Query
-    /// vertices are sorted and deduplicated (the candidate universe is an
-    /// intersection, so order and multiplicity cannot matter).
-    pub fn cache_key(&self, fingerprint: u64) -> String {
-        let norm = |opt: &Option<String>, default: &str| {
-            opt.as_deref().unwrap_or(default).to_ascii_lowercase()
-        };
+    /// change the *result*, read from `config` (the request's own
+    /// [`config`](Self::config)), so an alias (`sym` / `sym-se`) and an
+    /// omitted or explicit default share one key. Presentation and
+    /// scheduling knobs — `id`, `sets`, `threads`, `deadline_ms`,
+    /// `no_cache` — are deliberately excluded: a cached complete answer is
+    /// valid for any of them. Query vertices are sorted and deduplicated
+    /// (the candidate universe is an intersection, so order and
+    /// multiplicity cannot matter).
+    pub fn cache_key(&self, fingerprint: u64, config: &MqceConfig) -> String {
         let mut vertices = self.vertices.clone();
         vertices.sort_unstable();
         vertices.dedup();
         let verts: Vec<String> = vertices.iter().map(|v| v.to_string()).collect();
         format!(
-            "{fingerprint:016x}|{cmd}|g={gamma}|t={theta}|k={k}|v={verts}|a={alg}|br={br}|ab={ab}",
+            "{fingerprint:016x}|{cmd}|g={gamma}|t={theta}|k={k}|v={verts}|a={alg:?}|br={br:?}|ab={ab:?}",
             cmd = self.cmd,
-            gamma = self.gamma,
-            theta = self.theta,
+            gamma = config.params.gamma,
+            theta = config.params.theta,
             k = if self.cmd == "topk" { self.k } else { 0 },
             verts = verts.join(","),
-            alg = norm(&self.algorithm, "dcfastqc"),
-            br = norm(&self.branching, "hybrid"),
-            ab = norm(&self.backend, "auto"),
+            alg = config.algorithm,
+            br = config.branching,
+            ab = config.params.backend,
         )
     }
 }
@@ -564,6 +580,11 @@ mod tests {
         assert!(Request::parse_line(r#"[1,2]"#).is_err());
     }
 
+    /// The key a daemon computes for `req` on a graph with `fingerprint`.
+    fn key(req: &Request, fingerprint: u64) -> String {
+        req.cache_key(fingerprint, &req.config().expect("a valid request"))
+    }
+
     #[test]
     fn cache_key_ignores_presentation_and_scheduling_knobs() {
         let base = Request {
@@ -578,17 +599,33 @@ mod tests {
         varied.threads = 8;
         varied.deadline_ms = Some(1000);
         varied.fault = Some("panic".to_string());
-        assert_eq!(base.cache_key(42), varied.cache_key(42));
+        assert_eq!(key(&base, 42), key(&varied, 42));
         // ... but result-affecting parameters and the graph identity do key.
         let mut other = base.clone();
         other.gamma = 0.9;
-        assert_ne!(base.cache_key(42), other.cache_key(42));
-        assert_ne!(base.cache_key(42), base.cache_key(43));
-        // Explicit defaults normalise to the same key as omitted options.
-        let mut explicit = base.clone();
-        explicit.algorithm = Some("DCFastQC".to_string());
-        explicit.backend = Some("AUTO".to_string());
-        assert_eq!(base.cache_key(42), explicit.cache_key(42));
+        assert_ne!(key(&base, 42), key(&other, 42));
+        assert_ne!(key(&base, 42), key(&base, 43));
+        let with = |algorithm: &str, branching: &str, backend: &str| Request {
+            algorithm: Some(algorithm.to_string()),
+            branching: Some(branching.to_string()),
+            backend: Some(backend.to_string()),
+            ..base.clone()
+        };
+        // Explicit defaults, in any case, key like omitted options.
+        assert_eq!(key(&base, 42), key(&with("DCFastQC", "Sym", "AUTO"), 42));
+        assert_eq!(key(&base, 42), key(&with("dc", "sym-se", "auto"), 42));
+        // Aliases of one value share a key; distinct values do not.
+        assert_eq!(
+            key(&with("quick+", "hybrid", "csr"), 42),
+            key(&with("quickplus", "hybrid-se", "slice"), 42)
+        );
+        assert_eq!(
+            key(&with("bdcfastqc", "se", "bitset"), 42),
+            key(&with("basic-dc", "SE", "bitmatrix"), 42)
+        );
+        assert_ne!(key(&base, 42), key(&with("dcfastqc", "hybrid", "auto"), 42));
+        assert_ne!(key(&base, 42), key(&with("fastqc", "sym", "auto"), 42));
+        assert_ne!(key(&base, 42), key(&with("dcfastqc", "sym", "slice"), 42));
     }
 
     #[test]
@@ -603,7 +640,7 @@ mod tests {
             vertices: vec![2, 3, 1, 1],
             ..Request::default()
         };
-        assert_eq!(a.cache_key(7), b.cache_key(7));
+        assert_eq!(key(&a, 7), key(&b, 7));
     }
 
     #[test]

@@ -940,21 +940,8 @@ fn update_response(state: &ServerState, req: &Request, arrival: Instant) -> Resp
     }
 }
 
-fn build_request_config(req: &Request) -> Result<mqce_core::MqceConfig, String> {
-    let config = mqce_core::MqceConfig::new(req.gamma, req.theta)
-        .map_err(|e| e.to_string())?
-        .with_algorithm(crate::parse_algorithm(req.algorithm.as_deref()).map_err(stringify)?)
-        .with_branching(crate::parse_branching(req.branching.as_deref()).map_err(stringify)?)
-        .with_backend(crate::parse_backend(req.backend.as_deref()).map_err(stringify)?);
-    Ok(config)
-}
-
-fn stringify(e: CliError) -> String {
-    e.to_string()
-}
-
 fn compute_response(state: &ServerState, req: Request, arrival: Instant) -> Response {
-    let mut config = match build_request_config(&req) {
+    let mut config = match req.config() {
         Ok(config) => config,
         Err(e) => return Response::failure(req.id, e),
     };
@@ -990,7 +977,7 @@ fn compute_response(state: &ServerState, req: Request, arrival: Instant) -> Resp
     // key, the enumeration and the stored outcome all agree even if an
     // update lands mid-request.
     let prepared = state.snapshot();
-    let key = req.cache_key(prepared.fingerprint());
+    let key = req.cache_key(prepared.fingerprint(), &config);
 
     if use_cache {
         let hit = state.cache().get(&key);

@@ -125,13 +125,18 @@ impl std::fmt::Display for ParamError {
 impl std::error::Error for ParamError {}
 
 /// Which branching method the FastQC searcher uses (Figure 11 ablation).
+///
+/// All three find the same family; they differ in how many branches they
+/// explore. The default is Sym-SE, set by measurement: Hybrid-SE explored
+/// more branches on every finished workload measured (README, "Branching
+/// (Fig. 11)").
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum BranchingStrategy {
-    /// Hybrid-SE when applicable, Sym-SE otherwise (the paper's default and
-    /// the configuration with the best worst-case bound).
-    #[default]
+    /// Hybrid-SE when applicable, Sym-SE otherwise: the paper's default and
+    /// the branching that carries Theorem 1's `O(n · d · α_k^n)` bound.
     HybridSe,
-    /// Always Sym-SE branching.
+    /// Always Sym-SE branching: the measured default.
+    #[default]
     SymSe,
     /// Plain set-enumeration (SE) branching, as used by Quick+ — kept for the
     /// branching-strategy ablation; the FastQC pruning rules still apply.
@@ -197,8 +202,9 @@ pub struct MqceConfig {
 }
 
 impl MqceConfig {
-    /// Creates a configuration with the paper's defaults (DCFastQC, Hybrid-SE,
-    /// `MAX_ROUND = 2`, no time limit).
+    /// Creates a configuration with the defaults: DCFastQC, Sym-SE
+    /// branching (the measured default; see [`BranchingStrategy`]),
+    /// `MAX_ROUND = 2` and no time limit.
     pub fn new(gamma: f64, theta: usize) -> Result<Self, ParamError> {
         Ok(MqceConfig {
             params: MqceParams::new(gamma, theta)?,

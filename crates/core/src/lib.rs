@@ -6,8 +6,9 @@
 //! SIGMOD 2024):
 //!
 //! * [`fastqc`] — the FastQC branch-and-bound algorithm (SD-space necessary
-//!   condition, progressive refinement, Sym-SE and Hybrid-SE branching) with
-//!   worst-case time `O(n·d·α_k^n)`, `α_k < 2`.
+//!   condition, progressive refinement, Sym-SE and Hybrid-SE branching).
+//!   Hybrid-SE carries the worst-case time `O(n·d·α_k^n)`, `α_k < 2`;
+//!   Sym-SE, which explores fewer branches in practice, is the default.
 //! * [`dc`] — the divide-and-conquer driver (`DCFastQC`) and the basic DC
 //!   framework used as an ablation baseline.
 //! * [`quickplus`] — the Quick+ baseline with SE branching and Type I/II

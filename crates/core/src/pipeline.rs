@@ -237,7 +237,7 @@ pub(crate) fn compact_family(
 }
 
 /// Convenience wrapper: enumerate the maximal γ-quasi-cliques of size ≥ θ
-/// using the paper's default algorithm (DCFastQC with Hybrid-SE branching).
+/// using the default configuration (DCFastQC with Sym-SE branching).
 pub fn enumerate_mqcs_default(
     g: &Graph,
     gamma: f64,

@@ -1,5 +1,5 @@
 //! Search statistics collected by the branch-and-bound searchers and the
-//! divide-and-conquer driver. These power both the tests (e.g. "Hybrid-SE
+//! divide-and-conquer driver. These power both the tests (e.g. "Sym-SE
 //! explores no more branches than SE") and the ablation experiments.
 
 /// Counters describing one MQCE-S1 run.

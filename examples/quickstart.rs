@@ -17,7 +17,7 @@ fn main() {
     );
 
     // Enumerate all maximal 0.6-quasi-cliques with at least 4 vertices using
-    // the paper's default algorithm (DCFastQC + Hybrid-SE branching).
+    // the default configuration (DCFastQC + Sym-SE branching).
     let gamma = 0.6;
     let theta = 4;
     let result = enumerate_mqcs_default(&g, gamma, theta).expect("valid parameters");

@@ -326,10 +326,8 @@ fn cmd_enumerate<W: Write>(parsed: &ParsedArgs, out: &mut W) -> Result<(), CliEr
     let g = load_graph(path)?;
     let config = build_config(parsed)?;
     let threads = resolve_threads(parsed.get_usize("threads", 1)?);
-    let result = Session::open(g.clone())
-        .config(config)
-        .threads(threads)
-        .run();
+    let session = Session::open(g).config(config).threads(threads);
+    let result = session.run();
     writeln!(out, "algorithm        {}", config.algorithm.name()).map_err(io_err)?;
     writeln!(
         out,
@@ -369,7 +367,7 @@ fn cmd_enumerate<W: Write>(parsed: &ParsedArgs, out: &mut W) -> Result<(), CliEr
         writeln!(out, "{line}").map_err(io_err)?;
     }
     if parsed.switch("verify") {
-        let report = verify_mqc_set(&g, &result.mqcs, config.params);
+        let report = verify_mqc_set(session.prepared().graph(), &result.mqcs, config.params);
         writeln!(out, "verification     {report}").map_err(io_err)?;
         if !report.is_ok() {
             return Err(CliError::Other(format!("verification failed: {report}")));

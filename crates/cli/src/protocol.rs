@@ -375,9 +375,10 @@ impl Request {
     /// omitted or explicit default share one key. Presentation and
     /// scheduling knobs — `id`, `sets`, `threads`, `deadline_ms`,
     /// `no_cache` — are deliberately excluded: a cached complete answer is
-    /// valid for any of them. Query vertices are sorted and deduplicated
-    /// (the candidate universe is an intersection, so order and
-    /// multiplicity cannot matter).
+    /// valid for any of them. So are the parameters a command ignores: `k`
+    /// outside `topk`, and θ in `topk`, whose rounds pick their own. Query
+    /// vertices are sorted and deduplicated (the candidate universe is an
+    /// intersection, so order and multiplicity cannot matter).
     pub fn cache_key(&self, fingerprint: u64, config: &MqceConfig) -> String {
         let mut vertices = self.vertices.clone();
         vertices.sort_unstable();
@@ -387,7 +388,7 @@ impl Request {
             "{fingerprint:016x}|{cmd}|g={gamma}|t={theta}|k={k}|v={verts}|a={alg:?}|br={br:?}|ab={ab:?}",
             cmd = self.cmd,
             gamma = config.params.gamma,
-            theta = config.params.theta,
+            theta = if self.cmd == "topk" { 0 } else { config.params.theta },
             k = if self.cmd == "topk" { self.k } else { 0 },
             verts = verts.join(","),
             alg = config.algorithm,
@@ -626,6 +627,22 @@ mod tests {
         assert_ne!(key(&base, 42), key(&with("dcfastqc", "hybrid", "auto"), 42));
         assert_ne!(key(&base, 42), key(&with("fastqc", "sym", "auto"), 42));
         assert_ne!(key(&base, 42), key(&with("dcfastqc", "sym", "slice"), 42));
+        // top-k ignores θ (each round sets its own) but not k.
+        let topk = Request {
+            cmd: "topk".to_string(),
+            k: 3,
+            ..base.clone()
+        };
+        let topk_theta = Request {
+            theta: 9,
+            ..topk.clone()
+        };
+        assert_eq!(key(&topk, 42), key(&topk_theta, 42));
+        let topk_k = Request {
+            k: 4,
+            ..topk.clone()
+        };
+        assert_ne!(key(&topk, 42), key(&topk_k, 42));
     }
 
     #[test]

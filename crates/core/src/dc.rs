@@ -654,7 +654,8 @@ mod tests {
         // branch counts) of a brand-new scratch per *subproblem*, and the
         // family and branch count of a fresh one-worker run — stale stamps,
         // recycled CSR buffers, or a dirty search arena would all show up
-        // here.
+        // here. The fresh one-worker run must also emit in plan order, as
+        // Algorithm 3's loop does.
         use crate::scheduler::run_roots_in;
         use mqce_graph::generators::{community_graph, CommunityGraphParams};
         let g = community_graph(
@@ -684,6 +685,7 @@ mod tests {
                 assert_eq!(sorted, fresh_sorted, "gamma={gamma} theta={theta}");
                 assert_eq!(stats.branches, fresh.stats.branches);
                 assert_eq!(stats.dc_subproblems, fresh.stats.dc_subproblems);
+                assert_eq!(fresh.outputs, outputs, "gamma={gamma} theta={theta}");
 
                 // (b) a brand-new scratch per subproblem.
                 let mut per_sub_outputs = Vec::new();

@@ -11,13 +11,12 @@
 //! intra-subproblem splitting** so even a single giant subproblem
 //! parallelises:
 //!
-//! * **Seeding** — subproblems enter the deques in descending estimated
-//!   cost, using the two-hop-pruned candidate-set size `|Γ²(v_i) ∩
-//!   later-ranked|` from the DC plan as the estimate, so heavy subproblems
-//!   start as early as possible (longest-job-first keeps the makespan tail
-//!   short).
-//! * **Stealing** — a worker pops from the front of its own deque (heaviest
-//!   seed first) and steals from the back of a victim's.
+//! * **Seeding** — subproblems enter the deques round-robin in the order
+//!   the anchors arrive (the plan's degeneracy ordering, or an incremental
+//!   run's dirty anchors). No cost model reorders them: a heavy subproblem
+//!   that starts late is split across the idle workers instead.
+//! * **Stealing** — a worker pops from the front of its own deque (its
+//!   earliest seed) and steals from the back of a victim's.
 //! * **Splitting** — busy searchers poll the scheduler's hungry-worker
 //!   count at shallow branching frames (see
 //!   [`SearchCtx`](crate::branch::SearchCtx)); when a worker is hungry, the
@@ -31,7 +30,7 @@
 //! One-thread runs take the same path with one worker: it drains its own
 //! deque, is never hungry while work remains, and so never steals or
 //! splits. Its outputs are exactly those of running every subproblem to
-//! completion in seeding order.
+//! completion in plan order, which is the paper's Algorithm 3 loop.
 //!
 //! Splitting is *output-sound*: a stolen branch reproduces exactly the
 //! outputs the donor's recursion would have produced from the same
@@ -120,7 +119,7 @@ enum Task {
 }
 
 /// One worker's deque. The owner pops from the front (its seeds are stored
-/// heaviest-first) and thieves steal from the back; both go through the
+/// in plan order) and thieves steal from the back; both go through the
 /// mutex, but the atomic length lets every reader skip empty deques without
 /// touching the lock — the fast path that matters when most deques are
 /// drained and workers scan for leftovers.
@@ -261,106 +260,6 @@ impl SplitSink for SubSink<'_> {
     }
 }
 
-/// One anchor's cost estimate: the size of the two-hop-pruned candidate set
-/// `|Γ²(v_i) ∩ later-ranked|` (what `build_subproblem` will materialise).
-/// `tag` must be unique per call within one `stamp` array's lifetime so the
-/// pass allocates nothing per vertex.
-fn two_hop_estimate(plan: &DcPlan, stamp: &mut [u32], tag: u32, vi: mqce_graph::VertexId) -> usize {
-    let rg = &plan.reduced.graph;
-    let my_rank = plan.rank[vi as usize];
-    stamp[vi as usize] = tag;
-    let mut count = 1usize;
-    for &u in rg.neighbors(vi) {
-        if stamp[u as usize] != tag {
-            stamp[u as usize] = tag;
-            if plan.rank[u as usize] >= my_rank {
-                count += 1;
-            }
-        }
-    }
-    for &u in rg.neighbors(vi) {
-        for &w in rg.neighbors(u) {
-            if stamp[w as usize] != tag {
-                stamp[w as usize] = tag;
-                if plan.rank[w as usize] >= my_rank {
-                    count += 1;
-                }
-            }
-        }
-    }
-    count
-}
-
-/// Per-subproblem cost estimates of `anchors`, used to seed the deques (the
-/// sequential pass, kept as the single-chunk case and the differential
-/// reference).
-pub(crate) fn subproblem_estimates(plan: &DcPlan, anchors: &[VertexId]) -> Vec<usize> {
-    let mut stamp: Vec<u32> = vec![u32::MAX; plan.reduced.graph.num_vertices()];
-    anchors
-        .iter()
-        .enumerate()
-        .map(|(i, &vi)| two_hop_estimate(plan, &mut stamp, i as u32, vi))
-        .collect()
-}
-
-/// Parallel variant of [`subproblem_estimates`]: the ordering is split into
-/// one contiguous chunk per worker and each chunk runs on its own scoped
-/// thread, reusing the epoch-stamped array of that worker's [`DcScratch`]
-/// (the same array the subproblem builds will use). On very large graphs
-/// this pass used to be a single-threaded serial section before the workers
-/// even started.
-///
-/// Returns the estimates plus each worker's wall-clock milliseconds, which
-/// the caller folds into the matching worker's [`ThreadStats`] busy time so
-/// the per-thread accounting covers the whole parallel region.
-fn subproblem_estimates_parallel(
-    plan: &DcPlan,
-    anchors: &[VertexId],
-    num_threads: usize,
-    scratches: &mut [DcScratch],
-) -> (Vec<usize>, Vec<f64>) {
-    let n = anchors.len();
-    if num_threads <= 1 || n < 2 {
-        let start = Instant::now();
-        let estimates = subproblem_estimates(plan, anchors);
-        return (estimates, vec![start.elapsed().as_secs_f64() * 1e3]);
-    }
-    let chunk_len = n.div_ceil(num_threads);
-    let num_vertices = plan.reduced.graph.num_vertices();
-    let results: Vec<(usize, Vec<usize>, f64)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = anchors
-            .chunks(chunk_len)
-            .enumerate()
-            .zip(scratches.iter_mut())
-            .map(|((k, chunk), scratch)| {
-                let offset = k * chunk_len;
-                scope.spawn(move || {
-                    let start = Instant::now();
-                    let estimates: Vec<usize> = chunk
-                        .iter()
-                        .map(|&vi| {
-                            let (stamp, tag) = scratch.sub.stamp_epoch(num_vertices);
-                            two_hop_estimate(plan, stamp, tag, vi)
-                        })
-                        .collect();
-                    (offset, estimates, start.elapsed().as_secs_f64() * 1e3)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("estimate thread panicked"))
-            .collect()
-    });
-    let mut estimates = vec![0usize; n];
-    let mut millis = vec![0.0f64; num_threads];
-    for (worker, (offset, chunk_estimates, elapsed)) in results.into_iter().enumerate() {
-        estimates[offset..offset + chunk_estimates.len()].copy_from_slice(&chunk_estimates);
-        millis[worker] = elapsed;
-    }
-    (estimates, millis)
-}
-
 /// Everything one worker accumulated over the run. Mapped outputs are packed
 /// into a flat arena and boxed only once, at the final merge.
 struct WorkerResult {
@@ -380,36 +279,20 @@ pub(crate) fn run_dc_work_stealing(
     deadline: Option<Instant>,
 ) -> SearchOutcome {
     let sched = Scheduler::new(num_threads, plan.params.steal_granularity);
-    // One reusable scratch per worker, threaded through the whole run: the
-    // estimate pass below shares its stamp array, then each worker owns one
-    // scratch for every subproblem and stolen split task it executes.
-    let mut scratches: Vec<DcScratch> = (0..num_threads).map(|_| DcScratch::default()).collect();
-    // The cost-estimate pass parallelises over the same worker count; its
-    // per-chunk wall-clock is folded into the matching worker's busy time
-    // below so ThreadStats covers the whole parallel region.
-    let (estimates, estimate_millis) =
-        subproblem_estimates_parallel(plan, anchors, num_threads, &mut scratches);
-    let mut seeds: Vec<usize> = (0..anchors.len()).collect();
-    // Descending estimated cost; ties broken by ordering position so the
-    // seeding is deterministic.
-    seeds.sort_by(|&a, &b| estimates[b].cmp(&estimates[a]).then(a.cmp(&b)));
-    sched.outstanding.store(seeds.len(), Ordering::SeqCst);
-    sched.queued.store(seeds.len(), Ordering::SeqCst);
-    // Round-robin over the workers keeps each deque individually descending,
-    // so owners pop their heaviest remaining seed first.
-    for (k, &idx) in seeds.iter().enumerate() {
-        sched.deques[k % num_threads].push_back(Task::Root(idx));
+    sched.outstanding.store(anchors.len(), Ordering::SeqCst);
+    sched.queued.store(anchors.len(), Ordering::SeqCst);
+    // Round-robin in plan order: each deque holds its share of the anchors
+    // in the order they arrived, so one worker runs them as Algorithm 3's
+    // loop does.
+    for idx in 0..anchors.len() {
+        sched.deques[idx % num_threads].push_back(Task::Root(idx));
     }
 
     let sched_ref = &sched;
     let results: Vec<WorkerResult> = std::thread::scope(|scope| {
-        let handles: Vec<_> = scratches
-            .into_iter()
-            .enumerate()
-            .map(|(id, scratch)| {
-                scope.spawn(move || {
-                    worker_loop(sched_ref, id, plan, anchors, inner, deadline, scratch)
-                })
+        let handles: Vec<_> = (0..num_threads)
+            .map(|id| {
+                scope.spawn(move || worker_loop(sched_ref, id, plan, anchors, inner, deadline))
             })
             .collect();
         handles
@@ -421,8 +304,7 @@ pub(crate) fn run_dc_work_stealing(
     let mut stats = SearchStats::default();
     let mut outputs = Vec::new();
     let mut thread_stats = Vec::new();
-    for (worker, mut result) in results.into_iter().enumerate() {
-        result.thread_stats.busy_millis += estimate_millis.get(worker).copied().unwrap_or(0.0);
+    for result in results {
         stats.merge(&result.stats);
         outputs.extend(result.raw.into_vecs());
         thread_stats.push(result.thread_stats);
@@ -434,7 +316,6 @@ pub(crate) fn run_dc_work_stealing(
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn worker_loop(
     sched: &Scheduler,
     id: usize,
@@ -442,8 +323,10 @@ fn worker_loop(
     anchors: &[VertexId],
     inner: InnerAlgorithm,
     deadline: Option<Instant>,
-    mut scratch: DcScratch,
 ) -> WorkerResult {
+    // One reusable scratch for every subproblem and stolen split task this
+    // worker executes.
+    let mut scratch = DcScratch::default();
     let mut result = WorkerResult {
         raw: SetArena::new(),
         stats: SearchStats::default(),
@@ -597,8 +480,7 @@ fn run_task(
 }
 
 /// Runs the root tasks of `anchors`, in order, through the task body of a
-/// one-worker scheduler with the caller's scratch (no estimate pass, no
-/// thread). Returns the mapped outputs in emission order and the merged
+/// one-worker scheduler with the caller's scratch (no thread). Returns the mapped outputs in emission order and the merged
 /// statistics.
 #[cfg(test)]
 pub(crate) fn run_roots_in(
@@ -849,49 +731,6 @@ mod tests {
         }
         // The differential is only meaningful if splits actually happened.
         assert!(total_donations > 0, "the greedy sink never forced a split");
-    }
-
-    #[test]
-    fn parallel_estimates_match_sequential() {
-        use crate::dc::DcConfig;
-        for (n, m, seed) in [(40usize, 160usize, 3u64), (120, 900, 8), (7, 10, 1)] {
-            let g = mqce_graph::generators::erdos_renyi_gnm(n, m, seed);
-            let params = MqceParams::new(0.9, 3).unwrap();
-            let plan = DcPlan::for_graph(&g, params, DcConfig::paper_default());
-            let sequential = subproblem_estimates(&plan, &plan.ordering);
-            for threads in [1usize, 2, 3, 8, 64] {
-                let mut scratches: Vec<DcScratch> =
-                    (0..threads).map(|_| DcScratch::default()).collect();
-                let (parallel, millis) =
-                    subproblem_estimates_parallel(&plan, &plan.ordering, threads, &mut scratches);
-                assert_eq!(parallel, sequential, "threads={threads} n={n}");
-                // One timing slot per worker (a single slot when the
-                // sequential path was taken), all finite and non-negative.
-                assert!(millis.len() <= threads.max(1));
-                assert!(millis.iter().all(|ms| ms.is_finite() && *ms >= 0.0));
-            }
-        }
-    }
-
-    #[test]
-    fn estimates_match_subproblem_sizes() {
-        use crate::dc::DcConfig;
-        let g = mqce_graph::generators::erdos_renyi_gnm(40, 160, 3);
-        let params = MqceParams::new(0.9, 3).unwrap();
-        let dc = DcConfig::paper_default();
-        let plan = DcPlan::for_graph(&g, params, dc);
-        let estimates = subproblem_estimates(&plan, &plan.ordering);
-        let mut scratch = DcScratch::default();
-        for (i, &vi) in plan.ordering.iter().enumerate() {
-            let mut stats = SearchStats::default();
-            let before = stats.dc_vertices_before_pruning;
-            let _ = build_subproblem_in(&plan, vi, &mut stats, &mut scratch);
-            assert_eq!(
-                estimates[i] as u64,
-                stats.dc_vertices_before_pruning - before,
-                "estimate mismatch at anchor {vi}"
-            );
-        }
     }
 
     #[test]

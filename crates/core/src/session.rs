@@ -106,21 +106,6 @@ impl Session {
         &self.prepared
     }
 
-    /// Shared handle to the prepared graph.
-    pub fn prepared_handle(&self) -> Arc<PreparedGraph> {
-        self.prepared.clone()
-    }
-
-    /// The session's current configuration.
-    pub fn current_config(&self) -> &MqceConfig {
-        &self.config
-    }
-
-    /// The configured thread count.
-    pub fn current_threads(&self) -> usize {
-        self.threads
-    }
-
     /// Runs the full pipeline (S1, then the S2 pass) and returns the maximal
     /// family plus statistics. The family is the same at every thread
     /// count.

@@ -69,9 +69,9 @@ impl SubproblemScratch {
 
     /// Starts a new stamped use over a universe of `n` vertices and returns
     /// `(stamp, tag)`: an entry is "marked" for this use iff
-    /// `stamp[v] == tag`. Also used directly by the scheduler's two-hop
-    /// cost-estimate pass so it shares this array instead of allocating its
-    /// own stamp `Vec`.
+    /// `stamp[v] == tag`. Also used directly by walks that mark vertices
+    /// without building a subgraph (the update step's dirty closure), so
+    /// they share this array instead of allocating their own stamp `Vec`.
     pub fn stamp_epoch(&mut self, n: usize) -> (&mut [u32], u32) {
         let tag = self.bump_epoch(n);
         (&mut self.stamp[..], tag)

@@ -5,16 +5,16 @@
 //! ```
 //!
 //! Experiments: `table1`, `fig7`, `fig8`, `fig9`, `fig10a`, `fig10b`,
-//! `fig11`, `fig12`, `maxround`, `shrink`, `s2`, `quick`, `s2-stress`,
-//! `threads`, `alloc-gate`, `updates`, `all`.
+//! `fig11`, `fig12`, `maxround`, `shrink`, `s2`, `s2-stress`, `threads`,
+//! `alloc-gate`, `updates`, `all`.
 //!
-//! `quick` is the backend-comparison profile (bitset kernel vs sorted
-//! slices); it writes `BENCH_mqce.json` by default so the CI bench-smoke
-//! job and the perf trajectory can pick the records up. `s2-stress` (the S2
-//! pass at one and two workers on large overlapping families), `threads`
-//! (the parallel-scaling sweep) and `alloc-gate` (heap-allocation
-//! events per DC subproblem against a checked-in bound; needs a
-//! `--features count-allocs` build) *append* their rows to the same file.
+//! The perf profiles — `s2-stress` (the S2 pass at one and two workers on
+//! large overlapping families), `threads` (the parallel-scaling sweep),
+//! `alloc-gate` (heap-allocation events per DC subproblem against a
+//! checked-in bound; needs a `--features count-allocs` build) and `updates`
+//! (incremental vs full recompute) — *append* their rows to
+//! `BENCH_mqce.json` (or `--json`), so one CI job accumulates them into a
+//! single artifact; start from an absent file to keep only one run's rows.
 //!
 //! `--quick` runs the reduced-scale suite with a short time limit (useful for
 //! smoke-testing the harness); the default is the full laptop-scale suite.
@@ -33,7 +33,7 @@ use mqce_bench::runner::{append_json, save_json, RunRecord};
 
 fn usage() -> ! {
     eprintln!(
-        "usage: experiments <table1|fig7|fig8|fig9|fig10a|fig10b|fig11|fig12|maxround|shrink|s2|quick|s2-stress|threads|alloc-gate|updates|fuzz|all> \
+        "usage: experiments <table1|fig7|fig8|fig9|fig10a|fig10b|fig11|fig12|maxround|shrink|s2|s2-stress|threads|alloc-gate|updates|fuzz|all> \
          [--quick] [--time-limit <seconds>] [--json <path>] \
          [--fuzz-iters <n>] [--seed <n>] [--fixture-dir <dir>] [--replay <fixture>]"
     );
@@ -65,7 +65,7 @@ fn run_fuzz_command(fuzz_opts: FuzzOptions, replay: Option<PathBuf>) -> ! {
         }
     };
     println!(
-        "fuzz: {} cases, {} checks ({} on the algorithm x branching x backend grid), \
+        "fuzz: {} cases, {} checks ({} on the algorithm x branching grid), \
          {} contained injected panics, \
          {} exact and {} partial answers on the partial paths, {} failures",
         report.cases,
@@ -178,12 +178,11 @@ fn main() {
         opts = quick_opts;
     }
     // The perf profiles are the per-PR smoke signal: bounded time limits and
-    // always a machine-readable artifact. `quick` starts the file fresh;
-    // `s2-stress` and `threads` append so one CI job can
+    // always a machine-readable artifact. They append, so one CI job can
     // accumulate them into a single BENCH_mqce.json.
     let perf_profile = matches!(
         experiment.as_str(),
-        "quick" | "s2-stress" | "threads" | "alloc-gate" | "updates"
+        "s2-stress" | "threads" | "alloc-gate" | "updates"
     );
     if perf_profile {
         if !time_limit_set {
@@ -206,7 +205,6 @@ fn main() {
         "maxround" => experiments::maxround(opts),
         "shrink" => experiments::shrink(opts),
         "s2" => experiments::s2_cost(opts),
-        "quick" => experiments::quick_backends(opts),
         "s2-stress" => experiments::s2_stress(opts),
         "threads" => experiments::thread_sweep(opts),
         "alloc-gate" => experiments::alloc_gate(opts),
@@ -216,10 +214,7 @@ fn main() {
     };
 
     if let Some(path) = json_path {
-        if matches!(
-            experiment.as_str(),
-            "s2-stress" | "threads" | "alloc-gate" | "updates"
-        ) {
+        if perf_profile {
             append_json(&path, &records).expect("append JSON results");
             println!("\nappended {} records to {}", records.len(), path.display());
         } else {

@@ -4,7 +4,7 @@
 
 use std::time::{Duration, Instant};
 
-use mqce_core::{AdjacencyBackend, BranchingStrategy, Completeness};
+use mqce_core::{BranchingStrategy, Completeness};
 use mqce_graph::GraphStats;
 
 use crate::datasets::{self, Dataset, SuiteScale};
@@ -422,82 +422,6 @@ pub fn s2_cost(opts: ExperimentOptions) -> Vec<RunRecord> {
     records
 }
 
-/// **Backend quick profile**: the bitset adjacency kernel against the
-/// sorted-slice baseline; powers the per-PR `BENCH_mqce.json` artifact the
-/// CI bench-smoke job uploads, so kernel regressions show up in the perf
-/// trajectory.
-///
-/// Unlike the figure experiments, every workload here is tuned to *finish*
-/// well under the time limit on both backends — an INF row cannot show a
-/// speedup, and a timed-out run's S1 output balloons the uncapped S2 filter.
-/// The dense-community configurations are the kernel's target shape
-/// (sub-second on slice, 2–5x faster on bitset); the planted-group workload
-/// is the sparse-background control where the adaptive threshold must keep
-/// the kernel from hurting.
-pub fn quick_backends(opts: ExperimentOptions) -> Vec<RunRecord> {
-    use mqce_graph::generators::{community_graph, CommunityGraphParams};
-    let mut records = Vec::new();
-    let community_250 = community_graph(
-        CommunityGraphParams {
-            n: 250,
-            num_communities: 12,
-            p_intra: 0.9,
-            inter_degree: 2.0,
-        },
-        42,
-    );
-    let community_400 = community_graph(
-        CommunityGraphParams {
-            n: 400,
-            num_communities: 20,
-            p_intra: 0.92,
-            inter_degree: 1.5,
-        },
-        7,
-    );
-    let email = datasets::email(SuiteScale::Small);
-    let workloads: Vec<(&'static str, &mqce_graph::Graph, f64, usize)> = vec![
-        ("community-250", &community_250, 0.9, 8),
-        ("community-250-g85", &community_250, 0.85, 8),
-        ("community-400", &community_400, 0.9, 8),
-        ("email-planted", &email.graph, email.gamma_d, email.theta_d),
-    ];
-    for &(name, graph, gamma, theta) in &workloads {
-        for (label, backend) in [
-            ("DCFastQC/slice", AdjacencyBackend::Slice),
-            ("DCFastQC/bitset", AdjacencyBackend::Bitset),
-        ] {
-            records.push(measure(
-                name,
-                graph,
-                AlgoSpec::dcfastqc().with_backend(label, backend),
-                gamma,
-                theta,
-                opts.time_limit,
-            ));
-        }
-    }
-    print_table(
-        "Backend quick profile: bitset kernel vs sorted-slice",
-        &records,
-    );
-    print_backend_speedups(&records);
-    // A mismatch in output counts between backends is a kernel bug; fail
-    // loudly here rather than shipping a wrong BENCH_mqce.json.
-    for pair in records.chunks(2) {
-        if let [slice, bitset] = pair {
-            assert!(
-                slice.timed_out || bitset.timed_out || slice.mqcs == bitset.mqcs,
-                "backend mismatch on {}: slice found {} MQCs, bitset {}",
-                slice.dataset,
-                slice.mqcs,
-                bitset.mqcs
-            );
-        }
-    }
-    records
-}
-
 /// Checked-in regression bound for [`alloc_gate`]: allocation events per DC
 /// subproblem allowed on the community-800 preset, roughly 2× the measured
 /// steady state. The budget covers everything a full pipeline run allocates
@@ -736,7 +660,6 @@ pub fn updates(opts: ExperimentOptions) -> Vec<RunRecord> {
                 dataset: format!("{name}/churn-{churn}%"),
                 algorithm: "IncrementalDC".to_string(),
                 branching: format!("{:?}", config.branching),
-                backend: "auto".to_string(),
                 gamma,
                 theta,
                 max_round: 2,
@@ -834,7 +757,6 @@ fn measure_s2_pass(
         dataset: dataset.to_string(),
         algorithm: format!("S2/{}x{workers}", outcome.backend),
         branching: "-".to_string(),
-        backend: "-".to_string(),
         threads: workers,
         s2_backend: outcome.backend.to_string(),
         s2_timed_out: completeness.s2_timed_out,
@@ -1079,30 +1001,6 @@ pub fn thread_sweep(opts: ExperimentOptions) -> Vec<RunRecord> {
     records
 }
 
-/// Prints the per-workload bitset-over-slice speedup (workloads may repeat a
-/// dataset name with different parameters, so pairs are matched positionally).
-fn print_backend_speedups(records: &[RunRecord]) {
-    println!("\nspeedup of DCFastQC/bitset over DCFastQC/slice:");
-    for pair in records.chunks(2) {
-        if let [slice, bitset] = pair {
-            if slice.timed_out || bitset.timed_out {
-                println!(
-                    "  {} (gamma={}, theta={}): INF",
-                    slice.dataset, slice.gamma, slice.theta
-                );
-            } else {
-                println!(
-                    "  {} (gamma={}, theta={}): {:.1}x",
-                    slice.dataset,
-                    slice.gamma,
-                    slice.theta,
-                    slice.s1_millis.max(0.01) / bitset.s1_millis.max(0.01)
-                );
-            }
-        }
-    }
-}
-
 fn print_speedups(records: &[RunRecord], baseline: &str, ours: &str) {
     println!("\nspeedup of {ours} over {baseline}:");
     let mut datasets_seen: Vec<&str> = Vec::new();
@@ -1169,38 +1067,6 @@ mod tests {
             let rs: Vec<&RunRecord> = records.iter().filter(|r| r.dataset == d).collect();
             if rs.len() == 2 && !rs[0].timed_out && !rs[1].timed_out {
                 assert_eq!(rs[0].mqcs, rs[1].mqcs, "MQC count mismatch on {d}");
-            }
-        }
-    }
-
-    #[test]
-    fn quick_backend_profile_has_matching_pairs() {
-        let records = quick_backends(ExperimentOptions::quick());
-        assert!(!records.is_empty());
-        assert!(records.len().is_multiple_of(2));
-        // The workloads are tuned to finish well inside the cap; if every
-        // pair timed out the comparison assertions below would be vacuous.
-        assert!(
-            records.iter().any(|r| !r.timed_out),
-            "every quick-profile run hit the time limit"
-        );
-        for pair in records.chunks(2) {
-            assert_eq!(pair[0].dataset, pair[1].dataset);
-            assert_eq!(pair[0].backend, "slice");
-            assert_eq!(pair[1].backend, "bitset");
-            if !pair[0].timed_out && !pair[1].timed_out {
-                assert_eq!(
-                    pair[0].mqcs, pair[1].mqcs,
-                    "MQC mismatch on {}",
-                    pair[0].dataset
-                );
-                // Identical search trees: the kernel changes how adjacency is
-                // answered, never what is explored.
-                assert_eq!(
-                    pair[0].branches, pair[1].branches,
-                    "branch mismatch on {}",
-                    pair[0].dataset
-                );
             }
         }
     }

@@ -5,9 +5,9 @@
 //! parameters, and a schedule of edge-update batches — and then executed
 //! *differentially*:
 //!
-//! * every production configuration (algorithm × adjacency backend, the
-//!   FastQC searchers at every branching, one and several work-stealing
-//!   workers) against the exhaustive [`mqce_core::naive`] oracle;
+//! * every production configuration (every algorithm, the FastQC searchers
+//!   at every branching, one and several work-stealing workers) against the
+//!   exhaustive [`mqce_core::naive`] oracle;
 //! * the incremental session against a full recompute after every batch;
 //! * the update WAL against direct application (append → reopen → replay
 //!   must land on the same fingerprint, and a log truncated at *any* byte
@@ -29,8 +29,8 @@ use std::time::Duration;
 
 use mqce_core::quasiclique::is_quasi_clique;
 use mqce_core::{
-    find_largest_mqcs, find_mqcs_containing, AdjacencyBackend, Algorithm, BranchingStrategy,
-    Completeness, IncrementalSession, MqceConfig, MqceParams, PreparedGraph, Session,
+    find_largest_mqcs, find_mqcs_containing, Algorithm, BranchingStrategy, Completeness,
+    IncrementalSession, MqceConfig, MqceParams, PreparedGraph, Session,
 };
 use mqce_graph::{Graph, GraphDelta, WriteAheadLog};
 use rand::rngs::StdRng;
@@ -79,7 +79,7 @@ pub struct FuzzReport {
     /// Individual differential checks executed across all cases.
     pub checks: u64,
     /// The part of `checks` that ran the production grid (algorithm ×
-    /// branching × adjacency backend) against the oracle.
+    /// branching) against the oracle.
     pub grid_checks: u64,
     /// Injected panics that were properly contained by the DC drivers.
     pub contained_panics: u64,
@@ -246,9 +246,8 @@ fn run_case(case: &FuzzCase, report: &mut FuzzReport) -> Vec<(String, String)> {
     report.checks += 1;
 
     // --- production grid vs the oracle ------------------------------------
-    // Every algorithm at both backends; the FastQC searchers also at every
+    // Every algorithm; the FastQC searchers also at every
     // branching, so the arms other than the default keep an oracle check.
-    let backends = [AdjacencyBackend::Slice, AdjacencyBackend::Bitset];
     let every_branching = [
         BranchingStrategy::HybridSe,
         BranchingStrategy::SymSe,
@@ -263,32 +262,26 @@ fn run_case(case: &FuzzCase, report: &mut FuzzReport) -> Vec<(String, String)> {
     ];
     for (algorithm, branchings) in grid {
         for &branching in branchings {
-            for &backend in &backends {
-                let config = base
-                    .with_algorithm(algorithm)
-                    .with_branching(branching)
-                    .with_backend(backend);
-                let result = Session::open(g.clone()).config(config).run();
-                report.checks += 1;
-                report.grid_checks += 1;
-                if result.mqcs != oracle.mqcs {
-                    failures.push((
-                        "oracle-divergence".to_string(),
-                        format!(
-                            "{}/{branching:?}/{backend:?}: got {} expected {}",
-                            algorithm.name(),
-                            family_digest(&result.mqcs),
-                            family_digest(&oracle.mqcs)
-                        ),
-                    ));
-                }
+            let config = base.with_algorithm(algorithm).with_branching(branching);
+            let result = Session::open(g.clone()).config(config).run();
+            report.checks += 1;
+            report.grid_checks += 1;
+            if result.mqcs != oracle.mqcs {
+                failures.push((
+                    "oracle-divergence".to_string(),
+                    format!(
+                        "{}/{branching:?}: got {} expected {}",
+                        algorithm.name(),
+                        family_digest(&result.mqcs),
+                        family_digest(&oracle.mqcs)
+                    ),
+                ));
             }
         }
     }
 
     // --- work-stealing scheduler vs the oracle ----------------------------
-    let config = base.with_backend(backends[case.index % backends.len()]);
-    let result = Session::open(g.clone()).config(config).threads(3).run();
+    let result = Session::open(g.clone()).config(base).threads(3).run();
     report.checks += 1;
     if result.mqcs != oracle.mqcs {
         failures.push((
@@ -360,9 +353,8 @@ fn run_case(case: &FuzzCase, report: &mut FuzzReport) -> Vec<(String, String)> {
     // The clean session must match a full recompute after every batch; the
     // sessions seeded under a spent budget or a fault are checked by their
     // verdict, seed included.
-    let inc_config = base.with_backend(backends[case.index % backends.len()]);
     let threads = 1 + case.index % 2;
-    let mut session = IncrementalSession::new(g.clone(), inc_config, threads);
+    let mut session = IncrementalSession::new(g.clone(), base, threads);
     let mut seeded = [
         ("partial-incremental-zero-budget", spent),
         ("partial-incremental-fail-anchor", faulted),
@@ -384,7 +376,7 @@ fn run_case(case: &FuzzCase, report: &mut FuzzReport) -> Vec<(String, String)> {
         }
         let outcome = session.update(delta);
         current = delta.apply(&current);
-        let full = Session::open(current.clone()).config(inc_config).run();
+        let full = Session::open(current.clone()).config(base).run();
         report.checks += 1;
         if session.family() != full.mqcs.as_slice() || !outcome.completeness.is_exact() {
             failures.push((
@@ -678,8 +670,8 @@ mod tests {
         assert_eq!(report.cases, 12);
         assert!(report.checks > 12 * 10);
         // Per case: DCFastQC and FastQC at three branchings, BDCFastQC and
-        // Quick+ at the default, each at two backends.
-        assert_eq!(report.grid_checks, 12 * (2 * 3 + 2) * 2);
+        // Quick+ at the default.
+        assert_eq!(report.grid_checks, 12 * (2 * 3 + 2));
         assert!(
             report.failures.is_empty(),
             "fuzz failures: {:?}",

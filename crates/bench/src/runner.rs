@@ -3,9 +3,7 @@
 
 use std::time::Duration;
 
-use mqce_core::{
-    AdjacencyBackend, Algorithm, BranchingStrategy, MqceConfig, SearchStats, Session, ThreadStats,
-};
+use mqce_core::{Algorithm, BranchingStrategy, MqceConfig, SearchStats, Session, ThreadStats};
 use mqce_graph::Graph;
 use serde::{Deserialize, Serialize};
 
@@ -66,8 +64,6 @@ pub struct RunRecord {
     pub algorithm: String,
     /// Branching strategy used (only meaningful for FastQC variants).
     pub branching: String,
-    /// Adjacency backend used by the searchers (`auto` / `slice` / `bitset`).
-    pub backend: String,
     /// Density threshold γ.
     pub gamma: f64,
     /// Size threshold θ.
@@ -184,8 +180,6 @@ pub struct AlgoSpec {
     pub branching: BranchingStrategy,
     /// `MAX_ROUND` for DC pruning.
     pub max_round: usize,
-    /// Adjacency backend the searchers use.
-    pub backend: AdjacencyBackend,
 }
 
 impl AlgoSpec {
@@ -196,7 +190,6 @@ impl AlgoSpec {
             algorithm: Algorithm::DcFastQc,
             branching: BranchingStrategy::default(),
             max_round: 2,
-            backend: AdjacencyBackend::Auto,
         }
     }
 
@@ -207,7 +200,6 @@ impl AlgoSpec {
             algorithm: Algorithm::QuickPlus,
             branching: BranchingStrategy::HybridSe,
             max_round: 1,
-            backend: AdjacencyBackend::Auto,
         }
     }
 
@@ -218,7 +210,6 @@ impl AlgoSpec {
             algorithm: Algorithm::FastQc,
             branching: BranchingStrategy::default(),
             max_round: 2,
-            backend: AdjacencyBackend::Auto,
         }
     }
 
@@ -229,7 +220,6 @@ impl AlgoSpec {
             algorithm: Algorithm::BasicDcFastQc,
             branching: BranchingStrategy::default(),
             max_round: 1,
-            backend: AdjacencyBackend::Auto,
         }
     }
 
@@ -240,7 +230,6 @@ impl AlgoSpec {
             algorithm: Algorithm::DcFastQc,
             branching,
             max_round: 2,
-            backend: AdjacencyBackend::Auto,
         }
     }
 
@@ -251,16 +240,7 @@ impl AlgoSpec {
             algorithm: Algorithm::DcFastQc,
             branching: BranchingStrategy::default(),
             max_round,
-            backend: AdjacencyBackend::Auto,
         }
-    }
-
-    /// The same configuration restricted to one adjacency backend (the
-    /// backend-comparison profile).
-    pub fn with_backend(mut self, label: &'static str, backend: AdjacencyBackend) -> Self {
-        self.label = label;
-        self.backend = backend;
-        self
     }
 }
 
@@ -291,7 +271,6 @@ pub fn measure_threads(
         .expect("benchmark parameters are valid")
         .with_algorithm(spec.algorithm)
         .with_branching(spec.branching)
-        .with_backend(spec.backend)
         .with_max_round(spec.max_round)
         .with_time_limit(time_limit);
     let threads = threads.max(1);
@@ -307,7 +286,6 @@ pub fn measure_threads(
         dataset: dataset.to_string(),
         algorithm: spec.label.to_string(),
         branching: format!("{:?}", spec.branching),
-        backend: spec.backend.name().to_string(),
         gamma,
         theta,
         max_round: spec.max_round,
@@ -497,23 +475,6 @@ mod tests {
         dedup.sort();
         dedup.dedup();
         assert_eq!(dedup.len(), labels.len());
-    }
-
-    #[test]
-    fn with_backend_overrides_label_and_backend() {
-        let spec = AlgoSpec::dcfastqc().with_backend("DCFastQC/slice", AdjacencyBackend::Slice);
-        assert_eq!(spec.label, "DCFastQC/slice");
-        assert_eq!(spec.backend, AdjacencyBackend::Slice);
-        let rec = measure(
-            "k5",
-            &Graph::complete(5),
-            spec,
-            0.9,
-            2,
-            Duration::from_secs(5),
-        );
-        assert_eq!(rec.backend, "slice");
-        assert_eq!(rec.mqcs, 1);
     }
 
     #[test]

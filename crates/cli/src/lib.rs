@@ -33,7 +33,7 @@ use std::time::Duration;
 use mqce_core::prelude::*;
 use mqce_core::query::find_mqcs_containing;
 use mqce_core::verify::verify_mqc_set;
-use mqce_core::{find_largest_mqcs, AdjacencyBackend, Algorithm, BranchingStrategy, PreparedGraph};
+use mqce_core::{find_largest_mqcs, Algorithm, BranchingStrategy, PreparedGraph};
 use mqce_graph::{formats, generators, Graph, GraphStats, VertexId};
 
 use args::{parse, ArgError, ParsedArgs};
@@ -81,7 +81,6 @@ USAGE:
   mqce stats <graph>
   mqce enumerate <graph> --gamma G --theta T [--algorithm A] [--branching B]
                  [--max-round N] [--threads N] [--steal-granularity N]
-                 [--backend K]
                  [--time-limit-secs S] [--print-sets] [--verify]
   mqce topk <graph> --gamma G [--k K]
   mqce query <graph> --gamma G --theta T --vertices V1,V2,...
@@ -103,8 +102,6 @@ ALGORITHMS (--algorithm): dcfastqc (default), fastqc, bdcfastqc, quickplus,
   quickplus-raw, naive.
 BRANCHING (--branching): sym (default), hybrid, se. All three find the same
   family; sym explored the fewest branches on every workload measured.
-BACKEND (--backend): auto (default; bitset kernel on dense subproblems),
-  slice (CSR binary search only), bitset (force the kernel when it fits).
 THREADS (--threads): worker count for the DC subproblems; 0 auto-detects
   the available parallelism of the machine. Default 1. Workers (one
   included) run a work-stealing scheduler; busy searchers split untaken
@@ -114,8 +111,8 @@ STEAL GRANULARITY (--steal-granularity): minimum number of untaken sibling
   branches a searcher donates per split (default 2); 0 disables
   intra-subproblem splitting (whole subproblems are still stolen).
 GENERATOR KINDS: er, ba, community, caveman, powerlaw, grid, hub.
-SERVE: the daemon loads the graph (plus degeneracy ordering and, when it
-  fits, the adjacency bit matrix) once and answers newline-delimited JSON
+SERVE: the daemon loads the graph (plus its core decomposition and
+  degeneracy ordering) once and answers newline-delimited JSON
   requests — {\"cmd\":\"enumerate\"|\"query\"|\"topk\"|\"ping\"|\"shutdown\", ...} with
   per-request gamma/theta/k/vertices/algorithm/threads/deadline_ms knobs.
   Complete answers land in an LRU result cache; at most --max-inflight
@@ -129,6 +126,8 @@ SERVE: the daemon loads the graph (plus degeneracy ordering and, when it
   every update is appended to a checksummed write-ahead log (fsync'd before
   it is applied; the response reports the wal_offset watermark) and replayed
   on startup, so a crashed daemon restarts to its exact pre-crash graph.
+  Only inserts grow the graph: an update whose k inserts name an id at or
+  above n + 2k (n = current vertex count) is refused before it is logged.
   --fault-injection enables the debug-only per-request fault field
   (panic | panic-locked | panic-worker:<v>) used by the containment tests.
 ";
@@ -195,7 +194,7 @@ pub fn save_graph(g: &Graph, path: &str) -> Result<(), CliError> {
     result.map_err(|e| CliError::Io(format!("cannot write {path}: {e}")))
 }
 
-// The three parsers map an omitted option to the type's `Default`, so each
+// The two parsers map an omitted option to the type's `Default`, so each
 // default lives only in `mqce_core::config`.
 fn parse_algorithm(raw: Option<&str>) -> Result<Algorithm, CliError> {
     let Some(raw) = raw else {
@@ -226,20 +225,6 @@ fn parse_branching(raw: Option<&str>) -> Result<BranchingStrategy, CliError> {
     }
 }
 
-fn parse_backend(raw: Option<&str>) -> Result<AdjacencyBackend, CliError> {
-    let Some(raw) = raw else {
-        return Ok(AdjacencyBackend::default());
-    };
-    match raw.to_ascii_lowercase().as_str() {
-        "auto" => Ok(AdjacencyBackend::Auto),
-        "slice" | "csr" => Ok(AdjacencyBackend::Slice),
-        "bitset" | "bitmatrix" => Ok(AdjacencyBackend::Bitset),
-        other => Err(CliError::Params(format!(
-            "unknown adjacency backend {other:?}"
-        ))),
-    }
-}
-
 /// Resolves the `--threads` value: `0` means "use every core the OS reports".
 fn resolve_threads(requested: usize) -> usize {
     if requested == 0 {
@@ -258,7 +243,6 @@ fn build_config(parsed: &ParsedArgs) -> Result<MqceConfig, CliError> {
         .map_err(|e| CliError::Params(e.to_string()))?
         .with_algorithm(parse_algorithm(parsed.get("algorithm"))?)
         .with_branching(parse_branching(parsed.get("branching"))?)
-        .with_backend(parse_backend(parsed.get("backend"))?)
         .with_max_round(parsed.get_usize("max-round", 2)?);
     if let Some(raw) = parsed.get("steal-granularity") {
         let granularity = raw.parse().map_err(|_| {
@@ -313,7 +297,6 @@ fn cmd_enumerate<W: Write>(parsed: &ParsedArgs, out: &mut W) -> Result<(), CliEr
         "theta",
         "algorithm",
         "branching",
-        "backend",
         "max-round",
         "threads",
         "steal-granularity",
@@ -430,7 +413,6 @@ fn cmd_query<W: Write>(parsed: &ParsedArgs, out: &mut W) -> Result<(), CliError>
         "theta",
         "vertices",
         "branching",
-        "backend",
         "time-limit-secs",
         "print-sets",
     ])?;
@@ -803,35 +785,21 @@ mod tests {
         assert_eq!(count(&auto), count(&seq));
     }
 
+    /// The adjacency representation is chosen from the input alone, so
+    /// there is no `--backend` option to accept.
     #[test]
-    fn backend_flag_is_accepted_and_consistent() {
+    fn backend_flag_is_an_unknown_option() {
         let path = write_paper_graph("backend.txt");
-        let mut outputs = Vec::new();
-        for backend in ["auto", "slice", "bitset"] {
-            let out = run_capture(&[
-                "enumerate",
-                &path,
-                "--gamma",
-                "0.6",
-                "--theta",
-                "3",
-                "--backend",
-                backend,
-                "--verify",
-                "--print-sets",
-            ])
-            .unwrap();
-            assert!(out.contains("verification     ok"), "{backend}: {out}");
-            // Keep only the reported sets for cross-backend comparison.
-            let sets: Vec<&str> = out
-                .lines()
-                .filter(|l| l.chars().next().is_some_and(|c| c.is_ascii_digit()))
-                .collect();
-            outputs.push(sets.join("\n"));
+        for argv in [
+            vec!["enumerate", &path, "--backend", "slice"],
+            vec!["query", &path, "--vertices", "0", "--backend", "slice"],
+        ] {
+            let err = run_capture(&argv).unwrap_err();
+            assert!(
+                matches!(&err, CliError::Args(ArgError::Unknown(opt)) if opt == "backend"),
+                "{argv:?}: {err}"
+            );
         }
-        assert_eq!(outputs[0], outputs[1], "auto vs slice outputs differ");
-        assert_eq!(outputs[1], outputs[2], "slice vs bitset outputs differ");
-        assert!(run_capture(&["enumerate", &path, "--backend", "alien"]).is_err());
     }
 
     #[test]

@@ -8,11 +8,13 @@
 //!
 //! A request selects a command (`enumerate`, `query`, `topk`, `ping`,
 //! `update`, `shutdown`) and may override any of the per-request knobs (γ,
-//! θ, k, algorithm, branching, adjacency backend, worker threads, a relative
-//! deadline in milliseconds). `update` carries `insert` / `delete` edge
-//! lists (`[[u, v], …]`). Responses echo the request `id` and carry the
-//! result plus `cached` / `best_effort` / `s2_timed_out` status flags. The
-//! last two render the answer's [`mqce_core::Completeness`]: `best_effort`
+//! θ, k, algorithm, branching, worker threads, a relative deadline in
+//! milliseconds). `update` carries `insert` / `delete` edge lists
+//! (`[[u, v], …]`); only inserts grow the graph, and a batch of `k` inserts
+//! on an `n`-vertex graph may name ids below `n + 2k` only (the daemon
+//! refuses a larger one before logging it). Responses echo the request
+//! `id` and carry the result plus `cached` / `best_effort` /
+//! `s2_timed_out` status flags. The last two render the answer's [`mqce_core::Completeness`]: `best_effort`
 //! marks a partial answer (never cached; a contained worker panic also
 //! adds `contained_panics`/`panicked_anchor`), `s2_timed_out` one whose S2
 //! pass hit its deadline.
@@ -55,8 +57,6 @@ pub struct Request {
     pub algorithm: Option<String>,
     /// Branching strategy (same values as `--branching`).
     pub branching: Option<String>,
-    /// Adjacency backend (same values as `--backend`).
-    pub backend: Option<String>,
     /// Worker threads for this request (1 = sequential).
     pub threads: usize,
     /// Relative deadline for the whole request, in milliseconds, measured
@@ -93,7 +93,6 @@ impl Default for Request {
             delete: Vec::new(),
             algorithm: None,
             branching: None,
-            backend: None,
             threads: 1,
             deadline_ms: None,
             no_cache: false,
@@ -264,7 +263,6 @@ impl Request {
                 "delete" => req.delete = as_edges(v, "delete")?,
                 "algorithm" => req.algorithm = Some(as_str(v, "algorithm")?),
                 "branching" => req.branching = Some(as_str(v, "branching")?),
-                "backend" => req.backend = Some(as_str(v, "backend")?),
                 "threads" => req.threads = as_usize(v, "threads")?,
                 "deadline_ms" => req.deadline_ms = Some(as_usize(v, "deadline_ms")? as u64),
                 "no_cache" => req.no_cache = as_bool(v, "no_cache")?,
@@ -322,7 +320,6 @@ impl Request {
         for (key, opt) in [
             ("algorithm", &self.algorithm),
             ("branching", &self.branching),
-            ("backend", &self.backend),
         ] {
             if let Some(s) = opt {
                 push(key, Value::Str(s.clone()));
@@ -355,7 +352,7 @@ impl Request {
     }
 
     /// The engine configuration this request asks for: its γ and θ plus
-    /// the algorithm, branching and adjacency-backend knobs, parsed as the
+    /// the algorithm and branching knobs, parsed as the
     /// CLI parses its flags (an omitted knob takes the engine's default).
     ///
     /// # Errors
@@ -365,8 +362,7 @@ impl Request {
         Ok(MqceConfig::new(self.gamma, self.theta)
             .map_err(|e| e.to_string())?
             .with_algorithm(crate::parse_algorithm(self.algorithm.as_deref()).map_err(knob)?)
-            .with_branching(crate::parse_branching(self.branching.as_deref()).map_err(knob)?)
-            .with_backend(crate::parse_backend(self.backend.as_deref()).map_err(knob)?))
+            .with_branching(crate::parse_branching(self.branching.as_deref()).map_err(knob)?))
     }
 
     /// Canonical cache key: graph fingerprint plus every parameter that can
@@ -385,15 +381,18 @@ impl Request {
         vertices.dedup();
         let verts: Vec<String> = vertices.iter().map(|v| v.to_string()).collect();
         format!(
-            "{fingerprint:016x}|{cmd}|g={gamma}|t={theta}|k={k}|v={verts}|a={alg:?}|br={br:?}|ab={ab:?}",
+            "{fingerprint:016x}|{cmd}|g={gamma}|t={theta}|k={k}|v={verts}|a={alg:?}|br={br:?}",
             cmd = self.cmd,
             gamma = config.params.gamma,
-            theta = if self.cmd == "topk" { 0 } else { config.params.theta },
+            theta = if self.cmd == "topk" {
+                0
+            } else {
+                config.params.theta
+            },
             k = if self.cmd == "topk" { self.k } else { 0 },
             verts = verts.join(","),
             alg = config.algorithm,
             br = config.branching,
-            ab = config.params.backend,
         )
     }
 }
@@ -581,6 +580,19 @@ mod tests {
         assert!(Request::parse_line(r#"[1,2]"#).is_err());
     }
 
+    /// The adjacency representation is chosen from the input, not by the
+    /// request: a `backend` field is an unknown field like any typo.
+    #[test]
+    fn backend_field_is_rejected_as_unknown() {
+        for value in [r#""slice""#, r#""auto""#] {
+            let line = format!(r#"{{"cmd":"enumerate","backend":{value}}}"#);
+            assert_eq!(
+                Request::parse_line(&line).unwrap_err(),
+                "unknown request field `backend`"
+            );
+        }
+    }
+
     /// The key a daemon computes for `req` on a graph with `fingerprint`.
     fn key(req: &Request, fingerprint: u64) -> String {
         req.cache_key(fingerprint, &req.config().expect("a valid request"))
@@ -606,27 +618,25 @@ mod tests {
         other.gamma = 0.9;
         assert_ne!(key(&base, 42), key(&other, 42));
         assert_ne!(key(&base, 42), key(&base, 43));
-        let with = |algorithm: &str, branching: &str, backend: &str| Request {
+        let with = |algorithm: &str, branching: &str| Request {
             algorithm: Some(algorithm.to_string()),
             branching: Some(branching.to_string()),
-            backend: Some(backend.to_string()),
             ..base.clone()
         };
         // Explicit defaults, in any case, key like omitted options.
-        assert_eq!(key(&base, 42), key(&with("DCFastQC", "Sym", "AUTO"), 42));
-        assert_eq!(key(&base, 42), key(&with("dc", "sym-se", "auto"), 42));
+        assert_eq!(key(&base, 42), key(&with("DCFastQC", "Sym"), 42));
+        assert_eq!(key(&base, 42), key(&with("dc", "sym-se"), 42));
         // Aliases of one value share a key; distinct values do not.
         assert_eq!(
-            key(&with("quick+", "hybrid", "csr"), 42),
-            key(&with("quickplus", "hybrid-se", "slice"), 42)
+            key(&with("quick+", "hybrid"), 42),
+            key(&with("quickplus", "hybrid-se"), 42)
         );
         assert_eq!(
-            key(&with("bdcfastqc", "se", "bitset"), 42),
-            key(&with("basic-dc", "SE", "bitmatrix"), 42)
+            key(&with("bdcfastqc", "se"), 42),
+            key(&with("basic-dc", "SE"), 42)
         );
-        assert_ne!(key(&base, 42), key(&with("dcfastqc", "hybrid", "auto"), 42));
-        assert_ne!(key(&base, 42), key(&with("fastqc", "sym", "auto"), 42));
-        assert_ne!(key(&base, 42), key(&with("dcfastqc", "sym", "slice"), 42));
+        assert_ne!(key(&base, 42), key(&with("dcfastqc", "hybrid"), 42));
+        assert_ne!(key(&base, 42), key(&with("fastqc", "sym"), 42));
         // top-k ignores θ (each round sets its own) but not k.
         let topk = Request {
             cmd: "topk".to_string(),

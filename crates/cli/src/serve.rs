@@ -2,11 +2,11 @@
 //!
 //! Loading a large graph and computing its degeneracy ordering dominates the
 //! cost of small interactive queries, so the daemon does that work once: the
-//! graph, its core decomposition and (when it fits) the adjacency bit matrix
-//! are packed into a [`PreparedGraph`] behind an `Arc` and shared read-only
-//! by every connection. Requests arrive as newline-delimited JSON (see
-//! [`crate::protocol`]) over TCP or a Unix socket; each connection gets its
-//! own thread and is answered in order.
+//! graph and its core decomposition are packed into a [`PreparedGraph`]
+//! behind an `Arc` and shared read-only by every connection. Requests
+//! arrive as newline-delimited JSON (see [`crate::protocol`]) over TCP or a
+//! Unix socket; each connection gets its own thread and is answered in
+//! order.
 //!
 //! Three mechanisms keep the daemon responsive:
 //!
@@ -523,7 +523,6 @@ fn serve_record(label: &str, summary: ServeSummary) -> mqce_bench::runner::RunRe
         dataset: label.to_string(),
         algorithm: "serve".to_string(),
         branching: "-".to_string(),
-        backend: "-".to_string(),
         s2_backend: "-".to_string(),
         serve_requests: summary.requests,
         serve_cache_hits: summary.cache_hits,
@@ -849,6 +848,23 @@ fn update_response(state: &ServerState, req: &Request, arrival: Instant) -> Resp
     // One update at a time: apply → prepare → swap → re-key is atomic with
     // respect to other updates. Readers keep using their snapshots.
     let _updating = unpoison(state.update_lock.lock());
+    let old = state.snapshot();
+
+    // Refuse ids the batch cannot grow the graph to before anything is
+    // logged: applying one would allocate CSR offsets for every skipped id,
+    // and a logged one would be replayed on every restart.
+    let n = old.graph().num_vertices();
+    if let Some(v) = delta.insert_beyond_growth(n) {
+        return Response::failure(
+            req.id.clone(),
+            format!(
+                "insert endpoint {v} is out of range: {} inserts may grow this \
+                 {n}-vertex graph to ids below {}",
+                delta.inserts().len(),
+                n + 2 * delta.inserts().len()
+            ),
+        );
+    }
 
     // Durability first: the delta is checksummed and fsync'd to the WAL
     // *before* it is applied, so a daemon killed at any later point replays
@@ -870,7 +886,6 @@ fn update_response(state: &ServerState, req: &Request, arrival: Instant) -> Resp
         None => None,
     };
 
-    let old = state.snapshot();
     let old_fingerprint = old.fingerprint();
     let (prepared, dirty, core_changed) = old.apply_delta(&delta, &mut SubproblemScratch::new());
     let prepared = Arc::new(prepared);
@@ -1337,7 +1352,6 @@ fn request_from_flags(parsed: &ParsedArgs, cmd: &str) -> Result<Request, CliErro
         delete: parse_edge_list(parsed, "delete")?,
         algorithm: parsed.get("algorithm").map(str::to_string),
         branching: parsed.get("branching").map(str::to_string),
-        backend: parsed.get("backend").map(str::to_string),
         threads: parsed.get_usize("threads", 1)?,
         deadline_ms: match parsed.get("deadline-ms") {
             Some(_) => Some(parsed.get_u64("deadline-ms", 0)?),
@@ -1370,7 +1384,6 @@ pub(crate) fn cmd_client<W: Write>(parsed: &ParsedArgs, out: &mut W) -> Result<(
         "delete",
         "algorithm",
         "branching",
-        "backend",
         "threads",
         "deadline-ms",
         "no-cache",

@@ -425,6 +425,77 @@ fn malformed_and_invalid_requests_get_error_responses() {
     assert_eq!(summary.errors, 3);
 }
 
+/// An `update` naming a vertex its batch cannot grow the graph to is refused
+/// before it reaches the WAL: the log, the fingerprint and the vertex count
+/// stay put and the daemon keeps answering. A delete endpoint beyond the
+/// graph is a no-op, not a growth.
+#[test]
+fn out_of_range_updates_are_refused_before_the_wal() {
+    use std::sync::{Arc, Mutex};
+
+    let dir = std::env::temp_dir().join(format!("mqce_update_range_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let wal_path = dir.join("updates.wal");
+    let _ = std::fs::remove_file(&wal_path);
+    let (wal, replayed) = mqce_graph::WriteAheadLog::open(&wal_path).unwrap();
+    assert!(replayed.is_empty());
+    let settings = ServeSettings {
+        wal: Some(Arc::new(Mutex::new(wal))),
+        ..ServeSettings::default()
+    };
+    let graph = test_graph(60, 26);
+    let n = graph.num_vertices() as f64;
+    let (addr, handle) = start_daemon(graph, settings);
+    let ping = Request {
+        cmd: "ping".to_string(),
+        ..Request::default()
+    };
+    let state = || {
+        let pong = roundtrip(addr, &ping);
+        assert!(pong.ok, "ping failed: {:?}", pong.error);
+        (
+            pong.extra_str("fingerprint").unwrap().to_string(),
+            std::fs::metadata(&wal_path).unwrap().len(),
+        )
+    };
+    let update = |insert: Vec<(u32, u32)>, delete: Vec<(u32, u32)>| {
+        roundtrip(
+            addr,
+            &Request {
+                cmd: "update".to_string(),
+                insert,
+                delete,
+                ..Request::default()
+            },
+        )
+    };
+
+    let before = state();
+    // One insert may name ids up to n + 1; 100,000 is far past that.
+    let refused = update(vec![(0, 100_000)], vec![]);
+    assert!(!refused.ok);
+    assert!(
+        refused.error.as_deref().unwrap().contains("out of range"),
+        "{:?}",
+        refused.error
+    );
+    assert_eq!(
+        state(),
+        before,
+        "a refused update must not touch the graph or the WAL"
+    );
+
+    // A delete naming an absent vertex is logged and applied as a no-op.
+    let noop = update(vec![], vec![(0, 100_000)]);
+    assert!(noop.ok, "error: {:?}", noop.error);
+    assert_eq!(noop.extra_num("vertices"), Some(n));
+    assert_eq!(state().0, before.0);
+
+    shutdown(addr);
+    handle.join().expect("daemon thread");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn injected_faults_are_contained_and_the_daemon_keeps_serving() {
     let graph = test_graph(60, 21);

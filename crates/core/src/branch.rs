@@ -15,9 +15,9 @@
 //! time, exactly as the paper's complexity analysis assumes (Section 4.1).
 //!
 //! In addition to the degree arrays, the context optionally carries a packed
-//! bitset adjacency kernel ([`AdjacencyMatrix`]). When present (dense
-//! subproblems below the adaptive threshold, see
-//! [`AdjacencyBackend`](crate::config::AdjacencyBackend)), edge tests become
+//! bitset adjacency kernel ([`AdjacencyMatrix`]). When present (small or
+//! dense subproblems within the memory cap, see
+//! [`AdjacencyMatrix::adaptive_for`]), edge tests become
 //! `O(1)` word loads, the Rule-1 adjacency counting becomes a popcount over a
 //! critical-vertex mask, and the QC predicate evaluated at every emission
 //! point runs word-parallel instead of via per-vertex binary searches.
@@ -29,7 +29,7 @@ use mqce_graph::bitset::{AdjacencyMatrix, BitSet};
 use mqce_graph::{Graph, VertexId};
 use mqce_settrie::SetArena;
 
-use crate::config::{AdjacencyBackend, MqceParams};
+use crate::config::MqceParams;
 use crate::quasiclique::{is_quasi_clique_in, no_single_vertex_extension_in, tau, QcScratch, EPS};
 use crate::scheduler::{SplitRequest, SplitSink};
 use crate::stats::{SearchStats, ThreadStats};
@@ -178,8 +178,9 @@ impl<'g> SearchCtx<'g> {
 
     /// [`SearchCtx::new`] with an optionally pre-built adjacency kernel
     /// (typically the one the DC driver attached to the subproblem's induced
-    /// subgraph). When none is supplied, the backend policy in `params`
-    /// decides whether the context builds its own.
+    /// subgraph). When none is supplied, the adjacency policy
+    /// ([`MqceParams::uses_kernel`]) decides whether the context builds its
+    /// own.
     ///
     /// `bufs` is reset for this subproblem (clearing any previously emitted
     /// sets) and reused; after warmup, context construction performs no heap
@@ -194,17 +195,11 @@ impl<'g> SearchCtx<'g> {
         bufs: &'g mut SearchScratch,
     ) -> Self {
         let n = g.num_vertices();
-        let kernel: Option<Cow<'g, AdjacencyMatrix>> = match params.backend {
-            AdjacencyBackend::Slice => None,
-            AdjacencyBackend::Auto => kernel.map(Cow::Borrowed).or_else(|| {
-                AdjacencyMatrix::adaptive_for(n, g.num_edges())
-                    .then(|| Cow::Owned(AdjacencyMatrix::from_graph(g)))
-            }),
-            AdjacencyBackend::Bitset => kernel.map(Cow::Borrowed).or_else(|| {
-                AdjacencyMatrix::recommended_for(n)
-                    .then(|| Cow::Owned(AdjacencyMatrix::from_graph(g)))
-            }),
-        };
+        let kernel: Option<Cow<'g, AdjacencyMatrix>> = kernel.map(Cow::Borrowed).or_else(|| {
+            params
+                .uses_kernel(n, g.num_edges())
+                .then(|| Cow::Owned(AdjacencyMatrix::from_graph(g)))
+        });
         bufs.reset(n, kernel.as_deref().map(|m| m.num_vertices()));
         let ctx = SearchCtx {
             g,
@@ -245,6 +240,12 @@ impl<'g> SearchCtx<'g> {
     pub(crate) fn with_splitter(mut self, splitter: &'g dyn SplitSink) -> Self {
         self.splitter = Some(splitter);
         self
+    }
+
+    /// Whether this context answers adjacency from a bitset kernel.
+    #[cfg(test)]
+    pub(crate) fn has_kernel(&self) -> bool {
+        self.kernel.is_some()
     }
 
     /// Consumes the context, producing the final statistics. The emitted

@@ -2,44 +2,17 @@
 
 use std::time::Duration;
 
+use mqce_graph::bitset::AdjacencyMatrix;
 use mqce_settrie::S2Backend;
-
-/// Which adjacency representation the branch-and-bound searchers use for
-/// edge tests, subset-degree counts and the QC predicate.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum AdjacencyBackend {
-    /// Build the packed bitset kernel per (sub)graph when the adaptive
-    /// size/density threshold recommends it, fall back to sorted slices
-    /// otherwise. The default.
-    #[default]
-    Auto,
-    /// Always use the CSR sorted-slice path (binary-search edge tests).
-    Slice,
-    /// Build the bitset kernel whenever the memory cap allows, even for
-    /// sparse subproblems (used by the backend-comparison benchmarks).
-    Bitset,
-}
-
-impl AdjacencyBackend {
-    /// Human-readable name used by the experiment harness.
-    pub fn name(&self) -> &'static str {
-        match self {
-            AdjacencyBackend::Auto => "auto",
-            AdjacencyBackend::Slice => "slice",
-            AdjacencyBackend::Bitset => "bitset",
-        }
-    }
-}
 
 /// Default [`MqceParams::steal_granularity`]: donate only when at least this
 /// many untaken sibling branches are available to package into split tasks.
 pub const DEFAULT_STEAL_GRANULARITY: usize = 2;
 
 /// Problem parameters of MQCE: the density threshold `γ` and the size
-/// threshold `θ` (Problem 1 of the paper), plus the adjacency backend the
-/// searchers should use and the work-stealing split granularity
-/// (implementation knobs, carried here so they reach every search entry
-/// point without widening their signatures).
+/// threshold `θ` (Problem 1 of the paper), plus the work-stealing split
+/// granularity (an implementation knob, carried here so it reaches every
+/// search entry point without widening their signatures).
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct MqceParams {
     /// Density threshold `γ ∈ [0.5, 1]`: every vertex of a quasi-clique `H`
@@ -48,8 +21,6 @@ pub struct MqceParams {
     /// Size threshold `θ ≥ 1`: only maximal quasi-cliques with at least `θ`
     /// vertices are enumerated.
     pub theta: usize,
-    /// Adjacency backend used by the branch-and-bound searchers.
-    pub backend: AdjacencyBackend,
     /// Minimum number of untaken sibling branches a searcher must hold
     /// before it donates them as split tasks to hungry workers (the
     /// `--steal-granularity` knob of the work-stealing DC scheduler).
@@ -64,6 +35,11 @@ pub struct MqceParams {
     /// `None` outside those paths.
     #[doc(hidden)]
     pub fail_anchor: Option<mqce_graph::VertexId>,
+    /// Unit-test seam of [`MqceParams::uses_kernel`]: `Some(on)` forces the
+    /// bitset kernel on (within the memory cap) or off at both places that
+    /// build one, so the tests can check the two adjacency paths agree.
+    #[cfg(test)]
+    pub(crate) force_kernel: Option<bool>,
 }
 
 impl MqceParams {
@@ -83,22 +59,30 @@ impl MqceParams {
         Ok(MqceParams {
             gamma,
             theta,
-            backend: AdjacencyBackend::default(),
             steal_granularity: DEFAULT_STEAL_GRANULARITY,
             fail_anchor: None,
+            #[cfg(test)]
+            force_kernel: None,
         })
-    }
-
-    /// Sets the adjacency backend.
-    pub fn with_backend(mut self, backend: AdjacencyBackend) -> Self {
-        self.backend = backend;
-        self
     }
 
     /// Sets the work-stealing split granularity (`0` disables splitting).
     pub fn with_steal_granularity(mut self, granularity: usize) -> Self {
         self.steal_granularity = granularity;
         self
+    }
+
+    /// Whether a searcher over a (sub)graph of `n` vertices and `num_edges`
+    /// edges answers adjacency from the packed bitset kernel rather than the
+    /// sorted CSR slices. The one rule is [`AdjacencyMatrix::adaptive_for`],
+    /// read by both places that build a kernel: the DC subproblem builder
+    /// and the whole-graph/query search context.
+    pub(crate) fn uses_kernel(&self, n: usize, num_edges: usize) -> bool {
+        #[cfg(test)]
+        if let Some(on) = self.force_kernel {
+            return on && AdjacencyMatrix::recommended_for(n);
+        }
+        AdjacencyMatrix::adaptive_for(n, num_edges)
     }
 }
 
@@ -233,12 +217,6 @@ impl MqceConfig {
         self
     }
 
-    /// Sets the adjacency backend used by the searchers.
-    pub fn with_backend(mut self, backend: AdjacencyBackend) -> Self {
-        self.params.backend = backend;
-        self
-    }
-
     /// Sets the work-stealing split granularity of the DC scheduler
     /// (`0` disables intra-subproblem splitting).
     pub fn with_steal_granularity(mut self, granularity: usize) -> Self {
@@ -293,12 +271,10 @@ mod tests {
             .with_algorithm(Algorithm::FastQc)
             .with_branching(BranchingStrategy::SymSe)
             .with_max_round(3)
-            .with_backend(AdjacencyBackend::Bitset)
             .with_time_limit(Duration::from_secs(10));
         assert_eq!(cfg.algorithm, Algorithm::FastQc);
         assert_eq!(cfg.branching, BranchingStrategy::SymSe);
         assert_eq!(cfg.max_round, 3);
-        assert_eq!(cfg.params.backend, AdjacencyBackend::Bitset);
         assert!(cfg.time_limit.is_some());
         assert_eq!(cfg.with_s2_backend(S2Backend::Extremal), cfg);
     }
@@ -310,23 +286,6 @@ mod tests {
         assert_eq!(p.with_steal_granularity(0).steal_granularity, 0);
         let cfg = MqceConfig::new(0.9, 2).unwrap().with_steal_granularity(7);
         assert_eq!(cfg.params.steal_granularity, 7);
-    }
-
-    #[test]
-    fn backend_defaults_and_names() {
-        let p = MqceParams::new(0.9, 2).unwrap();
-        assert_eq!(p.backend, AdjacencyBackend::Auto);
-        let p = p.with_backend(AdjacencyBackend::Slice);
-        assert_eq!(p.backend, AdjacencyBackend::Slice);
-        let names: Vec<_> = [
-            AdjacencyBackend::Auto,
-            AdjacencyBackend::Slice,
-            AdjacencyBackend::Bitset,
-        ]
-        .iter()
-        .map(|b| b.name())
-        .collect();
-        assert_eq!(names, vec!["auto", "slice", "bitset"]);
     }
 
     #[test]

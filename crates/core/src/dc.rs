@@ -20,7 +20,7 @@ use mqce_graph::subgraph::InducedSubgraph;
 use mqce_graph::{Graph, SubproblemScratch, VertexId};
 
 use crate::branch::{SearchCtx, SearchOutcome, SearchScratch};
-use crate::config::{AdjacencyBackend, BranchingStrategy, MqceParams};
+use crate::config::{BranchingStrategy, MqceParams};
 use crate::fastqc::FastQc;
 use crate::prepared::PreparedGraph;
 use crate::quasiclique::{required_degree, tau};
@@ -49,10 +49,11 @@ impl InnerAlgorithm {
     /// [v_i]` and the pruned two-hop candidates, or a donated branch), the
     /// whole-graph algorithms (`s_init = []`, every vertex) and query search
     /// (`s_init` = the query). `kernel` is a bitset kernel already built
-    /// over `g`; without one the backend policy in `params` decides whether
-    /// to build it. While branching at shallow depths the searcher polls
-    /// `splitter` and, when a worker is hungry, donates its untaken sibling
-    /// branches instead of exploring them itself.
+    /// over `g`; without one the adjacency policy
+    /// ([`MqceParams::uses_kernel`]) decides whether to build it. While
+    /// branching at shallow depths the searcher polls `splitter` and, when a
+    /// worker is hungry, donates its untaken sibling branches instead of
+    /// exploring them itself.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn search(
         self,
@@ -255,12 +256,10 @@ pub(crate) fn build_subproblem_in(
     // Attach the bitset kernel for dense subproblems: the subgraph is
     // relabelled to 0..n, so the matrix rows are dense and are shared by the
     // pruning rounds, the searcher and its emission checks.
-    let sub = InducedSubgraph::new_in(rg, &scratch.ball, &mut scratch.sub);
-    let sub = match params.backend {
-        AdjacencyBackend::Slice => sub,
-        AdjacencyBackend::Auto => sub.with_adjacency(false),
-        AdjacencyBackend::Bitset => sub.with_adjacency(true),
-    };
+    let mut sub = InducedSubgraph::new_in(rg, &scratch.ball, &mut scratch.sub);
+    if params.uses_kernel(sub.len(), sub.graph.num_edges()) {
+        sub = sub.with_adjacency();
+    }
     let local_vi = sub
         .local(vi)
         .expect("anchor vertex is always in its own 2-hop ball");
@@ -486,6 +485,56 @@ mod tests {
                 check_dc_against_oracle(&g, gamma, theta, DcConfig::basic());
             }
         }
+    }
+
+    /// The adjacency seam reaches both places that build a kernel: the DC
+    /// subproblem builder and the whole-graph search context. Forced off,
+    /// nothing carries a kernel; forced on, everything within the memory cap
+    /// does; left alone, each follows [`AdjacencyMatrix::adaptive_for`].
+    #[test]
+    fn kernel_seam_reaches_both_decision_points() {
+        // A 600-leaf star: a leaf's later-ranked two-hop ball holds the
+        // centre and the later leaves, over 512 vertices with one edge per
+        // leaf, so the adaptive rule keeps the slices on the larger balls
+        // and on the whole graph.
+        let g = Graph::star(601);
+        assert!(!AdjacencyMatrix::adaptive_for(601, g.num_edges()));
+        let mut adaptive_said_no = false;
+        for force in [None, Some(false), Some(true)] {
+            let mut p = params(0.5, 2);
+            p.force_kernel = force;
+            let plan = DcPlan::for_graph(&g, p, DcConfig::paper_default());
+            let (mut scratch, mut stats) = (DcScratch::default(), SearchStats::default());
+            let mut built = 0;
+            for &vi in &plan.ordering {
+                let Some((sub, _)) = build_subproblem_in(&plan, vi, &mut stats, &mut scratch)
+                else {
+                    continue;
+                };
+                let (n, m) = (sub.len(), sub.graph.num_edges());
+                assert!(AdjacencyMatrix::recommended_for(n));
+                let adaptive = AdjacencyMatrix::adaptive_for(n, m);
+                adaptive_said_no |= !adaptive;
+                let expected = force.unwrap_or(adaptive);
+                assert_eq!(sub.adjacency.is_some(), expected, "{force:?}: n={n} m={m}");
+                built += 1;
+                scratch.sub.recycle(sub);
+            }
+            assert!(built > 0, "{force:?}: every subproblem was pruned away");
+
+            let cand: Vec<VertexId> = g.vertices().collect();
+            let mut bufs = SearchScratch::default();
+            let ctx = SearchCtx::new(&g, p, &[], &cand, None, &mut bufs);
+            assert_eq!(
+                ctx.has_kernel(),
+                force == Some(true),
+                "{force:?}: whole graph"
+            );
+        }
+        assert!(
+            adaptive_said_no,
+            "the default never differed from forced-on"
+        );
     }
 
     #[test]

@@ -60,9 +60,7 @@ pub mod verify;
 
 pub use branch::SearchOutcome;
 pub use completeness::Completeness;
-pub use config::{
-    AdjacencyBackend, Algorithm, BranchingStrategy, MqceConfig, MqceParams, ParamError,
-};
+pub use config::{Algorithm, BranchingStrategy, MqceConfig, MqceParams, ParamError};
 pub use incremental::{IncrementalSession, UpdateOutcome};
 /// Remains for the benchmark harness, which names it through this crate.
 pub use mqce_settrie::S2Backend;
@@ -78,9 +76,7 @@ pub use verify::{
 
 /// Commonly used items, re-exported for convenient glob imports.
 pub mod prelude {
-    pub use crate::config::{
-        AdjacencyBackend, Algorithm, BranchingStrategy, MqceConfig, MqceParams,
-    };
+    pub use crate::config::{Algorithm, BranchingStrategy, MqceConfig, MqceParams};
     pub use crate::pipeline::{enumerate_mqcs_default, solve_s1, MqceResult};
     pub use crate::quasiclique::is_quasi_clique;
     pub use crate::session::Session;

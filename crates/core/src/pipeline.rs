@@ -638,4 +638,130 @@ mod tests {
             assert_eq!(result.mqcs, reference, "branching {branching:?} disagrees");
         }
     }
+
+    // ---- The two adjacency paths: bitset kernel vs sorted CSR slices ----
+    //
+    // `MqceParams::uses_kernel` picks the path from the input. These tests
+    // force it on and off through the test-only `force_kernel` seam and
+    // assert the two paths agree exactly on every configuration, including
+    // graphs too large for the oracle, where the two paths check each other.
+
+    const GAMMAS: [f64; 4] = [0.5, 0.7, 0.9, 1.0];
+    const THETAS: [usize; 3] = [2, 3, 4];
+
+    fn random_graph(rng: &mut rand::rngs::StdRng, n: usize, p: f64) -> Graph {
+        use rand::Rng;
+        let mut edges = Vec::new();
+        for u in 0..n as u32 {
+            for v in (u + 1)..n as u32 {
+                if rng.gen_bool(p) {
+                    edges.push((u, v));
+                }
+            }
+        }
+        Graph::from_edges(n, &edges)
+    }
+
+    /// `config` with the bitset kernel forced on (`Some(true)`), forced off
+    /// (`Some(false)`) or left to the adaptive rule (`None`).
+    fn with_kernel(mut config: MqceConfig, force: Option<bool>) -> MqceConfig {
+        config.params.force_kernel = force;
+        config
+    }
+
+    /// Runs `config` with the kernel forced on and forced off, asserting the
+    /// two paths agree on the maximal sets, on the raw S1 output and on the
+    /// branch count: the kernel changes how adjacency is answered, never
+    /// what the search explores or emits.
+    fn assert_paths_agree(g: &Graph, config: MqceConfig, label: &str) {
+        let slices = run(g, &with_kernel(config, Some(false)));
+        let kernel = run(g, &with_kernel(config, Some(true)));
+        let cell = format!(
+            "{label}: {:?}, gamma={}, theta={}",
+            config.algorithm, config.params.gamma, config.params.theta
+        );
+        assert_eq!(slices.mqcs, kernel.mqcs, "{cell}: paths disagree on MQCs");
+        assert_eq!(
+            slices.qcs, kernel.qcs,
+            "{cell}: paths disagree on raw S1 output"
+        );
+        assert_eq!(
+            slices.stats.branches, kernel.stats.branches,
+            "{cell}: paths explored different search trees"
+        );
+    }
+
+    /// Every algorithm × (γ, θ) cell of the grid.
+    fn sweep_paths(g: &Graph, label: &str) {
+        for gamma in GAMMAS {
+            for theta in THETAS {
+                for algorithm in [Algorithm::DcFastQc, Algorithm::FastQc, Algorithm::QuickPlus] {
+                    let config = MqceConfig::new(gamma, theta)
+                        .unwrap()
+                        .with_algorithm(algorithm);
+                    assert_paths_agree(g, config, label);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn kernel_and_slices_agree_on_random_graphs_across_full_grid() {
+        // Seeded G(n, p) graphs sweeping size and density. Sizes are capped
+        // because the low-γ grid cells are exponential on dense graphs.
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0xB175E7);
+        for case in 0..10 {
+            let n = rng.gen_range(10..17);
+            let p = rng.gen_range(0.15..0.85);
+            let g = random_graph(&mut rng, n, p);
+            sweep_paths(&g, &format!("case {case} (n={n}, p={p:.2})"));
+        }
+    }
+
+    #[test]
+    fn kernel_and_slices_agree_on_structured_and_degenerate_graphs() {
+        sweep_paths(&Graph::paper_figure1(), "paper figure 1");
+        sweep_paths(&Graph::complete(9), "K9");
+        sweep_paths(&Graph::star(8), "star8");
+        sweep_paths(&Graph::empty(0), "empty");
+        sweep_paths(&Graph::empty(5), "5 isolated vertices");
+    }
+
+    #[test]
+    fn kernel_and_slices_agree_across_word_boundary_graphs() {
+        // Vertices beyond id 64 exercise the multi-word rows of the kernel.
+        // Sparse enough to keep the low-γ grid cells tractable, and swept at
+        // the dense-community shape only for the strong-pruning γ values.
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x60D);
+        let sparse = random_graph(&mut rng, 80, 0.08);
+        sweep_paths(&sparse, "word-boundary G(80, 0.08)");
+        let dense = random_graph(&mut rng, 70, 0.5);
+        for theta in [4, 6] {
+            for algorithm in [Algorithm::DcFastQc, Algorithm::QuickPlus] {
+                let config = MqceConfig::new(0.9, theta)
+                    .unwrap()
+                    .with_algorithm(algorithm);
+                assert_paths_agree(&dense, config, "word-boundary G(70, 0.5)");
+            }
+        }
+    }
+
+    #[test]
+    fn adaptive_rule_matches_forced_paths() {
+        // The adaptive rule may pick either path per subproblem; whatever it
+        // picks must match the forced-slices result through the whole grid.
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0xA070);
+        let g = random_graph(&mut rng, 25, 0.6);
+        for gamma in GAMMAS {
+            for theta in THETAS {
+                let config = MqceConfig::new(gamma, theta).unwrap();
+                let adaptive = run(&g, &with_kernel(config, None));
+                let slices = run(&g, &with_kernel(config, Some(false)));
+                assert_eq!(adaptive.mqcs, slices.mqcs, "gamma={gamma} theta={theta}");
+            }
+        }
+    }
 }

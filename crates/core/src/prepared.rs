@@ -2,10 +2,9 @@
 //!
 //! A CLI invocation pays graph parsing plus derived-state construction on
 //! every run. A resident daemon should pay them once: [`PreparedGraph`]
-//! bundles the graph with its content fingerprint, its core decomposition
-//! (core numbers + global degeneracy ordering) and, when the graph is small
-//! enough, a packed adjacency matrix — all immutable, so one instance behind
-//! an `Arc` can serve any number of concurrent requests.
+//! bundles the graph with its content fingerprint and its core decomposition
+//! (core numbers + global degeneracy ordering) — all immutable, so one
+//! instance behind an `Arc` can serve any number of concurrent requests.
 //!
 //! Every pipeline run ([`Session::run`](crate::Session::run), top-k rounds,
 //! incremental updates) borrows this state instead of
@@ -16,26 +15,22 @@
 //! maximal quasi-clique to its lowest-ranked member under *any* total order,
 //! and the final maximal family is canonical.
 
-use mqce_graph::bitset::AdjacencyMatrix;
 use mqce_graph::core_decomp::{core_decomposition, CoreDecomposition};
 use mqce_graph::delta::{dirty_two_hop_closure, update_core_decomposition};
 use mqce_graph::{Graph, GraphDelta, SubproblemScratch, VertexId};
 
 /// A graph plus the derived read-only state a serving process reuses across
-/// requests: content fingerprint, core decomposition and (for graphs within
-/// the memory cap) a packed adjacency matrix.
+/// requests: content fingerprint and core decomposition.
 #[derive(Clone, Debug)]
 pub struct PreparedGraph {
     graph: Graph,
     fingerprint: u64,
     cores: CoreDecomposition,
-    matrix: Option<AdjacencyMatrix>,
 }
 
 impl PreparedGraph {
     /// Prepares `graph` for serving: computes the fingerprint and the core
-    /// decomposition, and builds the adjacency matrix when the size cap
-    /// recommends it.
+    /// decomposition.
     pub fn new(graph: Graph) -> Self {
         let cores = core_decomposition(&graph);
         PreparedGraph::with_cores(graph, cores)
@@ -47,13 +42,10 @@ impl PreparedGraph {
     fn with_cores(graph: Graph, cores: CoreDecomposition) -> Self {
         debug_assert_eq!(cores.core_numbers.len(), graph.num_vertices());
         let fingerprint = graph.fingerprint();
-        let matrix = AdjacencyMatrix::recommended_for(graph.num_vertices())
-            .then(|| AdjacencyMatrix::from_graph(&graph));
         PreparedGraph {
             graph,
             fingerprint,
             cores,
-            matrix,
         }
     }
 
@@ -102,20 +94,6 @@ impl PreparedGraph {
         self.cores.degeneracy
     }
 
-    /// The packed adjacency matrix, when the graph was small enough to build
-    /// one at preparation time.
-    pub fn matrix(&self) -> Option<&AdjacencyMatrix> {
-        self.matrix.as_ref()
-    }
-
-    /// Adjacency test that prefers the packed matrix when present.
-    pub fn has_edge(&self, u: VertexId, v: VertexId) -> bool {
-        match &self.matrix {
-            Some(m) => m.has_edge(u, v),
-            None => self.graph.has_edge(u, v),
-        }
-    }
-
     /// Vertices with core number at least `k`, sorted ascending — the
     /// `k`-core filter evaluated against the cached core numbers, with no
     /// per-request decomposition.
@@ -140,17 +118,5 @@ mod tests {
         }
         assert_eq!(prepared.fingerprint(), g.fingerprint());
         assert_eq!(prepared.degeneracy(), core_decomposition(&g).degeneracy);
-    }
-
-    #[test]
-    fn matrix_built_for_small_graphs_and_agrees() {
-        let g = Graph::paper_figure1();
-        let prepared = PreparedGraph::new(g.clone());
-        assert!(prepared.matrix().is_some());
-        for u in 0..9u32 {
-            for v in 0..9u32 {
-                assert_eq!(prepared.has_edge(u, v), g.has_edge(u, v));
-            }
-        }
     }
 }

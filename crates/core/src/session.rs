@@ -79,8 +79,8 @@ impl Session {
         }
     }
 
-    /// Sets the enumeration parameters (γ, θ, adjacency backend, steal
-    /// granularity), keeping the rest of the configuration.
+    /// Sets the enumeration parameters (γ, θ, steal granularity), keeping
+    /// the rest of the configuration.
     pub fn params(mut self, params: MqceParams) -> Self {
         self.config.params = params;
         self

@@ -204,8 +204,7 @@ mod tests {
     #[test]
     fn rounds_keep_the_callers_params() {
         // Regression: every round rebuilt its params from (γ, θ) alone, so
-        // the caller's fault injection (and backend) never reached the
-        // search.
+        // the caller's fault injection never reached the search.
         let g = Graph::complete(6);
         let mut base = MqceConfig::new(0.9, 3).unwrap();
         base.params.fail_anchor = Some(0);

@@ -165,13 +165,30 @@ impl GraphDelta {
         out
     }
 
-    /// The number of vertices the updated graph needs: endpoints beyond the
-    /// current vertex count grow the graph (vertices are never removed).
+    /// The number of vertices the updated graph needs: insert endpoints
+    /// beyond the current vertex count grow the graph (vertices are never
+    /// removed). Deletes never grow it: deleting an absent edge is a no-op.
     pub fn required_vertices(&self, g: &Graph) -> usize {
-        self.touched_vertices()
-            .last()
-            .map(|&v| (v as usize + 1).max(g.num_vertices()))
-            .unwrap_or(g.num_vertices())
+        let n = g.num_vertices();
+        self.inserts
+            .iter()
+            .map(|&(_, v)| v as usize + 1)
+            .fold(n, usize::max)
+    }
+
+    /// The largest insert endpoint this batch cannot grow an `n`-vertex graph
+    /// to, if any. A batch of `k` inserts names at most `2k` new vertices, so
+    /// an id at or above `n + 2k` skips ids, and [`apply`](Self::apply)
+    /// would allocate a CSR offset for every skipped one (an id near
+    /// `u32::MAX` asks for ~2³² of them). Callers that take batches from
+    /// untrusted input refuse one for which this returns `Some`.
+    pub fn insert_beyond_growth(&self, n: usize) -> Option<VertexId> {
+        let limit = n + 2 * self.inserts.len();
+        self.inserts
+            .iter()
+            .map(|&(_, v)| v)
+            .filter(|&v| v as usize >= limit)
+            .max()
     }
 
     /// Applies the batch to `g`, producing the updated graph via a
@@ -397,6 +414,27 @@ mod tests {
         assert!(updated.has_edge(2, 6));
         assert!(updated.has_edge(0, 1));
         assert_eq!(updated.num_edges(), 2);
+    }
+
+    #[test]
+    fn deletes_never_grow_the_graph() {
+        let g = Graph::from_edges(3, &[(0, 1)]);
+        let delta = GraphDelta::new(vec![], vec![(0, 10)]);
+        assert_eq!(delta.required_vertices(&g), 3);
+        let updated = delta.apply(&g);
+        assert_eq!(updated.num_vertices(), 3);
+        assert_eq!(updated.fingerprint(), g.fingerprint());
+    }
+
+    #[test]
+    fn growth_bound_is_two_new_vertices_per_insert() {
+        // Two inserts can name ids 3..=6 of a 3-vertex graph, not 7.
+        let reachable = GraphDelta::new(vec![(0, 5), (4, 6)], vec![(0, 1000)]);
+        assert_eq!(reachable.insert_beyond_growth(3), None);
+        let gappy = GraphDelta::new(vec![(0, 7), (1, 2)], vec![]);
+        assert_eq!(gappy.insert_beyond_growth(3), Some(7));
+        let huge = GraphDelta::new(vec![(0, u32::MAX)], vec![]);
+        assert_eq!(huge.insert_beyond_growth(3), Some(u32::MAX));
     }
 
     #[test]

@@ -18,8 +18,8 @@ pub struct InducedSubgraph {
     /// `to_global[local] = global` (sorted ascending).
     pub to_global: Vec<VertexId>,
     /// Optional packed adjacency kernel over the local ids; populated by
-    /// [`InducedSubgraph::with_adjacency`] for dense subproblems. Local ids
-    /// are contiguous, so the matrix rows are dense and cache-friendly.
+    /// [`InducedSubgraph::with_adjacency`]. Local ids are contiguous, so the
+    /// matrix rows are dense and cache-friendly.
     pub adjacency: Option<AdjacencyMatrix>,
 }
 
@@ -62,18 +62,12 @@ impl InducedSubgraph {
         scratch.extract(g, vertices)
     }
 
-    /// Builds the packed adjacency kernel for the subgraph when the adaptive
-    /// size/density threshold recommends it (see
-    /// [`AdjacencyMatrix::adaptive_for`]); pass `force` to ignore the density
-    /// part of the heuristic and build whenever the memory cap allows.
-    pub fn with_adjacency(mut self, force: bool) -> Self {
-        let n = self.graph.num_vertices();
-        let build = if force {
-            AdjacencyMatrix::recommended_for(n)
-        } else {
-            AdjacencyMatrix::adaptive_for(n, self.graph.num_edges())
-        };
-        if self.adjacency.is_none() && build {
+    /// Builds the packed adjacency kernel for the subgraph when it fits the
+    /// memory cap ([`AdjacencyMatrix::recommended_for`]). Whether a
+    /// subproblem is worth a kernel is the caller's policy; the searchers
+    /// decide it by [`AdjacencyMatrix::adaptive_for`].
+    pub fn with_adjacency(mut self) -> Self {
+        if self.adjacency.is_none() && AdjacencyMatrix::recommended_for(self.len()) {
             self.adjacency = Some(AdjacencyMatrix::from_graph(&self.graph));
         }
         self
@@ -213,8 +207,8 @@ mod tests {
     #[test]
     fn with_adjacency_builds_consistent_matrix() {
         let g = Graph::complete(8);
-        let sub = InducedSubgraph::new(&g, &[0, 2, 4, 6, 7]).with_adjacency(false);
-        let m = sub.adjacency.as_ref().expect("small dense subgraph builds");
+        let sub = InducedSubgraph::new(&g, &[0, 2, 4, 6, 7]).with_adjacency();
+        let m = sub.adjacency.as_ref().expect("a small subgraph builds");
         assert_eq!(m.num_vertices(), sub.len());
         for u in sub.graph.vertices() {
             for v in sub.graph.vertices() {
@@ -222,7 +216,7 @@ mod tests {
             }
         }
         // Empty subgraph never builds a matrix.
-        let empty = InducedSubgraph::new(&g, &[]).with_adjacency(true);
+        let empty = InducedSubgraph::new(&g, &[]).with_adjacency();
         assert!(empty.adjacency.is_none());
     }
 

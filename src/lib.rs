@@ -45,8 +45,8 @@ pub mod prelude {
     pub use mqce_core::query::find_mqcs_containing;
     pub use mqce_core::verify::{verify_mqc_set, verify_s1_output};
     pub use mqce_core::{
-        find_largest_mqcs, AdjacencyBackend, Algorithm, BranchingStrategy, MqceConfig, MqceParams,
-        MqceResult, PreparedGraph, Session,
+        find_largest_mqcs, Algorithm, BranchingStrategy, MqceConfig, MqceParams, MqceResult,
+        PreparedGraph, Session,
     };
     pub use mqce_graph::{Graph, GraphBuilder, GraphStats, VertexId};
     pub use mqce_settrie::{compact_parallel, filter_maximal};

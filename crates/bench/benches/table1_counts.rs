@@ -40,7 +40,7 @@ fn bench_table1(c: &mut Criterion) {
                 let session = Session::open(g.clone()).config(config);
                 b.iter(|| {
                     let result = session.run();
-                    (result.mqcs.len(), result.qcs.len(), result.mqc_size_stats())
+                    (result.mqcs.len(), result.qcs, result.mqc_size_stats())
                 })
             },
         );

@@ -423,15 +423,17 @@ pub fn s2_cost(opts: ExperimentOptions) -> Vec<RunRecord> {
 }
 
 /// Checked-in regression bound for [`alloc_gate`]: allocation events per DC
-/// subproblem allowed on the community-800 preset, roughly 2× the measured
-/// steady state. The budget covers everything a full pipeline run allocates
-/// — the warmup ramp of the per-worker scratch buffers, the one-`Vec`-per-
-/// output boxing at the end of the run, and the S2 pass — so a reintroduced
-/// per-subproblem allocation (the pre-scratch path paid hundreds: a fresh
-/// local-id map, `Vec<Vec<_>>` adjacency, per-emission predicate masks and
-/// per-QC boxing each time) blows through it immediately. Measured steady
-/// state (a one-worker scheduler run): 6.76 (most of it the final boxing,
-/// which scales with outputs, not subproblems).
+/// subproblem allowed on the community-800 preset, several times the
+/// measured steady state. The budget covers everything a full pipeline run
+/// allocates — the warmup ramp of the per-worker scratch buffers, the S2
+/// pass over the flat family, and the boxing of the maximal sets — so a
+/// reintroduced per-subproblem allocation (the pre-scratch path paid
+/// hundreds: a fresh local-id map, `Vec<Vec<_>>` adjacency, per-emission
+/// predicate masks and per-QC boxing each time) blows through it
+/// immediately. Measured steady state (a one-worker scheduler run, 2-vCPU
+/// Intel Xeon container): 5.50 (4,375 events over 796 subproblems), most of
+/// it the boxing of the maximal sets, which scales with outputs, not
+/// subproblems. It was 6.79 when every S1 output was boxed.
 pub const ALLOC_GATE_MAX_ALLOCS_PER_SUBPROBLEM: f64 = 30.0;
 
 /// **Allocation gate** (`experiments alloc-gate`): measures heap-allocation

@@ -294,7 +294,7 @@ pub fn measure_threads(
         s2_timed_out: result.completeness.s2_timed_out,
         s1_millis: result.s1_time.as_secs_f64() * 1e3,
         s2_millis: result.s2_time.as_secs_f64() * 1e3,
-        s1_outputs: result.qcs.len(),
+        s1_outputs: result.qcs,
         mqcs: result.mqcs.len(),
         mqc_min,
         mqc_max,

@@ -1127,6 +1127,29 @@ fn io_err(e: std::io::Error) -> CliError {
     CliError::Io(e.to_string())
 }
 
+/// Applies the WAL's `deltas` to `graph` in order, with the growth check
+/// `update` makes before it logs a batch: a record whose inserts name an id
+/// at or above `n + 2·|insert|` would allocate a CSR offset for every
+/// skipped id (~2³² for an id near `u32::MAX`). Such a record can only come
+/// from a log edited by hand or written before the check existed. Replay
+/// stops there and start-up is refused, naming the record: skipping it
+/// would silently serve a graph that drops durable state.
+fn replay_wal(mut graph: Graph, deltas: &[GraphDelta]) -> Result<Graph, String> {
+    for (record, delta) in deltas.iter().enumerate() {
+        let n = graph.num_vertices();
+        if let Some(v) = delta.insert_beyond_growth(n) {
+            return Err(format!(
+                "record {record} (0-based) inserts vertex id {v}, but its {} inserts may \
+                 grow this {n}-vertex graph only to ids below {}; refusing to start",
+                delta.inserts().len(),
+                n + 2 * delta.inserts().len()
+            ));
+        }
+        graph = delta.apply(&graph);
+    }
+    Ok(graph)
+}
+
 /// `mqce serve <graph> [--addr HOST:PORT | --socket PATH] ...`
 pub(crate) fn cmd_serve<W: Write>(parsed: &ParsedArgs, out: &mut W) -> Result<(), CliError> {
     parsed.restrict_options(&[
@@ -1152,9 +1175,8 @@ pub(crate) fn cmd_serve<W: Write>(parsed: &ParsedArgs, out: &mut W) -> Result<()
             let (wal, deltas) = WriteAheadLog::open(std::path::Path::new(wal_path))
                 .map_err(|e| CliError::Io(format!("cannot open WAL {wal_path}: {e}")))?;
             let replayed = deltas.len();
-            for delta in &deltas {
-                graph = delta.apply(&graph);
-            }
+            graph = replay_wal(graph, &deltas)
+                .map_err(|e| CliError::Other(format!("cannot replay WAL {wal_path}: {e}")))?;
             if !quiet && replayed > 0 {
                 writeln!(out, "wal replay       {replayed} updates from {wal_path}")
                     .map_err(io_err)?;
@@ -1460,6 +1482,68 @@ pub(crate) fn cmd_client<W: Write>(parsed: &ParsedArgs, out: &mut W) -> Result<(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A log record one id past the growth limit (`n + 2·|insert|`) stops
+    /// the replay and refuses start-up, naming the record and the id; the
+    /// records before it are valid and replay as usual.
+    #[test]
+    fn wal_replay_refuses_an_insert_beyond_growth() {
+        let dir = std::env::temp_dir().join(format!("mqce_wal_growth_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let graph_path = dir.join("g.txt");
+        std::fs::write(&graph_path, "0 1\n1 2\n").unwrap();
+        let wal_path = dir.join("updates.wal");
+        let _ = std::fs::remove_file(&wal_path);
+        let (mut wal, _) = WriteAheadLog::open(&wal_path).unwrap();
+        // Record 0 grows the 3-vertex graph to 4 vertices; record 1 may
+        // then name ids below 4 + 2·1 = 6 and names 6.
+        let grows = GraphDelta::new(vec![(2, 3)], Vec::new());
+        let beyond = GraphDelta::new(vec![(0, 6)], Vec::new());
+        wal.append(&grows).unwrap();
+        wal.append(&beyond).unwrap();
+        drop(wal);
+
+        let g = Graph::from_edges(3, &[(0, 1), (1, 2)]);
+        assert_eq!(
+            replay_wal(g.clone(), std::slice::from_ref(&grows))
+                .unwrap()
+                .num_vertices(),
+            4
+        );
+        let err = replay_wal(g, &[grows, beyond]).unwrap_err();
+        assert!(
+            err.contains("record 1 ") && err.contains("vertex id 6"),
+            "{err}"
+        );
+
+        // The daemon refuses to start instead of serving: `run` returns
+        // the error before binding (a hang here means it started).
+        let args: Vec<String> = [
+            "serve",
+            graph_path.to_str().unwrap(),
+            "--wal",
+            wal_path.to_str().unwrap(),
+            "--addr",
+            "127.0.0.1:0",
+            "--quiet",
+        ]
+        .iter()
+        .map(|s| s.to_string())
+        .collect();
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            tx.send(crate::run(&args, &mut Vec::new()).map_err(|e| e.to_string()))
+        });
+        let refused = rx
+            .recv_timeout(Duration::from_secs(30))
+            .expect("the daemon started serving a log it should refuse");
+        let err = refused.unwrap_err();
+        assert!(
+            err.contains("record 1 ") && err.contains("vertex id 6"),
+            "{err}"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 
     #[test]
     fn gate_admits_up_to_capacity_and_times_out_waiters() {

@@ -54,6 +54,27 @@ pub struct SearchOutcome {
     pub thread_stats: Vec<ThreadStats>,
 }
 
+/// S1's outputs as its workers left them: one flat arena per worker
+/// (original graph ids, each set sorted, duplicates possible), handed to
+/// S2 without boxing.
+#[derive(Debug, Default)]
+pub(crate) struct FlatOutcome {
+    pub(crate) sets: Vec<SetArena>,
+    pub(crate) stats: SearchStats,
+    pub(crate) thread_stats: Vec<ThreadStats>,
+}
+
+impl FlatOutcome {
+    /// Every set boxed, in arena order.
+    pub(crate) fn boxed(self) -> SearchOutcome {
+        SearchOutcome {
+            outputs: self.sets.iter().flat_map(SetArena::to_vecs).collect(),
+            stats: self.stats,
+            thread_stats: self.thread_stats,
+        }
+    }
+}
+
 /// Reusable per-worker search buffers.
 ///
 /// Every array the search state needs is sized by the (local) subproblem
@@ -89,8 +110,8 @@ pub(crate) struct SearchScratch {
     /// masks and BFS state they need are reused across branches.
     qc: QcScratch,
     /// Emitted quasi-cliques (local ids, each sorted), packed back-to-back.
-    /// Owned by the scratch so the driver can stream them by slice and defer
-    /// per-set boxing to the end of the run.
+    /// Owned by the scratch so the driver can read them by slice without
+    /// boxing.
     pub(crate) sets: SetArena,
 }
 

@@ -19,7 +19,7 @@ use mqce_graph::bitset::{AdjacencyMatrix, BitSet};
 use mqce_graph::subgraph::InducedSubgraph;
 use mqce_graph::{Graph, SubproblemScratch, VertexId};
 
-use crate::branch::{SearchCtx, SearchOutcome, SearchScratch};
+use crate::branch::{FlatOutcome, SearchCtx, SearchScratch};
 use crate::config::{BranchingStrategy, MqceParams};
 use crate::fastqc::FastQc;
 use crate::prepared::PreparedGraph;
@@ -299,9 +299,9 @@ pub(crate) fn run_anchors(
     inner: InnerAlgorithm,
     threads: usize,
     deadline: Option<Instant>,
-) -> SearchOutcome {
+) -> FlatOutcome {
     if anchors.is_empty() {
-        return SearchOutcome::default();
+        return FlatOutcome::default();
     }
     crate::scheduler::run_dc_work_stealing(plan, anchors, inner, threads.max(1), deadline)
 }
@@ -420,6 +420,7 @@ impl DcPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::branch::SearchOutcome;
     use crate::naive;
     use mqce_settrie::filter_maximal;
 
@@ -448,7 +449,7 @@ mod tests {
         deadline: Option<Instant>,
     ) -> SearchOutcome {
         let plan = DcPlan::for_graph(g, params, dc);
-        run_anchors(&plan, &plan.ordering, inner, threads, deadline)
+        run_anchors(&plan, &plan.ordering, inner, threads, deadline).boxed()
     }
 
     fn check_dc_against_oracle(g: &Graph, gamma: f64, theta: usize, dc: DcConfig) {

@@ -53,6 +53,7 @@ use std::sync::Arc;
 
 use mqce_graph::delta::GraphDelta;
 use mqce_graph::{Graph, SubproblemScratch, VertexId};
+use mqce_settrie::SetArena;
 
 use crate::completeness::Completeness;
 use crate::config::MqceConfig;
@@ -279,7 +280,7 @@ impl IncrementalSession {
         // closure). Untouched sets therefore skip the merge.
         let old_family = std::mem::take(&mut self.family);
         let mut untouched: Vec<Vec<VertexId>> = Vec::with_capacity(old_family.len());
-        let mut frontier: Vec<Vec<VertexId>> = Vec::new();
+        let mut frontier = SetArena::new();
         let mut retired = 0u64;
         for set in old_family {
             let anchor = *set
@@ -289,7 +290,7 @@ impl IncrementalSession {
             if stamp[anchor as usize] == tag {
                 retired += 1;
             } else if set.iter().any(|&v| stamp[v as usize] == tag) {
-                frontier.push(set);
+                frontier.push_set(&set);
             } else {
                 untouched.push(set);
             }
@@ -306,8 +307,8 @@ impl IncrementalSession {
         // the frontier sets — exact over frontier ∪ fresh — and splice the
         // untouched sets back in afterwards.
         let mut rerun = run_anchors(&plan, &dirty_locals, inner, self.threads, None);
-        frontier.append(&mut rerun.outputs);
-        let outcome = compact_family(&mut frontier, self.threads, None);
+        rerun.sets.push(frontier);
+        let (outcome, _) = compact_family(rerun.sets, self.threads, None);
         // Both halves are in canonical order: `untouched` is a subsequence
         // of the old canonical family, the pass returns canonical order.
         self.family = merge_canonical(untouched, outcome.mqcs);

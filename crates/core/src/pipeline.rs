@@ -4,22 +4,24 @@
 //! This is the high-level API most users want: give it a graph and the
 //! parameters, get back exactly the maximal γ-quasi-cliques of size ≥ θ.
 //!
-//! S1's workers collect their quasi-cliques in flat arenas, which become
-//! the run's output list. S2 is one pass at every thread count (the
-//! crate-private `compact_family`): the outputs are sorted and deduplicated
-//! once (that is [`MqceResult::qcs`]) and compacted in place by
-//! [`compact_parallel`] on the run's workers. The pass honours whatever
-//! remains of the wall-clock budget, plus a grace slice, so a run that
-//! exhausts its time limit in S1 does not pay an unbounded filtering bill
-//! on hundreds of thousands of sets. Query searches and incremental updates
-//! call the same helper.
+//! S1's workers collect their quasi-cliques in flat arenas, one per worker,
+//! and S2 takes them over unboxed. S2 is one pass at every thread count (the
+//! crate-private `compact_family`): each arena is sorted on a worker of its
+//! own and the sorted arenas are merged without duplicates into one flat
+//! [`CanonicalFamily`] (its size is [`MqceResult::qcs`]), which
+//! [`CanonicalFamily::compact`] indexes and probes on the run's workers;
+//! only the maximal sets are boxed. The pass honours whatever remains of
+//! the wall-clock budget, plus a grace slice, so a run that exhausts its
+//! time limit in S1 does not pay an unbounded filtering bill on hundreds of
+//! thousands of sets. Query searches and incremental updates call the same
+//! helper.
 
 use std::time::{Duration, Instant};
 
 use mqce_graph::{Graph, VertexId};
-use mqce_settrie::{compact_parallel, S2Outcome};
+use mqce_settrie::{CanonicalFamily, S2Outcome, SetArena};
 
-use crate::branch::{SearchOutcome, SearchScratch};
+use crate::branch::{FlatOutcome, SearchOutcome, SearchScratch};
 use crate::completeness::Completeness;
 use crate::config::{Algorithm, MqceConfig};
 use crate::dc::{run_anchors, DcConfig, DcPlan, InnerAlgorithm};
@@ -39,11 +41,11 @@ const S2_MAX_GRACE: Duration = Duration::from_secs(5);
 /// Result of an end-to-end MQCE run.
 #[derive(Clone, Debug, Default)]
 pub struct MqceResult {
-    /// The MQCE-S1 output: a set of quasi-cliques containing every maximal QC
-    /// of size ≥ θ (possibly with non-maximal members). Sorted vertex sets,
-    /// sorted lexicographically without duplicates; this is the family S2
-    /// compacts.
-    pub qcs: Vec<Vec<VertexId>>,
+    /// Size of the MQCE-S1 output: the distinct quasi-cliques S1 emitted, a
+    /// family containing every maximal QC of size ≥ θ (possibly with
+    /// non-maximal members). This is the family S2 compacts;
+    /// [`solve_s1`] returns its sets.
+    pub qcs: usize,
     /// The MQCE-S2 output: exactly the maximal quasi-cliques of size ≥ θ,
     /// sorted lexicographically, unless [`completeness`](Self::completeness)
     /// says the run fell short.
@@ -63,8 +65,8 @@ pub struct MqceResult {
     /// Wall-clock time of MQCE-S1: the search and the collection of its
     /// outputs.
     pub s1_time: Duration,
-    /// Wall-clock time of MQCE-S2: sorting and deduplicating the outputs
-    /// and compacting them.
+    /// Wall-clock time of MQCE-S2: sorting and merging the outputs and
+    /// compacting them (the steps are in [`S2Stats::steps`]).
     pub s2_time: Duration,
 }
 
@@ -107,20 +109,24 @@ pub(crate) fn dc_setup(config: &MqceConfig) -> Option<(InnerAlgorithm, DcConfig)
 
 /// MQCE-S1 of the algorithms without a DC decomposition: one whole-graph
 /// search (`S = ∅`, every vertex a candidate) whose outputs arrive in a
-/// single batch.
-fn solve_whole_graph(g: &Graph, config: &MqceConfig, deadline: Option<Instant>) -> SearchOutcome {
+/// single arena.
+fn solve_whole_graph(g: &Graph, config: &MqceConfig, deadline: Option<Instant>) -> FlatOutcome {
     let params = config.params;
     let inner = match config.algorithm {
         Algorithm::FastQc => InnerAlgorithm::FastQc(config.branching),
         Algorithm::QuickPlusRaw => InnerAlgorithm::QuickPlus,
         Algorithm::Naive => {
             let outputs = naive::all_maximal_quasi_cliques(g, params);
-            return SearchOutcome {
+            let mut sets = SetArena::new();
+            for set in &outputs {
+                sets.push_set(set);
+            }
+            return FlatOutcome {
                 stats: SearchStats {
                     outputs: outputs.len() as u64,
                     ..Default::default()
                 },
-                outputs,
+                sets: vec![sets],
                 thread_stats: Vec::new(),
             };
         }
@@ -129,23 +135,27 @@ fn solve_whole_graph(g: &Graph, config: &MqceConfig, deadline: Option<Instant>) 
     let all: Vec<VertexId> = g.vertices().collect();
     let mut bufs = SearchScratch::default();
     let stats = inner.search(g, None, &[], &all, params, deadline, None, &mut bufs);
-    SearchOutcome {
-        outputs: bufs.sets.into_vecs(),
+    FlatOutcome {
+        sets: vec![std::mem::take(&mut bufs.sets)],
         stats,
         thread_stats: Vec::new(),
     }
 }
 
-/// Runs only MQCE-S1 with the configured algorithm, returning the raw set of
-/// quasi-cliques (global vertex ids) and the search statistics.
+/// Runs only MQCE-S1 with the configured algorithm on one worker, returning
+/// the raw set of quasi-cliques (global vertex ids, in emission order) and
+/// the search statistics.
 pub fn solve_s1(g: &Graph, config: &MqceConfig) -> SearchOutcome {
     let deadline = config.time_limit.map(|limit| Instant::now() + limit);
-    let Some((inner, dc)) = dc_setup(config) else {
-        return solve_whole_graph(g, config, deadline);
+    let outcome = match dc_setup(config) {
+        Some((inner, dc)) => {
+            let prepared = PreparedGraph::new(g.clone());
+            let plan = DcPlan::from_prepared(&prepared, config.params, dc, None);
+            run_anchors(&plan, &plan.ordering, inner, 1, deadline)
+        }
+        None => solve_whole_graph(g, config, deadline),
     };
-    let prepared = PreparedGraph::new(g.clone());
-    let plan = DcPlan::from_prepared(&prepared, config.params, dc, None);
-    run_anchors(&plan, &plan.ordering, inner, 1, deadline)
+    outcome.boxed()
 }
 
 /// The deadline MQCE-S2 compacts under: the pipeline deadline, but never
@@ -171,9 +181,10 @@ pub(crate) fn s2_deadline(deadline: Option<Instant>, limit: Option<Duration>) ->
 }
 
 /// The end-to-end pipeline over a prepared graph: MQCE-S1 on `threads`
-/// workers (see [`run_anchors`]), then [`compact_family`] over the S1
-/// outputs on the same workers under one graced S2 deadline, granted when
-/// S1 ends. `s2_time` covers the sort and the compaction.
+/// workers (see [`run_anchors`]), then [`compact_family`] over the
+/// workers' arenas on the same workers under one graced S2 deadline,
+/// granted when S1 ends. `s2_time` covers the sort, the merge and the
+/// compaction.
 pub(crate) fn run_pipeline(
     prepared: &PreparedGraph,
     config: &MqceConfig,
@@ -191,15 +202,15 @@ pub(crate) fn run_pipeline(
     let s1_time = s1_start.elapsed();
     let s2_start = Instant::now();
     let s2_dl = s2_deadline(deadline, config.time_limit);
-    let sets_streamed = outcome.outputs.len() as u64;
-    let mut qcs = outcome.outputs;
-    let s2_out = compact_family(&mut qcs, threads, s2_dl);
+    let sets_streamed = outcome.sets.iter().map(SetArena::len).sum::<usize>() as u64;
+    let (s2_out, qcs) = compact_family(outcome.sets, threads, s2_dl);
     let s2_time = s2_start.elapsed();
     MqceResult {
         s2: S2Stats {
             backend: s2_out.backend.to_string(),
             sets_streamed,
-            sets_retained: qcs.len() as u64,
+            sets_retained: qcs as u64,
+            steps: s2_out.steps,
         },
         qcs,
         mqcs: s2_out.mqcs,
@@ -211,10 +222,12 @@ pub(crate) fn run_pipeline(
     }
 }
 
-/// MQCE-S2, the one compaction rule: sorts and deduplicates `sets` in place
-/// (callers keep it as their QC family), then compacts it with
-/// [`compact_parallel`] on `threads` workers under `deadline`. Full runs
-/// ([`run_pipeline`]), query searches and incremental updates all come
+/// MQCE-S2, the one compaction rule: merges `sets` into one
+/// [`CanonicalFamily`] (each arena sorted on a worker of its own,
+/// duplicates dropped), then compacts it with [`CanonicalFamily::compact`]
+/// on `threads` workers under `deadline`. Returns the outcome, with the
+/// merge time in its steps, and the number of distinct sets compacted. Full
+/// runs ([`run_pipeline`]), query searches and incremental updates all come
 /// through here.
 ///
 /// The outcome is also marked timed out when the deadline had passed
@@ -224,16 +237,18 @@ pub(crate) fn run_pipeline(
 /// with a real budget start the pass with (most of) the grace slice still
 /// ahead.
 pub(crate) fn compact_family(
-    sets: &mut Vec<Vec<VertexId>>,
+    sets: Vec<SetArena>,
     threads: usize,
     deadline: Option<Instant>,
-) -> S2Outcome {
-    sets.sort_unstable();
-    sets.dedup();
+) -> (S2Outcome, usize) {
+    let start = Instant::now();
+    let family = CanonicalFamily::from_arenas(sets);
+    let merged = start.elapsed();
     let expired = deadline.is_some_and(|d| Instant::now() >= d);
-    let mut outcome = compact_parallel(sets, threads, deadline);
+    let mut outcome = family.compact(threads, deadline);
     outcome.timed_out |= expired;
-    outcome
+    outcome.steps.merge = merged;
+    (outcome, family.len())
 }
 
 /// Convenience wrapper: enumerate the maximal γ-quasi-cliques of size ≥ θ
@@ -259,6 +274,15 @@ mod tests {
 
     fn run_threads(g: &Graph, config: &MqceConfig, threads: usize) -> MqceResult {
         run_pipeline(&PreparedGraph::new(g.clone()), config, threads)
+    }
+
+    /// The distinct sets of the one-worker S1 output, sorted: the family a
+    /// one-thread run compacts.
+    fn s1_family(g: &Graph, config: &MqceConfig) -> Vec<Vec<VertexId>> {
+        let mut sets = solve_s1(g, config).outputs;
+        sets.sort_unstable();
+        sets.dedup();
+        sets
     }
 
     #[test]
@@ -332,10 +356,12 @@ mod tests {
     fn qcs_superset_of_mqcs() {
         let g = Graph::paper_figure1();
         let result = enumerate_mqcs_default(&g, 0.6, 3).unwrap();
+        let qcs = s1_family(&g, &MqceConfig::new(0.6, 3).unwrap());
         for mqc in &result.mqcs {
-            assert!(result.qcs.contains(mqc));
+            assert!(qcs.contains(mqc));
         }
-        assert!(result.qcs.len() >= result.mqcs.len());
+        assert_eq!(result.qcs, qcs.len());
+        assert!(result.qcs >= result.mqcs.len());
     }
 
     #[test]
@@ -398,6 +424,7 @@ mod tests {
         use crate::S2Backend;
         let g = Graph::paper_figure1();
         let reference = enumerate_mqcs_default(&g, 0.6, 3).unwrap().mqcs;
+        let qcs = s1_family(&g, &MqceConfig::new(0.6, 3).unwrap());
         for backend in [
             S2Backend::Auto,
             S2Backend::Inverted,
@@ -412,7 +439,8 @@ mod tests {
             assert!(result.completeness.is_exact());
             assert_eq!(result.s2.backend, "parallel", "{backend:?}");
             assert_eq!(result.s2.sets_streamed, result.stats.outputs);
-            assert_eq!(result.s2.sets_retained as usize, result.qcs.len());
+            assert_eq!(result.s2.sets_retained as usize, qcs.len());
+            assert_eq!(result.qcs, qcs.len());
             assert!(result.s2.sets_retained as usize >= result.mqcs.len());
         }
     }
@@ -452,10 +480,10 @@ mod tests {
 
     /// S2 is one pass over the sorted, deduplicated S1 outputs at every
     /// thread count: the family is the same at 1–4 threads, and the pass
-    /// is handed exactly the distinct outputs (`qcs`), none dropped before
-    /// it runs. (A one-thread run on this graph emits thousands of sets
-    /// after one of their supersets, so dropping sets on arrival would
-    /// show.)
+    /// is handed exactly the distinct outputs ([`solve_s1`]'s at one
+    /// thread), none dropped before it runs. (A one-thread run on this graph
+    /// emits thousands of sets after one of their supersets, so dropping
+    /// sets on arrival would show.)
     #[test]
     fn one_s2_pass_at_every_thread_count() {
         use mqce_graph::generators::{community_graph, CommunityGraphParams};
@@ -470,7 +498,9 @@ mod tests {
         );
         let config = MqceConfig::new(0.85, 5).unwrap();
         let reference = run(&g, &config);
-        assert!(reference.qcs.len() > reference.mqcs.len());
+        let qcs = s1_family(&g, &config);
+        assert!(qcs.len() > reference.mqcs.len());
+        assert_eq!(reference.qcs, qcs.len());
         for threads in [1, 2, 3, 4] {
             let result = run_threads(&g, &config, threads);
             assert_eq!(result.mqcs, reference.mqcs, "{threads} threads");
@@ -478,10 +508,11 @@ mod tests {
             assert_eq!(result.s2.backend, "parallel");
             assert_eq!(result.s2.sets_streamed, result.stats.outputs);
             assert_eq!(
-                result.s2.sets_retained as usize,
-                result.qcs.len(),
+                result.s2.sets_retained as usize, result.qcs,
                 "{threads} threads"
             );
+            assert!(result.qcs >= qcs.len(), "{threads} threads");
+            assert!(result.s2.sets_retained <= result.s2.sets_streamed);
         }
     }
 
@@ -500,15 +531,13 @@ mod tests {
             1,
         );
         let config = MqceConfig::new(0.9, 8).unwrap();
+        let qcs = solve_s1(&g, &config).outputs;
+        let expected = mqce_settrie::filter_maximal(&qcs);
         for threads in [1, 2] {
             let result = run_threads(&g, &config, threads);
             assert!(!result.timed_out());
-            assert!(result.qcs.len() > result.mqcs.len(), "{threads} threads");
-            assert_eq!(
-                result.mqcs,
-                mqce_settrie::filter_maximal(&result.qcs),
-                "{threads} threads"
-            );
+            assert!(result.qcs > result.mqcs.len(), "{threads} threads");
+            assert_eq!(result.mqcs, expected, "{threads} threads");
         }
     }
 
@@ -669,20 +698,20 @@ mod tests {
         config
     }
 
-    /// Runs `config` with the kernel forced on and forced off, asserting the
-    /// two paths agree on the maximal sets, on the raw S1 output and on the
-    /// branch count: the kernel changes how adjacency is answered, never
-    /// what the search explores or emits.
+    /// Runs S1 of `config` with the kernel forced on and forced off,
+    /// asserting the two paths emit the same raw output in the same order
+    /// (hence the same maximal sets) and count the same branches: the
+    /// kernel changes how adjacency is answered, never what the search
+    /// explores or emits.
     fn assert_paths_agree(g: &Graph, config: MqceConfig, label: &str) {
-        let slices = run(g, &with_kernel(config, Some(false)));
-        let kernel = run(g, &with_kernel(config, Some(true)));
+        let slices = solve_s1(g, &with_kernel(config, Some(false)));
+        let kernel = solve_s1(g, &with_kernel(config, Some(true)));
         let cell = format!(
             "{label}: {:?}, gamma={}, theta={}",
             config.algorithm, config.params.gamma, config.params.theta
         );
-        assert_eq!(slices.mqcs, kernel.mqcs, "{cell}: paths disagree on MQCs");
         assert_eq!(
-            slices.qcs, kernel.qcs,
+            slices.outputs, kernel.outputs,
             "{cell}: paths disagree on raw S1 output"
         );
         assert_eq!(

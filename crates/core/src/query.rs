@@ -22,6 +22,7 @@ use std::time::{Duration, Instant};
 
 use mqce_graph::subgraph::two_hop_neighborhood;
 use mqce_graph::{Graph, VertexId};
+use mqce_settrie::SetArena;
 
 use crate::branch::SearchScratch;
 use crate::completeness::Completeness;
@@ -127,20 +128,20 @@ pub fn find_mqcs_containing(
 
     // The search can only emit sets that contain S = query, but be defensive
     // about it (and about the QC property) before filtering maximality.
-    let mut qcs: Vec<Vec<VertexId>> = Vec::with_capacity(bufs.sets.len());
-    for i in 0..bufs.sets.len() {
-        let global = sub.to_global_set(bufs.sets.get(i));
+    let mut qcs = SetArena::new();
+    for set in bufs.sets.iter() {
+        let global = sub.to_global_set(set);
         if query.iter().all(|q| global.contains(q))
             && global.len() >= params.theta
             && is_quasi_clique(g, &global, params.gamma)
         {
-            qcs.push(global);
+            qcs.push_set(&global);
         }
     }
     // Maximality filtering through the pipeline's S2 pass, honouring what
     // remains of the time budget (plus the standard grace slice).
     let s2_dl = crate::pipeline::s2_deadline(deadline, config.time_limit);
-    let s2_out = crate::pipeline::compact_family(&mut qcs, 1, s2_dl);
+    let (s2_out, _) = crate::pipeline::compact_family(vec![qcs], 1, s2_dl);
 
     Ok(QueryResult {
         mqcs: s2_out.mqcs,

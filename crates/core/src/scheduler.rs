@@ -49,7 +49,7 @@ use mqce_graph::bitset::AdjacencyMatrix;
 use mqce_graph::{Graph, InducedSubgraph, VertexId};
 use mqce_settrie::SetArena;
 
-use crate::branch::{SearchOutcome, SearchScratch};
+use crate::branch::{FlatOutcome, SearchScratch};
 use crate::config::MqceParams;
 use crate::dc::{build_subproblem_in, DcPlan, DcScratch, InnerAlgorithm};
 use crate::stats::{SearchStats, ThreadStats};
@@ -261,7 +261,7 @@ impl SplitSink for SubSink<'_> {
 }
 
 /// Everything one worker accumulated over the run. Mapped outputs are packed
-/// into a flat arena and boxed only once, at the final merge.
+/// into a flat arena, which S2 takes over as it is.
 struct WorkerResult {
     raw: SetArena,
     stats: SearchStats,
@@ -269,15 +269,15 @@ struct WorkerResult {
 }
 
 /// Runs the subproblems of `anchors` on `num_threads` workers with work
-/// stealing and cooperative intra-subproblem splitting. Returns the merged
-/// outcome, with per-thread counters.
+/// stealing and cooperative intra-subproblem splitting. Returns every
+/// worker's arena, the merged search counters and per-thread counters.
 pub(crate) fn run_dc_work_stealing(
     plan: &DcPlan,
     anchors: &[VertexId],
     inner: InnerAlgorithm,
     num_threads: usize,
     deadline: Option<Instant>,
-) -> SearchOutcome {
+) -> FlatOutcome {
     let sched = Scheduler::new(num_threads, plan.params.steal_granularity);
     sched.outstanding.store(anchors.len(), Ordering::SeqCst);
     sched.queued.store(anchors.len(), Ordering::SeqCst);
@@ -301,19 +301,13 @@ pub(crate) fn run_dc_work_stealing(
             .collect()
     });
 
-    let mut stats = SearchStats::default();
-    let mut outputs = Vec::new();
-    let mut thread_stats = Vec::new();
+    let mut outcome = FlatOutcome::default();
     for result in results {
-        stats.merge(&result.stats);
-        outputs.extend(result.raw.into_vecs());
-        thread_stats.push(result.thread_stats);
+        outcome.stats.merge(&result.stats);
+        outcome.sets.push(result.raw);
+        outcome.thread_stats.push(result.thread_stats);
     }
-    SearchOutcome {
-        outputs,
-        stats,
-        thread_stats,
-    }
+    outcome
 }
 
 fn worker_loop(
@@ -509,7 +503,7 @@ pub(crate) fn run_roots_in(
             &mut result,
         );
     }
-    (result.raw.into_vecs(), result.stats)
+    (result.raw.to_vecs(), result.stats)
 }
 
 /// Runs the configured searcher on one branch of a subproblem (the whole
@@ -762,7 +756,7 @@ mod tests {
         // re-panic on other workers — and keep every other subproblem's
         // outputs intact.
         let outcome =
-            run_dc_work_stealing(&plan, &plan.ordering, InnerAlgorithm::QuickPlus, 3, None);
+            run_dc_work_stealing(&plan, &plan.ordering, InnerAlgorithm::QuickPlus, 3, None).boxed();
         assert!(outcome.stats.subproblem_panics >= 1);
         assert_eq!(outcome.stats.last_panicked_anchor, Some(anchor));
         assert!(!outcome.stats.timed_out);

@@ -2,6 +2,8 @@
 //! divide-and-conquer driver. These power both the tests (e.g. "Sym-SE
 //! explores no more branches than SE") and the ablation experiments.
 
+use mqce_settrie::S2Steps;
+
 /// Counters describing one MQCE-S1 run.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SearchStats {
@@ -123,6 +125,9 @@ pub struct S2Stats {
     /// ([`MqceResult::qcs`](crate::MqceResult::qcs)). An upper bound on the
     /// final MQC count.
     pub sets_retained: u64,
+    /// Wall-clock time of each step of the pass: merge (sort and
+    /// deduplicate), index, probe, collect.
+    pub steps: S2Steps,
 }
 
 impl std::fmt::Display for S2Stats {
@@ -217,11 +222,19 @@ mod tests {
             backend: "parallel".to_string(),
             sets_streamed: 100,
             sets_retained: 40,
+            steps: S2Steps {
+                probe: std::time::Duration::from_millis(1500),
+                ..S2Steps::default()
+            },
         };
         let text = s2.to_string();
         assert!(text.contains("backend=parallel"));
         assert!(text.contains("streamed=100"));
         assert!(text.contains("retained=40"));
+        assert_eq!(
+            s2.steps.to_string(),
+            "merge=0.000s index=0.000s probe=1.500s collect=0.000s"
+        );
         assert!(S2Stats::default().to_string().contains("backend=?"));
     }
 

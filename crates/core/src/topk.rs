@@ -11,6 +11,7 @@
 use std::time::Instant;
 
 use mqce_graph::VertexId;
+use mqce_settrie::compact_parallel;
 
 use crate::completeness::Completeness;
 use crate::config::{MqceConfig, MqceParams, ParamError};
@@ -94,11 +95,8 @@ pub fn find_largest_mqcs(
         if result.mqcs.len() >= k || theta == 2 || timed_out {
             let mut mqcs = result.mqcs;
             if timed_out {
-                // Sets of a cut-off round at least as large as the previous
-                // threshold are already in that round's exact family.
-                let (previous, mut exact) = complete;
-                mqcs.retain(|set| set.len() < previous);
-                mqcs.append(&mut exact);
+                let (previous, exact) = complete;
+                mqcs = merge_partial_round(mqcs, previous, exact);
             }
             mqcs.sort_by(|a, b| b.len().cmp(&a.len()).then_with(|| a.cmp(b)));
             mqcs.truncate(k);
@@ -116,6 +114,28 @@ pub fn find_largest_mqcs(
     }
 }
 
+/// The answer of a round cut short by its deadline, as an antichain: its
+/// `partial` sets smaller than the previous exact round's threshold
+/// `previous`, together with that round's family `exact`, minus the
+/// partial sets contained in an exact set. The exact family holds every
+/// maximal QC of size ≥ `previous`, so a partial set that large is already
+/// in it, and one inside an exact set is not maximal. No exact set lies in
+/// a partial one (exact sets are maximal, partial sets are QCs), and the
+/// partial sets of one S2 pass are an antichain, so the one S2 pass over
+/// the union drops exactly those partial sets.
+fn merge_partial_round(
+    partial: Vec<Vec<VertexId>>,
+    previous: usize,
+    exact: Vec<Vec<VertexId>>,
+) -> Vec<Vec<VertexId>> {
+    let mut merged: Vec<Vec<VertexId>> = partial
+        .into_iter()
+        .filter(|set| set.len() < previous)
+        .collect();
+    merged.extend(exact);
+    compact_parallel(&merged, 1, None).mqcs
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -124,6 +144,31 @@ mod tests {
 
     fn prep(g: &Graph) -> PreparedGraph {
         PreparedGraph::new(g.clone())
+    }
+
+    /// A partial set inside an exact set is dropped; partial sets at least
+    /// as large as the previous threshold give way to the exact family; the
+    /// rest are kept.
+    #[test]
+    fn partial_round_merge_is_an_antichain() {
+        let exact = vec![vec![1, 2, 3, 4, 5], vec![6, 7, 8, 9]];
+        let partial = vec![
+            vec![1, 2, 3],
+            vec![2, 6, 7],
+            vec![4, 5],
+            vec![7, 8, 9, 10, 11],
+        ];
+        let mut merged = merge_partial_round(partial, 4, exact);
+        merged.sort();
+        assert_eq!(
+            merged,
+            vec![vec![1, 2, 3, 4, 5], vec![2, 6, 7], vec![6, 7, 8, 9]]
+        );
+        for a in &merged {
+            for b in &merged {
+                assert!(a == b || !a.iter().all(|v| b.contains(v)), "{a:?} ⊆ {b:?}");
+            }
+        }
     }
 
     #[test]

@@ -1,21 +1,31 @@
-//! Flat arena for streaming families of vertex sets.
+//! The flat set family: every set of a family in one element pool.
 //!
-//! The S1 searchers emit one candidate quasi-clique per surviving branch.
-//! Boxing each set as its own `Vec<u32>` costs an allocation per output and
-//! scatters the family across the heap; [`SetArena`] instead packs every set
-//! into one contiguous `u32` pool addressed by `(start, len)` spans, and
-//! per-set boxing is deferred until the family is materialised at the end of
-//! a run.
+//! The S1 searchers emit one candidate quasi-clique per surviving branch,
+//! hundreds of thousands per run. Boxing each set as its own `Vec<u32>`
+//! costs an allocation per output and scatters the family across the heap;
+//! [`SetArena`] instead packs every set into one contiguous `u32` pool
+//! addressed by an offsets array. S1 workers fill one arena each and hand it
+//! to S2 as it is ([`CanonicalFamily::from_arenas`](crate::CanonicalFamily::from_arenas)),
+//! so the family stays flat from the search to the maximality pass.
 
-/// A growable pool of `u32` sets stored back-to-back, each addressed by a
-/// `(start, len)` span. Appending a set allocates only when the pool itself
-/// grows, so steady-state emission is allocation-free.
-#[derive(Clone, Debug, Default)]
+/// A growable pool of `u32` sets stored back-to-back: set `i` is
+/// `pool[offsets[i]..offsets[i + 1]]`. Appending a set allocates only when
+/// the pool itself grows, so steady-state emission is allocation-free.
+#[derive(Clone, Debug)]
 pub struct SetArena {
     pool: Vec<u32>,
-    spans: Vec<(usize, usize)>,
-    /// Start of the currently open (uncommitted) set, if any.
-    open: Option<usize>,
+    /// One more entry than there are committed sets, starting at 0.
+    /// Elements past the last offset belong to the open (uncommitted) set.
+    offsets: Vec<usize>,
+}
+
+impl Default for SetArena {
+    fn default() -> Self {
+        SetArena {
+            pool: Vec::new(),
+            offsets: vec![0],
+        }
+    }
 }
 
 impl SetArena {
@@ -24,64 +34,69 @@ impl SetArena {
         Self::default()
     }
 
+    /// An empty arena with room for `sets` sets of `elems` elements in all.
+    pub(crate) fn with_capacity(sets: usize, elems: usize) -> Self {
+        let mut offsets = Vec::with_capacity(sets + 1);
+        offsets.push(0);
+        SetArena {
+            pool: Vec::with_capacity(elems),
+            offsets,
+        }
+    }
+
     /// Number of committed sets.
     pub fn len(&self) -> usize {
-        self.spans.len()
+        self.offsets.len() - 1
     }
 
     /// Whether the arena holds no committed sets.
     pub fn is_empty(&self) -> bool {
-        self.spans.is_empty()
+        self.len() == 0
     }
 
     /// Total number of pooled elements across all committed sets.
     pub fn pooled_len(&self) -> usize {
-        self.open.unwrap_or(self.pool.len())
+        self.committed()
+    }
+
+    fn committed(&self) -> usize {
+        *self.offsets.last().expect("offsets start with 0")
     }
 
     /// Removes every set, keeping the pool capacity for reuse.
     pub fn clear(&mut self) {
         self.pool.clear();
-        self.spans.clear();
-        self.open = None;
+        self.offsets.truncate(1);
     }
 
     /// The `i`-th committed set, in insertion order.
     pub fn get(&self, i: usize) -> &[u32] {
-        let (start, len) = self.spans[i];
-        &self.pool[start..start + len]
+        &self.pool[self.offsets[i]..self.offsets[i + 1]]
     }
 
     /// Iterates the committed sets in insertion order.
     pub fn iter(&self) -> impl Iterator<Item = &[u32]> {
-        self.spans
-            .iter()
-            .map(move |&(start, len)| &self.pool[start..start + len])
+        self.offsets.windows(2).map(move |w| &self.pool[w[0]..w[1]])
     }
 
     /// Opens a new set at the pool tail. Elements are added with
     /// [`Self::push_elem`] and the set is finished with
     /// [`Self::commit_sorted`]. Re-opening discards an unfinished set.
     pub fn begin(&mut self) {
-        if let Some(start) = self.open {
-            self.pool.truncate(start);
-        }
-        self.open = Some(self.pool.len());
+        self.pool.truncate(self.committed());
     }
 
     /// Appends one element to the currently open set.
     pub fn push_elem(&mut self, e: u32) {
-        debug_assert!(self.open.is_some(), "push_elem without begin");
         self.pool.push(e);
     }
 
     /// Sorts the open set in place, commits it, and returns the finished
     /// slice.
     pub fn commit_sorted(&mut self) -> &[u32] {
-        let start = self.open.take().expect("commit_sorted without begin");
-        let tail = &mut self.pool[start..];
-        tail.sort_unstable();
-        self.spans.push((start, tail.len()));
+        let start = self.committed();
+        self.pool[start..].sort_unstable();
+        self.offsets.push(self.pool.len());
         &self.pool[start..]
     }
 
@@ -92,15 +107,26 @@ impl SetArena {
         self.commit_sorted();
     }
 
-    /// Materialises every committed set as its own `Vec`, in insertion
-    /// order (one allocation per set, paid once at the end of a run).
-    pub fn to_vecs(&self) -> Vec<Vec<u32>> {
-        self.iter().map(|s| s.to_vec()).collect()
+    /// Appends `set` as it is (the caller keeps the family's order).
+    pub(crate) fn push_sorted(&mut self, set: &[u32]) {
+        self.pool.extend_from_slice(set);
+        self.offsets.push(self.pool.len());
     }
 
-    /// Consuming variant of [`Self::to_vecs`].
-    pub fn into_vecs(self) -> Vec<Vec<u32>> {
-        self.to_vecs()
+    /// Appends every committed set of `other`, in order.
+    pub(crate) fn append(&mut self, other: &SetArena) {
+        let base = self.committed();
+        self.pool.truncate(base);
+        self.pool
+            .extend_from_slice(&other.pool[..other.committed()]);
+        self.offsets
+            .extend(other.offsets[1..].iter().map(|offset| offset + base));
+    }
+
+    /// Materialises every committed set as its own `Vec`, in insertion
+    /// order (one allocation per set).
+    pub fn to_vecs(&self) -> Vec<Vec<u32>> {
+        self.iter().map(<[u32]>::to_vec).collect()
     }
 }
 

@@ -1,15 +1,43 @@
 //! The S2 outcome record and the backend names the benchmark harness uses.
 //!
-//! MQCE-S2 is one pass, [`compact_parallel`]: the pipeline sorts and
-//! deduplicates the S1 outputs once and compacts them on the run's worker
-//! count. What stays here is the outcome record that pass returns, plus the
-//! surface the benchmark harness (`perfbench`) compiles against: the four
+//! MQCE-S2 is one pass, [`CanonicalFamily::compact`](crate::CanonicalFamily::compact):
+//! the pipeline merges the S1 arenas into one canonical family and compacts
+//! it on the run's worker count. What stays here is the outcome record that
+//! pass returns, with its step times, plus the surface the benchmark harness (`perfbench`) compiles against: the four
 //! [`S2Backend`] names, whose buffers all run that same pass on one worker,
 //! and the [`S2Decision`] record, which nothing sets any more.
 
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use crate::parallel::compact_parallel;
+
+/// Wall-clock time of each step of one S2 pass.
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
+pub struct S2Steps {
+    /// Sorting each S1 arena and merging them without duplicates
+    /// ([`CanonicalFamily::from_arenas`](crate::CanonicalFamily::from_arenas)).
+    /// The pass itself leaves it zero; the caller that merged fills it in.
+    pub merge: Duration,
+    /// Ranking the sets and building the inverted index.
+    pub index: Duration,
+    /// Probing every set and marking the survivors.
+    pub probe: Duration,
+    /// Boxing the survivors.
+    pub collect: Duration,
+}
+
+impl std::fmt::Display for S2Steps {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "merge={:.3}s index={:.3}s probe={:.3}s collect={:.3}s",
+            self.merge.as_secs_f64(),
+            self.index.as_secs_f64(),
+            self.probe.as_secs_f64(),
+            self.collect.as_secs_f64()
+        )
+    }
+}
 
 /// The result of an S2 compaction.
 #[derive(Clone, Debug, Default)]
@@ -25,6 +53,8 @@ pub struct S2Outcome {
     /// Always `None`: no dispatcher chooses a backend. Remains for the
     /// benchmark harness, which reads it.
     pub decision: Option<S2Decision>,
+    /// How long each step took.
+    pub steps: S2Steps,
 }
 
 /// A backend choice with its predicted costs. Nothing constructs one; it

@@ -4,12 +4,16 @@
 //! the set `S` of quasi-cliques produced by the branch-and-bound search
 //! (every maximal QC plus possibly some non-maximal ones) and removes the
 //! sets contained in another set of `S`. The paper does this with the
-//! set-trie of Savnik et al. \[37\]; this crate does it with one pass,
-//! [`compact_parallel`]: the family is indexed once (element → sets, as a
-//! frozen CSR array) and scoped workers probe every set against the
-//! strictly larger sets of its rarest element. [`filter_maximal`] is an
-//! independent serial filter, and [`filter_maximal_naive`] the quadratic
-//! reference; the tests check the pass against both.
+//! set-trie of Savnik et al. \[37\]; this crate does it with one pass over
+//! a flat family. S1's workers fill one [`SetArena`] each;
+//! [`CanonicalFamily::from_arenas`] sorts them in parallel and merges them
+//! without duplicates; [`CanonicalFamily::compact`] indexes the family once
+//! (element → sets, as a frozen CSR array) and scoped workers probe every
+//! set against the strictly larger sets of its rarest element.
+//! [`compact_parallel`] runs the same pass on boxed sets.
+//! [`filter_maximal`] is an independent serial filter, and
+//! [`filter_maximal_naive`] the quadratic reference; the tests check the
+//! pass against both.
 //!
 //! ```
 //! use mqce_settrie::{compact_parallel, filter_maximal};
@@ -25,11 +29,13 @@
 #![warn(missing_docs)]
 
 pub mod arena;
+mod canonical;
 pub mod engine;
 mod filter;
 mod parallel;
 
 pub use arena::SetArena;
-pub use engine::{S2Backend, S2Buffer, S2Decision, S2Outcome};
+pub use canonical::CanonicalFamily;
+pub use engine::{S2Backend, S2Buffer, S2Decision, S2Outcome, S2Steps};
 pub use filter::{filter_maximal, filter_maximal_naive};
 pub use parallel::compact_parallel;

@@ -4,15 +4,17 @@
 //! depend on any other set's fate (containment is transitive, so probing
 //! against *every* larger set — dead or alive — gives the same answer as
 //! probing only the survivors). The family can therefore be indexed once and
-//! every set probed independently: [`compact_parallel`] builds a CSR index
-//! (element → ascending set ids) over the whole family and lets scoped
-//! workers claim blocks of sets from a shared counter.
+//! every set probed independently: [`CanonicalFamily::compact`] builds a CSR
+//! index (element → ascending set ids) over the whole flat family on scoped
+//! workers, lets them claim blocks of sets from a shared counter, marks the
+//! survivors in a bitmap and boxes only those.
 
-use std::borrow::Cow;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
 use std::time::Instant;
 
-use crate::engine::S2Outcome;
+use crate::arena::SetArena;
+use crate::canonical::CanonicalFamily;
+use crate::engine::{S2Outcome, S2Steps};
 use crate::filter::is_sorted_subset;
 
 /// Sets a worker claims at a time. Claims are dynamic because probe costs
@@ -26,140 +28,153 @@ const BLOCK: usize = 64;
 /// Duplicates collapse to one copy, and the empty set survives only when it
 /// is the sole input, as in [`filter_maximal`](crate::filter_maximal).
 ///
-/// A family that is already canonical — every set strictly increasing, the
-/// sets strictly increasing lexicographically, as a sorted and deduplicated
-/// S1 output is — is probed in place; any other input is first copied,
-/// sorted and deduplicated.
-///
-/// The index is keyed by element value. When the largest element reaches
-/// the family's total number of elements (sparse ids, or a small local
-/// family over a large graph), the index is built over the elements' ranks
-/// among the distinct values instead, so memory and time stay linear in the
-/// input.
-///
-/// Steps: rank the sets by length descending with a counting sort and build
-/// the CSR index over the ranks; probe each set at its rarest element
-/// against the part of that element's list holding strictly larger sets;
-/// keep the survivors, which are already in lexicographic order.
-///
-/// Under a deadline the result holds only sets whose probe completed, and
-/// each of those is maximal in the whole family: a cut-off answer is a
-/// subset of the true maximal family, not merely an antichain.
+/// This is [`CanonicalFamily::from_sets`] followed by
+/// [`CanonicalFamily::compact`], for callers that hold boxed sets.
 pub fn compact_parallel(sets: &[Vec<u32>], threads: usize, deadline: Option<Instant>) -> S2Outcome {
-    let threads = threads.max(1);
-    let expired = || deadline.is_some_and(|d| Instant::now() >= d);
-    let outcome = |mqcs, timed_out| S2Outcome {
-        mqcs,
-        timed_out,
-        backend: "parallel",
-        decision: None,
-    };
-    if sets.is_empty() {
-        return outcome(Vec::new(), false);
-    }
-    if expired() {
-        return outcome(Vec::new(), true);
-    }
-    let sets = canonical_family(sets);
-    let compressed = compress_sparse(&sets);
-    let probed: &[Vec<u32>] = compressed.as_deref().unwrap_or(&sets);
-    let index = FrozenIndex::build(probed);
-    let n = probed.len();
-    let next = AtomicUsize::new(0);
-    let timed_out = AtomicBool::new(false);
-    let work = || {
-        let mut survivors: Vec<u32> = Vec::new();
-        loop {
-            let start = next.fetch_add(BLOCK, Ordering::Relaxed);
-            if start >= n {
-                break;
-            }
-            if expired() {
-                timed_out.store(true, Ordering::Relaxed);
-                break;
-            }
-            survivors.extend(
-                (start..(start + BLOCK).min(n))
-                    .filter(|&rank| !index.dominated(probed, rank))
-                    .map(|rank| index.by_rank[rank]),
-            );
+    CanonicalFamily::from_sets(sets).compact(threads, deadline)
+}
+
+impl CanonicalFamily {
+    /// Compacts the family to exactly its maximal sets (sorted
+    /// lexicographically) on `threads` scoped workers (the calling thread is
+    /// one of them). The empty set survives only when it is the sole set.
+    ///
+    /// Steps, each timed in [`S2Outcome::steps`]: *index* ranks the sets by
+    /// length descending with a counting sort and builds the CSR index over
+    /// the ranks, each worker counting and scattering one block of ranks;
+    /// *probe* tests each set at its rarest element against the part of
+    /// that element's list holding strictly larger sets; *collect* boxes
+    /// the survivors, which are already in lexicographic order.
+    ///
+    /// The index is keyed by element value. When the largest element reaches
+    /// the family's total number of elements (sparse ids, or a small local
+    /// family over a large graph), the index is built over the elements'
+    /// ranks among the distinct values instead, so memory and time stay
+    /// linear in the input.
+    ///
+    /// Under a deadline the result holds only sets whose probe completed, and
+    /// each of those is maximal in the whole family: a cut-off answer is a
+    /// subset of the true maximal family, not merely an antichain.
+    pub fn compact(&self, threads: usize, deadline: Option<Instant>) -> S2Outcome {
+        let threads = threads.max(1);
+        let expired = || deadline.is_some_and(|d| Instant::now() >= d);
+        let outcome = |mqcs, timed_out, steps| S2Outcome {
+            mqcs,
+            timed_out,
+            backend: "parallel",
+            decision: None,
+            steps,
+        };
+        if self.is_empty() {
+            return outcome(Vec::new(), false, S2Steps::default());
         }
-        survivors
+        if expired() {
+            return outcome(Vec::new(), true, S2Steps::default());
+        }
+        let mut steps = S2Steps::default();
+        let start = Instant::now();
+        let compressed = self.compress_sparse();
+        let (probed, universe) = match &compressed {
+            Some((ranked, distinct)) => (ranked, *distinct),
+            None => (self.arena(), self.max().map_or(0, |e| e as usize + 1)),
+        };
+        let index = FrozenIndex::build(probed, universe, threads);
+        steps.index = start.elapsed();
+
+        let start = Instant::now();
+        let n = probed.len();
+        let next = AtomicUsize::new(0);
+        let timed_out = AtomicBool::new(false);
+        let work = |_| {
+            let mut survivors: Vec<u32> = Vec::new();
+            loop {
+                let start = next.fetch_add(BLOCK, Ordering::Relaxed);
+                if start >= n {
+                    break;
+                }
+                if expired() {
+                    timed_out.store(true, Ordering::Relaxed);
+                    break;
+                }
+                survivors.extend(
+                    (start..(start + BLOCK).min(n))
+                        .filter(|&rank| !index.dominated(probed, rank))
+                        .map(|rank| index.by_rank[rank]),
+                );
+            }
+            survivors
+        };
+        let survivors = on_workers(0..threads, work);
+        drop(index);
+        drop(compressed);
+        let mut keep = vec![0u64; n.div_ceil(64)];
+        for i in survivors.into_iter().flatten() {
+            keep[i as usize / 64] |= 1 << (i % 64);
+        }
+        steps.probe = start.elapsed();
+
+        let start = Instant::now();
+        let kept = |i: usize| keep[i / 64] >> (i % 64) & 1 == 1;
+        let chunk = n.div_ceil(threads);
+        let boxed = on_workers(0..threads, |worker| {
+            let lo = (worker * chunk).min(n);
+            (lo..(lo + chunk).min(n))
+                .filter(|&i| kept(i))
+                .map(|i| self.arena().get(i).to_vec())
+                .collect::<Vec<_>>()
+        });
+        let mqcs = boxed.into_iter().flatten().collect();
+        steps.collect = start.elapsed();
+        outcome(mqcs, timed_out.into_inner(), steps)
+    }
+
+    /// When the largest element reaches the total number of elements, a copy
+    /// of the family with every element replaced by its rank among the
+    /// distinct values, and the number of distinct values. Ranks preserve
+    /// order, so every set stays sorted and the family's order and
+    /// containments are unchanged.
+    fn compress_sparse(&self) -> Option<(SetArena, usize)> {
+        let max = self.max()?;
+        let sets = self.arena();
+        if (max as usize) < sets.pooled_len() {
+            return None;
+        }
+        let mut values: Vec<u32> = sets.iter().flatten().copied().collect();
+        values.sort_unstable();
+        values.dedup();
+        let mut ranked = SetArena::with_capacity(sets.len(), sets.pooled_len());
+        let mut buf = Vec::new();
+        for set in sets.iter() {
+            buf.clear();
+            buf.extend(set.iter().map(|e| values.partition_point(|v| v < e) as u32));
+            ranked.push_sorted(&buf);
+        }
+        Some((ranked, values.len()))
+    }
+}
+
+/// Runs `work` on every item, each on a scoped worker of its own (the
+/// calling thread takes the first), and returns the results in item order.
+/// A worker's panic is re-raised.
+pub(crate) fn on_workers<I: Send, T: Send>(
+    items: impl IntoIterator<Item = I>,
+    work: impl Fn(I) -> T + Sync,
+) -> Vec<T> {
+    let work = &work;
+    let mut items = items.into_iter();
+    let Some(first) = items.next() else {
+        return Vec::new();
     };
-    let survivors = std::thread::scope(|scope| {
-        let helpers: Vec<_> = (1..threads).map(|_| scope.spawn(work)).collect();
-        let mut survivors = work();
-        for helper in helpers {
-            let found = helper
+    std::thread::scope(|scope| {
+        let helpers: Vec<_> = items.map(|item| scope.spawn(move || work(item))).collect();
+        let mut results = vec![work(first)];
+        results.extend(helpers.into_iter().map(|helper| {
+            helper
                 .join()
-                .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
-            survivors.extend(found);
-        }
-        survivors
-    });
-    drop(index);
-    drop(compressed);
-
-    let mut keep = vec![false; n];
-    for i in survivors {
-        keep[i as usize] = true;
-    }
-    let mqcs = match sets {
-        Cow::Borrowed(sets) => sets
-            .iter()
-            .zip(keep)
-            .filter(|&(_, keep)| keep)
-            .map(|(set, _)| set.clone())
-            .collect(),
-        Cow::Owned(sets) => sets
-            .into_iter()
-            .zip(keep)
-            .filter_map(|(set, keep)| keep.then_some(set))
-            .collect(),
-    };
-    outcome(mqcs, timed_out.into_inner())
-}
-
-/// `sets` itself when it is canonical (every set strictly increasing, the
-/// sets strictly increasing lexicographically); otherwise a copy with every
-/// set sorted and deduplicated, sorted lexicographically without duplicate
-/// sets.
-fn canonical_family(sets: &[Vec<u32>]) -> Cow<'_, [Vec<u32>]> {
-    let increasing = |set: &[u32]| set.windows(2).all(|w| w[0] < w[1]);
-    if sets.iter().all(|set| increasing(set)) && sets.windows(2).all(|w| w[0] < w[1]) {
-        return Cow::Borrowed(sets);
-    }
-    let mut sets = sets.to_vec();
-    for set in sets.iter_mut() {
-        if !increasing(set) {
-            set.sort_unstable();
-            set.dedup();
-        }
-    }
-    sets.sort_unstable();
-    sets.dedup();
-    Cow::Owned(sets)
-}
-
-/// When the largest element reaches the total number of elements, a copy
-/// of `sets` with every element replaced by its rank among the distinct
-/// values. Ranks preserve order, so every set stays sorted and the family's
-/// order and containments are unchanged.
-fn compress_sparse(sets: &[Vec<u32>]) -> Option<Vec<Vec<u32>>> {
-    let total: usize = sets.iter().map(Vec::len).sum();
-    let &max = sets.iter().flatten().max()?;
-    if (max as usize) < total {
-        return None;
-    }
-    let mut values: Vec<u32> = sets.iter().flatten().copied().collect();
-    values.sort_unstable();
-    values.dedup();
-    let rank = |e: &u32| values.partition_point(|v| v < e) as u32;
-    Some(
-        sets.iter()
-            .map(|set| set.iter().map(rank).collect())
-            .collect(),
-    )
+                .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+        }));
+        results
+    })
 }
 
 /// The frozen probe structure over a lexicographically sorted, deduplicated
@@ -189,10 +204,14 @@ fn signature(set: &[u32]) -> u64 {
 }
 
 impl FrozenIndex {
-    fn build(sets: &[Vec<u32>]) -> Self {
-        let max_len = sets.iter().map(Vec::len).max().unwrap_or(0);
+    /// Indexes `sets`, whose elements are all below `universe`, on
+    /// `threads` workers: each takes one contiguous block of ranks, counts
+    /// its elements, and scatters its ranks into the lists at cursors that
+    /// follow the blocks before it, so every list comes out ascending.
+    fn build(sets: &SetArena, universe: usize, threads: usize) -> Self {
+        let max_len = sets.iter().map(<[u32]>::len).max().unwrap_or(0);
         let mut count = vec![0u32; max_len + 1];
-        for set in sets {
+        for set in sets.iter() {
             count[set.len()] += 1;
         }
         let mut longer = vec![0u32; max_len + 1];
@@ -206,27 +225,47 @@ impl FrozenIndex {
             cursor[set.len()] += 1;
         }
 
-        let universe = sets.iter().flatten().max().map_or(0, |&e| e as usize + 1);
+        let block = by_rank.len().div_ceil(threads).max(1);
+        let blocks: Vec<&[u32]> = by_rank.chunks(block).collect();
+        let mut signatures = vec![0u64; by_rank.len()];
+        let counts = on_workers(
+            blocks.iter().zip(signatures.chunks_mut(block)),
+            |(ranks, sigs)| {
+                let mut count = vec![0u32; universe];
+                for (&i, sig) in ranks.iter().zip(sigs) {
+                    let set = sets.get(i as usize);
+                    *sig = signature(set);
+                    for &e in set {
+                        count[e as usize] += 1;
+                    }
+                }
+                count
+            },
+        );
+
         let mut offsets = vec![0usize; universe + 1];
-        for &e in sets.iter().flatten() {
-            offsets[e as usize + 1] += 1;
-        }
         for e in 0..universe {
-            offsets[e + 1] += offsets[e];
+            offsets[e + 1] = offsets[e] + counts.iter().map(|c| c[e] as usize).sum::<usize>();
         }
-        let mut cursor = offsets.clone();
-        let mut ids = vec![0u32; offsets[universe]];
-        // Sets are visited in rank order, so every list comes out ascending.
-        for (rank, &i) in by_rank.iter().enumerate() {
-            for &e in &sets[i as usize] {
-                ids[cursor[e as usize]] = rank as u32;
-                cursor[e as usize] += 1;
-            }
-        }
-        let signatures = by_rank
-            .iter()
-            .map(|&i| signature(&sets[i as usize]))
+        let ids: Vec<AtomicU32> = vec![0u32; offsets[universe]]
+            .into_iter()
+            .map(AtomicU32::new)
             .collect();
+        on_workers(0..blocks.len(), |b| {
+            let mut cursor: Vec<usize> = (0..universe)
+                .map(|e| offsets[e] + counts[..b].iter().map(|c| c[e] as usize).sum::<usize>())
+                .collect();
+            let first = (b * block) as u32;
+            for (rank, &i) in (first..).zip(blocks[b]) {
+                for &e in sets.get(i as usize) {
+                    // The workers' join orders these stores before any
+                    // read of `ids`.
+                    ids[cursor[e as usize]].store(rank, Ordering::Relaxed);
+                    cursor[e as usize] += 1;
+                }
+            }
+        });
+        let ids = ids.into_iter().map(AtomicU32::into_inner).collect();
         FrozenIndex {
             by_rank,
             longer,
@@ -238,26 +277,24 @@ impl FrozenIndex {
 
     /// Whether the set ranked `rank` is strictly contained in another set
     /// of `sets` (the family this index was built over).
-    fn dominated(&self, sets: &[Vec<u32>], rank: usize) -> bool {
-        let set = &sets[self.by_rank[rank] as usize];
+    fn dominated(&self, sets: &SetArena, rank: usize) -> bool {
+        let set = sets.get(self.by_rank[rank] as usize);
         // Only strictly larger sets can strictly contain `set`: the ranks
         // before its length class. Probe the element with the fewest.
         let bound = self.longer[set.len()];
-        let Some(candidates) = set
+        let Some(list) = set
             .iter()
-            .map(|&e| {
-                let list = &self.ids[self.offsets[e as usize]..self.offsets[e as usize + 1]];
-                &list[..list.partition_point(|&r| r < bound)]
-            })
+            .map(|&e| &self.ids[self.offsets[e as usize]..self.offsets[e as usize + 1]])
             .min_by_key(|list| list.len())
         else {
             // The empty set ranks last; anything else dominates it.
             return sets.len() > 1;
         };
+        let candidates = &list[..list.partition_point(|&r| r < bound)];
         let sig = self.signatures[rank];
         candidates.iter().any(|&r| {
             sig & !self.signatures[r as usize] == 0
-                && is_sorted_subset(set, &sets[self.by_rank[r as usize] as usize])
+                && is_sorted_subset(set, sets.get(self.by_rank[r as usize] as usize))
         })
     }
 }
@@ -288,7 +325,6 @@ mod tests {
                 .collect();
             canonical.sort_unstable();
             canonical.dedup();
-            assert!(matches!(canonical_family(&canonical), Cow::Borrowed(_)));
             for threads in [1, 2, 4] {
                 for input in [&sets, &doubled, &canonical] {
                     let out = compact_parallel(input, threads, None);
@@ -297,6 +333,24 @@ mod tests {
                     assert_eq!(out.backend, "parallel");
                     assert!(out.decision.is_none());
                 }
+            }
+        }
+    }
+
+    /// The pass over S1-shaped input: the family split across one arena
+    /// per worker, merged, and compacted on as many workers.
+    #[test]
+    fn flat_family_compaction_matches_naive() {
+        for sets in random_families() {
+            let expected = filter_maximal_naive(&sets);
+            for threads in [1, 2, 4] {
+                let mut arenas = vec![SetArena::new(); threads];
+                for (i, set) in sets.iter().enumerate() {
+                    arenas[i % threads].push_set(set);
+                }
+                let out = CanonicalFamily::from_arenas(arenas).compact(threads, None);
+                assert_eq!(out.mqcs, expected, "{threads} workers on {sets:?}");
+                assert!(!out.timed_out);
             }
         }
     }

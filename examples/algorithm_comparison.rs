@@ -88,7 +88,7 @@ fn main() {
             name,
             elapsed.as_secs_f64() * 1e3,
             result.stats.branches,
-            result.qcs.len(),
+            result.qcs,
             result.mqcs.len()
         );
         match &reference {

@@ -66,7 +66,7 @@ fn main() {
         "S1 took {:?}, S2 took {:?}; {} candidate QCs were filtered to {} maximal ones",
         result.s1_time,
         result.s2_time,
-        result.qcs.len(),
+        result.qcs,
         result.mqcs.len()
     );
 }

@@ -57,7 +57,6 @@ fn main() {
     assert_eq!(quick.mqcs, result.mqcs);
     println!(
         "\nQuick+ baseline agrees, but emitted {} candidate QCs vs {} for DCFastQC",
-        quick.qcs.len(),
-        result.qcs.len()
+        quick.qcs, result.qcs
     );
 }

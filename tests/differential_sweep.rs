@@ -93,14 +93,15 @@ fn s2_pass_matches_filter_maximal_across_full_grid() {
         for gamma in GAMMAS {
             for theta in THETAS {
                 let config = MqceConfig::new(gamma, theta).unwrap();
+                let expected =
+                    mqce::settrie::filter_maximal(&mqce::core::solve_s1(g, &config).outputs);
                 for threads in [1, 2] {
                     let result = Session::open(g.clone())
                         .config(config)
                         .threads(threads)
                         .run();
                     assert_eq!(
-                        result.mqcs,
-                        mqce::settrie::filter_maximal(&result.qcs),
+                        result.mqcs, expected,
                         "{label}: S2 pass diverges at {threads} threads \
                          (gamma={gamma}, theta={theta})"
                     );

@@ -183,8 +183,8 @@ fn degree_qcs_are_edge_qcs_but_not_vice_versa() {
     // bound at the same γ (sum the per-vertex degree bound over all vertices).
     let g = Graph::paper_figure1();
     for gamma in [0.5, 0.6, 0.7, 0.9] {
-        let result = enumerate_mqcs_default(&g, gamma, 2).unwrap();
-        for qc in &result.qcs {
+        let config = MqceConfig::new(gamma, 2).unwrap();
+        for qc in &mqce::core::solve_s1(&g, &config).outputs {
             assert!(
                 edge_qc::is_edge_quasi_clique(&g, qc, gamma),
                 "degree-QC {qc:?} is not an edge-QC at gamma={gamma}"

@@ -212,7 +212,7 @@ fn table1_style_report_fields() {
         assert!(avg >= min as f64 && avg <= max as f64);
     }
     // #QCs reported by S1 is at least #MQCs.
-    assert!(result.qcs.len() >= result.mqcs.len());
+    assert!(result.qcs >= result.mqcs.len());
 }
 
 /// Degenerate inputs are handled gracefully end to end.

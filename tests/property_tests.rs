@@ -253,7 +253,8 @@ proptest! {
         let result = enumerate_mqcs_default(&g, gamma, theta).unwrap();
         let report = verify_mqc_set(&g, &result.mqcs, params);
         prop_assert!(report.is_ok(), "{}", report);
-        let s1 = verify_s1_output(&g, &result.qcs, params);
+        let config = MqceConfig::new(gamma, theta).unwrap();
+        let s1 = verify_s1_output(&g, &mqce::core::solve_s1(&g, &config).outputs, params);
         prop_assert!(s1.is_ok(), "{}", s1);
     }
 

@@ -96,8 +96,11 @@ fn intra_subproblem_splitting_fires_on_a_single_giant_community() {
     let config = MqceConfig::new(0.85, 6).unwrap().with_steal_granularity(1);
     let sequential = enumerate(&g, &config);
     let expected = sequential.mqcs;
-    // `qcs` is the raw S1 stream, sorted and deduplicated.
-    let seq_sorted = sequential.qcs;
+    // The raw one-worker S1 stream, sorted and deduplicated.
+    let mut seq_sorted = mqce::core::solve_s1(&g, &config).outputs;
+    seq_sorted.sort_unstable();
+    seq_sorted.dedup();
+    assert_eq!(sequential.qcs, seq_sorted.len());
     let mut donated_somewhere = false;
     for _attempt in 0..8 {
         let parallel = enumerate_threads(&g, &config, 4);
@@ -111,10 +114,7 @@ fn intra_subproblem_splitting_fires_on_a_single_giant_community() {
         );
         // Raw S1 outputs may contain extra dominated sets from split points,
         // but never fewer than the sequential stream's distinct sets.
-        let par_sorted = parallel.qcs;
-        assert!(seq_sorted
-            .iter()
-            .all(|s| par_sorted.binary_search(s).is_ok()));
+        assert!(parallel.qcs >= seq_sorted.len());
         if parallel.stats.split_donated > 0 {
             donated_somewhere = true;
             break;

@@ -64,7 +64,7 @@ pub use config::{Algorithm, BranchingStrategy, MqceConfig, MqceParams, ParamErro
 pub use incremental::{IncrementalSession, UpdateOutcome};
 /// Remains for the benchmark harness, which names it through this crate.
 pub use mqce_settrie::S2Backend;
-pub use pipeline::{enumerate_mqcs_default, solve_s1, MqceResult};
+pub use pipeline::{enumerate_mqcs_default, solve_s1, solve_s1_threads, MqceResult};
 pub use prepared::PreparedGraph;
 pub use query::{find_mqcs_containing, QueryError, QueryResult};
 pub use session::Session;
@@ -77,7 +77,7 @@ pub use verify::{
 /// Commonly used items, re-exported for convenient glob imports.
 pub mod prelude {
     pub use crate::config::{Algorithm, BranchingStrategy, MqceConfig, MqceParams};
-    pub use crate::pipeline::{enumerate_mqcs_default, solve_s1, MqceResult};
+    pub use crate::pipeline::{enumerate_mqcs_default, solve_s1, solve_s1_threads, MqceResult};
     pub use crate::quasiclique::is_quasi_clique;
     pub use crate::session::Session;
     pub use crate::stats::{S2Stats, SearchStats, ThreadStats};

@@ -146,12 +146,20 @@ fn solve_whole_graph(g: &Graph, config: &MqceConfig, deadline: Option<Instant>) 
 /// the raw set of quasi-cliques (global vertex ids, in emission order) and
 /// the search statistics.
 pub fn solve_s1(g: &Graph, config: &MqceConfig) -> SearchOutcome {
+    solve_s1_threads(g, config, 1)
+}
+
+/// [`solve_s1`] on `threads` work-stealing workers (DC algorithms; the
+/// whole-graph ones run on one). The outputs come worker by worker; split
+/// branches may add dominated quasi-cliques that one worker does not
+/// emit, so the family can be larger than [`solve_s1`]'s, never smaller.
+pub fn solve_s1_threads(g: &Graph, config: &MqceConfig, threads: usize) -> SearchOutcome {
     let deadline = config.time_limit.map(|limit| Instant::now() + limit);
     let outcome = match dc_setup(config) {
         Some((inner, dc)) => {
             let prepared = PreparedGraph::new(g.clone());
             let plan = DcPlan::from_prepared(&prepared, config.params, dc, None);
-            run_anchors(&plan, &plan.ordering, inner, 1, deadline)
+            run_anchors(&plan, &plan.ordering, inner, threads, deadline)
         }
         None => solve_whole_graph(g, config, deadline),
     };
@@ -225,10 +233,9 @@ pub(crate) fn run_pipeline(
 /// MQCE-S2, the one compaction rule: merges `sets` into one
 /// [`CanonicalFamily`] (each arena sorted on a worker of its own,
 /// duplicates dropped), then compacts it with [`CanonicalFamily::compact`]
-/// on `threads` workers under `deadline`. Returns the outcome, with the
-/// merge time in its steps, and the number of distinct sets compacted. Full
-/// runs ([`run_pipeline`]), query searches and incremental updates all come
-/// through here.
+/// on `threads` workers under `deadline`. Returns the outcome and the
+/// number of distinct sets compacted. Full runs ([`run_pipeline`]), query
+/// searches and incremental updates all come through here.
 ///
 /// The outcome is also marked timed out when the deadline had passed
 /// before the pass started. A zero-budget run gets here with its deadline
@@ -241,13 +248,10 @@ pub(crate) fn compact_family(
     threads: usize,
     deadline: Option<Instant>,
 ) -> (S2Outcome, usize) {
-    let start = Instant::now();
     let family = CanonicalFamily::from_arenas(sets);
-    let merged = start.elapsed();
     let expired = deadline.is_some_and(|d| Instant::now() >= d);
     let mut outcome = family.compact(threads, deadline);
     outcome.timed_out |= expired;
-    outcome.steps.merge = merged;
     (outcome, family.len())
 }
 

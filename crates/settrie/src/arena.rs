@@ -17,6 +17,9 @@ pub struct SetArena {
     /// One more entry than there are committed sets, starting at 0.
     /// Elements past the last offset belong to the open (uncommitted) set.
     offsets: Vec<usize>,
+    /// Whether a set is open: [`Self::begin`] was called and the set is
+    /// not yet committed.
+    open: bool,
 }
 
 impl Default for SetArena {
@@ -24,6 +27,7 @@ impl Default for SetArena {
         SetArena {
             pool: Vec::new(),
             offsets: vec![0],
+            open: false,
         }
     }
 }
@@ -41,6 +45,7 @@ impl SetArena {
         SetArena {
             pool: Vec::with_capacity(elems),
             offsets,
+            open: false,
         }
     }
 
@@ -67,6 +72,7 @@ impl SetArena {
     pub fn clear(&mut self) {
         self.pool.clear();
         self.offsets.truncate(1);
+        self.open = false;
     }
 
     /// The `i`-th committed set, in insertion order.
@@ -84,16 +90,20 @@ impl SetArena {
     /// [`Self::commit_sorted`]. Re-opening discards an unfinished set.
     pub fn begin(&mut self) {
         self.pool.truncate(self.committed());
+        self.open = true;
     }
 
     /// Appends one element to the currently open set.
     pub fn push_elem(&mut self, e: u32) {
+        debug_assert!(self.open, "push_elem without begin");
         self.pool.push(e);
     }
 
     /// Sorts the open set in place, commits it, and returns the finished
     /// slice.
     pub fn commit_sorted(&mut self) -> &[u32] {
+        assert!(self.open, "commit_sorted without begin");
+        self.open = false;
         let start = self.committed();
         self.pool[start..].sort_unstable();
         self.offsets.push(self.pool.len());
@@ -109,18 +119,9 @@ impl SetArena {
 
     /// Appends `set` as it is (the caller keeps the family's order).
     pub(crate) fn push_sorted(&mut self, set: &[u32]) {
+        debug_assert!(!self.open, "push_sorted with a set open");
         self.pool.extend_from_slice(set);
         self.offsets.push(self.pool.len());
-    }
-
-    /// Appends every committed set of `other`, in order.
-    pub(crate) fn append(&mut self, other: &SetArena) {
-        let base = self.committed();
-        self.pool.truncate(base);
-        self.pool
-            .extend_from_slice(&other.pool[..other.committed()]);
-        self.offsets
-            .extend(other.offsets[1..].iter().map(|offset| offset + base));
     }
 
     /// Materialises every committed set as its own `Vec`, in insertion
@@ -170,6 +171,22 @@ mod tests {
         assert_eq!(a.len(), 1);
         assert_eq!(a.get(0), &[7]);
         assert_eq!(a.pooled_len(), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "commit_sorted without begin")]
+    fn commit_without_begin_panics() {
+        let mut a = SetArena::new();
+        a.push_set(&[1]);
+        a.commit_sorted();
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "push_elem without begin")]
+    fn push_elem_without_begin_panics_in_debug_builds() {
+        let mut a = SetArena::new();
+        a.push_elem(1);
     }
 
     #[test]

@@ -8,6 +8,7 @@
 
 use std::cmp::Reverse;
 use std::collections::binary_heap::{BinaryHeap, PeekMut};
+use std::time::{Duration, Instant};
 
 use crate::arena::SetArena;
 use crate::parallel::on_workers;
@@ -20,60 +21,30 @@ pub struct CanonicalFamily {
     sets: SetArena,
     /// The largest element of any set (`None` when every set is empty).
     max: Option<u32>,
+    /// How long sorting and merging took.
+    merge_time: Duration,
 }
 
 impl CanonicalFamily {
     /// Sorts and deduplicates the sets of `arenas` into one family. Each
     /// arena's set order is sorted on a scoped worker of its own (the
-    /// calling thread takes the first). The sorted runs are then cut into
-    /// one key range per arena at splitters taken from the longest run, and
-    /// each range is merged on a worker of its own, dropping duplicates
-    /// (equal sets, also those split between arenas, fall into one range).
-    /// Sets that are not strictly increasing are sorted and deduplicated
-    /// first (S1's sets always are).
+    /// calling thread takes the first), then one k-way merge of the sorted
+    /// runs drops duplicates, also those split between arenas. Sets that
+    /// are not strictly increasing are sorted and deduplicated first (S1's
+    /// sets always are). The time taken is kept as the pass's merge step.
     pub fn from_arenas(mut arenas: Vec<SetArena>) -> Self {
+        let start = Instant::now();
         let orders = on_workers(arenas.iter_mut(), sorted_order);
-
         let runs: Vec<(&SetArena, &[u32])> = arenas
             .iter()
             .zip(orders.iter().map(Vec::as_slice))
             .collect();
-        let splitters: Vec<&[u32]> = match runs.iter().max_by_key(|(_, order)| order.len()) {
-            Some(&(arena, order)) if !order.is_empty() => (1..runs.len())
-                .map(|part| arena.get(order[order.len() * part / runs.len()] as usize))
-                .collect(),
-            _ => Vec::new(),
-        };
-        // `cuts[k][part]..cuts[k][part + 1]` is run `k`'s share of a range.
-        let cuts: Vec<Vec<usize>> =
-            runs.iter()
-                .map(|&(arena, order)| {
-                    let mut cut = vec![0];
-                    cut.extend(splitters.iter().map(|&splitter| {
-                        order.partition_point(|&i| arena.get(i as usize) < splitter)
-                    }));
-                    cut.push(order.len());
-                    cut
-                })
-                .collect();
-        let parts = on_workers(0..=splitters.len(), |part| {
-            let shares: Vec<(&SetArena, &[u32])> = runs
-                .iter()
-                .zip(&cuts)
-                .map(|(&(arena, order), cut)| (arena, &order[cut[part]..cut[part + 1]]))
-                .collect();
-            merge_runs(&shares)
-        });
-        // Free the arenas before the parts are concatenated.
-        drop(arenas);
-
-        let mut parts = parts.into_iter();
-        let (mut sets, mut max) = parts.next().unwrap_or_default();
-        for (part, part_max) in parts {
-            sets.append(&part);
-            max = max.max(part_max);
+        let (sets, max) = merge_runs(&runs);
+        CanonicalFamily {
+            sets,
+            max,
+            merge_time: start.elapsed(),
         }
-        CanonicalFamily { sets, max }
     }
 
     /// Canonical form of arbitrary sets: each set sorted and deduplicated,
@@ -103,17 +74,17 @@ impl CanonicalFamily {
     pub(crate) fn max(&self) -> Option<u32> {
         self.max
     }
+
+    pub(crate) fn merge_time(&self) -> Duration {
+        self.merge_time
+    }
 }
 
 /// Merges sorted runs (an arena and its set positions in lexicographic
 /// order) into one flat family without duplicates, with its largest element.
 fn merge_runs(runs: &[(&SetArena, &[u32])]) -> (SetArena, Option<u32>) {
-    let sets = runs.iter().map(|(_, order)| order.len()).sum();
-    // Each run's share of its arena's elements, in proportion to its sets.
-    let elems = runs
-        .iter()
-        .map(|(arena, order)| arena.pooled_len() * order.len() / arena.len().max(1))
-        .sum();
+    let sets = runs.iter().map(|(arena, _)| arena.len()).sum();
+    let elems = runs.iter().map(|(arena, _)| arena.pooled_len()).sum();
     let mut merged = SetArena::with_capacity(sets, elems);
     let mut max = None;
     // Each heap entry is the next set of one run, with the run and the
@@ -265,8 +236,8 @@ mod tests {
             CanonicalFamily::from_sets(&sets).arena().to_vecs(),
             expected
         );
-        // Every arena holding the whole family twice: each splitter between
-        // the merged ranges has copies in every arena.
+        // Every arena holding the whole family twice: each set has copies
+        // in every arena.
         let arenas = (0..4)
             .map(|_| {
                 let mut arena = SetArena::new();

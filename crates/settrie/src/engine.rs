@@ -15,8 +15,8 @@ use crate::parallel::compact_parallel;
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct S2Steps {
     /// Sorting each S1 arena and merging them without duplicates
-    /// ([`CanonicalFamily::from_arenas`](crate::CanonicalFamily::from_arenas)).
-    /// The pass itself leaves it zero; the caller that merged fills it in.
+    /// ([`CanonicalFamily::from_arenas`](crate::CanonicalFamily::from_arenas)),
+    /// timed by the family and reported by the pass that compacts it.
     pub merge: Duration,
     /// Ranking the sets and building the inverted index.
     pub index: Duration,

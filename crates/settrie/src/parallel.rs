@@ -39,7 +39,9 @@ impl CanonicalFamily {
     /// lexicographically) on `threads` scoped workers (the calling thread is
     /// one of them). The empty set survives only when it is the sole set.
     ///
-    /// Steps, each timed in [`S2Outcome::steps`]: *index* ranks the sets by
+    /// Steps, each timed in [`S2Outcome::steps`]: *merge* is the time the
+    /// family took to sort and merge (see
+    /// [`from_arenas`](CanonicalFamily::from_arenas)); *index* ranks the sets by
     /// length descending with a counting sort and builds the CSR index over
     /// the ranks, each worker counting and scattering one block of ranks;
     /// *probe* tests each set at its rarest element against the part of
@@ -58,6 +60,10 @@ impl CanonicalFamily {
     pub fn compact(&self, threads: usize, deadline: Option<Instant>) -> S2Outcome {
         let threads = threads.max(1);
         let expired = || deadline.is_some_and(|d| Instant::now() >= d);
+        let mut steps = S2Steps {
+            merge: self.merge_time(),
+            ..S2Steps::default()
+        };
         let outcome = |mqcs, timed_out, steps| S2Outcome {
             mqcs,
             timed_out,
@@ -66,12 +72,11 @@ impl CanonicalFamily {
             steps,
         };
         if self.is_empty() {
-            return outcome(Vec::new(), false, S2Steps::default());
+            return outcome(Vec::new(), false, steps);
         }
         if expired() {
-            return outcome(Vec::new(), true, S2Steps::default());
+            return outcome(Vec::new(), true, steps);
         }
-        let mut steps = S2Steps::default();
         let start = Instant::now();
         let compressed = self.compress_sparse();
         let (probed, universe) = match &compressed {
@@ -204,10 +209,13 @@ fn signature(set: &[u32]) -> u64 {
 }
 
 impl FrozenIndex {
-    /// Indexes `sets`, whose elements are all below `universe`, on
-    /// `threads` workers: each takes one contiguous block of ranks, counts
-    /// its elements, and scatters its ranks into the lists at cursors that
-    /// follow the blocks before it, so every list comes out ascending.
+    /// Indexes `sets`, whose elements are all below `universe`, on up to
+    /// `threads` workers: each takes one contiguous block of ranks and
+    /// counts its elements; one serial pass turns every block's counts into
+    /// its start cursors in the lists, behind the blocks before it; each
+    /// worker then scatters its ranks, so every list comes out ascending.
+    /// Workers are capped so that their count arrays together hold no more
+    /// entries than the index itself.
     fn build(sets: &SetArena, universe: usize, threads: usize) -> Self {
         let max_len = sets.iter().map(<[u32]>::len).max().unwrap_or(0);
         let mut count = vec![0u32; max_len + 1];
@@ -225,10 +233,11 @@ impl FrozenIndex {
             cursor[set.len()] += 1;
         }
 
-        let block = by_rank.len().div_ceil(threads).max(1);
+        let workers = threads.min(sets.pooled_len() / universe.max(1)).max(1);
+        let block = by_rank.len().div_ceil(workers).max(1);
         let blocks: Vec<&[u32]> = by_rank.chunks(block).collect();
         let mut signatures = vec![0u64; by_rank.len()];
-        let counts = on_workers(
+        let mut cursors = on_workers(
             blocks.iter().zip(signatures.chunks_mut(block)),
             |(ranks, sigs)| {
                 let mut count = vec![0u32; universe];
@@ -243,28 +252,35 @@ impl FrozenIndex {
             },
         );
 
-        let mut offsets = vec![0usize; universe + 1];
+        // Block b's count of `e` becomes its first position in e's list.
+        let mut offsets = Vec::with_capacity(universe + 1);
+        offsets.push(0);
         for e in 0..universe {
-            offsets[e + 1] = offsets[e] + counts.iter().map(|c| c[e] as usize).sum::<usize>();
+            let mut at = 0;
+            for cursor in &mut cursors {
+                (cursor[e], at) = (at, at + cursor[e]);
+            }
+            offsets.push(offsets[e] + at as usize);
         }
         let ids: Vec<AtomicU32> = vec![0u32; offsets[universe]]
             .into_iter()
             .map(AtomicU32::new)
             .collect();
-        on_workers(0..blocks.len(), |b| {
-            let mut cursor: Vec<usize> = (0..universe)
-                .map(|e| offsets[e] + counts[..b].iter().map(|c| c[e] as usize).sum::<usize>())
-                .collect();
-            let first = (b * block) as u32;
-            for (rank, &i) in (first..).zip(blocks[b]) {
-                for &e in sets.get(i as usize) {
-                    // The workers' join orders these stores before any
-                    // read of `ids`.
-                    ids[cursor[e as usize]].store(rank, Ordering::Relaxed);
-                    cursor[e as usize] += 1;
+        on_workers(
+            blocks.iter().zip(cursors).enumerate(),
+            |(b, (ranks, mut cursor))| {
+                let first = (b * block) as u32;
+                for (rank, &i) in (first..).zip(*ranks) {
+                    for &e in sets.get(i as usize) {
+                        let e = e as usize;
+                        // The workers' join orders these stores before any
+                        // read of `ids`.
+                        ids[offsets[e] + cursor[e] as usize].store(rank, Ordering::Relaxed);
+                        cursor[e] += 1;
+                    }
                 }
-            }
-        });
+            },
+        );
         let ids = ids.into_iter().map(AtomicU32::into_inner).collect();
         FrozenIndex {
             by_rank,

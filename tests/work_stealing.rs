@@ -101,7 +101,7 @@ fn intra_subproblem_splitting_fires_on_a_single_giant_community() {
     seq_sorted.sort_unstable();
     seq_sorted.dedup();
     assert_eq!(sequential.qcs, seq_sorted.len());
-    let mut donated_somewhere = false;
+    let (mut pipeline_donated, mut raw_donated) = (false, false);
     for _attempt in 0..8 {
         let parallel = enumerate_threads(&g, &config, 4);
         assert_eq!(
@@ -112,16 +112,29 @@ fn intra_subproblem_splitting_fires_on_a_single_giant_community() {
             parallel.stats.split_executed, parallel.stats.split_donated,
             "every donated branch must be executed exactly once"
         );
-        // Raw S1 outputs may contain extra dominated sets from split points,
-        // but never fewer than the sequential stream's distinct sets.
-        assert!(parallel.qcs >= seq_sorted.len());
-        if parallel.stats.split_donated > 0 {
-            donated_somewhere = true;
+        // The raw 4-worker S1 stream, whose split runs are checked the same
+        // way: it may contain extra dominated sets from split points, but
+        // every distinct set of the sequential stream.
+        let raw = mqce::core::solve_s1_threads(&g, &config, 4);
+        assert_eq!(
+            raw.stats.split_executed, raw.stats.split_donated,
+            "every donated branch must be executed exactly once"
+        );
+        assert_eq!(mqce::settrie::filter_maximal(&raw.outputs), expected);
+        let mut par_sorted = raw.outputs;
+        par_sorted.sort_unstable();
+        par_sorted.dedup();
+        assert!(seq_sorted
+            .iter()
+            .all(|s| par_sorted.binary_search(s).is_ok()));
+        pipeline_donated |= parallel.stats.split_donated > 0;
+        raw_donated |= raw.stats.split_donated > 0;
+        if pipeline_donated && raw_donated {
             break;
         }
     }
     assert!(
-        donated_somewhere,
+        pipeline_donated && raw_donated,
         "no branches were donated in any of 8 runs on the giant-community workload"
     );
 }

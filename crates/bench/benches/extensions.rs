@@ -1,16 +1,15 @@
 //! Benchmarks for the extension APIs built on top of the core enumeration:
-//! query-driven search vs. filtering a full enumeration, top-k mining, and
-//! the kernel-expansion heuristic.
+//! query-driven search vs. filtering a full enumeration, and exact top-k
+//! mining.
 //!
 //! These do not correspond to a table or figure of the paper; they quantify
-//! the value of the related-work style entry points the library additionally
-//! provides (Section 7 of the paper discusses both problem variants).
+//! the value of the query and top-k entry points the library additionally
+//! provides.
 
 use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mqce_bench::datasets::{collab, email, SuiteScale};
-use mqce_core::kernel::{expand_kernels, KernelConfig};
 use mqce_core::query::find_mqcs_containing;
 use mqce_core::{find_largest_mqcs, MqceConfig, PreparedGraph, Session};
 
@@ -47,8 +46,8 @@ fn bench_query_vs_full(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_topk_and_kernels(c: &mut Criterion) {
-    let mut group = c.benchmark_group("ext_topk_and_kernels");
+fn bench_topk(c: &mut Criterion) {
+    let mut group = c.benchmark_group("ext_topk");
     group
         .sample_size(10)
         .warm_up_time(Duration::from_millis(500))
@@ -68,15 +67,9 @@ fn bench_topk_and_kernels(c: &mut Criterion) {
                 })
             },
         );
-        let kernel_config = KernelConfig::new(gamma, (gamma + 0.05).min(1.0), 4, 5).unwrap();
-        group.bench_with_input(
-            BenchmarkId::new("kernel-expansion", dataset.name),
-            &dataset.graph,
-            |b, g| b.iter(|| expand_kernels(g, kernel_config).unwrap().qcs.len()),
-        );
     }
     group.finish();
 }
 
-criterion_group!(benches, bench_query_vs_full, bench_topk_and_kernels);
+criterion_group!(benches, bench_query_vs_full, bench_topk);
 criterion_main!(benches);

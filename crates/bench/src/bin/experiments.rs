@@ -12,9 +12,10 @@
 //! large overlapping families), `threads` (the parallel-scaling sweep),
 //! `alloc-gate` (heap-allocation events per DC subproblem against a
 //! checked-in bound; needs a `--features count-allocs` build) and `updates`
-//! (incremental vs full recompute) — *append* their rows to
-//! `BENCH_mqce.json` (or `--json`), so one CI job accumulates them into a
-//! single artifact; start from an absent file to keep only one run's rows.
+//! (incremental vs full recompute) — print their table; with `--json` they
+//! *append* their rows to that file instead of overwriting it, so one CI job
+//! accumulates them into a single artifact. Start from an absent file to
+//! keep only one run's rows.
 //!
 //! `--quick` runs the reduced-scale suite with a short time limit (useful for
 //! smoke-testing the harness); the default is the full laptop-scale suite.
@@ -177,20 +178,15 @@ fn main() {
         }
         opts = quick_opts;
     }
-    // The perf profiles are the per-PR smoke signal: bounded time limits and
-    // always a machine-readable artifact. They append, so one CI job can
-    // accumulate them into a single BENCH_mqce.json.
+    // The perf profiles are the per-PR smoke signal: bounded time limits, and
+    // with `--json` they append, so one CI job can accumulate them into a
+    // single artifact.
     let perf_profile = matches!(
         experiment.as_str(),
         "s2-stress" | "threads" | "alloc-gate" | "updates"
     );
-    if perf_profile {
-        if !time_limit_set {
-            opts.time_limit = Duration::from_secs(10);
-        }
-        if json_path.is_none() {
-            json_path = Some(PathBuf::from("BENCH_mqce.json"));
-        }
+    if perf_profile && !time_limit_set {
+        opts.time_limit = Duration::from_secs(10);
     }
 
     let records: Vec<RunRecord> = match experiment.as_str() {

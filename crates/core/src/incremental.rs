@@ -64,7 +64,7 @@ use crate::session::Session;
 use crate::stats::SearchStats;
 
 /// What a single [`IncrementalSession::update`] did, with the counters the
-/// bench harness and the serve daemon report.
+/// bench harness reports.
 #[derive(Clone, Debug, Default)]
 pub struct UpdateOutcome {
     /// Canonical edge updates in the applied batch (inserts + deletes).
@@ -79,8 +79,8 @@ pub struct UpdateOutcome {
     /// Vertices whose core number changed (from the maintenance report).
     pub core_changed: u64,
     /// The dirty two-hop closure, sorted ascending — the vertices whose
-    /// per-vertex query answers may have changed. The serve daemon keeps
-    /// cached `query` results whose vertices all fall outside this set.
+    /// per-vertex query answers may have changed (the set
+    /// [`PreparedGraph::apply_delta`] returns).
     pub dirty: Vec<VertexId>,
     /// Search statistics aggregated over the re-run subproblems.
     pub stats: SearchStats,
@@ -148,17 +148,7 @@ impl IncrementalSession {
     /// seed the family, and freezes the session ordering. `threads` is used
     /// for the seed run and for every subsequent dirty re-run.
     pub fn new(graph: Graph, config: MqceConfig, threads: usize) -> Self {
-        Self::from_prepared(Arc::new(PreparedGraph::new(graph)), config, threads)
-    }
-
-    /// [`IncrementalSession::new`] over an already-prepared graph; used by
-    /// [`Session::update`](crate::session::Session::update) so the batch
-    /// session and its incremental state share one decomposition.
-    pub(crate) fn from_prepared(
-        prepared: Arc<PreparedGraph>,
-        config: MqceConfig,
-        threads: usize,
-    ) -> Self {
+        let prepared = Arc::new(PreparedGraph::new(graph));
         let ordering = prepared.cores().ordering.clone();
         let mut rank = vec![0usize; ordering.len()];
         for (i, &v) in ordering.iter().enumerate() {
@@ -184,12 +174,6 @@ impl IncrementalSession {
     /// The prepared graph the session currently holds.
     pub fn prepared(&self) -> &PreparedGraph {
         &self.prepared
-    }
-
-    /// Shared handle to the prepared graph, for re-syncing an outer
-    /// [`Session`](crate::session::Session) after an update.
-    pub(crate) fn prepared_arc(&self) -> Arc<PreparedGraph> {
-        self.prepared.clone()
     }
 
     /// The current maximal family (exactly what a fresh full run on the

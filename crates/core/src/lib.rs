@@ -42,10 +42,8 @@ mod branch;
 pub mod completeness;
 pub mod config;
 pub mod dc;
-pub mod edge_qc;
 pub mod fastqc;
 pub mod incremental;
-pub mod kernel;
 pub mod naive;
 pub mod pipeline;
 pub mod prepared;

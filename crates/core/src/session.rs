@@ -1,9 +1,10 @@
-//! The unified, builder-style entry point to the MQCE pipeline.
+//! The builder-style entry point to batch enumeration and queries.
 //!
-//! [`Session`] is the one way to enumerate, query and update: open a graph
-//! once (the decomposition — degeneracy ordering, core numbers, fingerprint
-//! — is derived once and shared), then run batch enumerations, per-vertex
-//! queries, and edge-update batches against the same state.
+//! [`Session`] opens a graph once (the decomposition — degeneracy ordering,
+//! core numbers, fingerprint — is derived once and shared), then runs batch
+//! enumerations and per-vertex queries against the same state. Edge-update
+//! batches go through an [`IncrementalSession`](crate::IncrementalSession),
+//! which maintains the maximal family under updates.
 //!
 //! ```
 //! use mqce_core::{MqceParams, Session};
@@ -21,16 +22,13 @@
 //! Batch enumeration in the CLI, the serve daemon, the fuzzer and the bench
 //! harness goes through `Session`; the only free enumeration functions left
 //! are the [`enumerate_mqcs_default`](crate::enumerate_mqcs_default)
-//! one-liner and the S1-only [`solve_s1`](crate::solve_s1). Edge-update
-//! batches are delegated to an [`IncrementalSession`].
+//! one-liner and the S1-only [`solve_s1`](crate::solve_s1).
 
 use std::sync::Arc;
 
-use mqce_graph::delta::GraphDelta;
 use mqce_graph::{Graph, VertexId};
 
 use crate::config::{MqceConfig, MqceParams};
-use crate::incremental::{IncrementalSession, UpdateOutcome};
 use crate::pipeline::{run_pipeline, MqceResult};
 use crate::prepared::PreparedGraph;
 use crate::query::{find_mqcs_containing, QueryError, QueryResult};
@@ -41,17 +39,15 @@ use crate::query::{find_mqcs_containing, QueryError, QueryResult};
 /// [`Session::open`]; the builder methods ([`params`](Session::params),
 /// [`config`](Session::config), [`threads`](Session::threads)) move `self`
 /// and can be chained.
-/// [`run`](Session::run), [`query`](Session::query) and
-/// [`update`](Session::update) then execute against the shared state;
-/// `run` and `query` take `&self`, so one session can serve many requests
-/// (the `mqce serve` daemon holds one per loaded graph).
+/// [`run`](Session::run) and [`query`](Session::query) then execute
+/// against the shared state. Both take `&self`, so one session can serve
+/// many requests (the `mqce serve` daemon holds one per loaded graph). To
+/// apply edge updates, use an
+/// [`IncrementalSession`](crate::IncrementalSession).
 pub struct Session {
     prepared: Arc<PreparedGraph>,
     config: MqceConfig,
     threads: usize,
-    /// Lazily created by [`Session::update`]: the dirty-set re-run machinery
-    /// plus the maintained maximal family.
-    incremental: Option<IncrementalSession>,
 }
 
 impl Session {
@@ -75,7 +71,6 @@ impl Session {
             prepared,
             config: Self::default_config(),
             threads: 1,
-            incremental: None,
         }
     }
 
@@ -93,15 +88,14 @@ impl Session {
         self
     }
 
-    /// Number of worker threads for [`run`](Session::run) and
-    /// [`update`](Session::update); `0` and `1` both mean sequential.
+    /// Number of worker threads for [`run`](Session::run); `0` and `1` both
+    /// mean sequential.
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
         self
     }
 
-    /// The prepared graph the session currently enumerates (reflecting any
-    /// updates applied through [`update`](Session::update)).
+    /// The prepared graph the session enumerates.
     pub fn prepared(&self) -> &PreparedGraph {
         &self.prepared
     }
@@ -117,31 +111,6 @@ impl Session {
     /// (the per-vertex/query API the serve daemon exposes).
     pub fn query(&self, query: &[VertexId]) -> Result<QueryResult, QueryError> {
         find_mqcs_containing(self.prepared.graph(), query, &self.config)
-    }
-
-    /// Applies an edge-update batch, maintaining the maximal family by
-    /// re-running only the dirtied DC subproblems (see
-    /// [`IncrementalSession`]). The first call seeds the incremental state
-    /// with one full run; subsequent [`run`](Session::run)/
-    /// [`query`](Session::query) calls observe the updated graph.
-    pub fn update(&mut self, delta: &GraphDelta) -> UpdateOutcome {
-        if self.incremental.is_none() {
-            self.incremental = Some(IncrementalSession::from_prepared(
-                self.prepared.clone(),
-                self.config,
-                self.threads,
-            ));
-        }
-        let inc = self.incremental.as_mut().expect("just seeded");
-        let outcome = inc.update(delta);
-        self.prepared = inc.prepared_arc();
-        outcome
-    }
-
-    /// The maximal family maintained by [`update`](Session::update); `None`
-    /// until the first update seeds the incremental state.
-    pub fn family(&self) -> Option<&[Vec<VertexId>]> {
-        self.incremental.as_ref().map(|inc| inc.family())
     }
 }
 
@@ -186,21 +155,13 @@ mod tests {
     }
 
     #[test]
-    fn session_query_and_update() {
-        let g = Graph::paper_figure1();
+    fn session_query_keeps_the_query_vertex() {
         let config = MqceConfig::new(0.6, 3).unwrap();
-        let mut session = Session::open(g.clone()).config(config).threads(2);
+        let session = Session::open(Graph::paper_figure1())
+            .config(config)
+            .threads(2);
         let q = session.query(&[0]).unwrap();
         assert!(q.mqcs.iter().all(|m| m.contains(&0)));
-        assert!(session.family().is_none());
-
-        let delta = GraphDelta::new(vec![(0, 6)], vec![]);
-        let outcome = session.update(&delta);
-        assert_eq!(outcome.updates_applied, 1);
-        let fresh = Session::open(delta.apply(&g)).config(config).run();
-        assert_eq!(session.family().unwrap(), &fresh.mqcs[..]);
-        // A post-update batch run sees the mutated graph.
-        assert_eq!(session.run().mqcs, fresh.mqcs);
     }
 
     #[test]

@@ -159,15 +159,10 @@ pub fn verify_s1_output(
 
 /// Returns a vertex whose addition to `set` keeps it a γ-quasi-clique, if one
 /// exists. Only vertices adjacent to at least one member are tried (adding a
-/// disconnected vertex can never produce a connected QC).
-pub fn find_single_vertex_extension(g: &Graph, set: &[VertexId], gamma: f64) -> Option<VertexId> {
-    find_single_vertex_extension_with(g, None, set, gamma)
-}
-
-/// [`find_single_vertex_extension`] with an optional bitset kernel for the
-/// degree screens and the QC predicate — callers that verify many sets (e.g.
-/// [`verify_mqc_set`]) build the matrix once and reuse it across all of them.
-pub fn find_single_vertex_extension_with(
+/// disconnected vertex can never produce a connected QC). `adj`, when given,
+/// serves the degree screens and the QC predicate: [`verify_mqc_set`] builds
+/// the matrix once and reuses it across every set it checks.
+fn find_single_vertex_extension(
     g: &Graph,
     adj: Option<&AdjacencyMatrix>,
     set: &[VertexId],
@@ -237,9 +232,7 @@ pub fn verify_mqc_set(g: &Graph, mqcs: &[Vec<VertexId>], params: MqceParams) -> 
         if set.iter().any(|&v| (v as usize) >= g.num_vertices()) {
             continue;
         }
-        if let Some(extension) =
-            find_single_vertex_extension_with(g, adj.as_ref(), set, params.gamma)
-        {
+        if let Some(extension) = find_single_vertex_extension(g, adj.as_ref(), set, params.gamma) {
             report.violations.push(Violation::SingleVertexExtension {
                 set: set.clone(),
                 extension,
@@ -354,15 +347,15 @@ mod tests {
     #[test]
     fn single_vertex_extension_finder() {
         let g = Graph::complete(4);
-        assert!(find_single_vertex_extension(&g, &[0, 1, 2], 1.0).is_some());
-        assert!(find_single_vertex_extension(&g, &[0, 1, 2, 3], 1.0).is_none());
-        assert!(find_single_vertex_extension(&g, &[], 0.9).is_none());
+        assert!(find_single_vertex_extension(&g, None, &[0, 1, 2], 1.0).is_some());
+        assert!(find_single_vertex_extension(&g, None, &[0, 1, 2, 3], 1.0).is_none());
+        assert!(find_single_vertex_extension(&g, None, &[], 0.9).is_none());
         // Star: the hub plus one leaf is a 0.5-QC of size 2; adding another
         // leaf gives a path of 3 which is still a 0.5-QC, so an extension
         // exists. With γ=1 no extension exists.
         let star = Graph::star(5);
-        assert!(find_single_vertex_extension(&star, &[0, 1], 0.5).is_some());
-        assert!(find_single_vertex_extension(&star, &[0, 1], 1.0).is_none());
+        assert!(find_single_vertex_extension(&star, None, &[0, 1], 0.5).is_some());
+        assert!(find_single_vertex_extension(&star, None, &[0, 1], 1.0).is_none());
     }
 
     #[test]

@@ -137,40 +137,6 @@ impl BitSet {
         &self.words
     }
 
-    /// In-place intersection: `self &= other`.
-    pub fn intersect_with(&mut self, other: &BitSet) {
-        assert_eq!(self.nbits, other.nbits, "BitSet capacity mismatch");
-        for (a, b) in self.words.iter_mut().zip(&other.words) {
-            *a &= b;
-        }
-    }
-
-    /// In-place difference: `self &= !other` (ANDNOT).
-    pub fn subtract(&mut self, other: &BitSet) {
-        assert_eq!(self.nbits, other.nbits, "BitSet capacity mismatch");
-        for (a, b) in self.words.iter_mut().zip(&other.words) {
-            *a &= !b;
-        }
-    }
-
-    /// In-place union: `self |= other`.
-    pub fn union_with(&mut self, other: &BitSet) {
-        assert_eq!(self.nbits, other.nbits, "BitSet capacity mismatch");
-        for (a, b) in self.words.iter_mut().zip(&other.words) {
-            *a |= b;
-        }
-    }
-
-    /// `|self ∩ other|` without materialising the intersection.
-    pub fn intersection_len(&self, other: &BitSet) -> usize {
-        assert_eq!(self.nbits, other.nbits, "BitSet capacity mismatch");
-        self.words
-            .iter()
-            .zip(&other.words)
-            .map(|(a, b)| (a & b).count_ones() as usize)
-            .sum()
-    }
-
     /// Iterates the members in ascending order.
     pub fn iter(&self) -> impl Iterator<Item = VertexId> + '_ {
         self.words.iter().enumerate().flat_map(|(i, &word)| {
@@ -517,22 +483,6 @@ mod tests {
     }
 
     #[test]
-    fn bitset_algebra() {
-        let a = BitSet::from_members(100, &[1, 2, 3, 70, 99]);
-        let b = BitSet::from_members(100, &[2, 3, 4, 99]);
-        let mut and = a.clone();
-        and.intersect_with(&b);
-        assert_eq!(and.to_vec(), vec![2, 3, 99]);
-        let mut diff = a.clone();
-        diff.subtract(&b);
-        assert_eq!(diff.to_vec(), vec![1, 70]);
-        let mut or = a.clone();
-        or.union_with(&b);
-        assert_eq!(or.to_vec(), vec![1, 2, 3, 4, 70, 99]);
-        assert_eq!(a.intersection_len(&b), 3);
-    }
-
-    #[test]
     fn bitset_iter_empty_words() {
         // Members only in the last word: iteration must skip empty words.
         let s = BitSet::from_members(200, &[190, 199]);
@@ -557,7 +507,7 @@ mod tests {
 
     #[test]
     fn connectivity_matches_bfs_on_random_graphs() {
-        use crate::connectivity::is_connected_subset;
+        use crate::connectivity::is_connected_subset_in;
         for seed in 0..6 {
             let g = erdos_renyi_gnm(50, 80, seed);
             let m = AdjacencyMatrix::from_graph(&g);
@@ -567,7 +517,13 @@ mod tests {
             let mask = BitSet::from_members(50, &subset);
             assert_eq!(
                 m.is_connected_within(&mask, subset[0], subset.len()),
-                is_connected_subset(&g, &subset),
+                is_connected_subset_in(
+                    &g,
+                    &subset,
+                    &mut Vec::new(),
+                    &mut Vec::new(),
+                    &mut std::collections::VecDeque::new()
+                ),
                 "seed {seed}"
             );
         }

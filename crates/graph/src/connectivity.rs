@@ -1,25 +1,15 @@
-//! Connectivity primitives: BFS reachability, connectedness of vertex
-//! subsets, and connected components.
+//! Connectivity primitives: connectedness of vertex subsets and BFS
+//! distances.
 
 use crate::graph::{Graph, VertexId};
 
-/// Returns `true` if the induced subgraph `G[set]` is connected.
+/// Returns `true` if the induced subgraph `G[set]` is connected, using
+/// caller-owned scratch buffers so repeated predicate checks reuse the same
+/// allocations. The buffers are resized and cleared here; their previous
+/// contents are ignored.
 ///
 /// The empty set and singletons are considered connected (matching the
 /// quasi-clique definition, where a single vertex is a trivial QC).
-pub fn is_connected_subset(g: &Graph, set: &[VertexId]) -> bool {
-    is_connected_subset_in(
-        g,
-        set,
-        &mut Vec::new(),
-        &mut Vec::new(),
-        &mut std::collections::VecDeque::new(),
-    )
-}
-
-/// [`is_connected_subset`] with caller-owned scratch buffers, so repeated
-/// predicate checks reuse the same allocations. The buffers are resized and
-/// cleared here; their previous contents are ignored.
 pub fn is_connected_subset_in(
     g: &Graph,
     set: &[VertexId],
@@ -53,42 +43,6 @@ pub fn is_connected_subset_in(
     reached == set.len()
 }
 
-/// Returns `true` if the whole graph is connected (vacuously true for `n <= 1`).
-pub fn is_connected(g: &Graph) -> bool {
-    let all: Vec<VertexId> = g.vertices().collect();
-    is_connected_subset(g, &all)
-}
-
-/// Computes the connected components of the graph; each component is a sorted
-/// vector of vertex ids, and components are ordered by their smallest vertex.
-pub fn connected_components(g: &Graph) -> Vec<Vec<VertexId>> {
-    let n = g.num_vertices();
-    let mut comp = vec![usize::MAX; n];
-    let mut components = Vec::new();
-    for start in 0..n {
-        if comp[start] != usize::MAX {
-            continue;
-        }
-        let id = components.len();
-        let mut members = vec![start as VertexId];
-        comp[start] = id;
-        let mut queue = std::collections::VecDeque::new();
-        queue.push_back(start as VertexId);
-        while let Some(u) = queue.pop_front() {
-            for &w in g.neighbors(u) {
-                if comp[w as usize] == usize::MAX {
-                    comp[w as usize] = id;
-                    members.push(w);
-                    queue.push_back(w);
-                }
-            }
-        }
-        members.sort_unstable();
-        components.push(members);
-    }
-    components
-}
-
 /// Breadth-first distances from `source` (`usize::MAX` for unreachable
 /// vertices). Useful for 2-hop neighbourhood checks in tests.
 pub fn bfs_distances(g: &Graph, source: VertexId) -> Vec<usize> {
@@ -112,22 +66,14 @@ pub fn bfs_distances(g: &Graph, source: VertexId) -> Vec<usize> {
 mod tests {
     use super::*;
 
-    #[test]
-    fn path_is_connected() {
-        let g = Graph::path(6);
-        assert!(is_connected(&g));
-        assert_eq!(connected_components(&g).len(), 1);
-    }
-
-    #[test]
-    fn two_components() {
-        let g = Graph::from_edges(6, &[(0, 1), (1, 2), (3, 4)]);
-        assert!(!is_connected(&g));
-        let comps = connected_components(&g);
-        assert_eq!(comps.len(), 3);
-        assert_eq!(comps[0], vec![0, 1, 2]);
-        assert_eq!(comps[1], vec![3, 4]);
-        assert_eq!(comps[2], vec![5]);
+    fn is_connected_subset(g: &Graph, set: &[VertexId]) -> bool {
+        is_connected_subset_in(
+            g,
+            set,
+            &mut Vec::new(),
+            &mut Vec::new(),
+            &mut std::collections::VecDeque::new(),
+        )
     }
 
     #[test]
@@ -153,12 +99,5 @@ mod tests {
         assert_eq!(d[1], 1);
         assert_eq!(d[2], usize::MAX);
         assert_eq!(d[3], usize::MAX);
-    }
-
-    #[test]
-    fn empty_graph_is_connected() {
-        assert!(is_connected(&Graph::empty(0)));
-        assert!(is_connected(&Graph::empty(1)));
-        assert!(!is_connected(&Graph::empty(2)));
     }
 }

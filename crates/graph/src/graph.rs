@@ -207,26 +207,6 @@ impl Graph {
             .count()
     }
 
-    /// Number of common neighbours of `u` and `v` (sorted-list intersection).
-    pub fn common_neighbors(&self, u: VertexId, v: VertexId) -> usize {
-        let (a, b) = (self.neighbors(u), self.neighbors(v));
-        let mut i = 0;
-        let mut j = 0;
-        let mut count = 0;
-        while i < a.len() && j < b.len() {
-            match a[i].cmp(&b[j]) {
-                std::cmp::Ordering::Less => i += 1,
-                std::cmp::Ordering::Greater => j += 1,
-                std::cmp::Ordering::Equal => {
-                    count += 1;
-                    i += 1;
-                    j += 1;
-                }
-            }
-        }
-        count
-    }
-
     /// Returns a complete graph on `n` vertices.
     pub fn complete(n: usize) -> Self {
         let mut b = GraphBuilder::new(n);
@@ -386,14 +366,6 @@ mod tests {
         assert_eq!(g.degree_in(0, &[0, 1, 2]), 2); // self is skipped
         let p = Graph::path(5);
         assert_eq!(p.degree_in(2, &[0, 1, 3, 4]), 2);
-    }
-
-    #[test]
-    fn common_neighbors_counts_intersection() {
-        let g = Graph::from_edges(5, &[(0, 2), (0, 3), (1, 2), (1, 3), (1, 4)]);
-        assert_eq!(g.common_neighbors(0, 1), 2);
-        assert_eq!(g.common_neighbors(0, 4), 0);
-        assert_eq!(g.common_neighbors(2, 3), 2);
     }
 
     #[test]

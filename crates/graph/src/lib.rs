@@ -19,7 +19,8 @@
 //!   2-hop neighbourhood extraction.
 //! * [`scratch`] — reusable per-worker buffers ([`SubproblemScratch`]) for
 //!   allocation-free subgraph extraction on the divide-and-conquer hot path.
-//! * [`connectivity`] — BFS connectivity and connected components.
+//! * [`connectivity`] — connectedness of vertex subsets (the quasi-clique
+//!   predicate's check) and BFS distances.
 //! * [`delta`] — normalised edge-update batches ([`GraphDelta`]) with a
 //!   slack-aware CSR rebuild, dirty two-hop closures, and incremental
 //!   core-decomposition maintenance for the incremental enumeration layer.
@@ -44,7 +45,6 @@ pub mod edge_list;
 pub mod formats;
 pub mod generators;
 mod graph;
-pub mod ordering;
 pub mod scratch;
 pub mod stats;
 pub mod subgraph;

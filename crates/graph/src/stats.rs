@@ -92,82 +92,6 @@ pub fn global_clustering_coefficient(g: &Graph) -> f64 {
     3.0 * triangle_count(g) as f64 / wedges as f64
 }
 
-/// Degree-distribution summary: `(min, median, max)` degree.
-pub fn degree_summary(g: &Graph) -> (usize, usize, usize) {
-    if g.num_vertices() == 0 {
-        return (0, 0, 0);
-    }
-    let mut degrees: Vec<usize> = g.vertices().map(|v| g.degree(v)).collect();
-    degrees.sort_unstable();
-    (
-        degrees[0],
-        degrees[degrees.len() / 2],
-        degrees[degrees.len() - 1],
-    )
-}
-
-/// Per-vertex local clustering coefficients: `2·tri(v) / (d(v)·(d(v)−1))`,
-/// with 0 for vertices of degree < 2.
-pub fn local_clustering_coefficients(g: &Graph) -> Vec<f64> {
-    let n = g.num_vertices();
-    let mut coefficients = vec![0.0; n];
-    for v in g.vertices() {
-        let neighbors = g.neighbors(v);
-        let d = neighbors.len();
-        if d < 2 {
-            continue;
-        }
-        let mut links = 0usize;
-        for (i, &a) in neighbors.iter().enumerate() {
-            for &b in &neighbors[i + 1..] {
-                if g.has_edge(a, b) {
-                    links += 1;
-                }
-            }
-        }
-        coefficients[v as usize] = 2.0 * links as f64 / (d * (d - 1)) as f64;
-    }
-    coefficients
-}
-
-/// Degree histogram: `hist[d]` is the number of vertices of degree `d`
-/// (length `max_degree + 1`; empty for the empty graph).
-pub fn degree_histogram(g: &Graph) -> Vec<usize> {
-    if g.num_vertices() == 0 {
-        return Vec::new();
-    }
-    let mut hist = vec![0usize; g.max_degree() + 1];
-    for v in g.vertices() {
-        hist[g.degree(v)] += 1;
-    }
-    hist
-}
-
-/// Degree assortativity coefficient (Pearson correlation of the degrees at
-/// the two endpoints of each edge). Returns 0 for graphs with fewer than two
-/// edges or no degree variance.
-pub fn degree_assortativity(g: &Graph) -> f64 {
-    let m = g.num_edges();
-    if m < 2 {
-        return 0.0;
-    }
-    let (mut sum_xy, mut sum_x, mut sum_x2) = (0.0f64, 0.0f64, 0.0f64);
-    for (u, v) in g.edges() {
-        let (du, dv) = (g.degree(u) as f64, g.degree(v) as f64);
-        sum_xy += du * dv;
-        sum_x += 0.5 * (du + dv);
-        sum_x2 += 0.5 * (du * du + dv * dv);
-    }
-    let m = m as f64;
-    let numerator = sum_xy / m - (sum_x / m).powi(2);
-    let denominator = sum_x2 / m - (sum_x / m).powi(2);
-    if denominator.abs() < 1e-12 {
-        0.0
-    } else {
-        numerator / denominator
-    }
-}
-
 impl std::fmt::Display for GraphStats {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
@@ -221,51 +145,6 @@ mod tests {
         let tri_with_tail = Graph::from_edges(4, &[(0, 1), (1, 2), (0, 2), (2, 3)]);
         let c = global_clustering_coefficient(&tri_with_tail);
         assert!(c > 0.0 && c < 1.0);
-    }
-
-    #[test]
-    fn degree_summary_values() {
-        assert_eq!(degree_summary(&Graph::star(5)), (1, 1, 4));
-        assert_eq!(degree_summary(&Graph::complete(4)), (3, 3, 3));
-        assert_eq!(degree_summary(&Graph::empty(0)), (0, 0, 0));
-    }
-
-    #[test]
-    fn local_clustering_values() {
-        let complete = local_clustering_coefficients(&Graph::complete(5));
-        assert!(complete.iter().all(|&c| (c - 1.0).abs() < 1e-12));
-        let star = local_clustering_coefficients(&Graph::star(5));
-        assert!(star.iter().all(|&c| c == 0.0));
-        // Triangle with a tail: vertex 2 has degree 3 and one link among its
-        // three neighbours (0-1), so coefficient 1/3.
-        let g = Graph::from_edges(4, &[(0, 1), (1, 2), (0, 2), (2, 3)]);
-        let c = local_clustering_coefficients(&g);
-        assert!((c[2] - 1.0 / 3.0).abs() < 1e-12);
-        assert!((c[0] - 1.0).abs() < 1e-12);
-        assert_eq!(c[3], 0.0);
-    }
-
-    #[test]
-    fn degree_histogram_counts() {
-        assert_eq!(degree_histogram(&Graph::star(5)), vec![0, 4, 0, 0, 1]);
-        assert_eq!(degree_histogram(&Graph::complete(4)), vec![0, 0, 0, 4]);
-        assert!(degree_histogram(&Graph::empty(0)).is_empty());
-        assert_eq!(degree_histogram(&Graph::empty(3)), vec![3]);
-        // Total always equals |V|.
-        let g = Graph::paper_figure1();
-        assert_eq!(degree_histogram(&g).iter().sum::<usize>(), g.num_vertices());
-    }
-
-    #[test]
-    fn assortativity_signs() {
-        // A star is maximally disassortative.
-        assert!(degree_assortativity(&Graph::star(8)) < -0.9);
-        // A regular graph has no degree variance: coefficient 0 by convention.
-        assert_eq!(degree_assortativity(&Graph::cycle(6)), 0.0);
-        assert_eq!(degree_assortativity(&Graph::complete(5)), 0.0);
-        // Tiny graphs.
-        assert_eq!(degree_assortativity(&Graph::path(2)), 0.0);
-        assert_eq!(degree_assortativity(&Graph::empty(0)), 0.0);
     }
 
     #[test]

@@ -7,7 +7,6 @@
 //!
 //! Run with: `cargo run --release --example topk_and_query`
 
-use mqce::core::kernel::{expand_kernels, KernelConfig};
 use mqce::graph::generators::{community_graph, CommunityGraphParams};
 use mqce::prelude::*;
 
@@ -42,28 +41,6 @@ fn main() {
         "  (threshold search finished at theta = {} after {} rounds)",
         top.final_theta, top.rounds
     );
-
-    // (a') The same question answered by the kernel-expansion heuristic of the
-    // related work — much cheaper, but without the exactness guarantee.
-    let heuristic = expand_kernels(
-        &g,
-        KernelConfig::new(gamma, 0.95, 4, 5).expect("valid config"),
-    )
-    .expect("valid parameters");
-    println!(
-        "\nkernel-expansion heuristic (gamma' = 0.95): {} kernels expanded",
-        heuristic.kernels
-    );
-    for (rank, qc) in heuristic.qcs.iter().enumerate() {
-        println!("  #{:<2} size {}", rank + 1, qc.len());
-    }
-    if let (Some(exact), Some(approx)) = (top.mqcs.first(), heuristic.qcs.first()) {
-        println!(
-            "  largest: exact {} vs heuristic {} vertices",
-            exact.len(),
-            approx.len()
-        );
-    }
 
     // (b) Which dense groups does researcher 17 belong to? The query-driven
     // search restricts the work to the 2-hop neighbourhood of the query.

@@ -1,14 +1,9 @@
 //! Integration tests for the extension modules built on top of the core
-//! enumeration: query-driven search, top-k mining, kernel expansion, the
-//! result verifier, the edge-based quasi-clique comparison and the graph
-//! interchange formats.
+//! enumeration: query-driven search, top-k mining, the result verifier and
+//! the graph interchange formats.
 
-use mqce::core::edge_qc;
-use mqce::core::kernel::{expand_kernels, KernelConfig};
-use mqce::core::quasiclique::is_quasi_clique;
 use mqce::core::verify::{verify_mqc_set, Violation};
 use mqce::graph::generators;
-use mqce::graph::ordering::VertexOrdering;
 use mqce::graph::{formats, stats};
 use mqce::prelude::*;
 
@@ -100,28 +95,6 @@ fn topk_returns_the_largest_mqcs() {
 }
 
 #[test]
-fn kernel_expansion_is_sound_and_bounded_by_exact_topk() {
-    for (label, g) in random_graphs() {
-        let gamma = 0.7;
-        let config = KernelConfig::new(gamma, 0.9, 3, 5).unwrap();
-        let result = expand_kernels(&g, config).unwrap();
-        for qc in &result.qcs {
-            assert!(
-                is_quasi_clique(&g, qc, gamma),
-                "{label}: expansion is not a QC"
-            );
-        }
-        let exact = find_largest_mqcs(&PreparedGraph::new(g.clone()), gamma, 1, None).unwrap();
-        let exact_best = exact.mqcs.first().map(Vec::len).unwrap_or(0);
-        let heuristic_best = result.qcs.first().map(Vec::len).unwrap_or(0);
-        assert!(
-            heuristic_best <= exact_best,
-            "{label}: heuristic {heuristic_best} exceeds exact optimum {exact_best}"
-        );
-    }
-}
-
-#[test]
 fn verifier_accepts_real_results_and_rejects_corrupted_ones() {
     for (label, g) in random_graphs().into_iter().take(6) {
         let gamma = 0.8;
@@ -178,28 +151,6 @@ fn verifier_accepts_real_results_and_rejects_corrupted_ones() {
 }
 
 #[test]
-fn degree_qcs_are_edge_qcs_but_not_vice_versa() {
-    // Soundness direction: every degree-based γ-QC satisfies the edge-based
-    // bound at the same γ (sum the per-vertex degree bound over all vertices).
-    let g = Graph::paper_figure1();
-    for gamma in [0.5, 0.6, 0.7, 0.9] {
-        let config = MqceConfig::new(gamma, 2).unwrap();
-        for qc in &mqce::core::solve_s1(&g, &config).outputs {
-            assert!(
-                edge_qc::is_edge_quasi_clique(&g, qc, gamma),
-                "degree-QC {qc:?} is not an edge-QC at gamma={gamma}"
-            );
-        }
-    }
-    // Converse fails: a star of 3 vertices has 2/3 of the possible edges but
-    // the leaves have relative degree 1/2 < 0.6.
-    let star = Graph::star(3);
-    let set = vec![0u32, 1, 2];
-    assert!(edge_qc::is_edge_quasi_clique(&star, &set, 0.6));
-    assert!(!is_quasi_clique(&star, &set, 0.6));
-}
-
-#[test]
 fn formats_roundtrip_preserves_enumeration_results() {
     let g = generators::planted_quasi_cliques(
         50,
@@ -233,29 +184,6 @@ fn formats_roundtrip_preserves_enumeration_results() {
     // Statistics survive the roundtrips too.
     assert_eq!(GraphStats::compute(&g), GraphStats::compute(&g_dimacs));
     assert_eq!(GraphStats::compute(&g), GraphStats::compute(&g_metis));
-}
-
-#[test]
-fn ordering_choice_does_not_change_results_only_costs() {
-    // The DC framework is exact for any division ordering; the library uses
-    // the degeneracy ordering for its complexity bound. Here we confirm the
-    // orderings produce permutations with the documented forward-degree
-    // relationship on a realistic graph.
-    let g = generators::chung_lu_power_law(300, 6.0, 2.5, 41);
-    let degeneracy = mqce::graph::core_decomp::degeneracy(&g);
-    let deg_order = VertexOrdering::Degeneracy.compute(&g);
-    assert_eq!(
-        mqce::graph::ordering::max_forward_degree(&g, &deg_order),
-        degeneracy
-    );
-    for ordering in [
-        VertexOrdering::Input,
-        VertexOrdering::DegreeDescending,
-        VertexOrdering::Random(3),
-    ] {
-        let order = ordering.compute(&g);
-        assert!(mqce::graph::ordering::max_forward_degree(&g, &order) >= degeneracy);
-    }
 }
 
 #[test]

@@ -73,7 +73,8 @@ proptest! {
             // Check a few prefixes instead of all subsets to keep it cheap.
             let h = &all[..size];
             let degree_ok = max_disconnections(&g, h) as i64 <= tau(gamma, h.len() as f64);
-            let connected = mqce::graph::connectivity::is_connected_subset(&g, h);
+            let connected = mqce::graph::connectivity::is_connected_subset_in(
+                &g, h, &mut Vec::new(), &mut Vec::new(), &mut std::collections::VecDeque::new());
             prop_assert_eq!(is_quasi_clique(&g, h, gamma), degree_ok && connected);
         }
     }
@@ -225,16 +226,6 @@ proptest! {
         }
     }
 
-    /// Every degree-based γ-quasi-clique is also an edge-based γ-quasi-clique
-    /// (the converse is false), matching the related-work comparison.
-    #[test]
-    fn degree_qc_implies_edge_qc(g in small_graph(), gamma in gamma_values()) {
-        let qcs = naive::all_quasi_cliques(&g, MqceParams::new(gamma, 2).unwrap());
-        for qc in qcs.iter().take(80) {
-            prop_assert!(mqce::core::edge_qc::is_edge_quasi_clique(&g, qc, gamma));
-        }
-    }
-
     /// Top-k mining returns exactly the k largest MQCs of the full enumeration.
     #[test]
     fn topk_matches_sorted_enumeration(g in small_graph(), gamma in gamma_values(), k in 1usize..4) {
@@ -258,27 +249,24 @@ proptest! {
         prop_assert!(s1.is_ok(), "{}", s1);
     }
 
-    /// Vertex orderings are permutations and the degeneracy ordering minimises
-    /// the maximum forward degree.
+    /// The degeneracy ordering is a permutation, and its maximum forward
+    /// degree (neighbours ranked later) equals the degeneracy.
     #[test]
-    fn ordering_invariants(g in medium_graph(), seed in any::<u64>()) {
-        use mqce::graph::ordering::{max_forward_degree, VertexOrdering};
-        let degeneracy = mqce::graph::core_decomp::degeneracy(&g);
-        for ordering in [
-            VertexOrdering::Degeneracy,
-            VertexOrdering::DegreeAscending,
-            VertexOrdering::DegreeDescending,
-            VertexOrdering::Input,
-            VertexOrdering::Random(seed),
-        ] {
-            let order = ordering.compute(&g);
-            let mut sorted = order.clone();
-            sorted.sort_unstable();
-            prop_assert_eq!(sorted, (0..g.num_vertices() as u32).collect::<Vec<_>>());
-            prop_assert!(max_forward_degree(&g, &order) >= degeneracy);
+    fn ordering_invariants(g in medium_graph()) {
+        let order = core_decomposition(&g).ordering;
+        let mut sorted = order.clone();
+        sorted.sort_unstable();
+        prop_assert_eq!(sorted, (0..g.num_vertices() as u32).collect::<Vec<_>>());
+        let mut rank = vec![0usize; order.len()];
+        for (i, &v) in order.iter().enumerate() {
+            rank[v as usize] = i;
         }
-        let deg_order = VertexOrdering::Degeneracy.compute(&g);
-        prop_assert_eq!(max_forward_degree(&g, &deg_order), degeneracy);
+        let max_forward = g
+            .vertices()
+            .map(|v| g.neighbors(v).iter().filter(|&&u| rank[u as usize] > rank[v as usize]).count())
+            .max()
+            .unwrap_or(0);
+        prop_assert_eq!(max_forward, mqce::graph::core_decomp::degeneracy(&g));
     }
 
     /// Inserting a batch and then deleting the same edges restores the
@@ -327,13 +315,6 @@ proptest! {
         use mqce::graph::stats::*;
         let c = global_clustering_coefficient(&g);
         prop_assert!((0.0..=1.0 + 1e-9).contains(&c));
-        for local in local_clustering_coefficients(&g) {
-            prop_assert!((0.0..=1.0 + 1e-9).contains(&local));
-        }
-        let r = degree_assortativity(&g);
-        prop_assert!((-1.0 - 1e-9..=1.0 + 1e-9).contains(&r), "assortativity {}", r);
-        let hist = degree_histogram(&g);
-        prop_assert_eq!(hist.iter().sum::<usize>(), g.num_vertices());
         // 3·triangles never exceeds the number of wedges (each triangle is a
         // closed wedge at each of its three vertices).
         let wedges: usize = g.vertices().map(|v| { let d = g.degree(v); d * d.saturating_sub(1) / 2 }).sum();

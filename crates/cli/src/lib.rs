@@ -128,6 +128,8 @@ SERVE: the daemon loads the graph (plus its core decomposition and
   on startup, so a crashed daemon restarts to its exact pre-crash graph.
   Only inserts grow the graph: an update whose k inserts name an id at or
   above n + 2k (n = current vertex count) is refused before it is logged.
+  An update re-runs the 8 most recently used cached DC enumerations over
+  its dirty anchors and keeps them cached (cache_advanced in the response).
   --fault-injection enables the debug-only per-request fault field
   (panic | panic-locked | panic-worker:<v>) used by the containment tests.
 ";

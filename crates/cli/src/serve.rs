@@ -33,8 +33,11 @@
 //! `query` answers whose vertices all fall outside the update's dirty
 //! two-hop closure cannot have changed (the anchored decomposition bounds
 //! every affected maximal quasi-clique inside that closure), so those
-//! entries are re-keyed under the new fingerprint; everything else under
-//! the old fingerprint is invalidated.
+//! entries are re-keyed under the new fingerprint. The most recently used
+//! `enumerate` answers of a DC algorithm are carried across: each is
+//! advanced over the dirty anchors ([`mqce_core::advance`]) and re-keyed
+//! if the advance is exact. Everything else under the old fingerprint is
+//! invalidated.
 
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, BufWriter, Read, Write};
@@ -46,7 +49,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, RwLock};
 use std::time::{Duration, Instant};
 
-use mqce_core::{Completeness, PreparedGraph, Session};
+use mqce_core::{Completeness, MqceConfig, PreparedGraph, Session};
 use mqce_graph::{Graph, GraphDelta, SubproblemScratch, WriteAheadLog};
 use serde::Value;
 
@@ -201,15 +204,34 @@ impl Drop for GateGuard<'_> {
 }
 
 /// A complete answer worth replaying: the MQC sets plus the command-specific
-/// extras (query universe size, top-k round count, …). The command and its
-/// query vertices are kept so `update` can decide which entries survive a
-/// graph mutation.
+/// extras (query universe size, top-k round count, …). The command, its
+/// query vertices and, for `enumerate`, its configuration are kept so
+/// `update` can decide which entries survive a graph mutation and advance
+/// the enumerations it carries.
+#[derive(Clone)]
 struct CachedOutcome {
     cmd: String,
     vertices: Vec<u32>,
+    /// The configuration an `enumerate` answer was computed under; `None`
+    /// for the other commands.
+    config: Option<MqceConfig>,
     mqcs: Vec<Vec<u32>>,
     extra: Vec<(String, Value)>,
 }
+
+/// What `update` does with one cache entry under the old fingerprint.
+enum Migration {
+    /// Still valid: keep it under this key.
+    Keep(String),
+    /// Take it out to be advanced, then stored under this key.
+    Take(String),
+    /// Invalid: evict it.
+    Drop,
+}
+
+/// How many cached `enumerate` answers an `update` advances (the most
+/// recently used ones); the rest are evicted.
+const ADVANCE_LIMIT: usize = 8;
 
 /// Least-recently-used result cache. Capacity is small (hundreds), so the
 /// O(capacity) eviction scan is cheaper than an intrusive list and keeps the
@@ -262,25 +284,34 @@ impl ResultCache {
         evicted
     }
 
-    /// Rewrites every entry through `migrate`: `Some(new_key)` keeps the
-    /// entry (possibly under a different key, preserving its recency),
-    /// `None` drops it. Returns how many entries were dropped. This is how
-    /// `update` re-keys surviving answers under the new fingerprint.
-    fn retain_rekey<F>(&mut self, mut migrate: F) -> u64
+    /// Rewrites every entry through `migrate`: [`Migration::Keep`] keeps
+    /// the entry under its new key (preserving its recency),
+    /// [`Migration::Take`] removes it and hands it back, [`Migration::Drop`]
+    /// evicts it. Returns how many entries were dropped, and the taken ones
+    /// with their new keys, most recently used first. This is how `update`
+    /// re-keys surviving answers under the new fingerprint.
+    fn retain_rekey<F>(&mut self, mut migrate: F) -> (u64, Vec<(String, Arc<CachedOutcome>)>)
     where
-        F: FnMut(&str, &CachedOutcome) -> Option<String>,
+        F: FnMut(&str, &CachedOutcome) -> Migration,
     {
         let mut dropped = 0;
+        let mut taken = Vec::new();
         let entries: Vec<_> = self.map.drain().collect();
         for (key, (used, outcome)) in entries {
             match migrate(&key, &outcome) {
-                Some(new_key) => {
+                Migration::Keep(new_key) => {
                     self.map.insert(new_key, (used, outcome));
                 }
-                None => dropped += 1,
+                Migration::Take(new_key) => taken.push((used, new_key, outcome)),
+                Migration::Drop => dropped += 1,
             }
         }
-        dropped
+        taken.sort_unstable_by_key(|&(used, ..)| std::cmp::Reverse(used));
+        let taken = taken
+            .into_iter()
+            .map(|(_, key, outcome)| (key, outcome))
+            .collect();
+        (dropped, taken)
     }
 
     fn len(&self) -> usize {
@@ -835,7 +866,10 @@ fn ping_response(state: &ServerState, req: &Request) -> Response {
 /// exactly — and re-keys the result cache. A cached `query` answer whose
 /// vertices all lie outside the dirty two-hop closure cannot have changed
 /// (every affected maximal quasi-clique lives inside that closure), so it
-/// survives under the new fingerprint; every other entry is invalidated.
+/// survives under the new fingerprint. The [`ADVANCE_LIMIT`] most recently
+/// used `enumerate` answers of a DC algorithm are advanced to the new graph
+/// (see [`advance_entry`]) and survive if the advance is exact; every other
+/// entry is invalidated.
 fn update_response(state: &ServerState, req: &Request, arrival: Instant) -> Response {
     if req.insert.is_empty() && req.delete.is_empty() {
         return Response::failure(
@@ -892,26 +926,56 @@ fn update_response(state: &ServerState, req: &Request, arrival: Instant) -> Resp
     let new_fingerprint = prepared.fingerprint();
     *unpoison(state.prepared.write()) = Arc::clone(&prepared);
 
-    // Re-key the cache: only `query` answers fully outside the dirty
-    // closure are still valid. Anything else (whole-graph enumerations,
-    // top-k answers, queries touching the closure, leftovers from even
-    // older fingerprints) is dropped and counted as an eviction.
+    // Re-key the cache: `query` answers fully outside the dirty closure are
+    // still valid, and the enumerate answers of a DC algorithm are taken
+    // out to be advanced. Anything else (top-k answers, queries touching
+    // the closure, whole-graph enumerations, leftovers from even older
+    // fingerprints) is dropped and counted as an eviction.
     let old_prefix = format!("{old_fingerprint:016x}|");
     let new_prefix = format!("{new_fingerprint:016x}|");
-    let (invalidated, kept) = {
-        let mut cache = state.cache();
-        let invalidated = cache.retain_rekey(|key, outcome| {
-            let rest = key.strip_prefix(old_prefix.as_str())?;
-            let unaffected = outcome.cmd == "query"
-                && !outcome.vertices.is_empty()
-                && outcome
-                    .vertices
-                    .iter()
-                    .all(|v| dirty.binary_search(v).is_err());
-            unaffected.then(|| format!("{new_prefix}{rest}"))
-        });
-        (invalidated, cache.len())
-    };
+    let (mut invalidated, mut taken) = state.cache().retain_rekey(|key, outcome| {
+        let Some(rest) = key.strip_prefix(old_prefix.as_str()) else {
+            return Migration::Drop;
+        };
+        let new_key = format!("{new_prefix}{rest}");
+        match (outcome.cmd.as_str(), outcome.config) {
+            ("query", _)
+                if !outcome.vertices.is_empty()
+                    && outcome
+                        .vertices
+                        .iter()
+                        .all(|v| dirty.binary_search(v).is_err()) =>
+            {
+                Migration::Keep(new_key)
+            }
+            ("enumerate", Some(config)) if mqce_core::can_advance(&config) => {
+                Migration::Take(new_key)
+            }
+            _ => Migration::Drop,
+        }
+    });
+
+    // Advance the most recently used enumerations, without holding the
+    // cache lock, least recently used first so the stored entries keep
+    // their relative recency. An advance that is not exact evicts its entry.
+    invalidated += taken.len().saturating_sub(ADVANCE_LIMIT) as u64;
+    taken.truncate(ADVANCE_LIMIT);
+    let threads = crate::resolve_threads(0);
+    let mut advanced = 0u64;
+    for (key, outcome) in taken.into_iter().rev() {
+        match advance_entry(outcome, &prepared, &dirty, threads) {
+            Some(outcome) => {
+                let evicted = state.cache().insert(key, Arc::new(outcome));
+                state
+                    .stats
+                    .cache_evictions
+                    .fetch_add(evicted, Ordering::Relaxed);
+                advanced += 1;
+            }
+            None => invalidated += 1,
+        }
+    }
+    let kept = state.cache().len();
     state
         .stats
         .cache_evictions
@@ -940,6 +1004,7 @@ fn update_response(state: &ServerState, req: &Request, arrival: Instant) -> Resp
             Value::Num(invalidated as f64),
         ),
         ("cache_kept".to_string(), Value::Num(kept as f64)),
+        ("cache_advanced".to_string(), Value::Num(advanced as f64)),
     ];
     if let Some(offset) = wal_offset {
         // The durability watermark: the log is fsync'd up to (and including)
@@ -953,6 +1018,31 @@ fn update_response(state: &ServerState, req: &Request, arrival: Instant) -> Resp
         extra,
         ..Response::default()
     }
+}
+
+/// Carries a cached `enumerate` answer across an update: advances its family
+/// over the dirty anchors `dirty` of the updated graph `prepared`
+/// ([`mqce_core::advance`]) on `threads` workers. The family moves into the
+/// advance unless a reader still holds the entry. Returns `None` — the
+/// entry is evicted — when the answer has no DC decomposition to advance or
+/// the advance is not exact, so a partial family is never cached. The
+/// carried answer drops its extras, which described the run that computed
+/// the old family.
+fn advance_entry(
+    outcome: Arc<CachedOutcome>,
+    prepared: &PreparedGraph,
+    dirty: &[u32],
+    threads: usize,
+) -> Option<CachedOutcome> {
+    let mut outcome = Arc::unwrap_or_clone(outcome);
+    let config = outcome.config?;
+    let family = std::mem::take(&mut outcome.mqcs);
+    let (mqcs, advanced) = mqce_core::advance(family, &config, threads, prepared, dirty)?;
+    advanced.completeness.is_exact().then(|| CachedOutcome {
+        mqcs,
+        extra: Vec::new(),
+        ..outcome
+    })
 }
 
 fn compute_response(state: &ServerState, req: Request, arrival: Instant) -> Response {
@@ -1070,6 +1160,7 @@ fn compute_response(state: &ServerState, req: Request, arrival: Instant) -> Resp
     let outcome = Arc::new(CachedOutcome {
         cmd: req.cmd.clone(),
         vertices: req.vertices.clone(),
+        config: (req.cmd == "enumerate").then_some(config),
         mqcs,
         extra,
     });
@@ -1563,9 +1654,47 @@ mod tests {
         Arc::new(CachedOutcome {
             cmd: cmd.to_string(),
             vertices: vertices.to_vec(),
+            config: None,
             mqcs: Vec::new(),
             extra: Vec::new(),
         })
+    }
+
+    /// A carried enumerate is evicted when its advance is not exact (a
+    /// panic contained in a dirty anchor's re-run) or its algorithm has no
+    /// DC decomposition, and kept with the fresh family otherwise.
+    #[test]
+    fn advance_entry_keeps_only_exact_dc_answers() {
+        use mqce_core::Algorithm;
+        // A 5-clique on 1..=5 and an isolated vertex 0: joining 0 to four
+        // clique vertices makes it the dirty anchor of a new 5-clique.
+        let clique: Vec<(u32, u32)> = (1..=5)
+            .flat_map(|u| (u + 1..=5).map(move |v| (u, v)))
+            .collect();
+        let g = Graph::from_edges(6, &clique);
+        let join = GraphDelta::new(vec![(0, 1), (0, 2), (0, 3), (0, 4)], Vec::new());
+        let (next, dirty, _) =
+            PreparedGraph::new(g.clone()).apply_delta(&join, &mut SubproblemScratch::new());
+        let clean = MqceConfig::new(0.9, 5).unwrap();
+        let entry = |config: MqceConfig| {
+            Arc::new(CachedOutcome {
+                cmd: "enumerate".to_string(),
+                vertices: Vec::new(),
+                config: Some(config),
+                mqcs: Session::open(g.clone()).config(config).run().mqcs,
+                extra: Vec::new(),
+            })
+        };
+        let carried = advance_entry(entry(clean), &next, &dirty, 2).expect("an exact advance");
+        assert_eq!(
+            carried.mqcs,
+            Session::open(join.apply(&g)).config(clean).run().mqcs
+        );
+        let mut faulty = clean;
+        faulty.params.fail_anchor = Some(0);
+        assert!(advance_entry(entry(faulty), &next, &dirty, 2).is_none());
+        let whole_graph = clean.with_algorithm(Algorithm::FastQc);
+        assert!(advance_entry(entry(whole_graph), &next, &dirty, 2).is_none());
     }
 
     #[test]
@@ -1596,22 +1725,32 @@ mod tests {
         cache.insert("00aa|query|y".to_string(), outcome("query", &[2]));
         cache.insert("00aa|enumerate|z".to_string(), outcome("enumerate", &[]));
         cache.insert("dead|query|w".to_string(), outcome("query", &[9]));
-        // Mimic an update: old fp `00aa`, new fp `00bb`, dirty = {2}.
+        cache.insert("00aa|enumerate|v".to_string(), outcome("enumerate", &[]));
+        // Mimic an update: old fp `00aa`, new fp `00bb`, dirty = {2}; the
+        // enumerates are taken out.
         let dirty = [2u32];
-        let dropped = cache.retain_rekey(|key, entry| {
-            let rest = key.strip_prefix("00aa|")?;
+        let (dropped, taken) = cache.retain_rekey(|key, entry| {
+            let Some(rest) = key.strip_prefix("00aa|") else {
+                return Migration::Drop;
+            };
             let unaffected = entry.cmd == "query"
-                && !entry.vertices.is_empty()
                 && entry
                     .vertices
                     .iter()
                     .all(|v| dirty.binary_search(v).is_err());
-            unaffected.then(|| format!("00bb|{rest}"))
+            match entry.cmd.as_str() {
+                "enumerate" => Migration::Take(format!("00bb|{rest}")),
+                _ if unaffected => Migration::Keep(format!("00bb|{rest}")),
+                _ => Migration::Drop,
+            }
         });
-        // Dropped: the dirty query, the enumerate, and the stale-fp entry.
-        assert_eq!(dropped, 3);
+        // Dropped: the dirty query and the stale-fp entry.
+        assert_eq!(dropped, 2);
         assert_eq!(cache.len(), 1);
         assert!(cache.get("00bb|query|x").is_some());
         assert!(cache.get("00aa|query|x").is_none());
+        // Taken: both enumerates under their new keys, most recent first.
+        let keys: Vec<&str> = taken.iter().map(|(key, _)| key.as_str()).collect();
+        assert_eq!(keys, ["00bb|enumerate|v", "00bb|enumerate|z"]);
     }
 }

@@ -393,6 +393,126 @@ fn updates_rekey_the_cache_and_match_a_fresh_run() {
     assert!(summary.cache_len >= 1);
 }
 
+/// An update carries the cached enumerations of a DC algorithm across: the
+/// four serve-mixed keys stay cached through a delete and then an insert,
+/// each equal to an uncached enumerate on the same snapshot, while a `topk`
+/// answer, a `query` inside the dirty closure and a whole-graph `fastqc`
+/// enumerate are still evicted.
+#[test]
+fn updates_advance_cached_enumerations() {
+    let graph = test_graph(300, 9);
+    let keys = [(0.85, 8), (0.85, 10), (0.9, 8), (0.9, 10)];
+    // Delete an edge inside a maximal set, then insert a non-edge two hops
+    // away from one of its endpoints.
+    let config = MqceConfig::new(0.85, 8).unwrap();
+    let family = Session::open(graph.clone()).config(config).run().mqcs;
+    let (u, v) = family
+        .iter()
+        .find_map(|set| {
+            let u = set[0];
+            set[1..]
+                .iter()
+                .find(|&&v| graph.has_edge(u, v))
+                .map(|&v| (u, v))
+        })
+        .expect("a maximal set holds an edge");
+    let w = graph
+        .neighbors(v)
+        .iter()
+        .flat_map(|&x| graph.neighbors(x).iter().copied())
+        .find(|&w| w != u && !graph.has_edge(u, w))
+        .expect("a non-neighbour of u within two hops");
+    let deltas = [
+        (Vec::new(), vec![(u, v)]),
+        (vec![(u.min(w), u.max(w))], Vec::new()),
+    ];
+
+    let (addr, handle) = start_daemon(graph, ServeSettings::default());
+    let enumerate = |gamma: f64, theta: usize| Request {
+        gamma,
+        theta,
+        sets: true,
+        ..Request::default()
+    };
+    let evicted = [
+        Request {
+            cmd: "topk".to_string(),
+            gamma: 0.9,
+            k: 3,
+            ..Request::default()
+        },
+        Request {
+            cmd: "query".to_string(),
+            gamma: 0.9,
+            theta: 8,
+            vertices: vec![u],
+            ..Request::default()
+        },
+        Request {
+            algorithm: Some("fastqc".to_string()),
+            ..enumerate(0.9, 8)
+        },
+    ];
+    let mut carried_sets = 0;
+    for (step, (insert, delete)) in deltas.into_iter().enumerate() {
+        // Warm every entry; after the first update the enumerations are
+        // already cached.
+        for &(gamma, theta) in &keys {
+            let warm = roundtrip(addr, &enumerate(gamma, theta));
+            assert!(warm.ok && warm.cached == (step > 0), "step {step}");
+        }
+        for request in &evicted {
+            assert!(roundtrip(addr, request).ok, "step {step}: {}", request.cmd);
+        }
+        let update = roundtrip(
+            addr,
+            &Request {
+                cmd: "update".to_string(),
+                insert,
+                delete,
+                ..Request::default()
+            },
+        );
+        assert!(update.ok, "step {step}: update failed: {:?}", update.error);
+        assert_eq!(update.extra_num("cache_advanced"), Some(keys.len() as f64));
+        assert!(update.extra_num("cache_invalidated").unwrap_or(0.0) >= 3.0);
+
+        for &(gamma, theta) in &keys {
+            let carried = roundtrip(addr, &enumerate(gamma, theta));
+            assert!(
+                carried.ok && carried.cached,
+                "step {step}: γ={gamma} θ={theta}"
+            );
+            let fresh = roundtrip(
+                addr,
+                &Request {
+                    no_cache: true,
+                    ..enumerate(gamma, theta)
+                },
+            );
+            assert!(fresh.ok && !fresh.cached && !fresh.best_effort);
+            assert_eq!(
+                carried.mqcs, fresh.mqcs,
+                "step {step}: γ={gamma} θ={theta}: carried family != fresh run"
+            );
+            carried_sets += carried.count;
+        }
+        for request in &evicted {
+            let after = roundtrip(addr, request);
+            assert!(
+                after.ok && !after.cached,
+                "step {step}: a {} entry survived the update",
+                request.cmd
+            );
+        }
+    }
+    assert!(carried_sets > 0, "the carried families are all empty");
+
+    shutdown(addr);
+    let summary = handle.join().expect("daemon thread");
+    assert_eq!(summary.errors, 0);
+}
+
 #[test]
 fn malformed_and_invalid_requests_get_error_responses() {
     let graph = test_graph(500, 5);
@@ -1121,9 +1241,10 @@ fn cli_serve_and_client_roundtrip_over_unix_socket() {
         "--sets",
     ]);
     let after = Response::parse_line(after.trim()).unwrap();
+    assert_eq!(updated.extra_num("cache_advanced"), Some(1.0));
     assert!(
-        after.ok && !after.cached,
-        "old cache entries must not answer for the mutated graph"
+        after.ok && after.cached,
+        "the update advances the cached enumeration to the mutated graph"
     );
     assert_eq!(after.mqcs.as_ref(), Some(&expected_after));
 

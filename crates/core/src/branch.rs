@@ -594,32 +594,58 @@ impl<'g> SearchCtx<'g> {
     /// The necessary condition of maximality: no single vertex extends `h`
     /// to a larger quasi-clique. `deg_source` tells the context where
     /// `δ(·, h)` can be read from; [`DegSource::Recompute`] fills a reusable
-    /// scratch buffer instead of allocating.
+    /// scratch buffer instead of allocating. When `h` is `S` or `S ∪ C`, the
+    /// membership flags skip the members of `h` in O(1); the recompute path
+    /// scans `h`.
     pub(crate) fn no_extension(&mut self, h: &[VertexId], deg_source: DegSource) -> bool {
-        if matches!(deg_source, DegSource::Recompute) {
-            self.bufs.recompute_degs.clear();
-            self.bufs.recompute_degs.resize(self.g.num_vertices(), 0);
-            for &v in h {
-                for &u in self.g.neighbors(v) {
-                    self.bufs.recompute_degs[u as usize] += 1;
+        let (g, adj, gamma) = (self.g, self.kernel.as_deref(), self.gamma);
+        let SearchScratch {
+            in_s,
+            in_c,
+            deg_s,
+            deg_sc,
+            recompute_degs,
+            qc,
+            ..
+        } = &mut *self.bufs;
+        match deg_source {
+            DegSource::PartialSet => {
+                let in_h = |w: VertexId| in_s[w as usize];
+                debug_assert!(flags_match(h, in_h, g.num_vertices()));
+                no_single_vertex_extension_in(g, adj, h, deg_s, g.vertices(), in_h, gamma, qc)
+            }
+            DegSource::PartialAndCandidates => {
+                let in_h = |w: VertexId| in_s[w as usize] || in_c[w as usize];
+                debug_assert!(flags_match(h, in_h, g.num_vertices()));
+                no_single_vertex_extension_in(g, adj, h, deg_sc, g.vertices(), in_h, gamma, qc)
+            }
+            DegSource::Recompute => {
+                recompute_degs.clear();
+                recompute_degs.resize(g.num_vertices(), 0);
+                for &v in h {
+                    for &u in g.neighbors(v) {
+                        recompute_degs[u as usize] += 1;
+                    }
                 }
+                let in_h = |w: VertexId| h.contains(&w);
+                no_single_vertex_extension_in(
+                    g,
+                    adj,
+                    h,
+                    recompute_degs,
+                    g.vertices(),
+                    in_h,
+                    gamma,
+                    qc,
+                )
             }
         }
-        let degs: &[u32] = match deg_source {
-            DegSource::PartialSet => &self.bufs.deg_s,
-            DegSource::PartialAndCandidates => &self.bufs.deg_sc,
-            DegSource::Recompute => &self.bufs.recompute_degs,
-        };
-        no_single_vertex_extension_in(
-            self.g,
-            self.kernel.as_deref(),
-            h,
-            degs,
-            self.g.vertices(),
-            self.gamma,
-            &mut self.bufs.qc,
-        )
     }
+}
+
+/// Whether `flagged` holds exactly for the members of `h` among `0..n`.
+fn flags_match(h: &[VertexId], flagged: impl Fn(VertexId) -> bool, n: usize) -> bool {
+    h.iter().all(|&v| flagged(v)) && (0..n as VertexId).filter(|&v| flagged(v)).count() == h.len()
 }
 
 /// Where [`SearchCtx::emit`] reads `δ(·, h)` from when checking the necessary

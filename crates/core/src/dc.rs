@@ -146,18 +146,17 @@ pub(crate) struct DcPlan {
 impl DcPlan {
     /// Lines 1-2 of Algorithm 3 against the cached state of a
     /// [`PreparedGraph`]: the core reduction is a filter over the prepared
-    /// core numbers, and the processing order is `order` (the incremental
-    /// session's stable order), else the cached global degeneracy ordering
-    /// (or the input order for the basic DC), restricted to the surviving
-    /// vertices — no per-run core decomposition. Any total order is sound
-    /// for the DC drivers (Property 2 assigns each maximal QC to its
-    /// lowest-ranked member under whatever order is in force), and the
-    /// restriction of a degeneracy ordering keeps the forward-degree bound.
+    /// core numbers, and the processing order is the cached global
+    /// degeneracy ordering (or the input order for the basic DC),
+    /// restricted to the surviving vertices — no per-run core
+    /// decomposition. Any total order is sound for the DC drivers
+    /// (Property 2 assigns each maximal QC to its lowest-ranked member under
+    /// whatever order is in force), and the restriction of a degeneracy
+    /// ordering keeps the forward-degree bound.
     pub(crate) fn from_prepared(
         prepared: &PreparedGraph,
         params: MqceParams,
         dc: DcConfig,
-        order: Option<&[VertexId]>,
     ) -> DcPlan {
         let g = prepared.graph();
         let reduced: InducedSubgraph = if dc.core_reduction {
@@ -167,10 +166,10 @@ impl DcPlan {
             let all: Vec<VertexId> = g.vertices().collect();
             InducedSubgraph::new(g, &all)
         };
-        let order = match order {
-            Some(order) => order,
-            None if dc.degeneracy_order => &prepared.cores().ordering,
-            None => &reduced.to_global,
+        let order = if dc.degeneracy_order {
+            &prepared.cores().ordering
+        } else {
+            &reduced.to_global
         };
         let ordering: Vec<VertexId> = order.iter().filter_map(|&v| reduced.local(v)).collect();
         let mut rank = vec![0usize; reduced.graph.num_vertices()];
@@ -413,7 +412,7 @@ fn prune_subgraph_in(
 impl DcPlan {
     /// Test shorthand: the plan of a whole graph, prepared on the spot.
     pub(crate) fn for_graph(g: &Graph, params: MqceParams, dc: DcConfig) -> DcPlan {
-        DcPlan::from_prepared(&PreparedGraph::new(g.clone()), params, dc, None)
+        DcPlan::from_prepared(&PreparedGraph::new(g.clone()), params, dc)
     }
 }
 

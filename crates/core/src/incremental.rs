@@ -7,47 +7,51 @@
 //! new graph) — and every other subproblem would extract a byte-identical
 //! subgraph and re-derive exactly what it derived before.
 //!
-//! [`IncrementalSession`] exploits this. It owns the [`PreparedGraph`] and
-//! the current maximal family, and on [`IncrementalSession::update`]:
+//! An update is two steps:
 //!
-//! 1. applies the [`GraphDelta`] via the slack-aware CSR rebuild and
-//!    maintains the core decomposition (changed-vertex report included);
-//! 2. computes the dirty two-hop closure with the epoch-stamped scratch
-//!    walk — no per-update allocation beyond the closure itself;
-//! 3. keeps a **session-stable total order**: the degeneracy ordering
-//!    computed at session start, with vertices the updates add appended at
-//!    the end. Any total order is sound for the DC drivers (Property 2
-//!    anchors each maximal QC at its lowest-ranked member under whatever
-//!    order is in force), and a stable order means a retained set's anchor
-//!    never silently moves between updates;
-//! 4. retires the sets whose anchor is dirty and re-runs exactly the dirty
-//!    anchors through the shared anchor driver (work stealing and
-//!    intra-subproblem splitting for multi-threaded sessions);
-//! 5. merges the fresh outputs with only the **frontier** of the retained
-//!    family — retained sets that contain at least one dirty vertex — in
-//!    one compaction on the session's threads, restoring exact global
-//!    maximality (the same S2 pass as a full run's tail). Every fresh set
-//!    contains its dirty anchor, so a retained set that could dominate one
-//!    must contain that dirty vertex too; retained sets disjoint from the
-//!    closure can never interact with the fresh outputs and bypass the
-//!    compaction entirely, which keeps the per-update merge work
-//!    proportional to the *local* family, not the whole one (the pass
-//!    compresses vertex ids when the local family is small next to the
-//!    graph, so its index does not grow with the vertex count).
+//! 1. the **graph step**, [`PreparedGraph::apply_delta`]: applies the
+//!    [`GraphDelta`] via the slack-aware CSR rebuild, maintains the core
+//!    decomposition (and with it the cached degeneracy order) and returns
+//!    the dirty two-hop closure, walked with the epoch-stamped scratch;
+//! 2. the **family step**, [`advance`]: carries one maximal family from the
+//!    old graph to the new one. It retires the sets whose anchor is dirty,
+//!    re-runs exactly the dirty anchors through the shared anchor driver
+//!    (work stealing and intra-subproblem splitting on several threads),
+//!    and compacts the fresh outputs with only the **frontier** of the
+//!    retained family — retained sets that contain at least one dirty
+//!    vertex — in one S2 pass, restoring exact global maximality. Every
+//!    fresh set contains its dirty anchor, so a retained set that could
+//!    dominate one must contain that dirty vertex too; retained sets
+//!    disjoint from the closure can never interact with the fresh outputs
+//!    and bypass the compaction entirely, which keeps the per-update merge
+//!    work proportional to the *local* family, not the whole one.
+//!
+//! [`IncrementalSession::update`] is the graph step followed by one family
+//! step; the `mqce serve` daemon runs the graph step once per update and one
+//! family step per cached answer it carries across.
+//!
+//! **The order.** Each family step anchors by the new snapshot's cached
+//! degeneracy order (restricted to the core-reduced vertices, like a full
+//! run), so the order may move from one update to the next. That is sound
+//! because exactness only needs the retirement and the re-run of *one* step
+//! to agree on the order, and the argument below never uses the order the
+//! old family was computed under.
 //!
 //! Why retiring only dirty-anchored sets is exact: let `H` be maximal in the
-//! new graph with clean anchor `v` (its lowest-ranked member). Every member
-//! of `H` is within distance 2 of `v` inside `H` (diameter ≤ 2 for
-//! γ ≥ 0.5), so an updated edge incident to any member would put `v` in the
-//! dirty closure — hence `H`'s induced subgraph is untouched, `H` was a
-//! quasi-clique before, and any strict quasi-clique superset inside `v`'s
-//! ball was untouched too, so `H` was already maximal and is in the retained
-//! family. Conversely a new-graph maximal set with a *dirty* anchor is
-//! emitted by that anchor's re-run (its members survive the core reduction:
-//! every member of a θ-sized γ-quasi-clique has degree ≥ ⌈γ(θ−1)⌉ within
-//! it). The merge then removes anything the update demoted from
-//! maximal. The differential harness checks this equivalence against full
-//! recompute on random schedules across the γ×θ grid at 1/2/4 threads.
+//! new graph with clean anchor `v` (its lowest-ranked member in this step's
+//! order). Every member of `H` is within distance 2 of `v` inside `H`
+//! (diameter ≤ 2 for γ ≥ 0.5), so an updated edge incident to any member
+//! would put `v` in the dirty closure — hence `H`'s induced subgraph is
+//! untouched, `H` was a quasi-clique before, and any strict quasi-clique
+//! superset of `H` in the old graph contains `v` and would be untouched
+//! too, so `H` was already maximal: it is in the old family, and it is not
+//! retired. Likewise every retained set (one with a clean member) is
+//! untouched and still maximal. Conversely a new-graph maximal set with a
+//! *dirty* anchor is emitted by that anchor's re-run (its members survive
+//! the core reduction: every member of a θ-sized γ-quasi-clique has degree
+//! ≥ ⌈γ(θ−1)⌉ within it). The compaction then removes any fresh set that
+//! is not maximal. The differential harness checks this equivalence against
+//! full recompute on random schedules across the γ×θ grid at 1/2/4 threads.
 
 use std::sync::Arc;
 
@@ -63,8 +67,8 @@ use crate::prepared::PreparedGraph;
 use crate::session::Session;
 use crate::stats::SearchStats;
 
-/// What a single [`IncrementalSession::update`] did, with the counters the
-/// bench harness reports.
+/// What a single [`IncrementalSession::update`] (or the family step,
+/// [`advance`]) did, with the counters the bench harness reports.
 #[derive(Clone, Debug, Default)]
 pub struct UpdateOutcome {
     /// Canonical edge updates in the applied batch (inserts + deletes).
@@ -99,19 +103,13 @@ pub struct IncrementalSession {
     prepared: Arc<PreparedGraph>,
     config: MqceConfig,
     threads: usize,
-    /// Session-stable total order over global vertex ids: the degeneracy
-    /// ordering at session start, new vertices appended as updates grow the
-    /// graph. Never reshuffled, so anchor provenance survives updates.
-    ordering: Vec<VertexId>,
-    /// `rank[v]` = position of global vertex `v` in `ordering`.
-    rank: Vec<usize>,
     /// The current maximal family (sorted sets, lexicographic order — the
     /// same canonical form the batch pipeline returns).
     family: Vec<Vec<VertexId>>,
     /// Whether `family` is exact. A partial family is never patched: the
     /// next update recomputes it in full.
     completeness: Completeness,
-    /// Epoch-stamped scratch shared by the dirty walk and the partition.
+    /// Epoch-stamped scratch for the dirty-closure walk.
     scratch: SubproblemScratch,
 }
 
@@ -143,17 +141,105 @@ fn merge_canonical(a: Vec<Vec<VertexId>>, b: Vec<Vec<VertexId>>) -> Vec<Vec<Vert
     out
 }
 
+/// Whether [`advance`] can carry a family computed under `config`: its
+/// algorithm runs one DC subproblem per anchor, the decomposition an
+/// update's dirty closure can patch. The whole-graph algorithms cannot.
+pub fn can_advance(config: &MqceConfig) -> bool {
+    dc_setup(config).is_some()
+}
+
+/// The family step of an update (see the module docs): carries `family`,
+/// the exact maximal family of the graph before a batch, to the maximal
+/// family of `prepared`, the graph after it, given the batch's dirty
+/// two-hop closure `dirty` (as [`PreparedGraph::apply_delta`] returns it).
+/// The dirty anchors re-run on `threads` workers and always run to
+/// completion: `config.time_limit` is ignored.
+///
+/// Returns `None` when it cannot ([`can_advance`]). Else it
+/// returns the new family (canonical order) and the family-step counters;
+/// the graph-step fields (`updates_applied`, `core_changed`, `dirty`) are
+/// left for the caller. The family is exact only when the outcome's
+/// `completeness` says so: a panic contained in a re-run drops its sets.
+pub fn advance(
+    family: Vec<Vec<VertexId>>,
+    config: &MqceConfig,
+    threads: usize,
+    prepared: &PreparedGraph,
+    dirty: &[VertexId],
+) -> Option<(Vec<Vec<VertexId>>, UpdateOutcome)> {
+    let (inner, dc) = dc_setup(config)?;
+    // This step's order: the new snapshot's, as a full run would take it.
+    let plan = DcPlan::from_prepared(prepared, config.params, dc);
+    let mut is_dirty = vec![false; prepared.graph().num_vertices()];
+    for &v in dirty {
+        is_dirty[v as usize] = true;
+    }
+    // A member the core reduction dropped ranks last; a set holding one is
+    // no longer a quasi-clique, so its update touched it and every member,
+    // its anchor included, is dirty.
+    let mut rank = vec![usize::MAX; prepared.graph().num_vertices()];
+    for (&v, &r) in plan.reduced.to_global.iter().zip(&plan.rank) {
+        rank[v as usize] = r;
+    }
+
+    // Partition the family by anchor provenance. Only sets that touch the
+    // dirty closure can have a dirty anchor; the rest stay in place,
+    // untouched and in canonical order. Among the touched sets,
+    // clean-anchored ones are retained as the *frontier*: only they can
+    // dominate a fresh emission — every fresh set contains its dirty anchor,
+    // so any superset does too — and retained sets themselves are never
+    // dominated (a strict quasi-clique superset would have put their anchor
+    // in the closure). Untouched sets therefore skip the merge.
+    let mut untouched = family;
+    let mut frontier = SetArena::new();
+    let mut retired = 0u64;
+    for set in untouched.extract_if(.., |set| set.iter().any(|&v| is_dirty[v as usize])) {
+        let anchor = *set
+            .iter()
+            .min_by_key(|&&v| rank[v as usize])
+            .expect("maximal sets are non-empty");
+        if is_dirty[anchor as usize] {
+            retired += 1;
+        } else {
+            frontier.push_set(&set);
+        }
+    }
+    let dirty_locals: Vec<VertexId> = plan
+        .ordering
+        .iter()
+        .copied()
+        .filter(|&l| is_dirty[plan.reduced.to_global[l as usize] as usize])
+        .collect();
+    let retained = (untouched.len() + frontier.len()) as u64;
+
+    // Re-run the dirty subproblems, compact their outputs together with
+    // the frontier sets — exact over frontier ∪ fresh — and splice the
+    // untouched sets back in afterwards.
+    let mut rerun = run_anchors(&plan, &dirty_locals, inner, threads, None);
+    rerun.sets.push(frontier);
+    let (outcome, _) = compact_family(rerun.sets, threads, None);
+    // Both halves are in canonical order: `untouched` is a subsequence of
+    // the old canonical family, the pass returns canonical order.
+    let family = merge_canonical(untouched, outcome.mqcs);
+    Some((
+        family,
+        UpdateOutcome {
+            dirty_subproblems: dirty_locals.len() as u64,
+            retired,
+            retained,
+            completeness: Completeness::new(&rerun.stats, outcome.timed_out),
+            stats: rerun.stats,
+            ..UpdateOutcome::default()
+        },
+    ))
+}
+
 impl IncrementalSession {
-    /// Opens a session: prepares the graph, runs the full pipeline once to
-    /// seed the family, and freezes the session ordering. `threads` is used
-    /// for the seed run and for every subsequent dirty re-run.
+    /// Opens a session: prepares the graph and runs the full pipeline once
+    /// to seed the family. `threads` is used for the seed run and for every
+    /// subsequent dirty re-run.
     pub fn new(graph: Graph, config: MqceConfig, threads: usize) -> Self {
         let prepared = Arc::new(PreparedGraph::new(graph));
-        let ordering = prepared.cores().ordering.clone();
-        let mut rank = vec![0usize; ordering.len()];
-        for (i, &v) in ordering.iter().enumerate() {
-            rank[v as usize] = i;
-        }
         let threads = threads.max(1);
         let seed = Session::open_prepared(prepared.clone())
             .config(config)
@@ -163,8 +249,6 @@ impl IncrementalSession {
             prepared,
             config,
             threads,
-            ordering,
-            rank,
             family: seed.mqcs,
             completeness: seed.completeness,
             scratch: SubproblemScratch::new(),
@@ -196,10 +280,12 @@ impl IncrementalSession {
     }
 
     /// Applies an update batch and restores the family to exactly the
-    /// maximal family of the updated graph, re-running only the dirtied
-    /// subproblems. A session whose family is partial is recomputed in
-    /// full instead. Updates always run to completion (the session ignores
-    /// `config.time_limit`, which only bounds the seeding run).
+    /// maximal family of the updated graph: the graph step
+    /// ([`PreparedGraph::apply_delta`]) followed by the family step
+    /// ([`advance`]). A session whose family is partial, or whose algorithm
+    /// has no DC decomposition, is recomputed in full instead. Updates
+    /// always run to completion (the session ignores `config.time_limit`,
+    /// which only bounds the seeding run).
     pub fn update(&mut self, delta: &GraphDelta) -> UpdateOutcome {
         if delta.is_empty() {
             return UpdateOutcome {
@@ -209,106 +295,43 @@ impl IncrementalSession {
             };
         }
         let (prepared, dirty, core_changed) = self.prepared.apply_delta(delta, &mut self.scratch);
-        let prepared = Arc::new(prepared);
+        self.prepared = Arc::new(prepared);
 
-        // Grow the session ordering: vertices the batch added rank after
-        // everything that existed before, so no retained anchor moves.
-        let n = prepared.graph().num_vertices();
-        for v in self.rank.len() as VertexId..n as VertexId {
-            self.rank.push(self.ordering.len());
-            self.ordering.push(v);
-        }
-
-        let dc = dc_setup(&self.config).filter(|_| self.completeness.is_exact());
-        let Some((inner, dc)) = dc else {
-            // No DC decomposition, no per-anchor dirty set, or a partial
-            // family whose missing sets no dirty set can name: full
-            // recompute, without the seeding run's time limit.
-            self.prepared = prepared;
-            let mut config = self.config;
-            config.time_limit = None;
-            let result = Session::open_prepared(self.prepared.clone())
-                .config(config)
-                .threads(self.threads)
-                .run();
-            self.family = result.mqcs;
-            self.completeness = result.completeness;
-            return UpdateOutcome {
-                updates_applied: delta.len() as u64,
-                core_changed: core_changed as u64,
-                dirty,
-                stats: result.stats,
-                full_recompute: true,
-                completeness: result.completeness,
-                ..UpdateOutcome::default()
-            };
+        // A partial family is never patched: its missing sets have no dirty
+        // anchor to name them.
+        let family = std::mem::take(&mut self.family);
+        let advanced = if self.completeness.is_exact() {
+            advance(family, &self.config, self.threads, &self.prepared, &dirty)
+        } else {
+            None
         };
-
-        // The dirty plan: core reduction over the updated graph, processing
-        // order = the session ordering restricted to the survivors (sound
-        // like any total order; stable so provenance is meaningful).
-        let plan = DcPlan::from_prepared(&prepared, self.config.params, dc, Some(&self.ordering));
-
-        // Partition the family by anchor provenance and collect the dirty
-        // anchors that survived the core reduction, in plan order. One
-        // stamped epoch serves both membership tests.
-        let (stamp, tag) = self.scratch.stamp_epoch(n);
-        for &v in &dirty {
-            stamp[v as usize] = tag;
-        }
-        // Clean-anchored sets are retained; among them, only the *frontier*
-        // (sets touching the dirty closure) can dominate a fresh emission —
-        // every fresh set contains its dirty anchor, so any superset does
-        // too — and retained sets themselves are never dominated (a strict
-        // quasi-clique superset would have put their anchor in the
-        // closure). Untouched sets therefore skip the merge.
-        let old_family = std::mem::take(&mut self.family);
-        let mut untouched: Vec<Vec<VertexId>> = Vec::with_capacity(old_family.len());
-        let mut frontier = SetArena::new();
-        let mut retired = 0u64;
-        for set in old_family {
-            let anchor = *set
-                .iter()
-                .min_by_key(|&&v| self.rank[v as usize])
-                .expect("maximal sets are non-empty");
-            if stamp[anchor as usize] == tag {
-                retired += 1;
-            } else if set.iter().any(|&v| stamp[v as usize] == tag) {
-                frontier.push_set(&set);
-            } else {
-                untouched.push(set);
+        let mut outcome = match advanced {
+            Some((family, outcome)) => {
+                self.family = family;
+                outcome
             }
-        }
-        let dirty_locals: Vec<VertexId> = plan
-            .ordering
-            .iter()
-            .copied()
-            .filter(|&l| stamp[plan.reduced.to_global[l as usize] as usize] == tag)
-            .collect();
-        let retained_count = (untouched.len() + frontier.len()) as u64;
-
-        // Re-run the dirty subproblems, compact their outputs together with
-        // the frontier sets — exact over frontier ∪ fresh — and splice the
-        // untouched sets back in afterwards.
-        let mut rerun = run_anchors(&plan, &dirty_locals, inner, self.threads, None);
-        rerun.sets.push(frontier);
-        let (outcome, _) = compact_family(rerun.sets, self.threads, None);
-        // Both halves are in canonical order: `untouched` is a subsequence
-        // of the old canonical family, the pass returns canonical order.
-        self.family = merge_canonical(untouched, outcome.mqcs);
-        self.completeness = Completeness::new(&rerun.stats, outcome.timed_out);
-        self.prepared = prepared;
-        UpdateOutcome {
-            updates_applied: delta.len() as u64,
-            dirty_subproblems: dirty_locals.len() as u64,
-            retired,
-            retained: retained_count,
-            core_changed: core_changed as u64,
-            dirty,
-            stats: rerun.stats,
-            full_recompute: false,
-            completeness: self.completeness,
-        }
+            None => {
+                // Full recompute, without the seeding run's time limit.
+                let mut config = self.config;
+                config.time_limit = None;
+                let result = Session::open_prepared(self.prepared.clone())
+                    .config(config)
+                    .threads(self.threads)
+                    .run();
+                self.family = result.mqcs;
+                UpdateOutcome {
+                    stats: result.stats,
+                    full_recompute: true,
+                    completeness: result.completeness,
+                    ..UpdateOutcome::default()
+                }
+            }
+        };
+        self.completeness = outcome.completeness;
+        outcome.updates_applied = delta.len() as u64;
+        outcome.core_changed = core_changed as u64;
+        outcome.dirty = dirty;
+        outcome
     }
 }
 
@@ -403,6 +426,87 @@ mod tests {
             schedule.push(delta);
         }
         check_schedule(g, MqceConfig::new(0.85, 5).unwrap(), 2, &schedule);
+    }
+
+    /// `advance` equals a fresh run over batches that move core numbers, so
+    /// each step anchors by a different degeneracy order than the one the
+    /// family it carries was computed under.
+    #[test]
+    fn advance_matches_full_when_the_degeneracy_order_moves() {
+        let g = community_graph(
+            CommunityGraphParams {
+                n: 90,
+                num_communities: 6,
+                p_intra: 0.9,
+                inter_degree: 1.5,
+            },
+            21,
+        );
+        // Cutting two vertices down to one edge each drops their core
+        // numbers to 1; restoring the edges raises them again.
+        let cut: Vec<(VertexId, VertexId)> = [0, 45]
+            .iter()
+            .flat_map(|&v| g.neighbors(v)[1..].iter().map(move |&u| (v, u)))
+            .collect();
+        let schedule = [
+            GraphDelta::new(Vec::new(), cut.clone()),
+            GraphDelta::new(cut, Vec::new()),
+        ];
+        let config = MqceConfig::new(0.85, 5).unwrap();
+        for threads in [1, 2] {
+            let mut prepared = PreparedGraph::new(g.clone());
+            let mut family = full_family(&g, config);
+            for (step, delta) in schedule.iter().enumerate() {
+                let (next, dirty, core_changed) =
+                    prepared.apply_delta(delta, &mut SubproblemScratch::new());
+                assert!(core_changed > 0, "step {step}: no core number moved");
+                assert_ne!(
+                    next.cores().ordering,
+                    prepared.cores().ordering,
+                    "step {step}: the degeneracy order did not move"
+                );
+                let (advanced, outcome) = advance(family, &config, threads, &next, &dirty)
+                    .expect("DCFastQC has a DC decomposition");
+                assert!(outcome.completeness.is_exact());
+                assert_eq!(
+                    advanced,
+                    full_family(next.graph(), config),
+                    "step {step} (threads={threads}): advanced family != full recompute"
+                );
+                prepared = next;
+                family = advanced;
+            }
+        }
+    }
+
+    /// A panic contained in a dirty anchor's re-run makes the advance
+    /// partial; the same advance without the fault is exact.
+    #[test]
+    fn a_panic_in_the_re_run_makes_the_advance_partial() {
+        // A 5-clique on 1..=5 and an isolated vertex 0: joining 0 to four
+        // clique vertices makes it the dirty anchor of a new 5-clique.
+        let clique: Vec<(VertexId, VertexId)> = (1..=5)
+            .flat_map(|u| (u + 1..=5).map(move |v| (u, v)))
+            .collect();
+        let g = Graph::from_edges(6, &clique);
+        let clean = MqceConfig::new(0.9, 5).unwrap();
+        let mut faulty = clean;
+        faulty.params.fail_anchor = Some(0);
+        let join = GraphDelta::new(vec![(0, 1), (0, 2), (0, 3), (0, 4)], Vec::new());
+        let (next, dirty, _) =
+            PreparedGraph::new(g.clone()).apply_delta(&join, &mut SubproblemScratch::new());
+        assert!(dirty.contains(&0));
+        for threads in [1, 2] {
+            let (_, outcome) = advance(full_family(&g, clean), &faulty, threads, &next, &dirty)
+                .expect("DCFastQC has a DC decomposition");
+            assert_eq!(outcome.stats.subproblem_panics, 1, "threads={threads}");
+            assert!(!outcome.completeness.is_exact(), "threads={threads}");
+            assert_eq!(outcome.completeness.panicked_anchor, Some(0));
+            let (family, outcome) = advance(full_family(&g, clean), &clean, threads, &next, &dirty)
+                .expect("DCFastQC has a DC decomposition");
+            assert!(outcome.completeness.is_exact(), "threads={threads}");
+            assert_eq!(family, full_family(next.graph(), clean));
+        }
     }
 
     #[test]

@@ -59,7 +59,7 @@ pub mod verify;
 pub use branch::SearchOutcome;
 pub use completeness::Completeness;
 pub use config::{Algorithm, BranchingStrategy, MqceConfig, MqceParams, ParamError};
-pub use incremental::{IncrementalSession, UpdateOutcome};
+pub use incremental::{advance, can_advance, IncrementalSession, UpdateOutcome};
 /// Remains for the benchmark harness, which names it through this crate.
 pub use mqce_settrie::S2Backend;
 pub use pipeline::{enumerate_mqcs_default, solve_s1, solve_s1_threads, MqceResult};

@@ -158,7 +158,7 @@ pub fn solve_s1_threads(g: &Graph, config: &MqceConfig, threads: usize) -> Searc
     let outcome = match dc_setup(config) {
         Some((inner, dc)) => {
             let prepared = PreparedGraph::new(g.clone());
-            let plan = DcPlan::from_prepared(&prepared, config.params, dc, None);
+            let plan = DcPlan::from_prepared(&prepared, config.params, dc);
             run_anchors(&plan, &plan.ordering, inner, threads, deadline)
         }
         None => solve_whole_graph(g, config, deadline),
@@ -202,7 +202,7 @@ pub(crate) fn run_pipeline(
     let s1_start = Instant::now();
     let outcome = match dc_setup(config) {
         Some((inner, dc)) => {
-            let plan = DcPlan::from_prepared(prepared, config.params, dc, None);
+            let plan = DcPlan::from_prepared(prepared, config.params, dc);
             run_anchors(&plan, &plan.ordering, inner, threads, deadline)
         }
         None => solve_whole_graph(prepared.graph(), config, deadline),

@@ -223,18 +223,32 @@ pub fn no_single_vertex_extension_with(
     pool: impl IntoIterator<Item = VertexId>,
     gamma: f64,
 ) -> bool {
-    no_single_vertex_extension_in(g, adj, h, deg_in_h, pool, gamma, &mut QcScratch::default())
+    no_single_vertex_extension_in(
+        g,
+        adj,
+        h,
+        deg_in_h,
+        pool,
+        |w| h.contains(&w),
+        gamma,
+        &mut QcScratch::default(),
+    )
 }
 
 /// [`no_single_vertex_extension_with`] with caller-owned scratch for the
 /// deficient-vertex list, the `h ∪ {w}` candidate buffer and the nested
 /// predicate state (the form the searcher's emission path uses).
+/// `in_h(w)` must say whether `w ∈ h`; it is asked only about the pool
+/// vertices that pass the degree bound, so a flag lookup keeps the scan
+/// O(1) per vertex.
+#[allow(clippy::too_many_arguments)]
 pub fn no_single_vertex_extension_in(
     g: &Graph,
     adj: Option<&AdjacencyMatrix>,
     h: &[VertexId],
     deg_in_h: &[u32],
     pool: impl IntoIterator<Item = VertexId>,
+    in_h: impl Fn(VertexId) -> bool,
     gamma: f64,
     scratch: &mut QcScratch,
 ) -> bool {
@@ -263,10 +277,8 @@ pub fn no_single_vertex_extension_in(
     let mut extended = std::mem::take(&mut scratch.extended);
     let mut no_extension = true;
     'outer: for w in pool {
-        if h.contains(&w) {
-            continue;
-        }
-        if (deg_in_h[w as usize] as usize) < req {
+        // The cheap degree bound first: most of the pool fails it.
+        if (deg_in_h[w as usize] as usize) < req || in_h(w) {
             continue;
         }
         for &v in &deficient {

@@ -111,6 +111,11 @@ pub struct RunRecord {
     /// cache. `default` for the same schema-evolution reason.
     #[serde(default)]
     pub serve_cache_hits: u64,
+    /// How many of those hits were derived: answered by filtering a cached
+    /// `enumerate` family at a lower θ rather than by their own entry.
+    /// `default` so older files parse.
+    #[serde(default)]
+    pub serve_cache_derived: u64,
     /// Requests that consulted the daemon's cache and missed. `default` so
     /// pre-update-protocol files still parse.
     #[serde(default)]
@@ -679,6 +684,7 @@ mod tests {
         assert_eq!(parsed[1].algorithm, "DCFastQC/sharded-2");
         assert_eq!(parsed[0].serve_requests, 0);
         assert_eq!(parsed[0].serve_cache_hits, 0);
+        assert_eq!(parsed[0].serve_cache_derived, 0);
         assert_eq!(parsed[0].serve_cache_misses, 0);
         assert_eq!(parsed[0].serve_cache_evictions, 0);
         assert_eq!(parsed[0].serve_cache_len, 0);

@@ -115,7 +115,12 @@ SERVE: the daemon loads the graph (plus its core decomposition and
   degeneracy ordering) once and answers newline-delimited JSON
   requests — {\"cmd\":\"enumerate\"|\"query\"|\"topk\"|\"ping\"|\"shutdown\", ...} with
   per-request gamma/theta/k/vertices/algorithm/threads/deadline_ms knobs.
-  Complete answers land in an LRU result cache; at most --max-inflight
+  Complete answers land in an LRU result cache. A cached enumerate family
+  at (gamma, theta0) also answers, as cached, every enumerate at
+  (gamma, theta >= theta0) with the same algorithm and branching and every
+  query at (gamma, theta >= theta0): maximality does not depend on theta,
+  so the answer is the family's sets of size >= theta holding the query
+  vertices (ping counts these as cache_derived). At most --max-inflight
   enumerations run at once; a spent deadline_ms budget returns immediately
   with best_effort=true. `mqce client` drives a running daemon and exits
   non-zero if any response reports ok=false; idempotent reads (ping,
@@ -129,7 +134,9 @@ SERVE: the daemon loads the graph (plus its core decomposition and
   Only inserts grow the graph: an update whose k inserts name an id at or
   above n + 2k (n = current vertex count) is refused before it is logged.
   An update re-runs the 8 most recently used cached DC enumerations over
-  its dirty anchors and keeps them cached (cache_advanced in the response).
+  its dirty anchors and keeps them cached (cache_advanced in the response);
+  a family another cached family answers is never kept, so none is
+  advanced twice. An update that changes no edge keeps every entry.
   --fault-injection enables the debug-only per-request fault field
   (panic | panic-locked | panic-worker:<v>) used by the containment tests.
 ";

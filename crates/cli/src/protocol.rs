@@ -372,11 +372,16 @@ impl Request {
     /// scheduling knobs — `id`, `sets`, `threads`, `deadline_ms`,
     /// `no_cache` — are deliberately excluded: a cached complete answer is
     /// valid for any of them. So are the parameters a command ignores: `k`
-    /// outside `topk`, and θ in `topk`, whose rounds pick their own. Query
-    /// vertices are sorted and deduplicated (the candidate universe is an
-    /// intersection, so order and multiplicity cannot matter).
+    /// outside `topk`, θ in `topk`, whose rounds pick their own, and
+    /// `vertices` outside `query`. Query vertices are sorted and
+    /// deduplicated (the candidate universe is an intersection, so order
+    /// and multiplicity cannot matter).
     pub fn cache_key(&self, fingerprint: u64, config: &MqceConfig) -> String {
-        let mut vertices = self.vertices.clone();
+        let mut vertices = if self.cmd == "query" {
+            self.vertices.clone()
+        } else {
+            Vec::new()
+        };
         vertices.sort_unstable();
         vertices.dedup();
         let verts: Vec<String> = vertices.iter().map(|v| v.to_string()).collect();
@@ -612,6 +617,7 @@ mod tests {
         varied.threads = 8;
         varied.deadline_ms = Some(1000);
         varied.fault = Some("panic".to_string());
+        varied.vertices = vec![1, 2];
         assert_eq!(key(&base, 42), key(&varied, 42));
         // ... but result-affecting parameters and the graph identity do key.
         let mut other = base.clone();

@@ -13,7 +13,13 @@
 //! * **Result cache** — complete (non-best-effort) answers are stored in an
 //!   LRU keyed on the graph fingerprint plus the canonicalised
 //!   result-affecting parameters, so a repeated request costs a hash lookup
-//!   instead of an enumeration.
+//!   instead of an enumeration. Maximality does not depend on θ, so a
+//!   cached exact `enumerate` family at (γ, θ₀) also answers every
+//!   `enumerate` at (γ, θ ≥ θ₀) with the same algorithm and branching, and
+//!   every `query` at (γ, θ ≥ θ₀): the answer is the family filtered to
+//!   sets of size ≥ θ that contain the query vertices, in the same
+//!   canonical order. Such a *derived* answer is never stored, and an
+//!   `enumerate` entry that another one answers is never kept.
 //! * **Admission control** — at most `max_inflight` enumerations run
 //!   concurrently; excess requests queue on a condvar. Cache hits and pings
 //!   bypass the gate entirely.
@@ -101,6 +107,9 @@ pub struct ServeSummary {
     pub requests: u64,
     /// Requests answered from the result cache.
     pub cache_hits: u64,
+    /// Of those, the hits derived by filtering a cached `enumerate` family
+    /// at the same γ and a lower θ.
+    pub cache_derived: u64,
     /// Requests whose deadline expired while queued for admission.
     pub expired: u64,
     /// Malformed or invalid requests.
@@ -118,6 +127,7 @@ pub struct ServeSummary {
 struct ServeStats {
     requests: AtomicU64,
     cache_hits: AtomicU64,
+    cache_derived: AtomicU64,
     expired: AtomicU64,
     errors: AtomicU64,
     cache_misses: AtomicU64,
@@ -129,6 +139,7 @@ impl ServeStats {
         ServeSummary {
             requests: self.requests.load(Ordering::Relaxed),
             cache_hits: self.cache_hits.load(Ordering::Relaxed),
+            cache_derived: self.cache_derived.load(Ordering::Relaxed),
             expired: self.expired.load(Ordering::Relaxed),
             errors: self.errors.load(Ordering::Relaxed),
             cache_misses: self.cache_misses.load(Ordering::Relaxed),
@@ -219,6 +230,37 @@ struct CachedOutcome {
     extra: Vec<(String, Value)>,
 }
 
+impl CachedOutcome {
+    /// Whether this answer holds every set a `cmd` request under `config`
+    /// asks for, on the same graph: it is an `enumerate` family at the same
+    /// γ and a θ no larger, and for an `enumerate` request also under the
+    /// same algorithm and branching (a `query` ignores the algorithm, and
+    /// every algorithm and branching finds the same family). A maximal
+    /// quasi-clique is maximal whatever θ is, so the family at θ is exactly
+    /// this family's sets of size ≥ θ, and a query's answer is those of them
+    /// that contain the query vertices.
+    fn answers(&self, cmd: &str, config: &MqceConfig) -> bool {
+        let Some(own) = self.config.filter(|_| self.cmd == "enumerate") else {
+            return false;
+        };
+        own.params.gamma == config.params.gamma
+            && own.params.theta <= config.params.theta
+            && match cmd {
+                "enumerate" => {
+                    own.algorithm == config.algorithm && own.branching == config.branching
+                }
+                "query" => true,
+                _ => false,
+            }
+    }
+}
+
+/// The fingerprint part of a cache key (`"<fingerprint>|"`), which every
+/// entry computed on the same graph shares.
+fn key_prefix(key: &str) -> &str {
+    key.find('|').map_or(key, |end| &key[..=end])
+}
+
 /// What `update` does with one cache entry under the old fingerprint.
 enum Migration {
     /// Still valid: keep it under this key.
@@ -260,15 +302,63 @@ impl ResultCache {
         })
     }
 
+    /// The answer to a `cmd` request under `config` whose own entry is
+    /// `key`: that entry if it is cached, else the entry on the same graph
+    /// that [answers](CachedOutcome::answers) it with the smallest family,
+    /// i.e. the largest θ. Either is marked used.
+    fn lookup(
+        &mut self,
+        key: &str,
+        cmd: &str,
+        config: &MqceConfig,
+    ) -> Option<(Arc<CachedOutcome>, Source)> {
+        if let Some(outcome) = self.get(key) {
+            return Some((outcome, Source::Cached));
+        }
+        let prefix = key_prefix(key);
+        let (used, outcome) = self
+            .map
+            .iter_mut()
+            .filter(|(other, (_, outcome))| {
+                other.starts_with(prefix) && outcome.answers(cmd, config)
+            })
+            .max_by_key(|(_, (_, outcome))| outcome.config.map(|c| c.params.theta))
+            .map(|(_, entry)| entry)?;
+        *used = self.tick;
+        Some((Arc::clone(outcome), Source::Derived))
+    }
+
     /// Inserts an entry, evicting the least-recently-used one at capacity.
-    /// Returns how many entries were evicted (0 or 1) so the daemon's
-    /// eviction counter stays exact.
+    /// An `enumerate` family that another entry on the same graph answers is
+    /// not stored; one that is stored first drops the entries it answers.
+    /// Returns how many entries were dropped, so the daemon's eviction
+    /// counter stays exact.
     fn insert(&mut self, key: String, outcome: Arc<CachedOutcome>) -> u64 {
         if self.capacity == 0 {
             return 0;
         }
         self.tick += 1;
         let mut evicted = 0;
+        if let Some(config) = outcome.config.filter(|_| outcome.cmd == "enumerate") {
+            let prefix = key_prefix(&key);
+            let same_graph = |other: &str| other != key && other.starts_with(prefix);
+            if self
+                .map
+                .iter()
+                .any(|(other, (_, held))| same_graph(other) && held.answers("enumerate", &config))
+            {
+                return 0;
+            }
+            let before = self.map.len();
+            self.map.retain(|other, (_, held)| {
+                !(same_graph(other)
+                    && held.cmd == "enumerate"
+                    && held
+                        .config
+                        .is_some_and(|held| outcome.answers("enumerate", &held)))
+            });
+            evicted += (before - self.map.len()) as u64;
+        }
         if !self.map.contains_key(&key) && self.map.len() >= self.capacity {
             if let Some(oldest) = self
                 .map
@@ -277,7 +367,7 @@ impl ResultCache {
                 .map(|(k, _)| k.clone())
             {
                 self.map.remove(&oldest);
-                evicted = 1;
+                evicted += 1;
             }
         }
         self.map.insert(key, (self.tick, outcome));
@@ -557,6 +647,7 @@ fn serve_record(label: &str, summary: ServeSummary) -> mqce_bench::runner::RunRe
         s2_backend: "-".to_string(),
         serve_requests: summary.requests,
         serve_cache_hits: summary.cache_hits,
+        serve_cache_derived: summary.cache_derived,
         serve_cache_misses: summary.cache_misses,
         serve_cache_evictions: summary.cache_evictions,
         serve_cache_len: summary.cache_len,
@@ -842,6 +933,10 @@ fn ping_response(state: &ServerState, req: &Request) -> Response {
             Value::Num(stats.cache_hits as f64),
         ),
         (
+            "cache_derived".to_string(),
+            Value::Num(stats.cache_derived as f64),
+        ),
+        (
             "cache_misses".to_string(),
             Value::Num(stats.cache_misses as f64),
         ),
@@ -863,13 +958,10 @@ fn ping_response(state: &ServerState, req: &Request) -> Response {
 /// snapshot, recomputes the core decomposition (reporting which vertices
 /// changed core number), swaps in the freshly prepared graph — the
 /// fingerprint is recomputed from the mutated CSR, so it tracks the graph
-/// exactly — and re-keys the result cache. A cached `query` answer whose
-/// vertices all lie outside the dirty two-hop closure cannot have changed
-/// (every affected maximal quasi-clique lives inside that closure), so it
-/// survives under the new fingerprint. The [`ADVANCE_LIMIT`] most recently
-/// used `enumerate` answers of a DC algorithm are advanced to the new graph
-/// (see [`advance_entry`]) and survive if the advance is exact; every other
-/// entry is invalidated.
+/// exactly — and re-keys the result cache ([`carry_cache`]). A batch that
+/// changes no edge (every insert present, every delete absent) is still
+/// logged, but swaps nothing and keeps every cache entry: its response
+/// reports the same fingerprint twice and `cache_advanced` 0.
 fn update_response(state: &ServerState, req: &Request, arrival: Instant) -> Response {
     if req.insert.is_empty() && req.delete.is_empty() {
         return Response::failure(
@@ -921,65 +1013,21 @@ fn update_response(state: &ServerState, req: &Request, arrival: Instant) -> Resp
     };
 
     let old_fingerprint = old.fingerprint();
-    let (prepared, dirty, core_changed) = old.apply_delta(&delta, &mut SubproblemScratch::new());
-    let prepared = Arc::new(prepared);
+    let (prepared, dirty, core_changed, invalidated, advanced) = match old
+        .apply_delta(&delta, &mut SubproblemScratch::new())
+    {
+        Some((prepared, dirty, core_changed)) => {
+            let prepared = Arc::new(prepared);
+            *unpoison(state.prepared.write()) = Arc::clone(&prepared);
+            let (invalidated, advanced) = carry_cache(state, old_fingerprint, &prepared, &dirty);
+            (prepared, dirty, core_changed, invalidated, advanced)
+        }
+        // The batch changes no edge: the graph, its fingerprint and
+        // every cached answer stay as they are.
+        None => (old, Vec::new(), 0, 0, 0),
+    };
     let new_fingerprint = prepared.fingerprint();
-    *unpoison(state.prepared.write()) = Arc::clone(&prepared);
-
-    // Re-key the cache: `query` answers fully outside the dirty closure are
-    // still valid, and the enumerate answers of a DC algorithm are taken
-    // out to be advanced. Anything else (top-k answers, queries touching
-    // the closure, whole-graph enumerations, leftovers from even older
-    // fingerprints) is dropped and counted as an eviction.
-    let old_prefix = format!("{old_fingerprint:016x}|");
-    let new_prefix = format!("{new_fingerprint:016x}|");
-    let (mut invalidated, mut taken) = state.cache().retain_rekey(|key, outcome| {
-        let Some(rest) = key.strip_prefix(old_prefix.as_str()) else {
-            return Migration::Drop;
-        };
-        let new_key = format!("{new_prefix}{rest}");
-        match (outcome.cmd.as_str(), outcome.config) {
-            ("query", _)
-                if !outcome.vertices.is_empty()
-                    && outcome
-                        .vertices
-                        .iter()
-                        .all(|v| dirty.binary_search(v).is_err()) =>
-            {
-                Migration::Keep(new_key)
-            }
-            ("enumerate", Some(config)) if mqce_core::can_advance(&config) => {
-                Migration::Take(new_key)
-            }
-            _ => Migration::Drop,
-        }
-    });
-
-    // Advance the most recently used enumerations, without holding the
-    // cache lock, least recently used first so the stored entries keep
-    // their relative recency. An advance that is not exact evicts its entry.
-    invalidated += taken.len().saturating_sub(ADVANCE_LIMIT) as u64;
-    taken.truncate(ADVANCE_LIMIT);
-    let threads = crate::resolve_threads(0);
-    let mut advanced = 0u64;
-    for (key, outcome) in taken.into_iter().rev() {
-        match advance_entry(outcome, &prepared, &dirty, threads) {
-            Some(outcome) => {
-                let evicted = state.cache().insert(key, Arc::new(outcome));
-                state
-                    .stats
-                    .cache_evictions
-                    .fetch_add(evicted, Ordering::Relaxed);
-                advanced += 1;
-            }
-            None => invalidated += 1,
-        }
-    }
     let kept = state.cache().len();
-    state
-        .stats
-        .cache_evictions
-        .fetch_add(invalidated, Ordering::Relaxed);
 
     let g = prepared.graph();
     let mut extra = vec![
@@ -1018,6 +1066,74 @@ fn update_response(state: &ServerState, req: &Request, arrival: Instant) -> Resp
         extra,
         ..Response::default()
     }
+}
+
+/// Re-keys the result cache after an update that changed the graph from the
+/// one fingerprinted `old_fingerprint` to `prepared`, with dirty two-hop
+/// closure `dirty`. `query` answers fully outside the closure are still
+/// valid; the [`ADVANCE_LIMIT`] most recently used `enumerate` answers of a
+/// DC algorithm are advanced (see [`advance_entry`]). No cached `enumerate`
+/// answers another ([`ResultCache::insert`] keeps none that is), so each
+/// family advanced is one no other entry could serve. Anything else (top-k
+/// answers, queries touching the closure, whole-graph enumerations,
+/// leftovers from even older fingerprints) is dropped. Returns how many
+/// entries were dropped, which also counts them as evictions, and how many
+/// were advanced.
+fn carry_cache(
+    state: &ServerState,
+    old_fingerprint: u64,
+    prepared: &PreparedGraph,
+    dirty: &[u32],
+) -> (u64, u64) {
+    let old_prefix = format!("{old_fingerprint:016x}|");
+    let new_prefix = format!("{:016x}|", prepared.fingerprint());
+    let (mut invalidated, mut taken) = state.cache().retain_rekey(|key, outcome| {
+        let Some(rest) = key.strip_prefix(old_prefix.as_str()) else {
+            return Migration::Drop;
+        };
+        let new_key = format!("{new_prefix}{rest}");
+        match (outcome.cmd.as_str(), outcome.config) {
+            ("query", _)
+                if !outcome.vertices.is_empty()
+                    && outcome
+                        .vertices
+                        .iter()
+                        .all(|v| dirty.binary_search(v).is_err()) =>
+            {
+                Migration::Keep(new_key)
+            }
+            ("enumerate", Some(config)) if mqce_core::can_advance(&config) => {
+                Migration::Take(new_key)
+            }
+            _ => Migration::Drop,
+        }
+    });
+
+    // Advance the most recently used enumerations, without holding the
+    // cache lock, least recently used first so the stored entries keep
+    // their relative recency. An advance that is not exact evicts its entry.
+    invalidated += taken.len().saturating_sub(ADVANCE_LIMIT) as u64;
+    taken.truncate(ADVANCE_LIMIT);
+    let threads = crate::resolve_threads(0);
+    let mut advanced = 0u64;
+    for (key, outcome) in taken.into_iter().rev() {
+        match advance_entry(outcome, prepared, dirty, threads) {
+            Some(outcome) => {
+                let evicted = state.cache().insert(key, Arc::new(outcome));
+                state
+                    .stats
+                    .cache_evictions
+                    .fetch_add(evicted, Ordering::Relaxed);
+                advanced += 1;
+            }
+            None => invalidated += 1,
+        }
+    }
+    state
+        .stats
+        .cache_evictions
+        .fetch_add(invalidated, Ordering::Relaxed);
+    (invalidated, advanced)
 }
 
 /// Carries a cached `enumerate` answer across an update: advances its family
@@ -1082,14 +1198,24 @@ fn compute_response(state: &ServerState, req: Request, arrival: Instant) -> Resp
     // key, the enumeration and the stored outcome all agree even if an
     // update lands mid-request.
     let prepared = state.snapshot();
+    // A query is checked before the cache is: an invalid one gets the error
+    // a fresh search gives, whatever answer the cache could filter.
+    if req.cmd == "query" {
+        if let Err(e) = mqce_core::query::validate_query(prepared.graph(), &req.vertices) {
+            return Response::failure(req.id, e.to_string());
+        }
+    }
     let key = req.cache_key(prepared.fingerprint(), &config);
 
     if use_cache {
-        let hit = state.cache().get(&key);
-        match hit {
-            Some(outcome) => {
+        let found = state.cache().lookup(&key, &req.cmd, &config);
+        match found {
+            Some((outcome, source)) => {
                 state.stats.cache_hits.fetch_add(1, Ordering::Relaxed);
-                return render(&req, &outcome, true, Completeness::default(), arrival);
+                if source == Source::Derived {
+                    state.stats.cache_derived.fetch_add(1, Ordering::Relaxed);
+                }
+                return render(&req, &outcome, source, Completeness::default(), arrival);
             }
             None => {
                 state.stats.cache_misses.fetch_add(1, Ordering::Relaxed);
@@ -1173,20 +1299,56 @@ fn compute_response(state: &ServerState, req: Request, arrival: Instant) -> Resp
             .cache_evictions
             .fetch_add(evicted, Ordering::Relaxed);
     }
-    render(&req, &outcome, false, completeness, arrival)
+    render(&req, &outcome, Source::Computed, completeness, arrival)
+}
+
+/// Where the outcome a response renders came from.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Source {
+    /// Computed for this request.
+    Computed,
+    /// The request's own cache entry.
+    Cached,
+    /// Another request's cached `enumerate` family, which
+    /// [answers](CachedOutcome::answers) this one once filtered.
+    Derived,
 }
 
 /// The response to `req`: the outcome plus the status flags of its
 /// `completeness`. A partial answer is `best_effort`, and a contained
-/// worker panic also reports its count and anchor.
+/// worker panic also reports its count and anchor. A derived answer is the
+/// outcome's sets of size ≥ θ that hold every query vertex, counted in
+/// place and copied only when `sets` asks for them; the extras, which
+/// describe the run that computed the family, are dropped.
 fn render(
     req: &Request,
     outcome: &CachedOutcome,
-    cached: bool,
+    source: Source,
     completeness: Completeness,
     arrival: Instant,
 ) -> Response {
-    let mut extra = outcome.extra.clone();
+    let (count, mqcs, mut extra) = if source == Source::Derived {
+        let vertices: &[u32] = if req.cmd == "query" {
+            &req.vertices
+        } else {
+            &[]
+        };
+        let answers = outcome.mqcs.iter().filter(|set| {
+            set.len() >= req.theta && vertices.iter().all(|v| set.binary_search(v).is_ok())
+        });
+        if req.sets {
+            let mqcs: Vec<Vec<u32>> = answers.cloned().collect();
+            (mqcs.len(), Some(mqcs), Vec::new())
+        } else {
+            (answers.count(), None, Vec::new())
+        }
+    } else {
+        (
+            outcome.mqcs.len(),
+            req.sets.then(|| outcome.mqcs.clone()),
+            outcome.extra.clone(),
+        )
+    };
     if completeness.contained_panics > 0 {
         extra.push((
             "contained_panics".to_string(),
@@ -1200,12 +1362,12 @@ fn render(
         id: req.id.clone(),
         ok: true,
         error: None,
-        cached,
+        cached: source != Source::Computed,
         best_effort: !completeness.is_exact(),
         s2_timed_out: completeness.s2_timed_out,
         elapsed_ms: arrival.elapsed().as_secs_f64() * 1e3,
-        count: outcome.mqcs.len(),
-        mqcs: req.sets.then(|| outcome.mqcs.clone()),
+        count,
+        mqcs,
         extra,
     }
 }
@@ -1328,9 +1490,10 @@ pub(crate) fn cmd_serve<W: Write>(parsed: &ParsedArgs, out: &mut W) -> Result<()
     if !quiet {
         writeln!(
             out,
-            "served           requests={} cache_hits={} cache_misses={} cache_evictions={} cache_len={} expired={} errors={}",
+            "served           requests={} cache_hits={} cache_derived={} cache_misses={} cache_evictions={} cache_len={} expired={} errors={}",
             summary.requests,
             summary.cache_hits,
+            summary.cache_derived,
             summary.cache_misses,
             summary.cache_evictions,
             summary.cache_len,
@@ -1673,8 +1836,9 @@ mod tests {
             .collect();
         let g = Graph::from_edges(6, &clique);
         let join = GraphDelta::new(vec![(0, 1), (0, 2), (0, 3), (0, 4)], Vec::new());
-        let (next, dirty, _) =
-            PreparedGraph::new(g.clone()).apply_delta(&join, &mut SubproblemScratch::new());
+        let (next, dirty, _) = PreparedGraph::new(g.clone())
+            .apply_delta(&join, &mut SubproblemScratch::new())
+            .expect("the batch changes edges");
         let clean = MqceConfig::new(0.9, 5).unwrap();
         let entry = |config: MqceConfig| {
             Arc::new(CachedOutcome {
@@ -1708,6 +1872,54 @@ mod tests {
         assert!(cache.get("a").is_some());
         assert!(cache.get("c").is_some());
         assert_eq!(cache.len(), 2);
+    }
+
+    /// An `enumerate` family answers the larger θ of its γ, algorithm and
+    /// branching, and every query of its γ; the cache keeps only the
+    /// families no other entry answers.
+    #[test]
+    fn cache_keeps_one_family_per_answering_range() {
+        use mqce_core::Algorithm;
+        let config = |theta: usize| MqceConfig::new(0.9, theta).unwrap();
+        let family = |config: MqceConfig| {
+            Arc::new(CachedOutcome {
+                cmd: "enumerate".to_string(),
+                vertices: Vec::new(),
+                config: Some(config),
+                mqcs: Vec::new(),
+                extra: Vec::new(),
+            })
+        };
+        let key = |fp: &str, theta: usize| format!("{fp}|enumerate|t={theta}");
+        let mut cache = ResultCache::new(8);
+        assert_eq!(cache.insert(key("00aa", 10), family(config(10))), 0);
+        // Another graph's θ=8 family drops nothing here.
+        assert_eq!(cache.insert(key("00bb", 8), family(config(8))), 0);
+        // θ=8 answers the θ=10 entry, which goes; θ=12 is then not stored.
+        assert_eq!(cache.insert(key("00aa", 8), family(config(8))), 1);
+        assert_eq!(cache.insert(key("00aa", 12), family(config(12))), 0);
+        assert_eq!(cache.len(), 2);
+        assert!(cache.get(&key("00aa", 10)).is_none());
+        assert!(cache.get(&key("00aa", 12)).is_none());
+
+        let derived = |cache: &mut ResultCache, cmd: &str, config: MqceConfig| {
+            cache
+                .lookup(&key("00aa", config.params.theta), cmd, &config)
+                .filter(|(_, source)| *source == Source::Derived)
+                .map(|(outcome, _)| outcome.config.expect("an enumerate family"))
+        };
+        assert_eq!(
+            derived(&mut cache, "enumerate", config(10)),
+            Some(config(8))
+        );
+        assert_eq!(derived(&mut cache, "enumerate", config(7)), None);
+        let fastqc = config(10).with_algorithm(Algorithm::FastQc);
+        assert_eq!(derived(&mut cache, "enumerate", fastqc), None);
+        // A query ignores the algorithm; a top-k answer is never derived.
+        assert_eq!(derived(&mut cache, "query", fastqc), Some(config(8)));
+        assert_eq!(derived(&mut cache, "topk", config(10)), None);
+        let other_gamma = MqceConfig::new(0.85, 10).unwrap();
+        assert_eq!(derived(&mut cache, "query", other_gamma), None);
     }
 
     #[test]

@@ -204,9 +204,11 @@ fn spent_deadlines_return_promptly_and_are_flagged_best_effort() {
     };
     // A query's search is small enough to finish inside 1 ms, and an answer
     // that finishes inside its budget is exact; a zero budget is spent on
-    // arrival.
+    // arrival. Its θ is below the enumerate's, so the θ=4 family the
+    // enumerate's fresh run caches cannot answer it.
     let query = Request {
         cmd: "query".to_string(),
+        theta: 3,
         vertices: vec![0],
         deadline_ms: Some(0),
         ..enumerate.clone()
@@ -248,14 +250,16 @@ fn spent_topk_deadlines_are_flagged_best_effort_and_not_cached() {
         cmd: "topk".to_string(),
         gamma: 0.9,
         k: 5,
-        deadline_ms: Some(1),
+        // Zero, not 1 ms: an optimised build can finish the search inside
+        // 1 ms, and an answer that finishes inside its budget is exact.
+        deadline_ms: Some(0),
         ..Request::default()
     };
     let response = roundtrip(addr, &request);
     assert!(response.ok, "error: {:?}", response.error);
     assert!(
         response.best_effort,
-        "a 1ms-deadline top-k answer must be flagged best-effort"
+        "a zero-budget top-k answer must be flagged best-effort"
     );
     let fresh = roundtrip(
         addr,
@@ -393,15 +397,17 @@ fn updates_rekey_the_cache_and_match_a_fresh_run() {
     assert!(summary.cache_len >= 1);
 }
 
-/// An update carries the cached enumerations of a DC algorithm across: the
-/// four serve-mixed keys stay cached through a delete and then an insert,
-/// each equal to an uncached enumerate on the same snapshot, while a `topk`
-/// answer, a `query` inside the dirty closure and a whole-graph `fastqc`
-/// enumerate are still evicted.
+/// An update carries the cached enumerations of a DC algorithm across: four
+/// keys, no one of which answers another (each has its own γ), stay cached
+/// through a delete and then an insert, each equal to an uncached enumerate
+/// on the same snapshot, while a `topk` answer, a `query` inside the dirty
+/// closure and a whole-graph `fastqc` enumerate are still evicted. The
+/// query's θ is below the DC enumerate's at its γ, so no DC family answers
+/// it.
 #[test]
 fn updates_advance_cached_enumerations() {
     let graph = test_graph(300, 9);
-    let keys = [(0.85, 8), (0.85, 10), (0.9, 8), (0.9, 10)];
+    let keys = [(0.8, 10), (0.85, 8), (0.9, 10), (0.95, 8)];
     // Delete an edge inside a maximal set, then insert a non-edge two hops
     // away from one of its endpoints.
     let config = MqceConfig::new(0.85, 8).unwrap();
@@ -511,6 +517,211 @@ fn updates_advance_cached_enumerations() {
     shutdown(addr);
     let summary = handle.join().expect("daemon thread");
     assert_eq!(summary.errors, 0);
+}
+
+fn ping(addr: SocketAddr) -> Response {
+    roundtrip(
+        addr,
+        &Request {
+            cmd: "ping".to_string(),
+            ..Request::default()
+        },
+    )
+}
+
+/// A cached exact θ=8 family answers every θ ≥ 8 `enumerate` of its
+/// algorithm and every θ ≥ 8 `query` at its γ: the answers come back
+/// `cached` and equal their uncached runs. A θ=10 entry is dropped once the
+/// θ=8 family is cached, an invalid query still errors, and an update
+/// advances one family per γ.
+#[test]
+fn cached_families_answer_every_larger_theta_and_query() {
+    let graph = test_graph(300, 9);
+    let gammas = [0.85, 0.9];
+    let family = Session::open(graph.clone())
+        .config(MqceConfig::new(0.9, 8).unwrap())
+        .run()
+        .mqcs;
+    // Two adjacent members of a maximal set of 9 or more vertices.
+    let pair = family
+        .iter()
+        .filter(|set| set.len() >= 9)
+        .find_map(|set| {
+            let u = set[0];
+            set[1..]
+                .iter()
+                .find(|&&v| graph.has_edge(u, v))
+                .map(|&v| vec![u, v])
+        })
+        .expect("a maximal set of 9 or more vertices holds an edge");
+    let (addr, handle) = start_daemon(graph, ServeSettings::default());
+    let enumerate = |gamma: f64, theta: usize| Request {
+        gamma,
+        theta,
+        sets: true,
+        ..Request::default()
+    };
+    let query = |theta: usize, vertices: &[u32]| Request {
+        cmd: "query".to_string(),
+        gamma: 0.9,
+        theta,
+        vertices: vertices.to_vec(),
+        sets: true,
+        ..Request::default()
+    };
+    let uncached = |request: &Request| {
+        let fresh = roundtrip(
+            addr,
+            &Request {
+                no_cache: true,
+                ..request.clone()
+            },
+        );
+        assert!(fresh.ok && !fresh.cached && !fresh.best_effort);
+        fresh
+    };
+
+    // A θ=10 family is cached, then dropped once the θ=8 family it is a
+    // filter of is cached.
+    assert!(!roundtrip(addr, &enumerate(0.9, 10)).cached);
+    assert_eq!(ping(addr).extra_num("cache_len"), Some(1.0));
+    for gamma in gammas {
+        let cold = roundtrip(addr, &enumerate(gamma, 8));
+        assert!(cold.ok && !cold.cached, "γ={gamma}");
+    }
+    assert_eq!(ping(addr).extra_num("cache_len"), Some(2.0));
+
+    let derived = [
+        enumerate(0.85, 10),
+        enumerate(0.9, 10),
+        query(8, &pair[..1]),
+        query(9, &pair),
+    ];
+    let answer_sets = |requests: &[Request]| {
+        let mut sets = 0;
+        for request in requests {
+            let answer = roundtrip(addr, request);
+            assert!(
+                answer.ok && answer.cached && !answer.best_effort,
+                "{} θ={} {:?}",
+                request.cmd,
+                request.theta,
+                request.vertices
+            );
+            assert!(answer.extra.is_empty(), "a derived answer has no extras");
+            let fresh = uncached(request);
+            assert_eq!(answer.count, fresh.count);
+            assert_eq!(
+                answer.mqcs, fresh.mqcs,
+                "{} θ={} {:?}: derived != uncached",
+                request.cmd, request.theta, request.vertices
+            );
+            sets += answer.count;
+        }
+        sets
+    };
+    assert!(answer_sets(&derived) > 0, "every derived answer is empty");
+    let counters = ping(addr);
+    assert_eq!(counters.extra_num("cache_derived"), Some(4.0));
+    assert_eq!(counters.extra_num("cache_len"), Some(2.0));
+
+    // Invalid queries get the errors a fresh search gives.
+    for (vertices, error) in [
+        (vec![pair[0], pair[0]], "appears twice"),
+        (vec![100_000], "not in the graph"),
+    ] {
+        let refused = roundtrip(addr, &query(8, &vertices));
+        assert!(!refused.ok, "{vertices:?}");
+        assert!(
+            refused.error.as_deref().is_some_and(|e| e.contains(error)),
+            "{vertices:?}: {:?}",
+            refused.error
+        );
+    }
+
+    // An update advances the one family per γ, which answers as before.
+    let update = roundtrip(
+        addr,
+        &Request {
+            cmd: "update".to_string(),
+            delete: vec![(pair[0], pair[1])],
+            ..Request::default()
+        },
+    );
+    assert!(update.ok, "update failed: {:?}", update.error);
+    assert_eq!(
+        update.extra_num("cache_advanced"),
+        Some(gammas.len() as f64)
+    );
+    answer_sets(&derived);
+
+    shutdown(addr);
+    let summary = handle.join().expect("daemon thread");
+    assert_eq!(summary.errors, 2, "exactly the two invalid queries");
+    assert_eq!(summary.cache_derived, 8);
+}
+
+/// A batch that changes no edge (deleting a non-edge) keeps every cache
+/// entry, advances none and reports the unchanged fingerprint twice.
+#[test]
+fn an_update_that_changes_no_edge_keeps_every_entry() {
+    let graph = test_graph(300, 9);
+    let (u, v) = (0..300u32)
+        .flat_map(|u| (u + 1..300).map(move |v| (u, v)))
+        .find(|&(u, v)| !graph.has_edge(u, v))
+        .expect("some non-edge exists");
+    let fingerprint = format!("{:016x}", graph.fingerprint());
+    let (addr, handle) = start_daemon(graph, ServeSettings::default());
+    let requests = [
+        Request {
+            gamma: 0.9,
+            theta: 8,
+            ..Request::default()
+        },
+        Request {
+            cmd: "query".to_string(),
+            gamma: 0.85,
+            theta: 4,
+            vertices: vec![u],
+            ..Request::default()
+        },
+        Request {
+            cmd: "topk".to_string(),
+            gamma: 0.9,
+            k: 3,
+            ..Request::default()
+        },
+    ];
+    let warm: Vec<Response> = requests.iter().map(|r| roundtrip(addr, r)).collect();
+    assert!(warm.iter().all(|r| r.ok && !r.cached));
+
+    let update = roundtrip(
+        addr,
+        &Request {
+            cmd: "update".to_string(),
+            delete: vec![(u, v)],
+            ..Request::default()
+        },
+    );
+    assert!(update.ok, "update failed: {:?}", update.error);
+    assert_eq!(update.extra_str("fingerprint"), Some(fingerprint.as_str()));
+    assert_eq!(
+        update.extra_str("previous_fingerprint"),
+        Some(fingerprint.as_str())
+    );
+    assert_eq!(update.extra_num("dirty"), Some(0.0));
+    assert_eq!(update.extra_num("cache_advanced"), Some(0.0));
+    assert_eq!(update.extra_num("cache_invalidated"), Some(0.0));
+    assert_eq!(update.extra_num("cache_kept"), Some(requests.len() as f64));
+    for (request, before) in requests.iter().zip(&warm) {
+        let after = roundtrip(addr, request);
+        assert!(after.ok && after.cached, "{} lost its entry", request.cmd);
+        assert_eq!(after.count, before.count, "{}", request.cmd);
+    }
+
+    shutdown(addr);
+    let summary = handle.join().expect("daemon thread");
+    assert_eq!(summary.cache_evictions, 0);
 }
 
 #[test]

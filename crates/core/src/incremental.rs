@@ -14,17 +14,21 @@
 //!    decomposition (and with it the cached degeneracy order) and returns
 //!    the dirty two-hop closure, walked with the epoch-stamped scratch;
 //! 2. the **family step**, [`advance`]: carries one maximal family from the
-//!    old graph to the new one. It retires the sets whose anchor is dirty,
-//!    re-runs exactly the dirty anchors through the shared anchor driver
-//!    (work stealing and intra-subproblem splitting on several threads),
-//!    and compacts the fresh outputs with only the **frontier** of the
-//!    retained family — retained sets that contain at least one dirty
-//!    vertex — in one S2 pass, restoring exact global maximality. Every
-//!    fresh set contains its dirty anchor, so a retained set that could
-//!    dominate one must contain that dirty vertex too; retained sets
-//!    disjoint from the closure can never interact with the fresh outputs
-//!    and bypass the compaction entirely, which keeps the per-update merge
-//!    work proportional to the *local* family, not the whole one.
+//!    old graph to the new one. It retires, in place, the sets whose anchor
+//!    is dirty and re-runs exactly the dirty anchors through the shared
+//!    anchor driver (work stealing and intra-subproblem splitting on several
+//!    threads). The fresh outputs are compacted among themselves in one S2
+//!    pass, and then only they are probed against the **frontier** — the
+//!    retained sets that contain at least one dirty vertex. Every fresh set
+//!    contains its dirty anchor, so a retained set that could dominate one
+//!    must contain that dirty vertex too, and retained sets are never
+//!    dominated themselves. So no retained set moves, is copied or is
+//!    probed, which keeps the per-update merge work proportional to the
+//!    fresh outputs, not the whole family.
+//!
+//! A batch that changes no edge (inserting present edges, deleting absent
+//! ones) has no graph step: [`PreparedGraph::apply_delta`] returns `None`
+//! and every family stays as it is.
 //!
 //! [`IncrementalSession::update`] is the graph step followed by one family
 //! step; the `mqce serve` daemon runs the graph step once per update and one
@@ -57,7 +61,7 @@ use std::sync::Arc;
 
 use mqce_graph::delta::GraphDelta;
 use mqce_graph::{Graph, SubproblemScratch, VertexId};
-use mqce_settrie::SetArena;
+use mqce_settrie::is_sorted_subset;
 
 use crate::completeness::Completeness;
 use crate::config::MqceConfig;
@@ -170,10 +174,13 @@ pub fn advance(
     let (inner, dc) = dc_setup(config)?;
     // This step's order: the new snapshot's, as a full run would take it.
     let plan = DcPlan::from_prepared(prepared, config.params, dc);
-    let mut is_dirty = vec![false; prepared.graph().num_vertices()];
-    for &v in dirty {
-        is_dirty[v as usize] = true;
+    // `slot[v]` is v's position in `dirty`, or `CLEAN`.
+    const CLEAN: u32 = u32::MAX;
+    let mut slot = vec![CLEAN; prepared.graph().num_vertices()];
+    for (i, &v) in dirty.iter().enumerate() {
+        slot[v as usize] = i as u32;
     }
+    let is_dirty = |v: VertexId| slot[v as usize] != CLEAN;
     // A member the core reduction dropped ranks last; a set holding one is
     // no longer a quasi-clique, so its update touched it and every member,
     // its anchor included, is dirty.
@@ -182,45 +189,63 @@ pub fn advance(
         rank[v as usize] = r;
     }
 
-    // Partition the family by anchor provenance. Only sets that touch the
-    // dirty closure can have a dirty anchor; the rest stay in place,
-    // untouched and in canonical order. Among the touched sets,
-    // clean-anchored ones are retained as the *frontier*: only they can
-    // dominate a fresh emission — every fresh set contains its dirty anchor,
-    // so any superset does too — and retained sets themselves are never
-    // dominated (a strict quasi-clique superset would have put their anchor
-    // in the closure). Untouched sets therefore skip the merge.
-    let mut untouched = family;
-    let mut frontier = SetArena::new();
-    let mut retired = 0u64;
-    for set in untouched.extract_if(.., |set| set.iter().any(|&v| is_dirty[v as usize])) {
-        let anchor = *set
-            .iter()
-            .min_by_key(|&&v| rank[v as usize])
-            .expect("maximal sets are non-empty");
-        if is_dirty[anchor as usize] {
-            retired += 1;
-        } else {
-            frontier.push_set(&set);
+    // Retire, in place, the sets whose anchor is dirty. Only sets that touch
+    // the dirty closure can have one. Every other set is retained where it
+    // is, in canonical order.
+    let mut family = family;
+    let before = family.len();
+    family.retain(|set| {
+        !set.iter().any(|&v| is_dirty(v)) || {
+            let anchor = *set
+                .iter()
+                .min_by_key(|&&v| rank[v as usize])
+                .expect("maximal sets are non-empty");
+            !is_dirty(anchor)
         }
-    }
+    });
+    let retired = (before - family.len()) as u64;
+    let retained = family.len() as u64;
     let dirty_locals: Vec<VertexId> = plan
         .ordering
         .iter()
         .copied()
-        .filter(|&l| is_dirty[plan.reduced.to_global[l as usize] as usize])
+        .filter(|&l| is_dirty(plan.reduced.to_global[l as usize]))
         .collect();
-    let retained = (untouched.len() + frontier.len()) as u64;
 
-    // Re-run the dirty subproblems, compact their outputs together with
-    // the frontier sets — exact over frontier ∪ fresh — and splice the
-    // untouched sets back in afterwards.
-    let mut rerun = run_anchors(&plan, &dirty_locals, inner, threads, None);
-    rerun.sets.push(frontier);
+    // Re-run the dirty subproblems and compact their outputs among
+    // themselves. Retained sets are never dominated (a strict quasi-clique
+    // superset would have put their anchor in the closure), so only the
+    // fresh sets are probed against them. Every fresh set contains its
+    // dirty anchor, so a retained superset contains that dirty vertex too:
+    // it is in the *frontier*, the retained sets with a dirty member, listed
+    // here under each of their dirty members.
+    let rerun = run_anchors(&plan, &dirty_locals, inner, threads, None);
     let (outcome, _) = compact_family(rerun.sets, threads, None);
-    // Both halves are in canonical order: `untouched` is a subsequence of
-    // the old canonical family, the pass returns canonical order.
-    let family = merge_canonical(untouched, outcome.mqcs);
+    let mut holders: Vec<Vec<u32>> = vec![Vec::new(); dirty.len()];
+    for (i, set) in family.iter().enumerate() {
+        for &v in set.iter().filter(|&&v| is_dirty(v)) {
+            holders[slot[v as usize] as usize].push(i as u32);
+        }
+    }
+    let fresh: Vec<Vec<VertexId>> = outcome
+        .mqcs
+        .into_iter()
+        .filter(|set| {
+            let shortest = set
+                .iter()
+                .filter(|&&v| is_dirty(v))
+                .map(|&v| &holders[slot[v as usize] as usize])
+                .min_by_key(|list| list.len());
+            !shortest.is_some_and(|list| {
+                list.iter()
+                    .any(|&i| is_sorted_subset(set, &family[i as usize]))
+            })
+        })
+        .collect();
+    // Both halves are in canonical order: the retained sets are a
+    // subsequence of the old canonical family, the pass returns canonical
+    // order.
+    let family = merge_canonical(family, fresh);
     Some((
         family,
         UpdateOutcome {
@@ -287,14 +312,17 @@ impl IncrementalSession {
     /// always run to completion (the session ignores `config.time_limit`,
     /// which only bounds the seeding run).
     pub fn update(&mut self, delta: &GraphDelta) -> UpdateOutcome {
-        if delta.is_empty() {
+        let Some((prepared, dirty, core_changed)) =
+            self.prepared.apply_delta(delta, &mut self.scratch)
+        else {
+            // The batch changes no edge: the family stays as it is.
             return UpdateOutcome {
+                updates_applied: delta.len() as u64,
                 retained: self.family.len() as u64,
                 completeness: self.completeness,
                 ..UpdateOutcome::default()
             };
-        }
-        let (prepared, dirty, core_changed) = self.prepared.apply_delta(delta, &mut self.scratch);
+        };
         self.prepared = Arc::new(prepared);
 
         // A partial family is never patched: its missing sets have no dirty
@@ -457,8 +485,9 @@ mod tests {
             let mut prepared = PreparedGraph::new(g.clone());
             let mut family = full_family(&g, config);
             for (step, delta) in schedule.iter().enumerate() {
-                let (next, dirty, core_changed) =
-                    prepared.apply_delta(delta, &mut SubproblemScratch::new());
+                let (next, dirty, core_changed) = prepared
+                    .apply_delta(delta, &mut SubproblemScratch::new())
+                    .expect("the batch changes edges");
                 assert!(core_changed > 0, "step {step}: no core number moved");
                 assert_ne!(
                     next.cores().ordering,
@@ -493,8 +522,9 @@ mod tests {
         let mut faulty = clean;
         faulty.params.fail_anchor = Some(0);
         let join = GraphDelta::new(vec![(0, 1), (0, 2), (0, 3), (0, 4)], Vec::new());
-        let (next, dirty, _) =
-            PreparedGraph::new(g.clone()).apply_delta(&join, &mut SubproblemScratch::new());
+        let (next, dirty, _) = PreparedGraph::new(g.clone())
+            .apply_delta(&join, &mut SubproblemScratch::new())
+            .expect("the batch changes edges");
         assert!(dirty.contains(&0));
         for threads in [1, 2] {
             let (_, outcome) = advance(full_family(&g, clean), &faulty, threads, &next, &dirty)

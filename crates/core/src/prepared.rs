@@ -56,20 +56,27 @@ impl PreparedGraph {
     /// number of vertices whose core number changed. The core decomposition
     /// is maintained from this one's rather than recomputed by a second
     /// peel; `scratch` serves the closure walk.
+    ///
+    /// Returns `None`, and builds nothing, when the batch changes no edge and
+    /// adds no vertex ([`GraphDelta::changed_endpoints`] is empty): the graph,
+    /// its fingerprint and every answer computed on it stay as they are.
     pub fn apply_delta(
         &self,
         delta: &GraphDelta,
         scratch: &mut SubproblemScratch,
-    ) -> (PreparedGraph, Vec<VertexId>, usize) {
+    ) -> Option<(PreparedGraph, Vec<VertexId>, usize)> {
+        if delta.changed_endpoints(&self.graph).is_empty() {
+            return None;
+        }
         let new_graph = delta.apply(&self.graph);
         let dirty = dirty_two_hop_closure(&self.graph, &new_graph, delta, scratch);
         let update = update_core_decomposition(&self.cores, &new_graph);
         let core_changed = update.changed.len();
-        (
+        Some((
             PreparedGraph::with_cores(new_graph, update.cores),
             dirty,
             core_changed,
-        )
+        ))
     }
 
     /// The underlying graph.

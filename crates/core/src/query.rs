@@ -152,7 +152,12 @@ pub fn find_mqcs_containing(
     })
 }
 
-fn validate_query(g: &Graph, query: &[VertexId]) -> Result<(), QueryError> {
+/// Checks a query against `g` as [`find_mqcs_containing`] does: it must be
+/// non-empty, name only vertices of `g` and name each at most once.
+///
+/// # Errors
+/// The first [`QueryError`] found, the one [`find_mqcs_containing`] returns.
+pub fn validate_query(g: &Graph, query: &[VertexId]) -> Result<(), QueryError> {
     if query.is_empty() {
         return Err(QueryError::EmptyQuery);
     }

@@ -152,13 +152,24 @@ impl GraphDelta {
         }
     }
 
-    /// Every endpoint named by the batch, sorted and deduplicated.
-    pub fn touched_vertices(&self) -> Vec<VertexId> {
-        let mut out: Vec<VertexId> = self
+    /// The vertices whose edges the batch actually changes in `g`, sorted
+    /// and deduplicated: both endpoints of every insert absent from `g` (and
+    /// not deleted by the same batch) and of every delete present in `g`,
+    /// plus every id the batch grows `g` by. Inserting a present edge or
+    /// deleting an absent one changes nothing, so a batch for which this is
+    /// empty leaves `g` as it is.
+    pub fn changed_endpoints(&self, g: &Graph) -> Vec<VertexId> {
+        let n = g.num_vertices();
+        let present = |&(u, v): &(VertexId, VertexId)| (v as usize) < n && g.has_edge(u, v);
+        let inserted = self
             .inserts
             .iter()
-            .chain(self.deletes.iter())
+            .filter(|e| !present(e) && self.deletes.binary_search(e).is_err());
+        let deleted = self.deletes.iter().filter(|e| present(e));
+        let mut out: Vec<VertexId> = inserted
+            .chain(deleted)
             .flat_map(|&(u, v)| [u, v])
+            .chain(n as VertexId..self.required_vertices(g) as VertexId)
             .collect();
         out.sort_unstable();
         out.dedup();
@@ -278,9 +289,11 @@ impl GraphDelta {
     }
 }
 
-/// The closed two-hop closure of a delta's endpoints, under **both** the old
-/// and the new graph: every vertex within distance ≤ 2 of an updated
-/// endpoint before or after the batch, sorted ascending.
+/// The closed two-hop closure of the vertices a delta changes (its
+/// [`changed_endpoints`](GraphDelta::changed_endpoints) in `old`), under
+/// **both** the old and the new graph: every vertex within distance ≤ 2 of
+/// a changed endpoint before or after the batch, sorted ascending. A batch
+/// that changes no edge has an empty closure.
 ///
 /// This is exactly the set of anchors whose DC subproblem the batch can
 /// change: a subproblem's subgraph is determined by the edges within
@@ -301,7 +314,7 @@ pub fn dirty_two_hop_closure(
     let n = old.num_vertices().max(new.num_vertices());
     let (stamp, tag) = scratch.stamp_epoch(n);
     let mut out: Vec<VertexId> = Vec::new();
-    for t in delta.touched_vertices() {
+    for t in delta.changed_endpoints(old) {
         for g in [old, new] {
             if (t as usize) >= g.num_vertices() {
                 continue;
@@ -372,7 +385,8 @@ mod tests {
         assert_eq!(delta.inserts(), &[(0, 4), (1, 2)]);
         assert_eq!(delta.deletes(), &[(6, 7)]);
         assert_eq!(delta.len(), 3);
-        assert_eq!(delta.touched_vertices(), vec![0, 1, 2, 4, 6, 7]);
+        let g = Graph::from_edges(8, &[(6, 7)]);
+        assert_eq!(delta.changed_endpoints(&g), vec![0, 1, 2, 4, 6, 7]);
     }
 
     #[test]
@@ -487,6 +501,29 @@ mod tests {
         let new_g = delta.apply(&g);
         let dirty = dirty_two_hop_closure(&g, &new_g, &delta, &mut scratch);
         assert_eq!(dirty, vec![0, 1, 2, 4, 5, 6]);
+    }
+
+    #[test]
+    fn only_changed_edges_seed_the_closure() {
+        let g = Graph::path(7);
+        let mut scratch = SubproblemScratch::new();
+        // Inserting a present edge and deleting absent ones (one beyond the
+        // graph) changes nothing: no endpoint, no closure.
+        let noop = GraphDelta::new(vec![(2, 3)], vec![(0, 6), (1, 40)]);
+        assert!(noop.changed_endpoints(&g).is_empty());
+        assert!(dirty_two_hop_closure(&g, &noop.apply(&g), &noop, &mut scratch).is_empty());
+        // Only the real delete of a mixed batch seeds the walk.
+        let mixed = GraphDelta::new(vec![(2, 3)], vec![(0, 1), (0, 6)]);
+        assert_eq!(mixed.changed_endpoints(&g), vec![0, 1]);
+        let new_g = mixed.apply(&g);
+        assert_eq!(
+            dirty_two_hop_closure(&g, &new_g, &mixed, &mut scratch),
+            vec![0, 1, 2, 3]
+        );
+        // An insert the batch also deletes adds no edge, but its new ids
+        // (and the one it skips) still grow the graph.
+        let grow = GraphDelta::new(vec![(5, 8)], vec![(5, 8)]);
+        assert_eq!(grow.changed_endpoints(&g), vec![7, 8]);
     }
 
     #[test]

@@ -79,7 +79,7 @@ pub fn filter_maximal(sets: &[Vec<u32>]) -> Vec<Vec<u32>> {
 }
 
 /// `a ⊆ b` for sorted, deduplicated slices.
-pub(crate) fn is_sorted_subset(a: &[u32], b: &[u32]) -> bool {
+pub fn is_sorted_subset(a: &[u32], b: &[u32]) -> bool {
     if a.len() > b.len() {
         return false;
     }

@@ -37,5 +37,5 @@ mod parallel;
 pub use arena::SetArena;
 pub use canonical::CanonicalFamily;
 pub use engine::{S2Backend, S2Buffer, S2Decision, S2Outcome, S2Steps};
-pub use filter::{filter_maximal, filter_maximal_naive};
+pub use filter::{filter_maximal, filter_maximal_naive, is_sorted_subset};
 pub use parallel::compact_parallel;

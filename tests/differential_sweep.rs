@@ -110,3 +110,59 @@ fn s2_pass_matches_filter_maximal_across_full_grid() {
         }
     }
 }
+
+/// Maximality does not depend on θ, which is what lets the daemon answer a
+/// request from a cached family at a lower θ: over the same grid, the
+/// family at every θ′ ≥ θ is exactly the θ family's sets of size ≥ θ′, in
+/// the same order, and a query's answer at θ′ is those of them that contain
+/// the query vertex.
+#[test]
+fn larger_theta_families_are_filters_of_smaller_theta_families() {
+    let mut rng = StdRng::seed_from_u64(0x7E7A);
+    let mut graphs: Vec<(String, Graph)> = (0..8)
+        .map(|case| {
+            let n = rng.gen_range(8..16);
+            let p = rng.gen_range(0.2..0.9);
+            (
+                format!("filter case {case} (n={n}, p={p:.2})"),
+                random_graph(&mut rng, n, p),
+            )
+        })
+        .collect();
+    graphs.push(("paper figure 1".to_string(), Graph::paper_figure1()));
+    graphs.push(("K7".to_string(), Graph::complete(7)));
+    for (label, g) in &graphs {
+        for gamma in GAMMAS {
+            let families: Vec<Vec<Vec<u32>>> = THETAS
+                .iter()
+                .map(|&theta| enumerate_mqcs_default(g, gamma, theta).unwrap().mqcs)
+                .collect();
+            for (i, low) in families.iter().enumerate() {
+                for (&theta, family) in THETAS.iter().zip(&families).skip(i) {
+                    let filtered: Vec<Vec<u32>> =
+                        low.iter().filter(|h| h.len() >= theta).cloned().collect();
+                    assert_eq!(
+                        &filtered, family,
+                        "{label}: gamma={gamma}: theta={theta} != theta={} filtered",
+                        THETAS[i]
+                    );
+                    let config = MqceConfig::new(gamma, theta).unwrap();
+                    for v in g.vertices() {
+                        let query = mqce::core::find_mqcs_containing(g, &[v], &config)
+                            .unwrap()
+                            .mqcs;
+                        let holding: Vec<Vec<u32>> = filtered
+                            .iter()
+                            .filter(|h| h.contains(&v))
+                            .cloned()
+                            .collect();
+                        assert_eq!(
+                            query, holding,
+                            "{label}: gamma={gamma}, theta={theta}: query {v} != filter"
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
